@@ -88,7 +88,12 @@ class ScoreParams:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs; all randomness flows from the seeds here."""
+    """Everything a run needs; all randomness flows from the seeds here.
+
+    ``workers`` is parsed and validated because configs and manifests carry
+    it, but nothing reads it: the graph build runs in the calling thread and
+    BLAS supplies the parallelism.
+    """
 
     rounds: int = 5
     budget_per_round: int = 40
@@ -515,7 +520,6 @@ def run_pipeline_detailed(
             bands=config.graph_bands,
             band_bits=config.graph_band_bits,
             seed=config.graph_seed,
-            workers=config.workers,
         )
     else:
         if graph.theta < config.theta_sim:

@@ -1,19 +1,24 @@
 """Threshold similarity graph over item embeddings.
 
 Edges connect items whose cosine distance is at most theta (ties included).
-Exact mode verifies every pair; blocked mode uses banded random-hyperplane
-sign hashes to find candidate pairs, then verifies each candidate exactly, so
-approximation can only drop edges, never invent them.
+Both modes share one candidate-then-verify kernel (all-pairs similarity
+search, Bayardo, Ma & Srikant 2007). Exact mode feeds it the whole corpus as
+one bucket; blocked mode feeds it each bucket of banded random-hyperplane
+sign hashes, so approximation can only drop edges, never invent them.
 
-All stored edge distances come from one einsum-based kernel so that exact
-mode, blocked mode, and per-pair queries agree bitwise.
+Detection scores the upper triangle of each bucket in float32 row tiles of
+unit-normalised embeddings, against the cut padded by a float32 error bound
+derived from the dimension, so it never misses a pair within theta. A pair
+colliding in several bands is kept only by the first, which emits each edge
+once without a global dedupe. Every candidate is then accepted or rejected by
+one float64 einsum kernel, so stored distances, exact mode, blocked mode and
+per-pair queries agree bitwise.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +32,10 @@ GRAPH_MODES = (MODE_EXACT, MODE_BLOCKED)
 DEFAULT_BANDS = 16
 DEFAULT_BAND_BITS = 8
 
-# Candidate detection pads the threshold by this much in similarity space;
-# membership is always decided by the canonical kernel afterwards.
-_DETECT_PAD = 1e-9
+# Detection tiles are about this many rows, and never hold more float32
+# scores than _TILE_ELEMS (16 MB), however wide the bucket.
+_TILE_ROWS = 256
+_TILE_ELEMS = 1 << 22
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,9 +132,6 @@ class SimilarityGraph:
         dist = 1.0 - dot / (float(self._norms[ia]) * float(self._norms[ib]))
         return min(max(dist, 0.0), 2.0)
 
-    def embedding_of(self, item_id: int) -> np.ndarray:
-        return self._emb[self._position(item_id)]
-
 
 def _pair_distances(
     emb: np.ndarray, norms: np.ndarray, ii: np.ndarray, jj: np.ndarray
@@ -137,75 +140,58 @@ def _pair_distances(
     return np.clip(dist, 0.0, 2.0)
 
 
-def _exact_candidates(
-    emb: np.ndarray, sim_cut: float, workers: int
-) -> tuple[np.ndarray, np.ndarray]:
-    n = len(emb)
-    chunk = max(1, min(n, (1 << 22) // max(n, 1)))
-    starts = list(range(0, n, chunk))
-
-    def scan(start: int) -> tuple[np.ndarray, np.ndarray]:
-        stop = min(start + chunk, n)
-        gram = emb[start:stop] @ emb.T
-        mask = gram >= sim_cut
-        # keep only j > i to emit each unordered pair once
-        rows = np.arange(start, stop)
-        mask &= np.arange(n)[None, :] > rows[:, None]
-        local_i, local_j = np.nonzero(mask)
-        return rows[local_i], local_j
-
-    results = _run_sharded(scan, starts, workers)
-    ii = np.concatenate([r[0] for r in results]) if results else np.empty(0, np.int64)
-    jj = np.concatenate([r[1] for r in results]) if results else np.empty(0, np.int64)
-    return ii.astype(np.int64), jj.astype(np.int64)
+def _detect_pad(d: int) -> float:
+    # A float32 dot of two float32-rounded unit vectors is within (d + 2) * u
+    # of their cosine, u = 2**-24, whatever the summation order: 2u from
+    # rounding the inputs and d * u from the sum. Casting the cut to float32
+    # adds at most u, the float64 kernel far less; the factor 4 is headroom.
+    return 4.0 * (d + 2) * 2.0**-24
 
 
-def _blocked_candidates(
-    emb: np.ndarray,
-    sim_cut: float,
-    bands: int,
-    band_bits: int,
-    seed: int,
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    n, d = emb.shape
-    planes = np.random.default_rng(seed).standard_normal((d, bands * band_bits))
+def _band_keys(emb: np.ndarray, bands: int, band_bits: int, seed: int) -> np.ndarray:
+    """(bands, n) sign-hash bucket keys, one row per band."""
+    planes = np.random.default_rng(seed).standard_normal((emb.shape[1], bands * band_bits))
     bits = (emb @ planes) > 0
-    weights = (np.uint64(1) << np.arange(band_bits, dtype=np.uint64))
-
-    def scan(band: int) -> tuple[np.ndarray, np.ndarray]:
-        keys = bits[:, band * band_bits : (band + 1) * band_bits].astype(np.uint64) @ weights
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        bounds = np.flatnonzero(np.diff(sorted_keys)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [n]))
-        out_i: list[np.ndarray] = []
-        out_j: list[np.ndarray] = []
-        for s, e in zip(starts, ends):
-            if e - s < 2:
-                continue
-            idx = np.sort(order[s:e])
-            gram = emb[idx] @ emb[idx].T
-            local_i, local_j = np.nonzero(np.triu(gram >= sim_cut, k=1))
-            if len(local_i):
-                out_i.append(idx[local_i])
-                out_j.append(idx[local_j])
-        if not out_i:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        return np.concatenate(out_i), np.concatenate(out_j)
-
-    results = _run_sharded(scan, list(range(bands)), workers)
-    ii = np.concatenate([r[0] for r in results]) if results else np.empty(0, np.int64)
-    jj = np.concatenate([r[1] for r in results]) if results else np.empty(0, np.int64)
-    return ii.astype(np.int64), jj.astype(np.int64)
+    weights = np.uint64(1) << np.arange(band_bits, dtype=np.uint64)
+    keys = np.empty((bands, len(emb)), dtype=np.uint64)
+    for band in range(bands):
+        keys[band] = bits[:, band * band_bits : (band + 1) * band_bits].astype(np.uint64) @ weights
+    return keys
 
 
-def _run_sharded(fn, shards: Sequence, workers: int) -> list:
-    if workers <= 1 or len(shards) <= 1:
-        return [fn(s) for s in shards]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, shards))
+def _buckets(keys: np.ndarray):
+    """Ascending row indices of each bucket with at least two rows."""
+    order = np.argsort(keys, kind="stable")
+    bounds = np.flatnonzero(np.diff(keys[order])) + 1
+    return [idx for idx in np.split(order, bounds) if len(idx) > 1]
+
+
+def _bucket_edges(unit, emb, norms, idx, cut, theta, earlier_keys) -> list:
+    """Edges among rows ``idx`` whose pair shares no key in ``earlier_keys``.
+
+    Candidates come from the upper triangle of float32 unit-row Gram tiles;
+    membership is decided by the canonical float64 kernel alone.
+    """
+    sub = unit[idx]
+    m = len(idx)
+    rows = max(1, min(_TILE_ROWS, _TILE_ELEMS // m))
+    found = []
+    for r0 in range(0, m - 1, rows):
+        # flat indices: 2-d np.nonzero is an order of magnitude slower
+        li, lj = np.divmod(np.flatnonzero(sub[r0 : r0 + rows] @ sub[r0:].T >= cut), m - r0)
+        upper = lj > li
+        ii, jj = idx[r0 + li[upper]], idx[r0 + lj[upper]]
+        # a pair belongs to the first band it collides in; most pairs collide
+        # in the first band checked, so one band at a time touches least
+        for keys in earlier_keys:
+            if not len(ii):
+                break
+            differ = keys[ii] != keys[jj]
+            ii, jj = ii[differ], jj[differ]
+        dists = _pair_distances(emb, norms, ii, jj)
+        keep = dists <= theta
+        found.append((ii[keep], jj[keep], dists[keep]))
+    return found
 
 
 def build_graph(
@@ -223,6 +209,8 @@ def build_graph(
     Blocked mode expects ``bands`` independent sign-hash bands of
     ``band_bits`` hyperplanes each; candidate pairs sharing any band bucket
     are verified exactly, so dropped edges are the only possible error.
+    ``workers`` is accepted for configs that carry it but not read: the
+    build runs in the calling thread and BLAS supplies the parallelism.
     """
     if not 0.0 <= theta <= 2.0:
         raise ValueError(f"theta must be in [0, 2], got {theta}")
@@ -247,22 +235,17 @@ def build_graph(
     if np.any(norms == 0.0):
         raise ValueError("zero embedding in graph input")
 
-    sim_cut = 1.0 - theta - _DETECT_PAD
+    unit = (emb / norms[:, None]).astype(np.float32)
+    cut = 1.0 - theta - _detect_pad(emb.shape[1])
     if mode == MODE_EXACT:
-        ii, jj = _exact_candidates(emb, sim_cut, workers)
+        groups = [((), np.arange(n))]
     else:
-        ii, jj = _blocked_candidates(emb, sim_cut, bands, band_bits, seed, workers)
-
-    if len(ii):
-        # dedupe candidates found in multiple bands, then decide membership
-        # with the canonical kernel only
-        enc = np.unique(ii * np.int64(n) + jj)
-        ii, jj = enc // n, enc % n
-        dists = _pair_distances(emb, norms, ii, jj)
-        keep = dists <= theta
-        ii, jj, dists = ii[keep], jj[keep], dists[keep]
-    else:
-        dists = np.empty(0)
+        keys = _band_keys(emb, bands, band_bits, seed)
+        groups = ((keys[:band], idx) for band in range(bands) for idx in _buckets(keys[band]))
+    found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    for earlier_keys, idx in groups:
+        found += _bucket_edges(unit, emb, norms, idx, cut, theta, earlier_keys)
+    ii, jj, dists = (np.concatenate(part) for part in zip(*found))
 
     rows = np.concatenate([ii, jj])
     cols = np.concatenate([jj, ii])

@@ -1,10 +1,16 @@
+import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from reviewfunnel.corpus import GeneratorConfig, generate_corpus_detailed
+from reviewfunnel.corpus import (
+    GeneratorConfig,
+    generate_corpus,
+    generate_corpus_detailed,
+)
 from reviewfunnel.simgraph import (
     build_graph,
     cosine_distance,
@@ -36,6 +42,42 @@ def graph_adjacency(graph):
 
 def rotated(angle):
     return [math.cos(angle), math.sin(angle)]
+
+
+def edge_list(graph):
+    """Every stored (a, b, distance) with a < b; an edge stored twice shows twice."""
+    return sorted(
+        (a, b, d)
+        for a, neighbors in graph_adjacency(graph).items()
+        for b, d in neighbors
+        if a < b
+    )
+
+
+def numpy_oracle(items, theta, bands, band_bits, seed):
+    """Exact edge pairs; those sharing a bucket in one band or more; in two or more.
+
+    Uses the program's hashing convention (planes drawn from ``seed`` with
+    shape (d, bands * band_bits), one band per run of ``band_bits`` columns)
+    but none of its code.
+    """
+    emb = np.stack([it.embedding for it in items])
+    norms = np.linalg.norm(emb, axis=1)
+    dist = 1.0 - (emb @ emb.T) / np.outer(norms, norms)
+    planes = np.random.default_rng(seed).standard_normal((emb.shape[1], bands * band_bits))
+    signs = (emb @ planes > 0).reshape(len(emb), bands, band_bits)
+    keys = signs @ (1 << np.arange(band_bits))
+    ii, jj = np.triu_indices(len(emb), k=1)
+    # no pair sits so close to theta that float64 rounding could decide it
+    assert not np.any(np.abs(dist[ii, jj] - theta) < 1e-9)
+    exact = dist[ii, jj] <= theta
+    shared = (keys[ii] == keys[jj]).sum(axis=1)
+    ids = np.array([it.item_id for it in items])
+
+    def pairs(mask):
+        return set(zip(ids[ii[mask]].tolist(), ids[jj[mask]].tolist()))
+
+    return pairs(exact), pairs(exact & (shared > 0)), pairs(exact & (shared > 1))
 
 
 class TestCosineDistance:
@@ -159,6 +201,82 @@ class TestBuildGraph:
         g1 = build_graph(items, 0.3, "blocked", seed=9)
         g2 = build_graph(items, 0.3, "blocked", seed=9)
         assert graph_adjacency(g1) == graph_adjacency(g2)
+
+    @pytest.mark.parametrize("mode", ["exact", "blocked"])
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    def test_embedding_scale_does_not_change_edges(self, mode, scale):
+        items = generate_corpus(GeneratorConfig(n_clusters=30, rng_seed=3))[0][:300]
+        scaled = [dataclasses.replace(it, embedding=it.embedding * scale) for it in items]
+        unit = edge_list(build_graph(items, 0.25, mode, seed=0))
+        other = edge_list(build_graph(scaled, 0.25, mode, seed=0))
+        assert len(unit) > 1000
+        assert [e[:2] for e in other] == [e[:2] for e in unit]
+        np.testing.assert_allclose(
+            [e[2] for e in other], [e[2] for e in unit], rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("corpus", ["blobs64", "overlap16"])
+    def test_blocked_is_exact_within_shared_buckets(self, corpus):
+        if corpus == "blobs64":
+            rng = np.random.default_rng(1)
+            vectors = [
+                v for _ in range(40)
+                for v in planted_blob(rng.standard_normal(64), 15, 0.06, rng)
+            ]
+            items, theta, bands = make_items(vectors), 0.25, 8
+        else:
+            cfg = GeneratorConfig(n_clusters=60, embedding_dim=16, rng_seed=5)
+            items, theta, bands = generate_corpus(cfg)[0][:600], 0.5, 16
+        exact, collide, repeated = numpy_oracle(items, theta, bands, 8, seed=3)
+        # the oracle must miss edges and see edges in several bands, or the
+        # comparison below would not test banding and first-band ownership
+        assert collide < exact and repeated
+        got_exact = edge_list(build_graph(items, theta, "exact"))
+        blocked = build_graph(items, theta, "blocked", bands=bands, band_bits=8, seed=3)
+        got_blocked = edge_list(blocked)
+        assert [e[:2] for e in got_exact] == sorted(exact)
+        assert [e[:2] for e in got_blocked] == sorted(collide)
+
+    @pytest.mark.parametrize("mode", ["exact", "blocked"])
+    def test_near_threshold_pairs_follow_canonical_distance(self, mode):
+        # pairs planted just inside, at and just outside theta in 64-d, where
+        # float32 detection error is about 1e-7: a pad too small drops some
+        theta = 0.05
+        rng = np.random.default_rng(8)
+        vectors, pairs = [], []
+        for offset in (-1e-7, -1e-9, 0.0, 1e-7):
+            for _ in range(25):
+                u, w = np.linalg.qr(rng.standard_normal((64, 2)))[0].T
+                c = 1.0 - (theta + offset)
+                pairs.append((len(vectors), len(vectors) + 1, offset))
+                vectors += [u, c * u + math.sqrt(1.0 - c * c) * w]
+        items = make_items(vectors)
+        within = [
+            (a, b) for a, b, _ in pairs
+            if cosine_distance(items[a].embedding, items[b].embedding) <= theta
+        ]
+        assert {(a, b) for a, b, o in pairs if o < 0} <= set(within)
+        assert not {(a, b) for a, b, o in pairs if o > 0} & set(within)
+        # 16 bands of 2 bits: a pair at theta shares no bucket with odds < 1e-11
+        g = build_graph(items, theta, mode, bands=16, band_bits=2, seed=6)
+        assert [e[:2] for e in edge_list(g)] == within
+
+    @pytest.mark.parametrize(
+        "dim, theta, digest",
+        [
+            (64, 0.25, "ac2b526d52b0a0fc4dd661fc08b723668d7618946d0c89e87960eaadf9ef1110"),
+            (16, 0.5, "d36945a5ad09f376c4449e9a739f5c018e41c8d843f879319193161e4bb74751"),
+        ],
+    )
+    def test_blocked_csr_is_pinned(self, dim, theta, digest):
+        # digests recorded before detection moved to float32 tiles; a change
+        # to detection that moves an edge or a distance bit fails here
+        cfg = GeneratorConfig(n_clusters=500, embedding_dim=dim, rng_seed=5)
+        g = build_graph(generate_corpus(cfg)[0], theta, "blocked", seed=0)
+        h = hashlib.sha256()
+        for arr in (g._indptr, g._nbr_ids, g._nbr_dists):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
 
     def test_identical_embeddings_always_linked_in_blocked_mode(self):
         vec = [0.3, -0.7, 0.64]
