@@ -20,6 +20,7 @@ from .corpus import (
     GeneratorConfig,
     corpus_content_hash,
     generate_corpus_detailed,
+    ground_truth_of,
     load_corpus,
     save_corpus,
     save_labels,
@@ -228,11 +229,7 @@ def cmd_baseline(args) -> int:
         if doc.get("kind") == "run_manifest":
             doc = doc["config"]
         oracle_params = pipeline_config_from_doc(doc).oracle
-    truth = {
-        item.item_id: item.ground_truth
-        for item in items
-        if item.ground_truth is not None
-    }
+    truth = ground_truth_of(items)
     oracle = SimulatedOracle(
         oracle_params.tpr,
         oracle_params.tnr,

@@ -3,12 +3,17 @@ greedy maximal-coverage sampling down to a per-round review budget.
 
 Every stage is a pure function of its inputs. Dedup and sampling iterate in
 ascending item_id order so the whole funnel is deterministic and replayable.
+Each stage reads the graph through one batched neighbor gather over its
+whole source set (``SimilarityGraph.neighbors_batch``), never one query per
+item; only the greedy choices of dedup and sampling stay sequential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .corpus import Item
 from .simgraph import SimilarityGraph
@@ -75,47 +80,50 @@ class CoveragePlan:
 
 
 def expand_content(
-    graph: SimilarityGraph, known_positive_ids: Iterable[int], theta_sim: float
-) -> set[int]:
-    """One-hop neighborhood of the known positives, excluding the sources."""
-    sources = set(known_positive_ids)
-    out: set[int] = set()
-    for source in sorted(sources):
-        out.update(graph.neighbors_within(source, theta_sim))
-    return out - sources
+    graph: SimilarityGraph,
+    known_positive_ids: Iterable[int],
+    theta_sim: float,
+    feedback_ids: Iterable[int] = (),
+) -> dict[int, set[str]]:
+    """One-hop neighborhood of the known positives, excluding the sources.
+
+    Each neighbor is tagged content_sim, plus feedback when one of
+    ``feedback_ids`` (a subset of the sources) reaches it.
+    """
+    sources = np.array(sorted(set(known_positive_ids)), dtype=np.int64)
+    row, nbr_ids, _ = graph.neighbors_batch(sources, theta_sim)
+    content = np.setdiff1d(nbr_ids, sources)
+    via_feedback = np.isin(sources, np.fromiter(feedback_ids, np.int64))[row]
+    feedback = set(np.setdiff1d(nbr_ids[via_feedback], sources).tolist())
+    return {
+        i: {ORIGIN_CONTENT, ORIGIN_FEEDBACK} if i in feedback else {ORIGIN_CONTENT}
+        for i in content.tolist()
+    }
 
 
 def expand_actor(
-    items: Iterable[Item], store, min_positives: int, min_rate: float
+    store,
+    account_items: Mapping[int, Iterable[int]],
+    min_positives: int,
+    min_rate: float,
 ) -> set[int]:
     """Unlabeled items of accounts whose labeled items skew positive.
 
     An account is flagged when it has at least ``min_positives`` positive
     labels and its positive share among labeled items reaches ``min_rate``.
+    The store's account index supplies the label counts; ``account_items``
+    lists every item of each account.
     """
     if min_positives < 1:
         raise ValueError("min_positives must be >= 1")
     if not 0.0 < min_rate <= 1.0:
         raise ValueError("min_rate must be in (0, 1]")
-    labeled_count: dict[int, int] = {}
-    positive_count: dict[int, int] = {}
-    item_list = list(items)
-    for item in item_list:
-        record = store.get(item.item_id)
-        if record is None:
-            continue
-        labeled_count[item.account_id] = labeled_count.get(item.account_id, 0) + 1
-        if record.label:
-            positive_count[item.account_id] = positive_count.get(item.account_id, 0) + 1
-    flagged = {
-        account
-        for account, positives in positive_count.items()
-        if positives >= min_positives and positives / labeled_count[account] >= min_rate
-    }
     return {
-        item.item_id
-        for item in item_list
-        if item.account_id in flagged and store.get(item.item_id) is None
+        item_id
+        for account, (labeled, positives) in store.account_label_counts().items()
+        if positives >= min_positives and positives / labeled >= min_rate
+        for item_id in account_items.get(account, ())
+        if item_id not in store
     }
 
 
@@ -143,33 +151,28 @@ def dedup_cross_round(
     """Drop candidates already reviewed in substance in an earlier round.
 
     A candidate is removed when its exact hash matches a reviewed item or it
-    lies within theta_dup of one. Removed candidates are returned in the
-    routing map so the propagation stage can copy the matched item's label
-    instead of silently discarding them.
+    lies within theta_dup of one (the nearest, lowest id first). Removed
+    candidates are returned in the routing map so the propagation stage can
+    copy the matched item's label instead of silently discarding them.
     """
     reviewed = store.reviewed_ids()
-    kept: set[int] = set()
-    routed: dict[int, int] = {}
     if not reviewed:
-        return set(candidates), routed
+        return set(candidates), {}
     hash_to_reviewed: dict[int, int] = {}
     for rid in sorted(reviewed):
-        h = items_index[rid].exact_hash
-        hash_to_reviewed.setdefault(h, rid)
-    for candidate in sorted(set(candidates)):
-        match = hash_to_reviewed.get(items_index[candidate].exact_hash)
-        if match is not None:
-            routed[candidate] = match
-            continue
-        best: tuple[float, int] | None = None
-        for nid, dist in graph.neighbors_with_distances(candidate, theta_dup):
-            if nid in reviewed:
-                best = (dist, nid)
-                break  # neighbors come back ordered by (distance, id)
-        if best is not None:
-            routed[candidate] = best[1]
-        else:
-            kept.add(candidate)
+        hash_to_reviewed.setdefault(items_index[rid].exact_hash, rid)
+    ordered = sorted(set(candidates))
+    match = {
+        c: hash_to_reviewed.get(items_index[c].exact_hash) for c in ordered
+    }
+    rest = np.array([c for c in ordered if match[c] is None], dtype=np.int64)
+    row, nbr_ids, _ = graph.neighbors_batch(rest, theta_dup)
+    hit = np.isin(nbr_ids, np.fromiter(reviewed, np.int64))
+    # rows keep (distance, id) order, so a row's first reviewed entry is its match
+    rows, first = np.unique(row[hit], return_index=True)
+    match.update(zip(rest[rows].tolist(), nbr_ids[hit][first].tolist()))
+    kept = {c for c in ordered if match[c] is None}
+    routed = {c: match[c] for c in ordered if match[c] is not None}
     return kept, routed
 
 
@@ -197,18 +200,22 @@ def dedup_intra_batch(
     item lies within theta_dup; dropped items map to the lowest-id kept item
     that suppressed them. Kept pairs are therefore all > theta_dup apart.
     """
-    kept: set[int] = set()
+    ids = np.array(sorted(set(candidates)), dtype=np.int64)
+    row, nbr_ids, _ = graph.neighbors_batch(ids, theta_dup)
+    # an item with no lower-id neighbor in the batch is kept whatever came
+    # before it; only the rest need the sequential scan
+    lower = np.isin(nbr_ids, ids) & (nbr_ids < ids[row])
+    contested: dict[int, list[int]] = {}
+    for r, nid in zip(row[lower].tolist(), nbr_ids[lower].tolist()):
+        contested.setdefault(r, []).append(nid)
+    kept = set(np.delete(ids, list(contested)).tolist())
     dup_of: dict[int, int] = {}
-    for candidate in sorted(set(candidates)):
-        suppressors = [
-            nid
-            for nid in graph.neighbors_within(candidate, theta_dup)
-            if nid in kept
-        ]
+    for r in sorted(contested):
+        suppressors = [nid for nid in contested[r] if nid in kept]
         if suppressors:
-            dup_of[candidate] = min(suppressors)
+            dup_of[int(ids[r])] = min(suppressors)
         else:
-            kept.add(candidate)
+            kept.add(int(ids[r]))
     return kept, dup_of
 
 
@@ -232,19 +239,19 @@ def max_coverage_sample(
     universe = sorted(set(candidates))
     if k == 0 or not universe:
         return CoveragePlan((), {}, k)
-    in_universe = set(universe)
 
     def weight_of(item_id: int) -> float:
         return 1.0 if weights is None else float(weights.get(item_id, 0.0))
 
-    cover: dict[int, list[int]] = {}
+    cover: dict[int, list[int]] = {c: [c] for c in universe}
+    row, nbr_ids, _ = graph.neighbors_batch(universe, theta_prop)
+    inside = np.isin(nbr_ids, universe)
+    for r, nid in zip(row[inside].tolist(), nbr_ids[inside].tolist()):
+        cover[universe[r]].append(nid)
     covering: dict[int, list[int]] = {c: [] for c in universe}
     gains: dict[int, float] = {}
     for c in universe:
-        members = [c] + [
-            nid for nid in graph.neighbors_within(c, theta_prop) if nid in in_universe
-        ]
-        cover[c] = members
+        members = cover[c]
         for m in members:
             covering[m].append(c)
         gains[c] = sum(weight_of(m) for m in members)

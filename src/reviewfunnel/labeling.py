@@ -219,6 +219,16 @@ class KnownStore:
     def labeled_ids_by_account(self, account_id: int) -> set[int]:
         return set(self._by_account.get(account_id, ()))
 
+    def account_label_counts(self) -> dict[int, tuple[int, int]]:
+        """(labeled, positive) item counts of every account with a label.
+
+        Only items in the accounts map given at construction are counted.
+        """
+        return {
+            account: (len(ids), len(ids & self._positive))
+            for account, ids in self._by_account.items()
+        }
+
     def add(self, record: LabelRecord) -> None:
         if record.item_id in self._by_id:
             raise AlreadyLabeledError(f"item {record.item_id} already labeled")
@@ -318,10 +328,13 @@ def propagate_labels(
         offers.setdefault(target, []).append((dist, 0 if label else 1, source))
         labels[source] = label
 
-    for record in sorted(new_records, key=lambda r: r.item_id):
-        for nid, dist in graph.neighbors_with_distances(record.item_id, theta_prop):
-            if nid not in store:
-                offer(nid, dist, record.label, record.item_id)
+    sources = sorted(new_records, key=lambda r: r.item_id)
+    row, nbr_ids, dists = graph.neighbors_batch(
+        [r.item_id for r in sources], theta_prop
+    )
+    for r, nid, dist in zip(row.tolist(), nbr_ids.tolist(), dists.tolist()):
+        if nid not in store:
+            offer(nid, dist, sources[r].label, sources[r].item_id)
     if dup_routed:
         for target in sorted(dup_routed):
             if target in store:

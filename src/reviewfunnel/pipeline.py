@@ -24,13 +24,12 @@ from .corpus import (
     PROVENANCE_SEED,
     corpus_content_hash,
     ground_truth_of,
+    ids_by_account,
     items_by_id,
 )
 from .funnel import (
     CandidateSet,
     ORIGIN_ACTOR,
-    ORIGIN_CONTENT,
-    ORIGIN_FEEDBACK,
     ORIGIN_SCORE,
     dedup_cross_round,
     dedup_intra_batch,
@@ -247,7 +246,7 @@ class PipelineState:
     store: KnownStore
     oracle: Oracle
     scores: dict[int, float] | None
-    seeds: set[int] = field(default_factory=set)
+    account_items: dict[int, list[int]]
 
 
 def simulate_model_scores(
@@ -267,65 +266,58 @@ def simulate_model_scores(
     return scores
 
 
-def _records_of(store_or_records) -> list[LabelRecord]:
-    if hasattr(store_or_records, "records"):
-        return store_or_records.records()
-    return list(store_or_records)
-
-
 def compute_metrics(
-    store_or_records, ground_truth: Mapping[int, bool], corpus: Sequence[Item]
+    records: Sequence[LabelRecord], ground_truth: Mapping[int, bool] | None, corpus: Sequence[Item]
 ) -> MetricsReport:
-    """Evaluate a label store against hidden ground truth."""
-    for item in corpus:
-        if item.item_id not in ground_truth:
-            raise MissingGroundTruthError(
-                f"ground truth missing for item {item.item_id}"
-            )
-    records = _records_of(store_or_records)
-    gt_positive_ids = [i for i in ground_truth if ground_truth[i]]
-    gt_positives = len(gt_positive_ids)
-    impressions = {item.item_id: item.impressions for item in corpus}
-    gt_positive_impressions = sum(impressions.get(i, 0) for i in gt_positive_ids)
+    """Evaluate label records, against hidden ground truth when it is given.
 
+    Without ground truth, recall, precision and amplification are None.
+    """
+    if ground_truth is not None:
+        for item in corpus:
+            if item.item_id not in ground_truth:
+                raise MissingGroundTruthError(
+                    f"ground truth missing for item {item.item_id}"
+                )
     reviews = sum(1 for r in records if r.provenance == PROVENANCE_ORACLE)
-    pos_seed = sum(
-        1 for r in records if r.label and r.provenance == PROVENANCE_SEED
-    )
-    pos_oracle = sum(
-        1 for r in records if r.label and r.provenance == PROVENANCE_ORACLE
-    )
-    pos_prop = sum(
-        1 for r in records if r.label and r.provenance == PROVENANCE_PROPAGATED
-    )
-    pos_total = pos_seed + pos_oracle + pos_prop
-    true_positive_ids = [
-        r.item_id for r in records if r.label and ground_truth.get(r.item_id, False)
-    ]
-    tp = len(true_positive_ids)
-    tp_impressions = sum(impressions.get(i, 0) for i in true_positive_ids)
-
-    recall = tp / gt_positives if gt_positives else None
-    precision = tp / pos_total if pos_total else None
-    iw_recall = (
-        tp_impressions / gt_positive_impressions if gt_positive_impressions else None
-    )
-    amplification = pos_total / pos_oracle if pos_oracle else None
-    return MetricsReport(
+    positives = {
+        provenance: sum(1 for r in records if r.label and r.provenance == provenance)
+        for provenance in (PROVENANCE_SEED, PROVENANCE_ORACLE, PROVENANCE_PROPAGATED)
+    }
+    pos_oracle = positives[PROVENANCE_ORACLE]
+    pos_total = sum(positives.values())
+    report = MetricsReport(
         corpus_size=len(corpus),
         corpus_hash=None,
         oracle_reviews=reviews,
         oracle_cost=0.0,
         review_fraction=reviews / len(corpus) if corpus else 0.0,
-        positives_seed=pos_seed,
+        positives_seed=positives[PROVENANCE_SEED],
         positives_oracle=pos_oracle,
-        positives_propagated=pos_prop,
+        positives_propagated=positives[PROVENANCE_PROPAGATED],
         positives_total=pos_total,
-        recall=recall,
-        precision=precision,
-        impression_weighted_recall=iw_recall,
-        amplification=amplification,
+        recall=None,
+        precision=None,
+        impression_weighted_recall=None,
+        amplification=None,
     )
+    if ground_truth is None:
+        return report
+    gt_positive_ids = [i for i in ground_truth if ground_truth[i]]
+    impressions = {item.item_id: item.impressions for item in corpus}
+    gt_positive_impressions = sum(impressions.get(i, 0) for i in gt_positive_ids)
+    true_positive_ids = [
+        r.item_id for r in records if r.label and ground_truth.get(r.item_id, False)
+    ]
+    tp = len(true_positive_ids)
+    tp_impressions = sum(impressions.get(i, 0) for i in true_positive_ids)
+    report.recall = tp / len(gt_positive_ids) if gt_positive_ids else None
+    report.precision = tp / pos_total if pos_total else None
+    report.impression_weighted_recall = (
+        tp_impressions / gt_positive_impressions if gt_positive_impressions else None
+    )
+    report.amplification = pos_total / pos_oracle if pos_oracle else None
+    return report
 
 
 def run_round(
@@ -345,25 +337,16 @@ def run_round(
         feedback_sources = {i for i in seeds if store.get(i).round > 0}
 
         current_stage = "select"
-        content_ids = expand_content(graph, seeds, config.theta_sim)
-        feedback_ids = (
-            expand_content(graph, feedback_sources, config.theta_sim) & content_ids
-            if feedback_sources
-            else set()
-        )
+        tagged = expand_content(graph, seeds, config.theta_sim, feedback_sources)
+        actor = config.actor
         actor_ids = expand_actor(
-            state.items, store, config.actor.min_positives, config.actor.min_rate
+            store, state.account_items, actor.min_positives, actor.min_rate
         )
         score_ids = (
             select_by_score(state.items, state.scores, config.score.tau)
             if state.scores is not None and config.score is not None
             else set()
         )
-        tagged: dict[int, set[str]] = {}
-        for item_id in content_ids:
-            tagged.setdefault(item_id, set()).add(ORIGIN_CONTENT)
-        for item_id in feedback_ids:
-            tagged.setdefault(item_id, set()).add(ORIGIN_FEEDBACK)
         for item_id in actor_ids:
             tagged.setdefault(item_id, set()).add(ORIGIN_ACTOR)
         for item_id in score_ids:
@@ -442,7 +425,6 @@ def run_round(
         raise StageError(round_no, current_stage, exc) from exc
 
     store.commit_round()
-    state.seeds = feedback_seeds(store, round_no)
     metrics = RoundMetrics(
         round=round_no,
         oracle_reviews=len(records),
@@ -526,9 +508,9 @@ def run_pipeline_detailed(
             raise ValueError(
                 f"provided graph radius {graph.theta} < theta_sim {config.theta_sim}"
             )
-        for item in items:
-            if item.item_id not in graph:
-                raise ValueError(f"provided graph is missing item {item.item_id}")
+        missing = set(index).difference(graph.node_ids)
+        if missing:
+            raise ValueError(f"provided graph is missing item {min(missing)}")
 
     store = KnownStore({item.item_id: item.account_id for item in items})
     for record in _bootstrap_records(truth, config.bootstrap_seeds, config.rng_seed):
@@ -543,7 +525,7 @@ def run_pipeline_detailed(
         store=store,
         oracle=oracle,
         scores=scores,
-        seeds=feedback_seeds(store, 0),
+        account_items=ids_by_account(items),
     )
 
     gt_positives = sum(1 for v in truth.values() if v) if truth_complete else 0
@@ -564,36 +546,41 @@ def run_pipeline_detailed(
         seen_records = len(store.records())
         round_metrics.append(metrics)
 
-    if truth_complete:
-        report = compute_metrics(store, truth, items)
-    else:
-        records = store.records()
-        reviews = sum(1 for r in records if r.provenance == PROVENANCE_ORACLE)
-        report = MetricsReport(
-            corpus_size=len(items),
-            corpus_hash=None,
-            oracle_reviews=reviews,
-            oracle_cost=0.0,
-            review_fraction=reviews / len(items),
-            positives_seed=sum(
-                1 for r in records if r.label and r.provenance == PROVENANCE_SEED
-            ),
-            positives_oracle=sum(
-                1 for r in records if r.label and r.provenance == PROVENANCE_ORACLE
-            ),
-            positives_propagated=sum(
-                1 for r in records if r.label and r.provenance == PROVENANCE_PROPAGATED
-            ),
-            positives_total=sum(1 for r in records if r.label),
-            recall=None,
-            precision=None,
-            impression_weighted_recall=None,
-            amplification=None,
-        )
+    report = compute_metrics(store.records(), truth if truth_complete else None, items)
     report.corpus_hash = corpus_content_hash(items)
     report.oracle_cost = oracle.cost_so_far
     report.rounds = round_metrics
     return report, state
+
+
+def _baseline_inputs(
+    corpus: Sequence[Item], total_budget: int
+) -> tuple[list[Item], dict[int, bool], dict[int, Item]]:
+    """Items, ground truth and id index of a corpus a baseline may review."""
+    if total_budget < 0:
+        raise ValueError("total_budget must be >= 0")
+    if total_budget > len(corpus):
+        raise ValueError(
+            f"total_budget {total_budget} exceeds corpus size {len(corpus)}"
+        )
+    items = list(corpus)
+    truth = ground_truth_of(items)
+    if len(truth) != len(items):
+        raise MissingGroundTruthError("baseline evaluation requires full ground truth")
+    return items, truth, items_by_id(items)
+
+
+def _review(
+    sample: list[int], oracle: Oracle, index: Mapping[int, Item]
+) -> list[LabelRecord]:
+    """Oracle records for a baseline's sample, with no propagation."""
+    verdicts = (
+        oracle.label_batch([(i, index[i].embedding) for i in sample]) if sample else []
+    )
+    return [
+        LabelRecord(item_id=i, label=v, provenance=PROVENANCE_ORACLE, round=1)
+        for i, v in zip(sample, verdicts)
+    ]
 
 
 def run_score_baseline(
@@ -608,31 +595,14 @@ def run_score_baseline(
     the top ``total_budget`` go to the oracle; no propagation. Reported
     alongside the random baseline for comparison, never asserted against.
     """
-    if total_budget < 0:
-        raise ValueError("total_budget must be >= 0")
-    if total_budget > len(corpus):
-        raise ValueError(
-            f"total_budget {total_budget} exceeds corpus size {len(corpus)}"
-        )
-    items = list(corpus)
-    truth = ground_truth_of(items)
-    if len(truth) != len(items):
-        raise MissingGroundTruthError("baseline evaluation requires full ground truth")
-    index = items_by_id(items)
+    items, truth, index = _baseline_inputs(corpus, total_budget)
     scores = simulate_model_scores(truth, score_params)
     ranked = sorted(
         (i for i, s in scores.items() if s > score_params.tau),
         key=lambda i: (-scores[i], i),
     )
     sample = ranked[:total_budget]
-    verdicts = (
-        oracle.label_batch([(i, index[i].embedding) for i in sample]) if sample else []
-    )
-    records = [
-        LabelRecord(item_id=i, label=v, provenance=PROVENANCE_ORACLE, round=1)
-        for i, v in zip(sample, verdicts)
-    ]
-    report = compute_metrics(records, truth, items)
+    report = compute_metrics(_review(sample, oracle, index), truth, items)
     report.corpus_hash = corpus_content_hash(items)
     report.oracle_cost = len(sample) * oracle.unit_cost
     report.baseline = {
@@ -658,21 +628,10 @@ def run_random_baseline(
     Samples ``total_budget`` items without replacement, labels them with the
     given oracle, and averages the metrics over ``trials`` resamples.
     """
-    if total_budget < 0:
-        raise ValueError("total_budget must be >= 0")
-    if total_budget > len(corpus):
-        raise ValueError(
-            f"total_budget {total_budget} exceeds corpus size {len(corpus)}"
-        )
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    items = list(corpus)
-    truth = ground_truth_of(items)
-    if len(truth) != len(items):
-        raise MissingGroundTruthError("baseline evaluation requires full ground truth")
-    ids = sorted(truth)
-    id_array = np.array(ids)
-    index = items_by_id(items)
+    items, truth, index = _baseline_inputs(corpus, total_budget)
+    id_array = np.array(sorted(truth))
 
     per_trial: list[MetricsReport] = []
     for trial in range(trials):
@@ -683,16 +642,7 @@ def run_random_baseline(
             )
         else:
             sample = []
-        verdicts = (
-            oracle.label_batch([(i, index[i].embedding) for i in sample])
-            if sample
-            else []
-        )
-        records = [
-            LabelRecord(item_id=i, label=v, provenance=PROVENANCE_ORACLE, round=1)
-            for i, v in zip(sample, verdicts)
-        ]
-        per_trial.append(compute_metrics(records, truth, items))
+        per_trial.append(compute_metrics(_review(sample, oracle, index), truth, items))
 
     def mean_of(values: Iterable[float | None]) -> float | None:
         present = [v for v in values if v is not None]

@@ -60,7 +60,12 @@ def cosine_distance(a, b) -> float:
 
 
 class SimilarityGraph:
-    """Immutable neighbor index; queries are safe from concurrent readers."""
+    """Immutable neighbor index over ascending ids; safe for concurrent readers.
+
+    Row ``p`` of the CSR arrays lists the neighbours of ``ids[p]`` in
+    ascending (distance, id) order, so every radius query keeps a prefix of
+    each row it reads.
+    """
 
     def __init__(
         self,
@@ -81,12 +86,12 @@ class SimilarityGraph:
         self._indptr = indptr
         self._nbr_ids = nbr_ids
         self._nbr_dists = nbr_dists
-        self._index = {int(i): pos for pos, i in enumerate(ids)}
         for arr in (ids, embeddings, norms, indptr, nbr_ids, nbr_dists):
             arr.setflags(write=False)
 
     def __contains__(self, item_id: int) -> bool:
-        return item_id in self._index
+        pos = int(np.searchsorted(self._ids, item_id))
+        return pos < len(self._ids) and self._ids[pos] == item_id
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -99,35 +104,52 @@ class SimilarityGraph:
     def n_edges(self) -> int:
         return len(self._nbr_ids) // 2
 
-    def _position(self, item_id: int) -> int:
-        try:
-            return self._index[item_id]
-        except KeyError:
-            raise KeyError(f"unknown item id {item_id}") from None
+    def _positions(self, item_ids: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self._ids, item_ids)
+        found = pos < len(self._ids)
+        found[found] = self._ids[pos[found]] == item_ids[found]
+        if not found.all():
+            raise KeyError(f"unknown item id {int(item_ids[np.argmin(found)])}")
+        return pos
 
-    def neighbors_within(self, item_id: int, radius: float) -> list[int]:
-        """Neighbor ids with distance <= radius, ascending (distance, id)."""
-        return [i for i, _ in self.neighbors_with_distances(item_id, radius)]
+    def neighbors_batch(
+        self, item_ids, radius: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Neighbours within radius of every given id, as one CSR gather.
 
-    def neighbors_with_distances(
-        self, item_id: int, radius: float
-    ) -> list[tuple[int, float]]:
+        Returns ``(row, nbr_ids, dists)``: entry k is a neighbour of
+        ``item_ids[row[k]]`` at distance ``dists[k]``. Rows come in input
+        order (a repeated id repeats its row), each in ascending
+        (distance, id) order.
+        """
         if radius > self.theta:
             raise ValueError(
                 f"query radius {radius} exceeds graph threshold {self.theta}"
             )
-        pos = self._position(item_id)
-        lo, hi = int(self._indptr[pos]), int(self._indptr[pos + 1])
-        cut = lo + int(
-            np.searchsorted(self._nbr_dists[lo:hi], radius, side="right")
-        )
-        return [
-            (int(self._nbr_ids[k]), float(self._nbr_dists[k])) for k in range(lo, cut)
-        ]
+        pos = self._positions(np.asarray(item_ids, dtype=np.int64))
+        starts = self._indptr[pos]
+        counts = self._indptr[pos + 1] - starts
+        row = np.repeat(np.arange(len(pos)), counts)
+        # entry k of the gather is entry k - first[row] of its CSR row
+        first = np.cumsum(counts) - counts
+        slots = np.arange(len(row)) + np.repeat(starts - first, counts)
+        keep = self._nbr_dists[slots] <= radius
+        slots = slots[keep]
+        return row[keep], self._nbr_ids[slots], self._nbr_dists[slots]
+
+    def neighbors_within(self, item_id: int, radius: float) -> list[int]:
+        """Neighbor ids with distance <= radius, ascending (distance, id)."""
+        return self.neighbors_batch([item_id], radius)[1].tolist()
+
+    def neighbors_with_distances(
+        self, item_id: int, radius: float
+    ) -> list[tuple[int, float]]:
+        _, nbr_ids, dists = self.neighbors_batch([item_id], radius)
+        return list(zip(nbr_ids.tolist(), dists.tolist()))
 
     def distance(self, a_id: int, b_id: int) -> float:
         """Canonical cosine distance between two member items."""
-        ia, ib = self._position(a_id), self._position(b_id)
+        ia, ib = self._positions(np.array([a_id, b_id], dtype=np.int64))
         dot = float(np.einsum("i,i->", self._emb[ia], self._emb[ib]))
         dist = 1.0 - dot / (float(self._norms[ia]) * float(self._norms[ib]))
         return min(max(dist, 0.0), 2.0)

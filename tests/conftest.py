@@ -33,6 +33,15 @@ def planted_blob(center, count, sigma, rng):
     return [center] + list(rows)
 
 
+def csr_neighbors(graph, item_id, radius):
+    """Reference per-item query: one CSR row, cut by a binary search."""
+    pos = int(np.searchsorted(graph._ids, item_id))
+    assert graph._ids[pos] == item_id
+    lo, hi = int(graph._indptr[pos]), int(graph._indptr[pos + 1])
+    cut = lo + int(np.searchsorted(graph._nbr_dists[lo:hi], radius, side="right"))
+    return [(int(graph._nbr_ids[k]), float(graph._nbr_dists[k])) for k in range(lo, cut)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from reviewfunnel.corpus import LabelRecord
+from reviewfunnel.corpus import LabelRecord, ids_by_account
 from reviewfunnel.funnel import (
     CandidateSet,
     CoveragePlan,
@@ -23,6 +23,10 @@ from conftest import make_items, planted_blob
 
 def oracle_rec(item_id, label=True, round_no=1):
     return LabelRecord(item_id=item_id, label=label, provenance="oracle", round=round_no)
+
+
+def accounts_of(items):
+    return {it.item_id: it.account_id for it in items}
 
 
 def store_with(records, accounts=None):
@@ -48,7 +52,7 @@ class TestExpandContent:
     def test_no_sources(self, rng):
         items, _ = blob_corpus(rng, [4])
         graph = build_graph(items, 0.25)
-        assert expand_content(graph, set(), 0.25) == set()
+        assert set(expand_content(graph, set(), 0.25)) == set()
 
     def test_planted_cluster_reached(self, rng):
         items, (group,) = blob_corpus(rng, [5])
@@ -56,12 +60,12 @@ class TestExpandContent:
         # derived check: all members verifiably within the query radius
         for member in group[1:]:
             assert cosine_distance(items[0].embedding, items[member].embedding) <= 0.25
-        assert expand_content(graph, {0}, 0.25) == set(group[1:])
+        assert set(expand_content(graph, {0}, 0.25)) == set(group[1:])
 
     def test_all_neighbors_are_sources(self, rng):
         items, (group,) = blob_corpus(rng, [5])
         graph = build_graph(items, 0.25)
-        assert expand_content(graph, set(group), 0.25) == set()
+        assert set(expand_content(graph, set(group), 0.25)) == set()
 
     def test_unknown_source(self, rng):
         items, _ = blob_corpus(rng, [3])
@@ -73,7 +77,7 @@ class TestExpandContent:
 class TestExpandActor:
     def test_empty_store(self, rng):
         items, _ = blob_corpus(rng, [3])
-        assert expand_actor(items, KnownStore(), 1, 0.5) == set()
+        assert expand_actor(KnownStore(), ids_by_account(items), 1, 0.5) == set()
 
     def test_flagged_account_returns_unlabeled(self, rng):
         items, _ = blob_corpus(rng, [6])
@@ -81,24 +85,25 @@ class TestExpandActor:
             [it.embedding for it in items], accounts=[7, 7, 7, 7, 7, 3]
         )
         store = store_with(
-            [oracle_rec(0, True), oracle_rec(1, True), oracle_rec(2, False)]
+            [oracle_rec(0, True), oracle_rec(1, True), oracle_rec(2, False)],
+            accounts_of(items),
         )
         # account 7: 3 labeled, 2 positive -> flagged at (2, 0.5)
-        assert expand_actor(items, store, 2, 0.5) == {3, 4}
+        assert expand_actor(store, ids_by_account(items), 2, 0.5) == {3, 4}
 
     def test_low_rate_not_flagged(self, rng):
         items, _ = blob_corpus(rng, [11])
         items = make_items([it.embedding for it in items], accounts=[5] * 11)
         labels = [oracle_rec(0, True)] + [oracle_rec(i, False) for i in range(1, 10)]
-        store = store_with(labels)
-        assert expand_actor(items, store, 1, 0.5) == set()
+        store = store_with(labels, accounts_of(items))
+        assert expand_actor(store, ids_by_account(items), 1, 0.5) == set()
 
     def test_invalid_params(self, rng):
         items, _ = blob_corpus(rng, [2])
         with pytest.raises(ValueError):
-            expand_actor(items, KnownStore(), 0, 0.5)
+            expand_actor(KnownStore(), ids_by_account(items), 0, 0.5)
         with pytest.raises(ValueError):
-            expand_actor(items, KnownStore(), 1, 0.0)
+            expand_actor(KnownStore(), ids_by_account(items), 1, 0.0)
 
 
 class TestSelectByScore:

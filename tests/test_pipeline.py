@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -306,6 +308,45 @@ class TestRunPipeline:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             run_pipeline([], small_config())
+
+
+@pytest.fixture(scope="module")
+def pinned_corpus():
+    # overlapping 16-d clusters, so cross-round dedup, actor expansion and
+    # feedback all fire within the default five rounds
+    cfg = GeneratorConfig(n_clusters=300, embedding_dim=16, positive_cluster_rate=0.1,
+                          n_accounts=200, rng_seed=7)
+    return generate_corpus(cfg)[0]
+
+
+@pytest.mark.parametrize(
+    "overrides, report_digest, labels_digest",
+    [
+        (
+            {},
+            "6dc7d647ac50e267f4bef00e79599e315c341879a52de0c326373cafe5cff21e",
+            "e15952200a8a7ac8f325ba75f5ededc7f2233ac664221acc687ab0e5324ca36e",
+        ),
+        (
+            {"impression_weighted_sampling": True},
+            "088f1477c078be73916e424e3f324f735063cf2db275199788cc002efb214b8a",
+            "85496ead0dad03c0ae651a775a61cff571e02b5ffaf73d998aa861b4afd9d9be",
+        ),
+        (
+            {"score": ScoreParams()},
+            "cb27aaf2ef566385a464f30e5ce9c918c6f4cce8d58e5f19b523e21f657c07c8",
+            "5b07fe6c596209d1f548ce2aec35d0b8f0da43e1617018ef3091d0fb6f355555",
+        ),
+    ],
+    ids=["default", "impression_weighted", "score"],
+)
+def test_run_outputs_are_pinned(pinned_corpus, overrides, report_digest, labels_digest):
+    # digests recorded before the funnel stages moved to batched neighbour
+    # gathers; a stage change that moves any candidate, review or label fails here
+    report, state = run_pipeline_detailed(pinned_corpus, PipelineConfig(**overrides))
+    labels = json.dumps([dataclasses.astuple(r) for r in state.store.records()])
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_digest
+    assert hashlib.sha256(labels.encode()).hexdigest() == labels_digest
 
 
 class TestRandomBaseline:

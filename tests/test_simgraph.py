@@ -17,7 +17,7 @@ from reviewfunnel.simgraph import (
     dump_graph,
 )
 
-from conftest import make_items, planted_blob
+from conftest import csr_neighbors, make_items, planted_blob
 
 
 def brute_force_adjacency(items, theta):
@@ -158,10 +158,11 @@ class TestBuildGraph:
         items = items[:1000]
         exact = build_graph(items, 0.05, "exact")
         blocked = build_graph(items, 0.05, "blocked", seed=0)
-        exact_edges = sum(len(v) for v in graph_adjacency(exact).values())
+        exact_adj = graph_adjacency(exact)
+        exact_edges = sum(len(v) for v in exact_adj.values())
         hit = 0
         for node, neighbors in graph_adjacency(blocked).items():
-            hit += len(set(neighbors) & set(graph_adjacency(exact)[node]))
+            hit += len(set(neighbors) & set(exact_adj[node]))
         assert exact_edges > 0
         assert hit / exact_edges >= 0.95
 
@@ -328,6 +329,62 @@ class TestNeighborQueries:
     def test_distance_matches_metric(self):
         d = self.graph.distance(0, 1)
         assert d == cosine_distance(self.items[0].embedding, self.items[1].embedding)
+
+
+def batch_rows(graph, ids, radius):
+    """neighbors_batch regrouped as one (id, distance) list per input id."""
+    row, nbr_ids, dists = graph.neighbors_batch(ids, radius)
+    assert row.dtype.kind == "i" and len(row) == len(nbr_ids) == len(dists)
+    assert np.all(np.diff(row) >= 0)
+    out = [[] for _ in ids]
+    for r, nid, dist in zip(row.tolist(), nbr_ids.tolist(), dists.tolist()):
+        out[r].append((nid, dist))
+    return out
+
+
+class TestNeighborsBatch:
+    @pytest.fixture(scope="class", params=["exact", "blocked"])
+    def graph(self, request):
+        cfg = GeneratorConfig(n_clusters=60, embedding_dim=16, rng_seed=9)
+        return build_graph(generate_corpus(cfg)[0], 0.25, request.param, seed=2)
+
+    @pytest.mark.parametrize("radius", [0.0, 0.05, 0.1, 0.25])
+    def test_every_node_matches_per_item_queries(self, graph, radius):
+        ids = graph.node_ids
+        rows = batch_rows(graph, ids, radius)
+        assert sum(map(len, rows)) > 0 or radius == 0.0
+        for item_id, got in zip(ids, rows):
+            assert got == graph.neighbors_with_distances(item_id, radius)
+            assert got == csr_neighbors(graph, item_id, radius)
+
+    def test_input_order_is_kept(self, graph):
+        ids = graph.node_ids[::-7]
+        rows = batch_rows(graph, ids, 0.1)
+        assert rows == [csr_neighbors(graph, i, 0.1) for i in ids]
+
+    def test_empty_input(self, graph):
+        for ids in ([], np.empty(0, dtype=np.int64)):
+            row, nbr_ids, dists = graph.neighbors_batch(ids, 0.25)
+            assert len(row) == len(nbr_ids) == len(dists) == 0
+
+    def test_duplicate_ids_repeat_their_row(self, graph):
+        busiest = max(graph.node_ids, key=lambda i: len(csr_neighbors(graph, i, 0.25)))
+        ids = [busiest, graph.node_ids[0], busiest]
+        rows = batch_rows(graph, ids, 0.25)
+        assert rows[0] == rows[2] == csr_neighbors(graph, busiest, 0.25) != []
+        assert rows[1] == csr_neighbors(graph, graph.node_ids[0], 0.25)
+
+    def test_unknown_id_rejected(self, graph):
+        unknown = max(graph.node_ids) + 1
+        for ids in ([unknown], [graph.node_ids[0], unknown], [-1]):
+            with pytest.raises(KeyError, match=str(ids[-1])):
+                graph.neighbors_batch(ids, 0.1)
+
+    def test_radius_above_theta_rejected(self, graph):
+        with pytest.raises(ValueError, match="exceeds"):
+            graph.neighbors_batch(graph.node_ids[:3], 0.25 + 1e-9)
+        with pytest.raises(ValueError, match="exceeds"):
+            graph.neighbors_batch([], 0.3)
 
 
 def test_dump_graph_format(tmp_path, rng):
