@@ -2,7 +2,8 @@
 baseline, and compare reports.
 
 Exit codes: 0 success, 1 comparison floor not met, 2 config error,
-3 runtime/stage error.
+3 runtime/stage error. Every output file is written to a temporary file
+beside it and then renamed over it, so none is ever left half-written.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -116,8 +118,23 @@ def pipeline_config_to_doc(config: PipelineConfig) -> dict:
     return doc
 
 
+def _write_atomic(path: Path, write) -> None:
+    """Call ``write(tmp)`` on a temp file beside path, then rename it over path."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write_atomic(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def cmd_generate(args) -> int:
@@ -136,11 +153,14 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_run_inputs(args) -> tuple[PipelineConfig, str]:
+def _resolve_run_inputs(args) -> tuple[PipelineConfig, str, dict | None]:
+    """The config, the corpus path and, on replay, the manifest's corpus record."""
     doc = _load_json(args.config)
+    recorded = None
     if doc.get("kind") == "run_manifest":
         config = pipeline_config_from_doc(doc["config"])
-        corpus_path = args.corpus or doc.get("corpus", {}).get("path")
+        recorded = doc.get("corpus") or {}
+        corpus_path = args.corpus or recorded.get("path")
         if not corpus_path:
             raise ConfigError("manifest has no corpus path; pass --corpus")
     else:
@@ -152,12 +172,20 @@ def _resolve_run_inputs(args) -> tuple[PipelineConfig, str]:
         config = dataclasses.replace(config, graph_mode=args.graph_mode)
     if args.seed is not None:
         config = dataclasses.replace(config, rng_seed=args.seed)
-    return config, corpus_path
+    return config, corpus_path, recorded
 
 
 def cmd_run(args) -> int:
-    config, corpus_path = _resolve_run_inputs(args)
+    config, corpus_path, recorded = _resolve_run_inputs(args)
     items = load_corpus(corpus_path)
+    content_hash = corpus_content_hash(items)
+    if recorded is not None and (
+        recorded.get("content_hash") != content_hash or recorded.get("items") != len(items)
+    ):
+        raise ConfigError(
+            f"corpus {corpus_path} ({len(items)} items, hash {content_hash}) differs from "
+            f"the manifest's ({recorded.get('items')} items, hash {recorded.get('content_hash')})"
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -171,7 +199,7 @@ def cmd_run(args) -> int:
         "finished_at": None,
         "corpus": {
             "path": str(corpus_path),
-            "content_hash": corpus_content_hash(items),
+            "content_hash": content_hash,
             "items": len(items),
         },
         "config": pipeline_config_to_doc(config),
@@ -186,6 +214,13 @@ def cmd_run(args) -> int:
 
     try:
         report, state = run_pipeline_detailed(items, config)
+        _write_text(out_dir / METRICS_NAME, report.to_json() + "\n")
+        _write_atomic(out_dir / LABELS_NAME, lambda tmp: save_labels(state.store.records(), tmp))
+        _write_text(out_dir / AUDIT_NAME, "".join(
+            json.dumps(stage.audit_entry(rm.round), separators=(",", ":")) + "\n"
+            for rm in report.rounds
+            for stage in rm.stages
+        ))
     except Exception as exc:
         manifest["status"] = "failed"
         manifest["error"] = str(exc)
@@ -193,16 +228,6 @@ def cmd_run(args) -> int:
         _write_json(manifest_path, manifest)
         raise
 
-    (out_dir / METRICS_NAME).write_text(report.to_json() + "\n", encoding="utf-8")
-    save_labels(state.store.records(), out_dir / LABELS_NAME)
-    with open(out_dir / AUDIT_NAME, "w", encoding="utf-8") as fh:
-        for round_metrics in report.rounds:
-            for stage in round_metrics.stages:
-                fh.write(
-                    json.dumps(stage.audit_entry(round_metrics.round),
-                               separators=(",", ":"))
-                    + "\n"
-                )
     manifest["status"] = "completed"
     manifest["finished_at"] = _utc_now()
     _write_json(manifest_path, manifest)
@@ -240,7 +265,7 @@ def cmd_baseline(args) -> int:
     report = run_random_baseline(items, args.budget, oracle, args.trials, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / METRICS_NAME).write_text(report.to_json() + "\n", encoding="utf-8")
+    _write_text(out_dir / METRICS_NAME, report.to_json() + "\n")
     recall = f"{report.recall:.6f}" if report.recall is not None else "n/a"
     print(
         f"baseline: budget={args.budget} trials={args.trials} recall={recall} "

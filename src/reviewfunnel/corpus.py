@@ -476,14 +476,6 @@ def items_by_id(items: Iterable[Item]) -> dict[int, Item]:
     return index
 
 
-def ids_by_account(items: Iterable[Item]) -> dict[int, list[int]]:
-    """Item ids of each account, in input order."""
-    out: dict[int, list[int]] = {}
-    for item in items:
-        out.setdefault(item.account_id, []).append(item.item_id)
-    return out
-
-
 def ground_truth_of(items: Iterable[Item]) -> dict[int, bool]:
     """Extract the hidden ground-truth map from items that carry one."""
     return {

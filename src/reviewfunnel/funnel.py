@@ -1,11 +1,19 @@
 """Review-candidate funnel: expansion, thresholding, dedup, filtering, and
 greedy maximal-coverage sampling down to a per-round review budget.
 
-Every stage is a pure function of its inputs. Dedup and sampling iterate in
-ascending item_id order so the whole funnel is deterministic and replayable.
-Each stage reads the graph through one batched neighbor gather over its
-whole source set (``SimilarityGraph.neighbors_batch``), never one query per
-item; only the greedy choices of dedup and sampling stay sequential.
+Stages take and return ascending int64 id arrays. A run has one position
+index, the graph's ascending ids: the label store (``labeling.KnownStore``)
+and the content reach (``Reach``) keep their state as arrays over it, so the
+membership tests of a stage are mask gathers, not one lookup per item.
+
+Selection is incremental. ``Reach`` holds two masks, the one-hop reach of
+every positive expanded so far and that of the positives earlier rounds
+surfaced (the feedback channel). A round gathers the neighbours of only the
+positives that are new since the last; sources only grow, so the masks equal
+a one-hop expansion of all of them. Every stage reads the graph through one
+batched neighbour gather (``SimilarityGraph.neighbors_batch``); only the
+greedy choices of dedup and sampling stay sequential, in ascending id order,
+so the funnel is deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -18,35 +26,62 @@ import numpy as np
 from .corpus import Item
 from .simgraph import SimilarityGraph
 
-ORIGIN_CONTENT = "content_sim"
-ORIGIN_ACTOR = "actor_sim"
-ORIGIN_SCORE = "score"
-ORIGIN_FEEDBACK = "feedback"
-ORIGINS = frozenset({ORIGIN_CONTENT, ORIGIN_ACTOR, ORIGIN_SCORE, ORIGIN_FEEDBACK})
+# one origin bit per selection channel
+ORIGIN_CONTENT = 1
+ORIGIN_ACTOR = 2
+ORIGIN_SCORE = 4
+ORIGIN_FEEDBACK = 8
+ORIGINS = ORIGIN_CONTENT | ORIGIN_ACTOR | ORIGIN_SCORE | ORIGIN_FEEDBACK
 
 
-@dataclass(frozen=True)
+def id_array(item_ids: Iterable[int]) -> np.ndarray:
+    """The distinct ids of any iterable, as an ascending int64 array."""
+    if not isinstance(item_ids, np.ndarray):
+        item_ids = np.fromiter(item_ids, dtype=np.int64)
+    item_ids = item_ids.astype(np.int64, copy=False)
+    return item_ids if np.all(item_ids[1:] > item_ids[:-1]) else np.unique(item_ids)
+
+
+def positions(index: np.ndarray, item_ids) -> np.ndarray:
+    """Positions of ``item_ids`` in the ascending ``index``; KeyError if absent."""
+    item_ids = np.asarray(item_ids, dtype=np.int64)
+    pos = np.searchsorted(index, item_ids)
+    found = pos < len(index)
+    found[found] = index[pos[found]] == item_ids[found]
+    if not found.all():
+        raise KeyError(f"unknown item id {int(item_ids[np.argmin(found)])}")
+    return pos
+
+
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Candidates selected for one round, each with its acquisition tags."""
+    """Candidates selected for one round: ascending ids, an origin bitmask each."""
 
     round: int
-    ids: tuple[int, ...]
-    origin: Mapping[int, frozenset[str]]
+    ids: np.ndarray
+    origin: np.ndarray
 
     def __post_init__(self):
-        if len(set(self.ids)) != len(self.ids):
-            raise ValueError("candidate ids must be unique")
-        for item_id in self.ids:
-            tags = self.origin.get(item_id)
-            if not tags:
-                raise ValueError(f"candidate {item_id} has no origin tag")
-            if not tags <= ORIGINS:
-                raise ValueError(f"candidate {item_id} has unknown origin tags {tags}")
+        if len(self.origin) != len(self.ids) or np.any(np.diff(self.ids) <= 0):
+            raise ValueError("candidate ids must be ascending and unique, one origin each")
+        bad = (self.origin == 0) | (self.origin > ORIGINS)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"candidate {self.ids[k]} has missing or unknown origin tags "
+                             f"{self.origin[k]:#x}")
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
     @classmethod
-    def from_tagged(cls, round_no: int, tagged: Mapping[int, set[str]]) -> "CandidateSet":
-        ids = tuple(sorted(tagged))
-        return cls(round_no, ids, {i: frozenset(tagged[i]) for i in ids})
+    def from_channels(cls, round_no: int, channels: list[tuple[np.ndarray, int]]):
+        """Merge (ids, origin bit) channels; an id carries the bit of each."""
+        ids = np.concatenate([np.asarray(c, dtype=np.int64) for c, _ in channels])
+        bits = np.concatenate([np.full(len(c), bit, np.uint8) for c, bit in channels])
+        unique, inverse = np.unique(ids, return_inverse=True)
+        origin = np.zeros(len(unique), np.uint8)
+        np.bitwise_or.at(origin, inverse, bits)
+        return cls(round_no, unique, origin)
 
 
 @dataclass(frozen=True)
@@ -79,52 +114,64 @@ class CoveragePlan:
         return sum(len(m) for m in self.covered.values())
 
 
+class Reach:
+    """What the labels so far reach in one hop, as arrays over ``index``.
+
+    ``content`` and ``feedback`` hold the neighbourhoods of the expanded
+    ``sources`` and of those flagged as feedback. ``nearest`` holds each
+    position's first reviewed neighbour within theta_dup (-1 if none) among
+    the ``reviewed`` items absorbed so far. Nothing is ever taken out.
+    """
+
+    def __init__(self, index: np.ndarray):
+        self.index = np.asarray(index, dtype=np.int64)
+        n = len(self.index)
+        self.sources, self.content, self.feedback, self.reviewed = (
+            np.zeros(n, dtype=bool) for _ in range(4)
+        )
+        self.nearest = np.full(n, -1, dtype=np.int64)
+
+
 def expand_content(
     graph: SimilarityGraph,
-    known_positive_ids: Iterable[int],
+    reach: Reach,
+    sources: Iterable[int],
     theta_sim: float,
-    feedback_ids: Iterable[int] = (),
-) -> dict[int, set[str]]:
-    """One-hop neighborhood of the known positives, excluding the sources.
+    feedback: Iterable[int] = (),
+) -> np.ndarray:
+    """One-hop neighbourhood of every source so far, excluding the sources.
 
-    Each neighbor is tagged content_sim, plus feedback when one of
-    ``feedback_ids`` (a subset of the sources) reaches it.
+    Only sources new to ``reach`` are gathered; the neighbourhoods of those
+    also in ``feedback`` extend ``reach.feedback`` too.
     """
-    sources = np.array(sorted(set(known_positive_ids)), dtype=np.int64)
-    row, nbr_ids, _ = graph.neighbors_batch(sources, theta_sim)
-    content = np.setdiff1d(nbr_ids, sources)
-    via_feedback = np.isin(sources, np.fromiter(feedback_ids, np.int64))[row]
-    feedback = set(np.setdiff1d(nbr_ids[via_feedback], sources).tolist())
-    return {
-        i: {ORIGIN_CONTENT, ORIGIN_FEEDBACK} if i in feedback else {ORIGIN_CONTENT}
-        for i in content.tolist()
-    }
+    src = id_array(sources)
+    pos = positions(reach.index, src)
+    fresh = ~reach.sources[pos]
+    via_feedback = np.isin(src[fresh], id_array(feedback))
+    row, nbr_ids, _ = graph.neighbors_batch(src[fresh], theta_sim)
+    nbr = positions(reach.index, nbr_ids)
+    reach.sources[pos] = True
+    reach.content[nbr] = True
+    reach.feedback[nbr[via_feedback[row]]] = True
+    return reach.index[reach.content & ~reach.sources]
 
 
-def expand_actor(
-    store,
-    account_items: Mapping[int, Iterable[int]],
-    min_positives: int,
-    min_rate: float,
-) -> set[int]:
+def expand_actor(store, min_positives: int, min_rate: float) -> np.ndarray:
     """Unlabeled items of accounts whose labeled items skew positive.
 
     An account is flagged when it has at least ``min_positives`` positive
-    labels and its positive share among labeled items reaches ``min_rate``.
-    The store's account index supplies the label counts; ``account_items``
-    lists every item of each account.
+    labels and its positive share among labeled items reaches ``min_rate``;
+    the store's per-account counters supply the counts.
     """
     if min_positives < 1:
         raise ValueError("min_positives must be >= 1")
     if not 0.0 < min_rate <= 1.0:
         raise ValueError("min_rate must be in (0, 1]")
-    return {
-        item_id
-        for account, (labeled, positives) in store.account_label_counts().items()
-        if positives >= min_positives and positives / labeled >= min_rate
-        for item_id in account_items.get(account, ())
-        if item_id not in store
-    }
+    labeled, positive = store.account_labeled, store.account_positive
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flagged = (positive >= min_positives) & (positive / labeled >= min_rate)
+    flagged[-1] = False  # the slot of items without an account
+    return store.ids[flagged[store.account_codes] & (store.labels < 0)]
 
 
 def select_by_score(
@@ -142,81 +189,86 @@ def select_by_score(
 
 
 def dedup_cross_round(
-    candidates: Iterable[int],
-    store,
-    graph: SimilarityGraph,
-    theta_dup: float,
-    items_index: Mapping[int, Item],
-) -> tuple[set[int], dict[int, int]]:
+    candidates: Iterable[int], store, graph: SimilarityGraph, theta_dup: float, reach: Reach
+) -> tuple[np.ndarray, dict[int, int]]:
     """Drop candidates already reviewed in substance in an earlier round.
 
-    A candidate is removed when its exact hash matches a reviewed item or it
-    lies within theta_dup of one (the nearest, lowest id first). Removed
-    candidates are returned in the routing map so the propagation stage can
-    copy the matched item's label instead of silently discarding them.
+    A candidate is removed when its exact hash matches a reviewed item (the
+    lowest id) or it lies within theta_dup of one (the nearest, lowest id
+    first). Removed candidates are returned in the routing map so the
+    propagation stage can copy the matched item's label instead of silently
+    discarding them. ``reach`` first absorbs the items reviewed since its
+    last call: only the rows they touch are searched again.
     """
-    reviewed = store.reviewed_ids()
-    if not reviewed:
-        return set(candidates), {}
-    hash_to_reviewed: dict[int, int] = {}
-    for rid in sorted(reviewed):
-        hash_to_reviewed.setdefault(items_index[rid].exact_hash, rid)
-    ordered = sorted(set(candidates))
-    match = {
-        c: hash_to_reviewed.get(items_index[c].exact_hash) for c in ordered
-    }
-    rest = np.array([c for c in ordered if match[c] is None], dtype=np.int64)
-    row, nbr_ids, _ = graph.neighbors_batch(rest, theta_dup)
-    hit = np.isin(nbr_ids, np.fromiter(reviewed, np.int64))
+    fresh = np.flatnonzero(store.reviewed & ~reach.reviewed)
+    reach.reviewed[fresh] = True
+    touched = id_array(graph.neighbors_batch(reach.index[fresh], theta_dup)[1])
+    row, nbr_ids, _ = graph.neighbors_batch(touched, theta_dup)
+    nbr = positions(reach.index, nbr_ids)
+    hit = reach.reviewed[nbr]
     # rows keep (distance, id) order, so a row's first reviewed entry is its match
     rows, first = np.unique(row[hit], return_index=True)
-    match.update(zip(rest[rows].tolist(), nbr_ids[hit][first].tolist()))
-    kept = {c for c in ordered if match[c] is None}
-    routed = {c: match[c] for c in ordered if match[c] is not None}
-    return kept, routed
+    reach.nearest[positions(reach.index, touched[rows])] = nbr[hit][first]
+
+    ids = id_array(candidates)
+    pos = store.positions(ids)
+    match = store.hash_match(pos)
+    match = np.where(match >= 0, match, reach.nearest[pos])
+    routed = match >= 0
+    return ids[~routed], dict(zip(ids[routed].tolist(), store.ids[match[routed]].tolist()))
 
 
-def filter_eligible(
-    candidates: Iterable[int], items_index: Mapping[int, Item], store
-) -> set[int]:
-    """Keep candidates that are active (impressions > 0) and unlabeled."""
-    out: set[int] = set()
-    for candidate in candidates:
-        try:
-            item = items_index[candidate]
-        except KeyError:
-            raise KeyError(f"unknown item id {candidate}") from None
-        if item.impressions > 0 and store.get(candidate) is None:
-            out.add(candidate)
-    return out
+def filter_eligible(candidates: Iterable[int], store, impressions: np.ndarray) -> np.ndarray:
+    """Keep candidates that are active (impressions > 0) and unlabeled.
+
+    ``impressions`` holds one count per position of the store.
+    """
+    ids = id_array(candidates)
+    pos = store.positions(ids)
+    return ids[(impressions[pos] > 0) & (store.labels[pos] < 0)]
+
+
+def _batch_neighbors(graph, ids, radius):
+    """Neighbours inside the ascending batch ``ids``, as (row, batch index)."""
+    row, nbr_ids, _ = graph.neighbors_batch(ids, radius)
+    loc = np.searchsorted(ids, nbr_ids)
+    inside = loc < len(ids)
+    inside[inside] = ids[loc[inside]] == nbr_ids[inside]
+    return row[inside], loc[inside]
 
 
 def dedup_intra_batch(
     candidates: Iterable[int], graph: SimilarityGraph, theta_dup: float
-) -> tuple[set[int], dict[int, int]]:
+) -> tuple[np.ndarray, dict[int, int]]:
     """Greedy near-duplicate collapse within one batch.
 
     Scanning in ascending item_id order, an item is kept iff no already-kept
     item lies within theta_dup; dropped items map to the lowest-id kept item
     that suppressed them. Kept pairs are therefore all > theta_dup apart.
     """
-    ids = np.array(sorted(set(candidates)), dtype=np.int64)
-    row, nbr_ids, _ = graph.neighbors_batch(ids, theta_dup)
-    # an item with no lower-id neighbor in the batch is kept whatever came
-    # before it; only the rest need the sequential scan
-    lower = np.isin(nbr_ids, ids) & (nbr_ids < ids[row])
-    contested: dict[int, list[int]] = {}
-    for r, nid in zip(row[lower].tolist(), nbr_ids[lower].tolist()):
-        contested.setdefault(r, []).append(nid)
-    kept = set(np.delete(ids, list(contested)).tolist())
-    dup_of: dict[int, int] = {}
-    for r in sorted(contested):
-        suppressors = [nid for nid in contested[r] if nid in kept]
-        if suppressors:
-            dup_of[int(ids[r])] = min(suppressors)
+    ids = id_array(candidates)
+    row, nbr = _batch_neighbors(graph, ids, theta_dup)
+    lower = nbr < row
+    row, nbr = row[lower], nbr[lower]
+    # an item with no lower-id neighbour is kept whatever came before it, and
+    # one whose lowest neighbour is such an item is dropped by it; only the
+    # rest need the sequential scan, whose ascending id order settles every
+    # neighbour before a row reads it
+    contested = np.zeros(len(ids), dtype=bool)
+    contested[row] = True
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    rows, least = row[starts], np.minimum.reduceat(nbr, starts)
+    suppressor = np.where(contested[least], -1, least)
+    keep, nbr_list, bounds = (~contested).tolist(), nbr.tolist(), [*starts.tolist(), len(row)]
+    for k in np.flatnonzero(contested[least]).tolist():
+        hits = [n for n in nbr_list[bounds[k] : bounds[k + 1]] if keep[n]]
+        if hits:
+            suppressor[k] = min(hits)
         else:
-            kept.add(int(ids[r]))
-    return kept, dup_of
+            keep[rows[k]] = True
+    dropped = suppressor >= 0
+    dup_of = dict(zip(ids[rows[dropped]].tolist(), ids[suppressor[dropped]].tolist()))
+    return ids[np.array(keep, dtype=bool)], dup_of
 
 
 def max_coverage_sample(
@@ -224,66 +276,63 @@ def max_coverage_sample(
     graph: SimilarityGraph,
     theta_prop: float,
     k: int,
-    weights: Mapping[int, float] | None = None,
+    weights: np.ndarray | None = None,
 ) -> CoveragePlan:
     """Greedy maximum-coverage selection of up to k representatives.
 
     Each candidate covers itself plus the candidates within theta_prop of it.
     Every step picks the candidate covering the most not-yet-covered weight
-    (unit weights by default), ties broken by lowest item_id, stopping early
-    once everything coverable is covered. Standard greedy, so coverage is at
-    least (1 - 1/e) of the optimal k-subset.
+    (unit weights by default; else ``weights`` holds one per candidate in
+    ascending id order), ties broken by lowest item_id, stopping early once
+    everything coverable is covered. Standard greedy, so coverage is at least
+    (1 - 1/e) of the optimal k-subset.
     """
     if k < 0:
         raise ValueError("budget k must be >= 0")
-    universe = sorted(set(candidates))
-    if k == 0 or not universe:
+    universe = id_array(candidates)
+    m = len(universe)
+    if k == 0 or not m:
         return CoveragePlan((), {}, k)
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (m,):
+        raise ValueError("weights must hold one value per candidate")
 
-    def weight_of(item_id: int) -> float:
-        return 1.0 if weights is None else float(weights.get(item_id, 0.0))
+    # each candidate covers itself, then its row in gather order; the graph is
+    # symmetric, so the candidates covering an item are those the item covers
+    row, nbr = _batch_neighbors(graph, universe, theta_prop)
+    coverer = np.concatenate([np.arange(m), row])
+    order = np.argsort(coverer, kind="stable")
+    cover = np.concatenate([np.arange(m), nbr])[order]
+    start = np.searchsorted(coverer[order], np.arange(m + 1))
+    # bincount adds each candidate's weights in cover order, as a running sum would
+    gains = np.bincount(coverer[order], weights=w[cover], minlength=m)
 
-    cover: dict[int, list[int]] = {c: [c] for c in universe}
-    row, nbr_ids, _ = graph.neighbors_batch(universe, theta_prop)
-    inside = np.isin(nbr_ids, universe)
-    for r, nid in zip(row[inside].tolist(), nbr_ids[inside].tolist()):
-        cover[universe[r]].append(nid)
-    covering: dict[int, list[int]] = {c: [] for c in universe}
-    gains: dict[int, float] = {}
-    for c in universe:
-        members = cover[c]
-        for m in members:
-            covering[m].append(c)
-        gains[c] = sum(weight_of(m) for m in members)
-
-    uncovered = set(universe)
+    uncovered = np.ones(m, dtype=bool)
+    owner = np.full(m, -1)
     representatives: list[int] = []
     assigned: dict[int, list[int]] = {}
-    owner: dict[int, int] = {}
-    while len(representatives) < k and uncovered:
-        best_id = None
-        best_gain = 0.0
-        for c in universe:
-            g = gains[c]
-            if g > best_gain:
-                best_gain = g
-                best_id = c
-        if best_id is None:
+    while len(representatives) < k and uncovered.any():
+        best = int(np.argmax(gains))  # the first maximum is the lowest id
+        if not gains[best] > 0.0:
             break
-        newly = sorted(m for m in cover[best_id] if m in uncovered)
-        representatives.append(best_id)
-        assigned[best_id] = newly
-        for m in newly:
-            owner[m] = best_id
-            uncovered.discard(m)
-            w = weight_of(m)
-            for c in covering[m]:
-                gains[c] -= w
-        if best_id not in newly:
+        members = cover[start[best] : start[best + 1]]
+        newly = np.sort(members[uncovered[members]])
+        representatives.append(best)
+        assigned[best] = newly.tolist()
+        owner[newly] = best
+        uncovered[newly] = False
+        # take each newly covered weight off its coverers, members ascending
+        counts = start[newly + 1] - start[newly]
+        offset = start[newly] - np.cumsum(counts) + counts
+        slots = np.arange(counts.sum()) + np.repeat(offset, counts)
+        np.subtract.at(gains, cover[slots], np.repeat(w[newly], counts))
+        if owner[best] != best:
             # an earlier representative reached this one first; hand the
             # self-coverage back so every representative covers itself
-            assigned[owner[best_id]].remove(best_id)
-            assigned[best_id] = sorted(assigned[best_id] + [best_id])
-            owner[best_id] = best_id
-    covered = {rep: tuple(assigned[rep]) for rep in representatives}
-    return CoveragePlan(tuple(representatives), covered, k)
+            assigned[int(owner[best])].remove(best)
+            assigned[best] = sorted(assigned[best] + [best])
+            owner[best] = best
+    covered = {
+        int(universe[rep]): tuple(universe[assigned[rep]].tolist()) for rep in representatives
+    }
+    return CoveragePlan(tuple(universe[representatives].tolist()), covered, k)

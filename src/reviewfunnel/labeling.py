@@ -4,12 +4,20 @@ known-label store, and near-duplicate label propagation.
 The oracle is the only component allowed to see ground truth (through the
 simulated implementation); verdicts are keyed by (seed, item_id) so results
 do not depend on batching or call order.
+
+The store covers a run's position index, its ascending item ids. Beside the
+records in write order it keeps per-position label, reviewed and round
+arrays, labelled and positive counts per account, and the lowest reviewed
+position per exact hash, so the funnel reads the labels as mask gathers.
+``abort_round`` drops the round's staged records and restores every one of
+these arrays.
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from collections import Counter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,7 +30,7 @@ from .corpus import (
     PROVENANCE_SEED,
     embedding_fingerprint,
 )
-from .funnel import CoveragePlan
+from .funnel import CoveragePlan, positions
 from .simgraph import SimilarityGraph
 
 
@@ -148,7 +156,15 @@ class HttpOracle(Oracle):
                 ]
             }
             doc = self._post_with_retry(requests, payload)
-            got = {int(v["item_id"]): bool(v["label"]) for v in doc["verdicts"]}
+            pairs = [(int(v["item_id"]), bool(v["label"])) for v in doc["verdicts"]]
+            got = dict(pairs)
+            asked = {item_id for item_id, _ in chunk}
+            extra = sorted(got.keys() - asked)
+            if extra:
+                raise RuntimeError(f"remote labeler returned verdicts for unasked items {extra}")
+            if len(got) < len(pairs):
+                repeated = sorted(i for i, n in Counter(i for i, _ in pairs).items() if n > 1)
+                raise RuntimeError(f"remote labeler returned duplicate verdicts for {repeated}")
             missing = [item_id for item_id, _ in chunk if item_id not in got]
             if missing:
                 raise RuntimeError(f"remote labeler omitted verdicts for {missing}")
@@ -181,93 +197,122 @@ class HttpOracle(Oracle):
 class KnownStore:
     """Append-only label store with first-writer-wins semantics.
 
+    ``ids`` is the position index, strictly ascending; ``accounts`` and
+    ``hashes``, when given, hold each position's account and exact hash.
+    Callers read, never write, the per-position arrays ``labels`` (int8, -1
+    unlabelled), ``reviewed`` and ``rounds`` (-1 unlabelled), and the
+    per-account counters ``account_labeled`` and ``account_positive``
+    (indexed by ``account_codes``; the last slot is for no account).
+
     Writes during a round go to a staging buffer that is visible to reads but
     only becomes permanent on commit, giving the pipeline round atomicity.
     Committed records are never mutated or removed.
     """
 
-    def __init__(self, accounts: Mapping[int, int] | None = None):
-        self._accounts = dict(accounts) if accounts else {}
-        self._committed: list[LabelRecord] = []
-        self._staged: list[LabelRecord] | None = None
-        self._by_id: dict[int, LabelRecord] = {}
-        self._reviewed: set[int] = set()
-        self._positive: set[int] = set()
-        self._by_account: dict[int, set[int]] = {}
+    def __init__(self, ids, accounts=None, hashes=None):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        if np.any(np.diff(self.ids) <= 0):
+            raise ValueError("store ids must be strictly ascending")
+        self._accounts, self.account_codes = _codes(accounts, len(self.ids))
+        self._hashes, self._hash_codes = _codes(hashes, len(self.ids))
+        self._index([])
+
+    def _index(self, records: list[LabelRecord]) -> None:
+        """Reset every array and the records to exactly ``records``."""
+        n = len(self.ids)
+        self.labels = np.full(n, -1, dtype=np.int8)
+        self.reviewed = np.zeros(n, dtype=bool)
+        self.rounds = np.full(n, -1, dtype=np.int64)
+        self._slot = np.full(n, -1, dtype=np.int64)
+        self.account_labeled = np.zeros(len(self._accounts) + 1, dtype=np.int64)
+        self.account_positive = np.zeros(len(self._accounts) + 1, dtype=np.int64)
+        self._hash_first = np.full(len(self._hashes) + 1, n, dtype=np.int64)
+        self._records: list[LabelRecord] = []
+        self._staged_from: int | None = None
+        self.extend(records)
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._records)
 
     def __contains__(self, item_id: int) -> bool:
-        return item_id in self._by_id
+        return self.get(item_id) is not None
+
+    def positions(self, item_ids) -> np.ndarray:
+        return positions(self.ids, item_ids)
 
     def get(self, item_id: int) -> LabelRecord | None:
-        return self._by_id.get(item_id)
+        pos = int(np.searchsorted(self.ids, item_id))
+        if pos == len(self.ids) or self.ids[pos] != item_id or self._slot[pos] < 0:
+            return None
+        return self._records[self._slot[pos]]
 
     def records(self) -> list[LabelRecord]:
         """All visible records (committed plus staged), in write order."""
-        if self._staged is None:
-            return list(self._committed)
-        return self._committed + self._staged
+        return list(self._records)
 
     def reviewed_ids(self) -> set[int]:
-        return set(self._reviewed)
+        return set(self.ids[self.reviewed].tolist())
 
     def positive_ids(self) -> set[int]:
-        return set(self._positive)
-
-    def labeled_ids_by_account(self, account_id: int) -> set[int]:
-        return set(self._by_account.get(account_id, ()))
+        return set(self.ids[self.labels == 1].tolist())
 
     def account_label_counts(self) -> dict[int, tuple[int, int]]:
-        """(labeled, positive) item counts of every account with a label.
+        """(labeled, positive) item counts of every account with a label."""
+        counts = zip(self.account_labeled.tolist(), self.account_positive.tolist())
+        return {a: c for a, c in zip(self._accounts.tolist(), counts) if c[0]}
 
-        Only items in the accounts map given at construction are counted.
-        """
-        return {
-            account: (len(ids), len(ids & self._positive))
-            for account, ids in self._by_account.items()
-        }
+    def hash_match(self, pos: np.ndarray) -> np.ndarray:
+        """Lowest reviewed position sharing each position's exact hash, or -1."""
+        match = self._hash_first[self._hash_codes[pos]]
+        return np.where(match < len(self.ids), match, -1)
 
     def add(self, record: LabelRecord) -> None:
-        if record.item_id in self._by_id:
-            raise AlreadyLabeledError(f"item {record.item_id} already labeled")
-        target = self._committed if self._staged is None else self._staged
-        target.append(record)
-        self._index(record)
+        self.extend([record])
 
-    def _index(self, record: LabelRecord) -> None:
-        self._by_id[record.item_id] = record
-        if record.provenance == PROVENANCE_ORACLE:
-            self._reviewed.add(record.item_id)
-        if record.label:
-            self._positive.add(record.item_id)
-        account = self._accounts.get(record.item_id)
-        if account is not None:
-            self._by_account.setdefault(account, set()).add(record.item_id)
+    def extend(self, records: Sequence[LabelRecord]) -> None:
+        """Append records in order; if one is already labelled, none is."""
+        pos = self.positions([r.item_id for r in records])
+        repeat = np.ones(len(pos), dtype=bool)
+        repeat[np.unique(pos, return_index=True)[1]] = False
+        bad = repeat | (self.labels[pos] >= 0)
+        if bad.any():
+            raise AlreadyLabeledError(f"item {records[np.argmax(bad)].item_id} already labeled")
+        self._slot[pos] = np.arange(len(self._records), len(self._records) + len(pos))
+        self._records.extend(records)
+        self.labels[pos] = [r.label for r in records]
+        self.reviewed[pos] = [r.provenance == PROVENANCE_ORACLE for r in records]
+        self.rounds[pos] = [r.round for r in records]
+        np.add.at(self.account_labeled, self.account_codes[pos], 1)
+        np.add.at(self.account_positive, self.account_codes[pos], self.labels[pos])
+        reviewed = pos[self.reviewed[pos]]
+        np.minimum.at(self._hash_first, self._hash_codes[reviewed], reviewed)
+        self._hash_first[-1] = len(self.ids)  # the slot of items without a hash
 
     def begin_round(self) -> None:
-        if self._staged is not None:
+        if self._staged_from is not None:
             raise RuntimeError("round already in progress")
-        self._staged = []
+        self._staged_from = len(self._records)
 
     def commit_round(self) -> None:
-        if self._staged is None:
+        if self._staged_from is None:
             raise RuntimeError("no round in progress")
-        self._committed.extend(self._staged)
-        self._staged = None
+        self._staged_from = None
 
     def abort_round(self) -> None:
         """Discard staged writes, restoring the pre-round store exactly."""
-        if self._staged is None:
+        if self._staged_from is None:
             raise RuntimeError("no round in progress")
-        self._staged = None
-        self._by_id = {}
-        self._reviewed = set()
-        self._positive = set()
-        self._by_account = {}
-        for record in self._committed:
-            self._index(record)
+        self._index(self._records[: self._staged_from])
+
+
+def _codes(values, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values and each position's index into them (one past the end if None)."""
+    if values is None:
+        return np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    distinct, codes = np.unique(np.asarray(values), return_inverse=True)
+    if len(codes) != n:
+        raise ValueError("store columns need one value per id")
+    return distinct, codes
 
 
 def oracle_label(
@@ -288,13 +333,11 @@ def oracle_label(
         for rep in plan.representatives
     ]
     verdicts = oracle.label_batch(batch)
-    records = []
-    for rep, verdict in zip(plan.representatives, verdicts):
-        record = LabelRecord(
-            item_id=rep, label=verdict, provenance=PROVENANCE_ORACLE, round=round_no
-        )
-        store.add(record)
-        records.append(record)
+    records = [
+        LabelRecord(item_id=rep, label=verdict, provenance=PROVENANCE_ORACLE, round=round_no)
+        for rep, verdict in zip(plan.representatives, verdicts)
+    ]
+    store.extend(records)
     return records
 
 
@@ -320,52 +363,33 @@ def propagate_labels(
                 f"propagation source {record.item_id} has provenance "
                 f"{record.provenance}; only seed/oracle records may propagate"
             )
-    # offer sort key: (distance, negative-label-after-positive, source id)
-    offers: dict[int, list[tuple[float, int, int]]] = {}
-    labels: dict[int, bool] = {}
-
-    def offer(target: int, dist: float, label: bool, source: int) -> None:
-        offers.setdefault(target, []).append((dist, 0 if label else 1, source))
-        labels[source] = label
-
-    sources = sorted(new_records, key=lambda r: r.item_id)
-    row, nbr_ids, dists = graph.neighbors_batch(
-        [r.item_id for r in sources], theta_prop
-    )
-    for r, nid, dist in zip(row.tolist(), nbr_ids.tolist(), dists.tolist()):
-        if nid not in store:
-            offer(nid, dist, sources[r].label, sources[r].item_id)
+    # one offer per (target, source): its distance, the source's label and id
+    src_ids = np.array([r.item_id for r in new_records], dtype=np.int64)
+    src_labels = np.array([r.label for r in new_records], dtype=bool)
+    row, target, dist = graph.neighbors_batch(src_ids, theta_prop)
+    offers = [(target, dist, src_labels[row], src_ids[row])]
     if dup_routed:
-        for target in sorted(dup_routed):
-            if target in store:
-                continue
-            known_id = dup_routed[target]
-            known = store.get(known_id)
-            if known is None:
-                raise KeyError(f"routed duplicate target {target} matched unknown "
-                               f"item {known_id}")
-            offer(target, graph.distance(target, known_id), known.label, known_id)
-
-    propagated: list[LabelRecord] = []
-    for target in sorted(offers):
-        dist, _, source = min(offers[target])
-        record = LabelRecord(
-            item_id=target,
-            label=labels[source],
-            provenance=PROVENANCE_PROPAGATED,
-            round=round_no,
-            source_item_id=source,
-            distance_to_source=dist,
-        )
-        store.add(record)
-        propagated.append(record)
+        routed = np.array(sorted(dup_routed.items()), dtype=np.int64).reshape(-1, 2)
+        routed = routed[store.labels[store.positions(routed[:, 0])] < 0]
+        known = store.labels[store.positions(routed[:, 1])]
+        if np.any(known < 0):
+            bad = routed[np.argmax(known < 0)]
+            raise KeyError(f"routed duplicate target {bad[0]} matched unknown item {bad[1]}")
+        dists = [graph.distance(t, k) for t, k in routed.tolist()]
+        offers.append((routed[:, 0], np.array(dists), known == 1, routed[:, 1]))
+    target, dist, label, source = (np.concatenate(part) for part in zip(*offers))
+    # per unlabelled target: nearest first, then the positive label, then the lowest source
+    order = np.lexsort((source, ~label, dist, target))
+    order = order[store.labels[store.positions(target[order])] < 0]
+    pick = order[np.unique(target[order], return_index=True)[1]]
+    propagated = [
+        LabelRecord(t, lab, PROVENANCE_PROPAGATED, round_no, s, d)
+        for t, lab, s, d in zip(*(part[pick].tolist() for part in (target, label, source, dist)))
+    ]
+    store.extend(propagated)
     return propagated
 
 
-def feedback_seeds(store: KnownStore, round_no: int) -> set[int]:
-    """All positive-labeled items as of the end of the given round."""
-    return {
-        record.item_id
-        for record in store.records()
-        if record.label and record.round <= round_no
-    }
+def feedback_seeds(store: KnownStore, round_no: int) -> np.ndarray:
+    """Ids of all positive-labeled items as of the end of the given round."""
+    return store.ids[(store.labels == 1) & (store.rounds <= round_no)]

@@ -24,18 +24,21 @@ from .corpus import (
     PROVENANCE_SEED,
     corpus_content_hash,
     ground_truth_of,
-    ids_by_account,
     items_by_id,
 )
 from .funnel import (
     CandidateSet,
     ORIGIN_ACTOR,
+    ORIGIN_CONTENT,
+    ORIGIN_FEEDBACK,
     ORIGIN_SCORE,
+    Reach,
     dedup_cross_round,
     dedup_intra_batch,
     expand_actor,
     expand_content,
     filter_eligible,
+    id_array,
     max_coverage_sample,
     select_by_score,
 )
@@ -240,13 +243,15 @@ class MetricsReport:
 
 @dataclass
 class PipelineState:
-    items: list[Item]
+    """A run's inputs and round state; arrays follow the store's positions."""
+
     items_index: dict[int, Item]
     graph: SimilarityGraph
     store: KnownStore
     oracle: Oracle
-    scores: dict[int, float] | None
-    account_items: dict[int, list[int]]
+    impressions: np.ndarray
+    score_ids: np.ndarray
+    reach: Reach
 
 
 def simulate_model_scores(
@@ -326,75 +331,52 @@ def run_round(
     """Execute one funnel round atomically against the shared store."""
     store = state.store
     graph = state.graph
+    reach = state.reach
     stages: list[StageStat] = []
     store.begin_round()
 
     current_stage = "seeds"
     try:
         seeds = feedback_seeds(store, round_no - 1)
-        # seeds surfaced by earlier rounds (not the round-0 bootstrap) mark
-        # their expansions with the feedback origin tag
-        feedback_sources = {i for i in seeds if store.get(i).round > 0}
 
         current_stage = "select"
-        tagged = expand_content(graph, seeds, config.theta_sim, feedback_sources)
+        # seeds surfaced by earlier rounds (not the round-0 bootstrap) mark
+        # their expansions with the feedback origin tag
+        surfaced = seeds[store.rounds[store.positions(seeds)] > 0]
+        content = expand_content(graph, reach, seeds, config.theta_sim, surfaced)
         actor = config.actor
-        actor_ids = expand_actor(
-            store, state.account_items, actor.min_positives, actor.min_rate
-        )
-        score_ids = (
-            select_by_score(state.items, state.scores, config.score.tau)
-            if state.scores is not None and config.score is not None
-            else set()
-        )
-        for item_id in actor_ids:
-            tagged.setdefault(item_id, set()).add(ORIGIN_ACTOR)
-        for item_id in score_ids:
-            tagged.setdefault(item_id, set()).add(ORIGIN_SCORE)
-        candidates = CandidateSet.from_tagged(round_no, tagged)
-        stages.append(StageStat("select", 0, len(candidates.ids)))
+        actor_ids = expand_actor(store, actor.min_positives, actor.min_rate)
+        candidates = CandidateSet.from_channels(round_no, [
+            (content, ORIGIN_CONTENT),
+            (reach.index[reach.feedback & ~reach.sources], ORIGIN_FEEDBACK),
+            (actor_ids, ORIGIN_ACTOR),
+            (state.score_ids, ORIGIN_SCORE),
+        ])
+        stages.append(StageStat("select", 0, len(candidates)))
 
         current_stage = "dedup_cross_round"
-        kept, routed = dedup_cross_round(
-            candidates.ids, store, graph, config.theta_dup, state.items_index
-        )
+        kept, routed = dedup_cross_round(candidates.ids, store, graph, config.theta_dup, reach)
         stages.append(
-            StageStat(
-                "dedup_cross_round",
-                len(candidates.ids),
-                len(kept),
-                {"dup": len(routed)},
-            )
+            StageStat("dedup_cross_round", len(candidates), len(kept), {"dup": len(routed)})
         )
 
         current_stage = "filter_eligible"
-        eligible = filter_eligible(kept, state.items_index, store)
-        n_labeled = sum(1 for c in kept if store.get(c) is not None)
-        n_inactive = sum(
-            1
-            for c in kept
-            if store.get(c) is None and state.items_index[c].impressions == 0
-        )
-        stages.append(
-            StageStat(
-                "filter_eligible",
-                len(kept),
-                len(eligible),
-                {"inactive": n_inactive, "labeled": n_labeled},
-            )
-        )
+        eligible = filter_eligible(kept, store, state.impressions)
+        kept_pos = store.positions(kept)
+        labeled = store.labels[kept_pos] >= 0
+        inactive = ~labeled & (state.impressions[kept_pos] == 0)
+        removed = {"inactive": int(inactive.sum()), "labeled": int(labeled.sum())}
+        stages.append(StageStat("filter_eligible", len(kept), len(eligible), removed))
 
         current_stage = "dedup_intra_batch"
         unique, dup_of = dedup_intra_batch(eligible, graph, config.theta_dup)
         stages.append(
-            StageStat(
-                "dedup_intra_batch", len(eligible), len(unique), {"dup": len(dup_of)}
-            )
+            StageStat("dedup_intra_batch", len(eligible), len(unique), {"dup": len(dup_of)})
         )
 
         current_stage = "sample"
         weights = (
-            {i: float(state.items_index[i].impressions) for i in unique}
+            state.impressions[store.positions(unique)].astype(np.float64)
             if config.impression_weighted_sampling
             else None
         )
@@ -511,39 +493,41 @@ def run_pipeline_detailed(
         missing = set(index).difference(graph.node_ids)
         if missing:
             raise ValueError(f"provided graph is missing item {min(missing)}")
+        if len(graph) != len(index):
+            raise ValueError("provided graph has items outside the corpus")
 
-    store = KnownStore({item.item_id: item.account_id for item in items})
-    for record in _bootstrap_records(truth, config.bootstrap_seeds, config.rng_seed):
-        store.add(record)
-    scores = (
-        simulate_model_scores(truth, config.score) if config.score is not None else None
+    # the run's position index: ascending ids, with the columns rounds read
+    ordered = [index[i] for i in sorted(index)]
+    ids = np.array([item.item_id for item in ordered], dtype=np.int64)
+    store = KnownStore(
+        ids,
+        accounts=[item.account_id for item in ordered],
+        hashes=np.array([item.exact_hash for item in ordered], dtype=np.uint64),
+    )
+    store.extend(_bootstrap_records(truth, config.bootstrap_seeds, config.rng_seed))
+    score_ids = (
+        select_by_score(items, simulate_model_scores(truth, config.score), config.score.tau)
+        if config.score is not None
+        else ()
     )
     state = PipelineState(
-        items=items,
         items_index=index,
         graph=graph,
         store=store,
         oracle=oracle,
-        scores=scores,
-        account_items=ids_by_account(items),
+        impressions=np.array([item.impressions for item in ordered], dtype=np.int64),
+        score_ids=id_array(score_ids),
+        reach=Reach(ids),
     )
 
     gt_positives = sum(1 for v in truth.values() if v) if truth_complete else 0
-    cumulative_tp = (
-        sum(1 for r in store.records() if r.label and truth.get(r.item_id, False))
-        if truth_complete
-        else 0
-    )
+    truly_positive = np.array([truth.get(i, False) for i in ids.tolist()], dtype=bool)
     round_metrics: list[RoundMetrics] = []
-    seen_records = len(store.records())
     for round_no in range(1, config.rounds + 1):
         state, metrics = run_round(state, config, round_no)
         if truth_complete and gt_positives:
-            for record in store.records()[seen_records:]:
-                if record.label and truth.get(record.item_id, False):
-                    cumulative_tp += 1
+            cumulative_tp = int(np.count_nonzero(truly_positive & (store.labels == 1)))
             metrics.cumulative_recall = cumulative_tp / gt_positives
-        seen_records = len(store.records())
         round_metrics.append(metrics)
 
     report = compute_metrics(store.records(), truth if truth_complete else None, items)

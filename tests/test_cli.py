@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from reviewfunnel import cli
 from reviewfunnel.cli import main
 from reviewfunnel.corpus import load_labels
 
@@ -103,6 +104,79 @@ class TestRun:
         assert code == 0
         assert (out / "metrics.json").read_bytes() == (rerun_out / "metrics.json").read_bytes()
         assert (out / "labels.jsonl").read_bytes() == (rerun_out / "labels.jsonl").read_bytes()
+
+    def snapshot(self, out):
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    def test_replay_refuses_changed_corpus(self, tmp_path, corpus_file, capsys):
+        code, out = self.run_once(tmp_path, corpus_file)
+        assert code == 0
+        before = self.snapshot(out)
+        lines = corpus_file.read_text().splitlines()
+        doc = json.loads(lines[3])
+        doc["account_id"] += 1
+        lines[3] = json.dumps(doc)
+        corpus_file.write_text("\n".join(lines) + "\n")
+        manifest = str(out / "manifest.json")
+        # into the run's own directory and into a new one: nothing is written
+        assert main(["run", "--config", manifest, "--out", str(out)]) == 2
+        assert "differs from the manifest" in capsys.readouterr().err
+        assert self.snapshot(out) == before
+        assert main(["run", "--config", manifest, "--out", str(tmp_path / "new")]) == 2
+        assert not (tmp_path / "new").exists()
+
+    def test_replay_refuses_changed_item_count(self, tmp_path, corpus_file):
+        _, out = self.run_once(tmp_path, corpus_file)
+        doc = json.loads((out / "manifest.json").read_text())
+        doc["corpus"]["items"] += 1
+        manifest = write_json(tmp_path / "edited.json", doc)
+        assert main(["run", "--config", manifest, "--out", str(tmp_path / "new")]) == 2
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("victim", ["manifest.json", "metrics.json", "labels.jsonl"])
+    def test_failed_write_keeps_previous_outputs(self, tmp_path, corpus_file, monkeypatch,
+                                                 victim):
+        _, out = self.run_once(tmp_path, corpus_file)
+        before = self.snapshot(out)
+        write_text, save_labels = cli.Path.write_text, cli.save_labels
+
+        def half_then_fail(path, write):
+            # a temp file is named after its target; fail that one mid-write
+            if victim not in path.name:
+                return write()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write('{"half": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.Path, "write_text", lambda path, *a, **k: half_then_fail(
+            path, lambda: write_text(path, *a, **k)))
+        monkeypatch.setattr(cli, "save_labels", lambda records, path: half_then_fail(
+            path, lambda: save_labels(records, path)))
+        config = str(tmp_path / "run.config.json")
+        code = main(["run", "--corpus", str(corpus_file), "--config", config, "--out", str(out)])
+        assert code == 3
+        after = self.snapshot(out)
+        assert sorted(after) == sorted(before)  # no temp file left behind
+        assert after[victim] == before[victim]
+        if victim != "manifest.json":
+            manifest = json.loads(after["manifest.json"])
+            assert manifest["status"] == "failed" and "disk full" in manifest["error"]
+
+    def test_failed_baseline_write_keeps_previous_metrics(self, tmp_path, corpus_file,
+                                                          monkeypatch):
+        out = tmp_path / "base"
+        argv = ["baseline", "--corpus", str(corpus_file), "--budget", "5", "--out", str(out)]
+        assert main(argv) == 0
+        before = self.snapshot(out)
+
+        def half_then_fail(path, *args, **kwargs):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.Path, "write_text", half_then_fail)
+        assert main(argv) == 3
+        assert self.snapshot(out) == before
 
     def test_zero_budget_run(self, tmp_path, corpus_file):
         doc = dict(RUN_CONFIG, rounds=1, budget_per_round=0)

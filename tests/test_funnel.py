@@ -1,12 +1,15 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from reviewfunnel.corpus import LabelRecord, ids_by_account
+from reviewfunnel.corpus import LabelRecord
 from reviewfunnel.funnel import (
+    ORIGIN_CONTENT,
     CandidateSet,
     CoveragePlan,
+    Reach,
     dedup_cross_round,
     dedup_intra_batch,
     expand_content,
@@ -25,12 +28,13 @@ def oracle_rec(item_id, label=True, round_no=1):
     return LabelRecord(item_id=item_id, label=label, provenance="oracle", round=round_no)
 
 
-def accounts_of(items):
-    return {it.item_id: it.account_id for it in items}
-
-
-def store_with(records, accounts=None):
-    store = KnownStore(accounts)
+def store_with(items, records=()):
+    """A store over the items' ids, accounts and hashes, holding records."""
+    store = KnownStore(
+        [it.item_id for it in items],
+        [it.account_id for it in items],
+        np.array([it.exact_hash for it in items], dtype=np.uint64),
+    )
     for record in records:
         store.add(record)
     return store
@@ -52,7 +56,7 @@ class TestExpandContent:
     def test_no_sources(self, rng):
         items, _ = blob_corpus(rng, [4])
         graph = build_graph(items, 0.25)
-        assert set(expand_content(graph, set(), 0.25)) == set()
+        assert set(expand_content(graph, Reach(graph.node_ids), set(), 0.25)) == set()
 
     def test_planted_cluster_reached(self, rng):
         items, (group,) = blob_corpus(rng, [5])
@@ -60,24 +64,24 @@ class TestExpandContent:
         # derived check: all members verifiably within the query radius
         for member in group[1:]:
             assert cosine_distance(items[0].embedding, items[member].embedding) <= 0.25
-        assert set(expand_content(graph, {0}, 0.25)) == set(group[1:])
+        assert set(expand_content(graph, Reach(graph.node_ids), {0}, 0.25)) == set(group[1:])
 
     def test_all_neighbors_are_sources(self, rng):
         items, (group,) = blob_corpus(rng, [5])
         graph = build_graph(items, 0.25)
-        assert set(expand_content(graph, set(group), 0.25)) == set()
+        assert set(expand_content(graph, Reach(graph.node_ids), set(group), 0.25)) == set()
 
     def test_unknown_source(self, rng):
         items, _ = blob_corpus(rng, [3])
         graph = build_graph(items, 0.25)
         with pytest.raises(KeyError):
-            expand_content(graph, {404}, 0.25)
+            expand_content(graph, Reach(graph.node_ids), {404}, 0.25)
 
 
 class TestExpandActor:
     def test_empty_store(self, rng):
         items, _ = blob_corpus(rng, [3])
-        assert expand_actor(KnownStore(), ids_by_account(items), 1, 0.5) == set()
+        assert expand_actor(store_with(items), 1, 0.5).tolist() == []
 
     def test_flagged_account_returns_unlabeled(self, rng):
         items, _ = blob_corpus(rng, [6])
@@ -85,25 +89,30 @@ class TestExpandActor:
             [it.embedding for it in items], accounts=[7, 7, 7, 7, 7, 3]
         )
         store = store_with(
-            [oracle_rec(0, True), oracle_rec(1, True), oracle_rec(2, False)],
-            accounts_of(items),
+            items, [oracle_rec(0, True), oracle_rec(1, True), oracle_rec(2, False)]
         )
         # account 7: 3 labeled, 2 positive -> flagged at (2, 0.5)
-        assert expand_actor(store, ids_by_account(items), 2, 0.5) == {3, 4}
+        assert expand_actor(store, 2, 0.5).tolist() == [3, 4]
 
     def test_low_rate_not_flagged(self, rng):
         items, _ = blob_corpus(rng, [11])
         items = make_items([it.embedding for it in items], accounts=[5] * 11)
         labels = [oracle_rec(0, True)] + [oracle_rec(i, False) for i in range(1, 10)]
-        store = store_with(labels, accounts_of(items))
-        assert expand_actor(store, ids_by_account(items), 1, 0.5) == set()
+        store = store_with(items, labels)
+        assert expand_actor(store, 1, 0.5).tolist() == []
+
+    def test_items_without_account_never_flagged(self):
+        store = KnownStore(range(4))
+        for item_id in (0, 1):
+            store.add(oracle_rec(item_id, True))
+        assert expand_actor(store, 1, 0.5).tolist() == []
 
     def test_invalid_params(self, rng):
         items, _ = blob_corpus(rng, [2])
         with pytest.raises(ValueError):
-            expand_actor(KnownStore(), ids_by_account(items), 0, 0.5)
+            expand_actor(store_with(items), 0, 0.5)
         with pytest.raises(ValueError):
-            expand_actor(KnownStore(), ids_by_account(items), 1, 0.0)
+            expand_actor(store_with(items), 1, 0.0)
 
 
 class TestSelectByScore:
@@ -129,38 +138,35 @@ class TestDedupCrossRound:
     def test_empty_store_is_noop(self, rng):
         items, (group,) = blob_corpus(rng, [4])
         graph = build_graph(items, 0.25)
-        index = {it.item_id: it for it in items}
-        kept, routed = dedup_cross_round(group, KnownStore(), graph, 0.05, index)
-        assert kept == set(group) and routed == {}
+        store = store_with(items)
+        kept, routed = dedup_cross_round(group, store, graph, 0.05, Reach(store.ids))
+        assert kept.tolist() == group and routed == {}
 
     def test_hash_match_removed_and_routed(self, rng):
         base = rng.standard_normal(8)
         items = make_items([base, base, base * 3.0 + 10.0])
         graph = build_graph(items, 0.25)
-        index = {it.item_id: it for it in items}
         assert items[0].exact_hash == items[1].exact_hash
-        store = store_with([oracle_rec(0)])
-        kept, routed = dedup_cross_round([1, 2], store, graph, 0.05, index)
+        store = store_with(items, [oracle_rec(0)])
+        kept, routed = dedup_cross_round([1, 2], store, graph, 0.05, Reach(store.ids))
         assert routed == {1: 0}
-        assert kept == {2}
+        assert kept.tolist() == [2]
 
     def test_near_reviewed_removed(self, rng):
         items, (group,) = blob_corpus(rng, [3], sigma=0.002)
         graph = build_graph(items, 0.25)
-        index = {it.item_id: it for it in items}
         d = cosine_distance(items[0].embedding, items[1].embedding)
         assert d <= 0.05  # derived: actually within the dedup radius
-        store = store_with([oracle_rec(0)])
-        kept, routed = dedup_cross_round([1], store, graph, 0.05, index)
-        assert kept == set() and routed == {1: 0}
+        store = store_with(items, [oracle_rec(0)])
+        kept, routed = dedup_cross_round([1], store, graph, 0.05, Reach(store.ids))
+        assert kept.tolist() == [] and routed == {1: 0}
 
     def test_distant_candidate_kept(self, rng):
         items, groups = blob_corpus(rng, [2, 2])
         graph = build_graph(items, 0.25)
-        index = {it.item_id: it for it in items}
-        store = store_with([oracle_rec(groups[0][0])])
-        kept, routed = dedup_cross_round(groups[1], store, graph, 0.05, index)
-        assert kept == set(groups[1]) and routed == {}
+        store = store_with(items, [oracle_rec(groups[0][0])])
+        kept, routed = dedup_cross_round(groups[1], store, graph, 0.05, Reach(store.ids))
+        assert kept.tolist() == groups[1] and routed == {}
 
 
 class TestDedupIntraBatch:
@@ -168,7 +174,7 @@ class TestDedupIntraBatch:
         items, groups = blob_corpus(rng, [1, 1, 1])
         graph = build_graph(items, 0.25)
         kept, dup_of = dedup_intra_batch([0, 1, 2], graph, 0.05)
-        assert kept == {0, 1, 2} and dup_of == {}
+        assert kept.tolist() == [0, 1, 2] and dup_of == {}
 
     def test_planted_blob_collapses_to_lowest_id(self, rng):
         items, (group,) = blob_corpus(rng, [5], sigma=0.002)
@@ -176,7 +182,7 @@ class TestDedupIntraBatch:
         for i, j in itertools.combinations(group, 2):
             assert cosine_distance(items[i].embedding, items[j].embedding) <= 0.05
         kept, dup_of = dedup_intra_batch(group, graph, 0.05)
-        assert kept == {0}
+        assert kept.tolist() == [0]
         assert dup_of == {1: 0, 2: 0, 3: 0, 4: 0}
 
     def test_idempotent_on_kept_set(self, rng):
@@ -184,7 +190,7 @@ class TestDedupIntraBatch:
         graph = build_graph(items, 0.25)
         kept, _ = dedup_intra_batch(range(len(items)), graph, 0.05)
         again, dup_of = dedup_intra_batch(kept, graph, 0.05)
-        assert again == kept and dup_of == {}
+        assert np.array_equal(again, kept) and dup_of == {}
 
     def test_kept_pairs_separated(self, rng):
         vectors = rng.standard_normal((40, 6))
@@ -200,20 +206,18 @@ class TestFilterEligible:
     def test_all_inactive(self, rng):
         items, (group,) = blob_corpus(rng, [3])
         items = make_items([it.embedding for it in items], impressions=[0, 0, 0])
-        index = {it.item_id: it for it in items}
-        assert filter_eligible(group, index, KnownStore()) == set()
+        store = store_with(items)
+        assert filter_eligible(group, store, np.array([0, 0, 0])).tolist() == []
 
     def test_labeled_removed(self, rng):
         items, (group,) = blob_corpus(rng, [3])
-        index = {it.item_id: it for it in items}
-        store = store_with([oracle_rec(1)])
-        assert filter_eligible(group, index, store) == {0, 2}
+        store = store_with(items, [oracle_rec(1)])
+        assert filter_eligible(group, store, np.array([1, 1, 1])).tolist() == [0, 2]
 
     def test_unknown_id(self, rng):
         items, _ = blob_corpus(rng, [2])
-        index = {it.item_id: it for it in items}
         with pytest.raises(KeyError, match="unknown item id"):
-            filter_eligible([5], index, KnownStore())
+            filter_eligible([5], store_with(items), np.array([1, 1]))
 
 
 def brute_force_best_coverage(universe, cover, k):
@@ -294,8 +298,8 @@ class TestMaxCoverage:
         universe = [i for g in groups for i in g]
         unweighted = max_coverage_sample(universe, graph, 0.1, 1)
         assert unweighted.representatives == (groups[0][0],)
-        weights = {i: 1.0 for i in universe}
-        weights[groups[1][0]] = 100.0
+        weights = np.ones(len(universe))
+        weights[sorted(universe).index(groups[1][0])] = 100.0
         weighted = max_coverage_sample(universe, graph, 0.1, 1, weights)
         assert weighted.representatives == (groups[1][0],)
 
@@ -309,11 +313,11 @@ class TestMaxCoverage:
 class TestDataTypes:
     def test_candidate_set_requires_tags(self):
         with pytest.raises(ValueError, match="origin"):
-            CandidateSet(1, (1,), {1: frozenset()})
+            CandidateSet(1, np.array([1]), np.array([0], dtype=np.uint8))
 
     def test_candidate_set_rejects_unknown_tags(self):
         with pytest.raises(ValueError, match="unknown origin"):
-            CandidateSet(1, (1,), {1: frozenset({"psychic"})})
+            CandidateSet(1, np.array([1]), np.array([ORIGIN_CONTENT | 16], dtype=np.uint8))
 
     def test_coverage_plan_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):

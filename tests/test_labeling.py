@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+import requests
 
 from reviewfunnel.corpus import LabelRecord
 from reviewfunnel.funnel import CoveragePlan
@@ -74,22 +75,21 @@ class TestSimulatedOracle:
 
 class TestKnownStore:
     def test_first_writer_wins(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         store.add(oracle_rec(1))
         with pytest.raises(AlreadyLabeledError):
             store.add(oracle_rec(1, label=False))
 
     def test_index_sets(self):
-        store = KnownStore({1: 40, 2: 40, 3: 41})
+        store = KnownStore([1, 2, 3], accounts=[40, 40, 41])
         store.add(oracle_rec(1, True))
         store.add(seed_rec(2, False))
         assert store.reviewed_ids() == {1}
         assert store.positive_ids() == {1}
-        assert store.labeled_ids_by_account(40) == {1, 2}
-        assert store.labeled_ids_by_account(99) == set()
+        assert store.account_label_counts() == {40: (2, 1)}
 
     def test_staging_commit(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         store.add(seed_rec(1))
         store.begin_round()
         store.add(oracle_rec(2))
@@ -98,18 +98,40 @@ class TestKnownStore:
         assert [r.item_id for r in store.records()] == [1, 2]
 
     def test_staging_abort_restores_everything(self):
-        store = KnownStore({2: 7})
+        store = KnownStore([1, 2], accounts=[6, 7])
         store.add(seed_rec(1))
         store.begin_round()
         store.add(oracle_rec(2))
         store.abort_round()
         assert store.get(2) is None
         assert store.reviewed_ids() == set()
-        assert store.labeled_ids_by_account(7) == set()
+        assert store.account_label_counts() == {6: (1, 1)}
         assert [r.item_id for r in store.records()] == [1]
 
+    def test_abort_restores_arrays_counters_and_hash_map(self):
+        store = KnownStore([1, 2, 3], accounts=[40, 40, 41], hashes=[7, 7, 8])
+        store.add(seed_rec(1))
+        arrays = [a.copy() for a in (store.labels, store.reviewed, store.rounds,
+                                     store.account_labeled, store.account_positive)]
+        store.begin_round()
+        store.add(oracle_rec(2, True, round_no=1))
+        store.add(oracle_rec(3, False, round_no=1))
+        assert store.hash_match(store.positions([1, 2, 3])).tolist() == [1, 1, 2]
+        store.abort_round()
+        assert store.hash_match(store.positions([1, 2, 3])).tolist() == [-1, -1, -1]
+        for before, after in zip(arrays, (store.labels, store.reviewed, store.rounds,
+                                          store.account_labeled, store.account_positive)):
+            assert np.array_equal(before, after)
+        assert store.account_label_counts() == {40: (1, 1)}
+
+    def test_hash_match_is_lowest_reviewed(self):
+        store = KnownStore([1, 2, 3, 4], hashes=[5, 5, 5, 6])
+        for item_id in (3, 2, 4):
+            store.add(oracle_rec(item_id))
+        assert store.hash_match(store.positions([1, 2, 3, 4])).tolist() == [1, 1, 1, 3]
+
     def test_append_only_write_order(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         for item_id in (5, 3, 9):
             store.add(oracle_rec(item_id))
         assert [r.item_id for r in store.records()] == [5, 3, 9]
@@ -117,14 +139,14 @@ class TestKnownStore:
 
 class TestOracleLabel:
     def test_empty_plan(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         oracle = SimulatedOracle(1.0, 1.0, 0, {})
         plan = CoveragePlan((), {}, 4)
         assert oracle_label(plan, oracle, store, 1) == []
         assert oracle.cost_so_far == 0.0
 
     def test_perfect_oracle_on_planted_positive(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         oracle = SimulatedOracle(1.0, 1.0, 0, {3: True})
         plan = CoveragePlan((3,), {3: (3,)}, 1)
         (record,) = oracle_label(plan, oracle, store, 2)
@@ -134,7 +156,7 @@ class TestOracleLabel:
         assert store.get(3) == record
 
     def test_already_labeled_representative_is_a_bug(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         store.add(oracle_rec(3))
         oracle = SimulatedOracle(1.0, 1.0, 0, {3: True})
         plan = CoveragePlan((3,), {3: (3,)}, 1)
@@ -142,7 +164,7 @@ class TestOracleLabel:
             oracle_label(plan, oracle, store, 1)
 
     def test_cost_tracks_representatives(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         truth = {i: True for i in range(6)}
         oracle = SimulatedOracle(1.0, 1.0, 0, truth)
         plan = CoveragePlan((0, 1, 2), {0: (0,), 1: (1,), 2: (2,)}, 3)
@@ -164,14 +186,14 @@ class TestPropagation:
 
     def test_no_unlabeled_neighbors(self, rng):
         items, groups, graph = self.make_blob_graph(rng, [1, 1])
-        store = KnownStore()
+        store = KnownStore(graph.node_ids)
         record = oracle_rec(0)
         store.add(record)
         assert propagate_labels([record], graph, 0.1, store, 1) == []
 
     def test_planted_blob_fully_propagated(self, rng):
         items, (group,), graph = self.make_blob_graph(rng, [5])
-        store = KnownStore()
+        store = KnownStore(graph.node_ids)
         record = oracle_rec(0)
         store.add(record)
         propagated = propagate_labels([record], graph, 0.1, store, 1)
@@ -192,7 +214,7 @@ class TestPropagation:
         far_pos = [math.cos(0.4), -math.sin(0.4)]
         items = make_items([target, near_neg, far_pos])
         graph = build_graph(items, 0.5)
-        store = KnownStore()
+        store = KnownStore(graph.node_ids)
         neg = oracle_rec(1, label=False)
         pos = oracle_rec(2, label=True)
         store.add(neg)
@@ -211,7 +233,7 @@ class TestPropagation:
         items = make_items([target, neg, pos])
         graph = build_graph(items, 0.5)
         assert graph.distance(0, 1) == graph.distance(0, 2)
-        store = KnownStore()
+        store = KnownStore(graph.node_ids)
         neg_rec = oracle_rec(1, label=False)
         pos_rec = oracle_rec(2, label=True)
         store.add(neg_rec)
@@ -227,7 +249,7 @@ class TestPropagation:
         b = [math.cos(angle), -math.sin(angle)]
         items = make_items([target, a, b])
         graph = build_graph(items, 0.5)
-        store = KnownStore()
+        store = KnownStore(graph.node_ids)
         rec_a = oracle_rec(1, label=True)
         rec_b = oracle_rec(2, label=True)
         store.add(rec_a)
@@ -237,7 +259,7 @@ class TestPropagation:
 
     def test_dup_routed_targets_receive_known_label(self, rng):
         items, (group,), graph = self.make_blob_graph(rng, [3])
-        store = KnownStore()
+        store = KnownStore(graph.node_ids)
         known = oracle_rec(0, label=True, round_no=1)
         store.add(known)
         # a previous dedup stage matched item 2 against known item 0
@@ -256,7 +278,7 @@ class TestPropagation:
         items = make_items([a, b, c])
         graph = build_graph(items, 0.5)
         radius = cosine_distance(np.array(a), np.array(b)) + 0.01
-        store = KnownStore()
+        store = KnownStore(graph.node_ids)
         rec = oracle_rec(0)
         store.add(rec)
         propagated = propagate_labels([rec], graph, radius, store, 1)
@@ -271,15 +293,15 @@ class TestPropagation:
             source_item_id=5, distance_to_source=0.01,
         )
         with pytest.raises(ValueError, match="seed/oracle"):
-            propagate_labels([prop], graph, 0.1, KnownStore(), 1)
+            propagate_labels([prop], graph, 0.1, KnownStore(graph.node_ids), 1)
 
 
 class TestFeedbackSeeds:
     def test_empty_store(self):
-        assert feedback_seeds(KnownStore(), 3) == set()
+        assert feedback_seeds(KnownStore(range(10)), 3).tolist() == []
 
     def test_positives_of_any_provenance(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         store.add(oracle_rec(1, True))
         store.add(oracle_rec(2, True, round_no=2))
         for i, label in ((3, True), (4, True), (5, True)):
@@ -291,20 +313,20 @@ class TestFeedbackSeeds:
             )
         for i in (6, 7, 8, 9):
             store.add(oracle_rec(i, False, round_no=2))
-        assert feedback_seeds(store, 2) == {1, 2, 3, 4, 5}
+        assert feedback_seeds(store, 2).tolist() == [1, 2, 3, 4, 5]
 
     def test_round_cutoff(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         store.add(oracle_rec(1, True, round_no=1))
         store.add(oracle_rec(2, True, round_no=3))
-        assert feedback_seeds(store, 1) == {1}
-        assert feedback_seeds(store, 3) == {1, 2}
+        assert feedback_seeds(store, 1).tolist() == [1]
+        assert feedback_seeds(store, 3).tolist() == [1, 2]
 
     def test_unchanged_when_round_adds_no_positives(self):
-        store = KnownStore()
+        store = KnownStore(range(10))
         store.add(oracle_rec(1, True, round_no=1))
         store.add(oracle_rec(2, False, round_no=2))
-        assert feedback_seeds(store, 2) == feedback_seeds(store, 1)
+        assert np.array_equal(feedback_seeds(store, 2), feedback_seeds(store, 1))
 
 
 class _LabelerHandler(BaseHTTPRequestHandler):
@@ -374,3 +396,41 @@ class TestHttpOracle:
         oracle = HttpOracle(labeler_server, max_retries=1, backoff_base=0.01)
         with pytest.raises(RuntimeError, match="after retries"):
             oracle.label_batch([(4, None)])
+
+
+class _Reply:
+    def __init__(self, doc):
+        self.status_code, self._doc = 200, doc
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self._doc
+
+
+def answering(monkeypatch, verdicts_for):
+    """Route requests.post to ``verdicts_for(asked ids)``, with no network."""
+
+    def post(url, json, timeout):
+        asked = [item["item_id"] for item in json["items"]]
+        return _Reply({"verdicts": [{"item_id": i, "label": True} for i in verdicts_for(asked)]})
+
+    monkeypatch.setattr(requests, "post", post)
+
+
+class TestHttpOracleVerdicts:
+    def test_unasked_items_rejected(self, monkeypatch):
+        answering(monkeypatch, lambda asked: asked + [99])
+        with pytest.raises(RuntimeError, match=r"unasked items \[99\]"):
+            HttpOracle("http://127.0.0.1:9/label").label_batch([(1, None), (2, None)])
+
+    def test_duplicate_verdicts_rejected(self, monkeypatch):
+        answering(monkeypatch, lambda asked: asked + asked[:1])
+        with pytest.raises(RuntimeError, match=r"duplicate verdicts for \[1\]"):
+            HttpOracle("http://127.0.0.1:9/label").label_batch([(1, None), (2, None)])
+
+    def test_exact_answer_accepted(self, monkeypatch):
+        answering(monkeypatch, lambda asked: asked[::-1])
+        oracle = HttpOracle("http://127.0.0.1:9/label", batch_size=2)
+        assert oracle.label_batch([(i, None) for i in range(5)]) == [True] * 5

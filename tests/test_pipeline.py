@@ -2,8 +2,11 @@ import dataclasses
 import hashlib
 import json
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import requests
 
 from reviewfunnel.corpus import (
     ConfigError,
@@ -11,7 +14,8 @@ from reviewfunnel.corpus import (
     LabelRecord,
     generate_corpus,
 )
-from reviewfunnel.labeling import SimulatedOracle
+from reviewfunnel import pipeline
+from reviewfunnel.labeling import HttpOracle, SimulatedOracle, propagate_labels
 from reviewfunnel.pipeline import (
     ActorParams,
     MissingGroundTruthError,
@@ -177,18 +181,71 @@ class TestRunRound:
         assert report.recall == 1.0
         assert report.amplification == 6.0
 
+    def check_rollback(self, state, config, stage):
+        """Round 3 fails at ``stage`` and leaves the store as it found it."""
+        store = state.store
+        snapshot = list(store.records())
+        indexes = (store.reviewed_ids(), store.positive_ids(), store.account_label_counts())
+        with pytest.raises(StageError, match=f"round 3 stage {stage}"):
+            run_round(state, config, 3)
+        assert store.records() == snapshot
+        assert (store.reviewed_ids(), store.positive_ids(), store.account_label_counts()) == indexes
+        return snapshot
+
+    def check_rerun(self, items, state, config, snapshot):
+        """Round 3 rerun equals round 3 of a clean three-round run, so the
+        aborted round advanced no reach mask, counter or hash map."""
+        _, metrics = run_round(state, config, 3)
+        clean, clean_state = run_pipeline_detailed(items, small_config(rounds=3))
+        # cumulative recall is filled in by run_pipeline_detailed, not run_round
+        assert metrics.to_dict() == dict(clean.rounds[2].to_dict(), cumulative_recall=None)
+        assert state.store.records() == clean_state.store.records()
+        assert len(state.store.records()) > len(snapshot)
+
     def test_stage_failure_rolls_back_store(self, small_corpus):
         items, truth = small_corpus
         config = small_config(rounds=2)
         report, state = run_pipeline_detailed(items, config)
-        snapshot = list(state.store.records())
 
         class ExplodingOracle(SimulatedOracle):
             def _judge(self, batch):
                 raise RuntimeError("labeler offline")
 
-        state.oracle = ExplodingOracle(1.0, 1.0, 0, truth)
-        with pytest.raises(StageError, match="round 3 stage label"):
+        real_oracle, state.oracle = state.oracle, ExplodingOracle(1.0, 1.0, 0, truth)
+        snapshot = self.check_rollback(state, config, "label")
+        state.oracle = real_oracle
+        self.check_rerun(items, state, config, snapshot)
+
+    def test_propagate_failure_rolls_back_store(self, small_corpus, monkeypatch):
+        # the round's oracle and propagated records are staged before it fails
+        items, _ = small_corpus
+        config = small_config(rounds=2)
+        _, state = run_pipeline_detailed(items, config)
+
+        def propagate_then_fail(*args, **kwargs):
+            propagate_labels(*args, **kwargs)
+            raise RuntimeError("propagation interrupted")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "propagate_labels", propagate_then_fail)
+            snapshot = self.check_rollback(state, config, "propagate")
+        self.check_rerun(items, state, config, snapshot)
+
+    def test_http_oracle_extra_verdicts_roll_back(self, small_corpus, monkeypatch):
+        items, _ = small_corpus
+        config = small_config(rounds=2)
+        _, state = run_pipeline_detailed(items, config)
+        snapshot = state.store.records()
+
+        def post(url, json, timeout):
+            verdicts = [{"item_id": item["item_id"], "label": True} for item in json["items"]]
+            reply = SimpleNamespace(status_code=200, raise_for_status=lambda: None)
+            reply.json = lambda: {"verdicts": verdicts + [{"item_id": -5, "label": True}]}
+            return reply
+
+        monkeypatch.setattr(requests, "post", post)
+        state.oracle = HttpOracle("http://127.0.0.1:9/label")
+        with pytest.raises(StageError, match=r"round 3 stage label: .*unasked items \[-5\]"):
             run_round(state, config, 3)
         assert state.store.records() == snapshot
 

@@ -7,24 +7,40 @@ output on seeded random corpora, stores and candidate sets, in both graph
 modes.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from reviewfunnel.corpus import GeneratorConfig, LabelRecord, generate_corpus, ids_by_account
+from reviewfunnel.corpus import GeneratorConfig, LabelRecord, generate_corpus
 from reviewfunnel.funnel import (
+    ORIGIN_ACTOR,
     ORIGIN_CONTENT,
     ORIGIN_FEEDBACK,
+    ORIGIN_SCORE,
+    CandidateSet,
     CoveragePlan,
+    Reach,
     dedup_cross_round,
     dedup_intra_batch,
     expand_actor,
     expand_content,
     max_coverage_sample,
 )
-from reviewfunnel.labeling import KnownStore, propagate_labels
+from reviewfunnel.labeling import KnownStore, SimulatedOracle, propagate_labels
+from reviewfunnel.pipeline import (
+    ActorParams,
+    OracleParams,
+    PipelineConfig,
+    ScoreParams,
+    run_pipeline_detailed,
+    simulate_model_scores,
+)
 from reviewfunnel.simgraph import build_graph
 
-from conftest import csr_neighbors
+from conftest import csr_neighbors, make_items
 
 THETA_DUP, THETA_PROP, THETA_SIM = 0.05, 0.10, 0.25
 SEEDS = range(8)
@@ -155,6 +171,20 @@ def ref_propagate_labels(new_records, graph, theta_prop, store, round_no, dup_ro
     return out
 
 
+def new_store(items):
+    """An empty store over the items' ids, accounts and hashes."""
+    items = sorted(items, key=lambda it: it.item_id)
+    return KnownStore([it.item_id for it in items], [it.account_id for it in items],
+                      np.array([it.exact_hash for it in items], dtype=np.uint64))
+
+
+def tagged(reach, content):
+    """expand_content's ids with their feedback flags, as the reference's map."""
+    flags = reach.feedback[np.searchsorted(reach.index, content)]
+    return {i: {ORIGIN_CONTENT} | ({ORIGIN_FEEDBACK} if f else set())
+            for i, f in zip(content.tolist(), flags.tolist())}
+
+
 def scenario(seed):
     """A corpus, its graph, a partly labeled store and a candidate set."""
     rng = np.random.default_rng(seed)
@@ -164,7 +194,7 @@ def scenario(seed):
     mode = ("exact", "blocked")[seed % 2]
     graph = build_graph(items, THETA_SIM, mode, seed=seed)
     ids = np.array(sorted(it.item_id for it in items))
-    store = KnownStore({it.item_id: it.account_id for it in items})
+    store = new_store(items)
     labeled = rng.choice(ids, size=len(ids) // 3, replace=False).tolist()
     for item_id in labeled:
         provenance = "seed" if rng.random() < 0.2 else "oracle"
@@ -178,18 +208,23 @@ def test_expand_content(seed):
     rng, _, graph, store, _ = scenario(seed)
     sources = sorted(store.positive_ids())
     for feedback in ([], sources[::3], sources):
-        got = expand_content(graph, set(sources), THETA_SIM, set(feedback))
-        assert got == ref_expand_content(graph, set(sources), THETA_SIM, set(feedback))
+        want = ref_expand_content(graph, set(sources), THETA_SIM, set(feedback))
+        reach = Reach(store.ids)
+        got = tagged(reach, expand_content(graph, reach, set(sources), THETA_SIM, set(feedback)))
+        assert got == want
         assert list(got) == sorted(got)
-    assert expand_content(graph, [], THETA_SIM) == {}
+        # the same reach grown in two steps: only the new sources are gathered
+        reach = Reach(store.ids)
+        expand_content(graph, reach, sources[1::2], THETA_SIM, feedback)
+        assert tagged(reach, expand_content(graph, reach, sources, THETA_SIM, feedback)) == want
+    assert expand_content(graph, Reach(store.ids), [], THETA_SIM).tolist() == []
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_expand_actor(seed):
     _, items, _, store, _ = scenario(seed)
-    accounts = ids_by_account(items)
     for min_positives, min_rate in ((1, 0.3), (2, 0.5), (3, 0.8), (1, 1.0)):
-        assert expand_actor(store, accounts, min_positives, min_rate) == ref_expand_actor(
+        assert set(expand_actor(store, min_positives, min_rate).tolist()) == ref_expand_actor(
             items, store, min_positives, min_rate
         )
 
@@ -198,19 +233,42 @@ def test_expand_actor(seed):
 def test_dedup_cross_round(seed):
     _, items, graph, store, candidates = scenario(seed)
     index = {it.item_id: it for it in items}
-    got = dedup_cross_round(candidates, store, graph, THETA_DUP, index)
-    assert got == ref_dedup_cross_round(candidates, store, graph, THETA_DUP, index)
-    assert got[1], "the scenario should route some candidates"
-    assert list(got[1]) == sorted(got[1])
+    want = ref_dedup_cross_round(candidates, store, graph, THETA_DUP, index)
+    kept, routed = dedup_cross_round(candidates, store, graph, THETA_DUP, Reach(store.ids))
+    assert (set(kept.tolist()), routed) == want
+    assert routed, "the scenario should route some candidates"
+    assert list(routed) == sorted(routed)
+    # one reach over a store that grows: it absorbs only the new reviews
+    grown, reach = new_store(items), Reach(store.ids)
+    records = store.records()
+    for part in (records[: len(records) // 2], records[len(records) // 2 :]):
+        for record in part:
+            grown.add(record)
+        kept, routed = dedup_cross_round(candidates, grown, graph, THETA_DUP, reach)
+        assert (set(kept.tolist()), routed) == ref_dedup_cross_round(
+            candidates, grown, graph, THETA_DUP, index)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dedup_intra_batch(seed):
     _, _, graph, _, candidates = scenario(seed)
     for radius in (0.0, THETA_DUP, THETA_PROP, THETA_SIM):
-        got = dedup_intra_batch(candidates, graph, radius)
-        assert got == ref_dedup_intra_batch(candidates, graph, radius)
-    assert got[1], "the scenario should collapse some candidates"
+        kept, dup_of = dedup_intra_batch(candidates, graph, radius)
+        assert (set(kept.tolist()), dup_of) == ref_dedup_intra_batch(candidates, graph, radius)
+    assert dup_of, "the scenario should collapse some candidates"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dedup_intra_batch_overlapping(seed):
+    # random 3-d directions: neighbourhoods overlap in chains, and an item
+    # often has several kept lower-id neighbours
+    rng = np.random.default_rng(seed)
+    items = make_items(rng.standard_normal((150, 3)))
+    graph = build_graph(items, THETA_SIM, ("exact", "blocked")[seed % 2], seed=seed)
+    candidates = rng.choice(150, size=120, replace=False).tolist()
+    for radius in (THETA_DUP, THETA_PROP, THETA_SIM):
+        kept, dup_of = dedup_intra_batch(candidates, graph, radius)
+        assert (set(kept.tolist()), dup_of) == ref_dedup_intra_batch(candidates, graph, radius)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -220,8 +278,10 @@ def test_max_coverage_sample(seed):
     # arbitrary floats make the gain sums order-sensitive
     noisy = {i: float(rng.random() * 10) for i in candidates}
     for weights in (None, impressions, noisy):
+        aligned = None if weights is None else np.array(
+            [weights.get(i, 0.0) for i in sorted(set(candidates))])
         for k in (0, 1, 7, len(candidates)):
-            got = max_coverage_sample(candidates, graph, THETA_PROP, k, weights)
+            got = max_coverage_sample(candidates, graph, THETA_PROP, k, aligned)
             assert got == ref_max_coverage_sample(candidates, graph, THETA_PROP, k, weights)
 
 
@@ -242,3 +302,133 @@ def test_propagate_labels(seed):
     want = ref_propagate_labels(new_records, graph, THETA_PROP, stores[1], 1, routed)
     assert got == want and got
     assert stores[0].records() == stores[1].records()
+
+
+class DictStore:
+    """A plain id-keyed label store for the from-scratch campaign."""
+
+    def __init__(self, records):
+        self.by_id = {}
+        for record in records:
+            self.add(record)
+
+    def __contains__(self, item_id):
+        return item_id in self.by_id
+
+    def get(self, item_id):
+        return self.by_id.get(item_id)
+
+    def add(self, record):
+        assert record.item_id not in self.by_id
+        self.by_id[record.item_id] = record
+
+    def reviewed_ids(self):
+        return {i for i, r in self.by_id.items() if r.provenance == "oracle"}
+
+
+def audit(round_no, *stages):
+    return [{"round": round_no, "stage": name, "in": n_in, "out": n_out,
+             "removed_reason_counts": removed} for name, n_in, n_out, removed in stages]
+
+
+def ref_campaign(items, truth, graph, config, bootstrap):
+    """Every round of a campaign, each stage recomputed from scratch by the
+    references above: (candidate tags, audit entries, records) per round."""
+    index = {it.item_id: it for it in items}
+    store = DictStore(bootstrap)
+    oracle = SimulatedOracle(config.oracle.tpr, config.oracle.tnr, config.oracle.seed, truth)
+    scored = set()
+    if config.score is not None:
+        scores = simulate_model_scores(truth, config.score)
+        scored = {i for i, score in scores.items() if score > config.score.tau}
+    rounds = []
+    for round_no in range(1, config.rounds + 1):
+        seeds = {i for i, r in store.by_id.items() if r.label and r.round <= round_no - 1}
+        surfaced = {i for i in seeds if store.get(i).round > 0}
+        tags = ref_expand_content(graph, seeds, config.theta_sim, surfaced)
+        actor = ref_expand_actor(items, store, config.actor.min_positives, config.actor.min_rate)
+        for channel, ids in ((ORIGIN_ACTOR, actor), (ORIGIN_SCORE, scored)):
+            for i in ids:
+                tags.setdefault(i, set()).add(channel)
+        kept, routed = ref_dedup_cross_round(tags, store, graph, config.theta_dup, index)
+        labeled = {c for c in kept if c in store}
+        inactive = {c for c in kept - labeled if index[c].impressions == 0}
+        eligible = kept - labeled - inactive
+        unique, dup_of = ref_dedup_intra_batch(eligible, graph, config.theta_dup)
+        weights = ({i: float(index[i].impressions) for i in unique}
+                   if config.impression_weighted_sampling else None)
+        plan = ref_max_coverage_sample(unique, graph, config.theta_prop,
+                                       config.budget_per_round, weights)
+        reps = plan.representatives
+        verdicts = oracle.label_batch([(i, None) for i in reps]) if reps else []
+        reviews = [LabelRecord(i, v, "oracle", round_no) for i, v in zip(reps, verdicts)]
+        for record in reviews:
+            store.add(record)
+        propagated = ref_propagate_labels(reviews, graph, config.theta_prop, store, round_no,
+                                          routed)
+        stages = audit(
+            round_no,
+            ("select", 0, len(tags), {}),
+            ("dedup_cross_round", len(tags), len(kept), {"dup": len(routed)}),
+            ("filter_eligible", len(kept), len(eligible),
+             {"inactive": len(inactive), "labeled": len(labeled)}),
+            ("dedup_intra_batch", len(eligible), len(unique), {"dup": len(dup_of)}),
+            ("sample", len(unique), len(reps), {"unsampled": len(unique) - len(reps)}),
+            ("label", len(reps), len(reviews), {}),
+            ("propagate", len(reviews), len(propagated), {}),
+        )
+        rounds.append((tags, stages, reviews + propagated))
+    return rounds
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    corpus_seed=st.integers(0, 2**16),
+    n_clusters=st.integers(3, 25),
+    dim=st.sampled_from([3, 4, 8, 16]),
+    noise=st.sampled_from([0.05, 0.12, 0.2]),
+    n_accounts=st.integers(1, 10),
+    mode=st.sampled_from(["exact", "blocked"]),
+    score=st.one_of(st.none(), st.builds(
+        ScoreParams, tau=st.sampled_from([0.5, 0.8]), flip_rate=st.sampled_from([0.0, 0.2]),
+        seed=st.integers(0, 9))),
+    weighted=st.booleans(),
+    rounds=st.integers(1, 8),
+    budget=st.integers(0, 6),
+    bootstrap=st.integers(0, 5),
+    actor=st.builds(ActorParams, min_positives=st.integers(1, 3),
+                    min_rate=st.sampled_from([0.3, 0.6, 1.0])),
+    oracle_seed=st.integers(0, 9),
+)
+def test_campaign_matches_stages_from_scratch(corpus_seed, n_clusters, dim, noise, n_accounts,
+                                              mode, score, weighted, rounds, budget, bootstrap,
+                                              actor, oracle_seed):
+    items, truth = generate_corpus(GeneratorConfig(
+        n_clusters=n_clusters, cluster_size_mean=6, embedding_dim=dim, noise_sigma=noise,
+        positive_cluster_rate=0.4, n_accounts=n_accounts, rng_seed=corpus_seed))
+    config = PipelineConfig(
+        rounds=rounds, budget_per_round=budget, bootstrap_seeds=bootstrap, graph_mode=mode,
+        oracle=OracleParams(tpr=0.9, tnr=0.85, seed=oracle_seed), actor=actor, score=score,
+        impression_weighted_sampling=weighted, graph_seed=corpus_seed)
+    graph = build_graph(items, config.theta_sim, mode, seed=corpus_seed)
+    candidate_sets = []
+
+    def capture(round_no, channels):
+        candidate_sets.append(from_channels(round_no, channels))
+        return candidate_sets[-1]
+
+    from_channels = CandidateSet.from_channels
+    with mock.patch.object(CandidateSet, "from_channels", capture):
+        report, state = run_pipeline_detailed(items, config, graph=graph)
+    records = state.store.records()
+    bootstrap_records = [r for r in records if r.round == 0]
+    want = ref_campaign(items, truth, graph, config, bootstrap_records)
+    for round_no, (tags, stages, new_records) in enumerate(want, start=1):
+        candidates = candidate_sets[round_no - 1]
+        got_tags = {i: {bit for bit in (ORIGIN_CONTENT, ORIGIN_ACTOR, ORIGIN_SCORE,
+                                        ORIGIN_FEEDBACK) if bits & bit}
+                    for i, bits in zip(candidates.ids.tolist(), candidates.origin.tolist())}
+        assert got_tags == tags
+        assert report.rounds[round_no - 1].to_dict()["stages"] == stages
+        assert [r for r in records if r.round == round_no] == new_records
