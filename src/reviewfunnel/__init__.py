@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .corpus import (
     ConfigError,
+    Corpus,
     FormatError,
     GeneratorConfig,
     Item,
@@ -35,6 +36,7 @@ from .simgraph import SimilarityGraph, build_graph, cosine_distance
 __all__ = [
     "CandidateSet",
     "ConfigError",
+    "Corpus",
     "CoveragePlan",
     "FormatError",
     "GeneratorConfig",

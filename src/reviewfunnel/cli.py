@@ -20,9 +20,7 @@ from . import __version__
 from .corpus import (
     ConfigError,
     GeneratorConfig,
-    corpus_content_hash,
     generate_corpus_detailed,
-    ground_truth_of,
     load_corpus,
     save_corpus,
     save_labels,
@@ -139,15 +137,15 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def cmd_generate(args) -> int:
     cfg = generator_config_from_doc(_load_json(args.config))
-    items, truth, clusters = generate_corpus_detailed(cfg)
-    save_corpus(items, args.out)
-    positives = sum(1 for v in truth.values() if v)
-    rate = positives / len(items) if items else 0.0
+    corpus, truth, clusters = generate_corpus_detailed(cfg)
+    save_corpus(corpus, args.out)
+    positives = sum(truth.values())
+    rate = positives / len(corpus) if len(corpus) else 0.0
     dup_pairs = sum(
         (len(c.dup_ids) + 1) * len(c.dup_ids) // 2 for c in clusters
     )
     print(
-        f"generated {len(items)} items in {len(clusters)} clusters; "
+        f"generated {len(corpus)} items in {len(clusters)} clusters; "
         f"positive rate {rate:.4f}; near-duplicate pairs {dup_pairs}"
     )
     return EXIT_OK
@@ -177,13 +175,13 @@ def _resolve_run_inputs(args) -> tuple[PipelineConfig, str, dict | None]:
 
 def cmd_run(args) -> int:
     config, corpus_path, recorded = _resolve_run_inputs(args)
-    items = load_corpus(corpus_path)
-    content_hash = corpus_content_hash(items)
+    corpus = load_corpus(corpus_path)
+    content_hash = corpus.content_hash
     if recorded is not None and (
-        recorded.get("content_hash") != content_hash or recorded.get("items") != len(items)
+        recorded.get("content_hash") != content_hash or recorded.get("items") != len(corpus)
     ):
         raise ConfigError(
-            f"corpus {corpus_path} ({len(items)} items, hash {content_hash}) differs from "
+            f"corpus {corpus_path} ({len(corpus)} items, hash {content_hash}) differs from "
             f"the manifest's ({recorded.get('items')} items, hash {recorded.get('content_hash')})"
         )
     out_dir = Path(args.out)
@@ -200,7 +198,7 @@ def cmd_run(args) -> int:
         "corpus": {
             "path": str(corpus_path),
             "content_hash": content_hash,
-            "items": len(items),
+            "items": len(corpus),
         },
         "config": pipeline_config_to_doc(config),
         "outputs": {
@@ -213,7 +211,8 @@ def cmd_run(args) -> int:
     _write_json(manifest_path, manifest)
 
     try:
-        report, state = run_pipeline_detailed(items, config)
+        # looked up in the module at call time, so callers can wrap it
+        report, state = run_pipeline_detailed(corpus, config)
         _write_text(out_dir / METRICS_NAME, report.to_json() + "\n")
         _write_atomic(out_dir / LABELS_NAME, lambda tmp: save_labels(state.store.records(), tmp))
         _write_text(out_dir / AUDIT_NAME, "".join(
@@ -245,7 +244,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    items = load_corpus(args.corpus)
+    corpus = load_corpus(args.corpus)
     if args.budget is None:
         raise ConfigError("--budget is required")
     oracle_params = OracleParams()
@@ -254,15 +253,14 @@ def cmd_baseline(args) -> int:
         if doc.get("kind") == "run_manifest":
             doc = doc["config"]
         oracle_params = pipeline_config_from_doc(doc).oracle
-    truth = ground_truth_of(items)
     oracle = SimulatedOracle(
         oracle_params.tpr,
         oracle_params.tnr,
         oracle_params.seed,
-        truth,
+        corpus.truth_map(),
         oracle_params.unit_cost,
     )
-    report = run_random_baseline(items, args.budget, oracle, args.trials, args.seed)
+    report = run_random_baseline(corpus, args.budget, oracle, args.trials, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_text(out_dir / METRICS_NAME, report.to_json() + "\n")

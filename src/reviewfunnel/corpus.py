@@ -1,5 +1,7 @@
 """Core data model, synthetic corpus generation, and JSON Lines persistence.
 
+A corpus is one set of columns (``Corpus``), built once by the generator or
+the loader and read as columns by every layer; ``Item`` is its row view.
 Synthetic corpora are built from planted clusters: each cluster has a seed
 item, a fraction of near-duplicate members hugging the seed, and looser
 members spread around it. Ground truth is generated alongside the items but
@@ -13,7 +15,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,6 +32,7 @@ _HASH_QUANTUM = 1e-6
 
 _LABEL_STORE_HEADER = {"kind": "label_store", "schema_version": 1}
 
+# The corpus file's fields: Item's fields in order, and so the Corpus columns'.
 _ITEM_FIELDS = (
     "item_id",
     "embedding",
@@ -66,7 +71,7 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Item:
-    """One reviewable content unit.
+    """One reviewable content unit: a row of a ``Corpus``, or input to ``Corpus.of``.
 
     ``ground_truth`` is populated only for synthetic corpora and must never be
     read by funnel logic; it exists so corpora round-trip through files.
@@ -192,43 +197,130 @@ def normalize_embedding(vector) -> np.ndarray:
 
 def embedding_fingerprint(embedding: np.ndarray) -> int:
     """64-bit content fingerprint of the embedding quantized to 1e-6."""
-    quantized = np.round(np.asarray(embedding, dtype=np.float64) / _HASH_QUANTUM)
-    digest = hashlib.blake2b(quantized.astype(np.int64).tobytes(), digest_size=8)
-    return int.from_bytes(digest.digest(), "little")
+    return _fingerprints(np.asarray(embedding, dtype=np.float64)[None, :])[0]
 
 
-def corpus_content_hash(items: Iterable[Item]) -> str:
-    """Stable hex digest of a corpus, independent of file formatting."""
-    h = hashlib.blake2b(digest_size=16)
-    for item in items:
-        gt = 2 if item.ground_truth is None else int(item.ground_truth)
-        h.update(
-            b"%d,%d,%d,%d,%d,%d;"
-            % (item.item_id, item.exact_hash, item.account_id,
-               item.impressions, item.created_round, gt)
+def _fingerprints(rows: np.ndarray) -> list[int]:
+    quantized = np.round(rows / _HASH_QUANTUM).astype(np.int64)
+    return [
+        int.from_bytes(hashlib.blake2b(q.tobytes(), digest_size=8).digest(), "little")
+        for q in quantized
+    ]
+
+
+_COLUMN_DTYPES = {
+    "ids": np.int64, "embeddings": np.float64, "accounts": np.int64, "impressions": np.int64,
+    "hashes": np.uint64, "created_rounds": np.int64, "truth": np.int8,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A corpus as read-only columns, one row per item in ascending id order.
+
+    ``embeddings`` is the (n, d) matrix; ``truth`` is 1 or 0 where ground
+    truth is known and -1 where it is not, and like ``Item.ground_truth`` is
+    read only by the oracle and the evaluator. The constructor sorts the rows
+    by id when they are not sorted and rejects a repeated id. An int index
+    and iteration give ``Item`` row views; a slice gives a Corpus.
+    """
+
+    ids: np.ndarray
+    embeddings: np.ndarray
+    accounts: np.ndarray
+    impressions: np.ndarray
+    hashes: np.ndarray
+    created_rounds: np.ndarray
+    truth: np.ndarray
+
+    def __post_init__(self):
+        cols = {
+            name: np.asarray(getattr(self, name), dtype)
+            for name, dtype in _COLUMN_DTYPES.items()
+        }
+        ids = cols["ids"]
+        if np.any(ids[1:] <= ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            cols = {name: col[order] for name, col in cols.items()}
+            ids = cols["ids"]
+            repeated = ids[1:][ids[1:] == ids[:-1]]
+            if len(repeated):
+                raise ValueError(f"duplicate item_id {repeated[0]}")
+        if cols["embeddings"].ndim != 2:
+            raise ValueError("embeddings must be an (n, d) matrix")
+        for name, col in cols.items():
+            if len(col) != len(ids):
+                raise ValueError(f"column {name} has {len(col)} rows for {len(ids)} ids")
+            col = col.view()
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def of(cls, items: Iterable[Item]) -> Corpus:
+        """``items`` itself if it is a Corpus, else the Corpus of those Items."""
+        if isinstance(items, Corpus):
+            return items
+        return cls._of_rows(list(map(attrgetter(*_ITEM_FIELDS), items)))
+
+    @classmethod
+    def _of_rows(cls, rows: list[tuple]) -> Corpus:
+        """The Corpus of rows of Item field values, in Item field order."""
+        if not rows:
+            return cls([], np.empty((0, 0)), [], [], [], [], [])
+        ids, embeddings, *counts, truth = zip(*rows)
+        truth = [-1 if known is None else known for known in truth]
+        return cls(ids, np.stack(embeddings), *counts, truth)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        cols = [getattr(self, name)[key] for name in _COLUMN_DTYPES]
+        if isinstance(key, slice):
+            return Corpus(*cols)
+        item_id, embedding, *counts, truth = cols
+        return Item(int(item_id), embedding, *map(int, counts), None if truth < 0 else bool(truth))
+
+    def __iter__(self) -> Iterator[Item]:
+        return (self[k] for k in range(len(self)))
+
+    @cached_property
+    def content_hash(self) -> str:
+        """Stable hex digest of the rows, independent of file formatting and order."""
+        rows = zip(
+            self.ids.tolist(), self.hashes.tolist(), self.accounts.tolist(),
+            self.impressions.tolist(), self.created_rounds.tolist(),
+            np.where(self.truth < 0, 2, self.truth).tolist(),
         )
-    return h.hexdigest()
+        h = hashlib.blake2b(digest_size=16)
+        h.update(b"".join(b"%d,%d,%d,%d,%d,%d;" % row for row in rows))
+        return h.hexdigest()
+
+    def truth_map(self) -> dict[int, bool]:
+        """Ground truth by id, for the items that carry it."""
+        known = self.truth >= 0
+        return dict(zip(self.ids[known].tolist(), (self.truth[known] == 1).tolist()))
 
 
-def generate_corpus(cfg: GeneratorConfig) -> tuple[list[Item], dict[int, bool]]:
+def generate_corpus(cfg: GeneratorConfig) -> tuple[Corpus, dict[int, bool]]:
     """Generate a clustered synthetic corpus and its hidden ground truth."""
-    items, truth, _ = generate_corpus_detailed(cfg)
-    return items, truth
+    corpus, truth, _ = generate_corpus_detailed(cfg)
+    return corpus, truth
 
 
 def generate_corpus_detailed(
     cfg: GeneratorConfig,
-) -> tuple[list[Item], dict[int, bool], list[ClusterInfo]]:
+) -> tuple[Corpus, dict[int, bool], list[ClusterInfo]]:
     """Like generate_corpus, but also returns the planted cluster layout.
 
     Deterministic for a fixed ``rng_seed``. Cluster sizes are 1 + Poisson
     draws so the mean matches ``cluster_size_mean`` exactly; the number of
     positive clusters is pinned to round(rate * n_clusters) so the realized
-    positive fraction tracks the configured rate.
+    positive fraction tracks the configured rate. Item ids count up from 0.
     """
     cfg.validate()
     if cfg.n_clusters == 0:
-        return [], {}, []
+        return Corpus.of([]), {}, []
 
     rng = np.random.default_rng(cfg.rng_seed)
     d = cfg.embedding_dim
@@ -241,8 +333,7 @@ def generate_corpus_detailed(
     # Positive items concentrate on a shrinking account pool as skew -> 1.
     positive_pool = max(1, int(round((1.0 - cfg.account_skew) * cfg.n_accounts)))
 
-    items: list[Item] = []
-    truth: dict[int, bool] = {}
+    blocks, accounts, impressions, truth = [], [], [], []
     clusters: list[ClusterInfo] = []
     next_id = 0
     for cluster_idx, size in enumerate(sizes.tolist()):
@@ -250,11 +341,13 @@ def generate_corpus_detailed(
         dup_flags = rng.random(size - 1) < cfg.dup_fraction
         noise = rng.standard_normal((size - 1, d))
         positive = cluster_idx in positive_clusters
-        accounts = rng.integers(
-            0, positive_pool if positive else cfg.n_accounts, size=size
+        accounts.append(
+            rng.integers(0, positive_pool if positive else cfg.n_accounts, size=size)
         )
-        impressions = rng.geometric(1.0 / _IMPRESSION_MEAN, size=size)
-        impressions[rng.random(size) < cfg.inactive_rate] = 0
+        shown = rng.geometric(1.0 / _IMPRESSION_MEAN, size=size)
+        shown[rng.random(size) < cfg.inactive_rate] = 0
+        impressions.append(shown)
+        truth.append(np.full(size, positive, dtype=np.int8))
 
         sigma = np.where(dup_flags, cfg.dup_sigma, cfg.noise_sigma)
         block = np.empty((size, d))
@@ -262,57 +355,35 @@ def generate_corpus_detailed(
         if size > 1:
             block[1:] = center[None, :] + sigma[:, None] * noise
         block /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
+        blocks.append(block)
 
-        seed_id = next_id
-        member_ids = []
-        dup_ids = []
-        for row in range(size):
-            item_id = next_id
-            next_id += 1
-            items.append(
-                Item(
-                    item_id=item_id,
-                    embedding=block[row].copy(),
-                    account_id=int(accounts[row]),
-                    impressions=int(impressions[row]),
-                    exact_hash=embedding_fingerprint(block[row]),
-                    created_round=0,
-                    ground_truth=positive,
-                )
-            )
-            truth[item_id] = positive
-            if row > 0:
-                member_ids.append(item_id)
-                if dup_flags[row - 1]:
-                    dup_ids.append(item_id)
-        clusters.append(
-            ClusterInfo(
-                seed_id=seed_id,
-                member_ids=tuple(member_ids),
-                dup_ids=tuple(dup_ids),
-                positive=positive,
-            )
-        )
-    return items, truth, clusters
+        members = range(next_id + 1, next_id + size)
+        dups = tuple(i for i, dup in zip(members, dup_flags.tolist()) if dup)
+        clusters.append(ClusterInfo(next_id, tuple(members), dups, positive))
+        next_id += size
+    emb = np.concatenate(blocks)
+    corpus = Corpus(
+        np.arange(next_id), emb, np.concatenate(accounts), np.concatenate(impressions),
+        _fingerprints(emb), np.zeros(next_id, dtype=np.int64), np.concatenate(truth),
+    )
+    return corpus, corpus.truth_map(), clusters
 
 
-def _item_to_json(item: Item) -> str:
-    doc = {
-        "item_id": item.item_id,
-        "embedding": item.embedding.tolist(),
-        "account_id": item.account_id,
-        "impressions": item.impressions,
-        "exact_hash": str(item.exact_hash),
-        "created_round": item.created_round,
-        "ground_truth": item.ground_truth,
-    }
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def save_corpus(items: Iterable[Item], path) -> None:
+def save_corpus(corpus: Iterable[Item], path) -> None:
+    """Write a corpus as JSON Lines, one object per item in ascending id order."""
+    corpus = Corpus.of(corpus)
+    rows = zip(
+        corpus.ids.tolist(),
+        (embedding.tolist() for embedding in corpus.embeddings),
+        corpus.accounts.tolist(),
+        corpus.impressions.tolist(),
+        map(str, corpus.hashes.tolist()),
+        corpus.created_rounds.tolist(),
+        [None if truth < 0 else bool(truth) for truth in corpus.truth.tolist()],
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(_item_to_json(item) + "\n")
+        for row in rows:
+            fh.write(json.dumps(dict(zip(_ITEM_FIELDS, row)), separators=(",", ":")) + "\n")
 
 
 def _require_int(doc: dict, key: str, line: int, minimum: int = 0) -> int:
@@ -324,35 +395,47 @@ def _require_int(doc: dict, key: str, line: int, minimum: int = 0) -> int:
     return value
 
 
-def load_corpus(path) -> list[Item]:
-    """Load a JSON Lines corpus, re-normalizing embeddings on ingestion."""
-    items: list[Item] = []
+def _read_records(lines, fields: tuple[str, ...], first_line: int = 1):
+    """(line number, item_id, object) of each non-blank JSON Lines record.
+
+    Every record must be a JSON object with exactly ``fields``, among them
+    an ``item_id`` that no earlier record has.
+    """
+    expected = set(fields)
     seen: dict[int, int] = {}
-    dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON ({exc.msg})", line_no) from exc
-            if not isinstance(doc, dict):
-                raise FormatError("record must be a JSON object", line_no)
-            unknown = set(doc) - set(_ITEM_FIELDS)
+    for line_no, raw in enumerate(lines, start=first_line):
+        if not raw or raw.isspace():
+            continue
+        try:
+            doc = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"invalid JSON ({exc.msg})", line_no) from exc
+        if not isinstance(doc, dict):
+            raise FormatError("record must be a JSON object", line_no)
+        if doc.keys() != expected:
+            unknown = doc.keys() - expected
             if unknown:
                 raise FormatError(f"unknown field {sorted(unknown)[0]!r}", line_no)
-            missing = set(_ITEM_FIELDS) - set(doc)
-            if missing:
-                raise FormatError(f"missing field {sorted(missing)[0]!r}", line_no)
+            raise FormatError(f"missing field {sorted(expected - doc.keys())[0]!r}", line_no)
+        item_id = _require_int(doc, "item_id", line_no)
+        if item_id in seen:
+            raise FormatError(
+                f"duplicate item_id {item_id} (first on line {seen[item_id]})", line_no
+            )
+        seen[item_id] = line_no
+        yield line_no, item_id, doc
 
-            item_id = _require_int(doc, "item_id", line_no)
-            if item_id in seen:
-                raise FormatError(
-                    f"duplicate item_id {item_id} (first on line {seen[item_id]})",
-                    line_no,
-                )
+
+def load_corpus(path) -> Corpus:
+    """Load a JSON Lines corpus, re-normalizing embeddings on ingestion.
+
+    Rows are sorted by id, so neither the file's formatting nor its line
+    order changes the corpus or its content hash.
+    """
+    rows: list[tuple] = []
+    dim: int | None = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, item_id, doc in _read_records(fh, _ITEM_FIELDS):
             embedding = doc["embedding"]
             if not isinstance(embedding, list) or not embedding:
                 raise FormatError("field embedding must be a non-empty array", line_no)
@@ -365,7 +448,7 @@ def load_corpus(path) -> list[Item]:
                 )
             try:
                 vector = normalize_embedding(embedding)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise FormatError(str(exc), line_no) from exc
             exact_hash = doc["exact_hash"]
             if not isinstance(exact_hash, str) or not exact_hash.isdigit():
@@ -376,19 +459,16 @@ def load_corpus(path) -> list[Item]:
             ground_truth = doc["ground_truth"]
             if ground_truth is not None and not isinstance(ground_truth, bool):
                 raise FormatError("field ground_truth must be a boolean or null", line_no)
-            items.append(
-                Item(
-                    item_id=item_id,
-                    embedding=vector,
-                    account_id=_require_int(doc, "account_id", line_no),
-                    impressions=_require_int(doc, "impressions", line_no),
-                    exact_hash=hash_value,
-                    created_round=_require_int(doc, "created_round", line_no),
-                    ground_truth=ground_truth,
-                )
-            )
-            seen[item_id] = line_no
-    return items
+            rows.append((
+                item_id,
+                vector,
+                _require_int(doc, "account_id", line_no),
+                _require_int(doc, "impressions", line_no),
+                hash_value,
+                _require_int(doc, "created_round", line_no),
+                ground_truth,
+            ))
+    return Corpus._of_rows(rows)
 
 
 def save_labels(records: Iterable[LabelRecord], path) -> None:
@@ -410,76 +490,34 @@ def save_labels(records: Iterable[LabelRecord], path) -> None:
 def load_labels(path) -> list[LabelRecord]:
     """Load a label store; order-preserving inverse of save_labels."""
     records: list[LabelRecord] = []
-    seen: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise FormatError("missing label store header", 1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON ({exc.msg})", 1) from exc
-    if header != _LABEL_STORE_HEADER:
-        raise FormatError("unrecognized label store header", 1)
-    for line_no, raw in enumerate(lines[1:], start=2):
-        raw = raw.strip()
-        if not raw:
-            continue
+        header = fh.readline()
+        if not header:
+            raise FormatError("missing label store header", 1)
         try:
-            doc = json.loads(raw)
+            header = json.loads(header)
         except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON ({exc.msg})", line_no) from exc
-        if not isinstance(doc, dict):
-            raise FormatError("record must be a JSON object", line_no)
-        unknown = set(doc) - set(_LABEL_FIELDS)
-        if unknown:
-            raise FormatError(f"unknown field {sorted(unknown)[0]!r}", line_no)
-        missing = set(_LABEL_FIELDS) - set(doc)
-        if missing:
-            raise FormatError(f"missing field {sorted(missing)[0]!r}", line_no)
-        if not isinstance(doc["label"], bool):
-            raise FormatError("field label must be a boolean", line_no)
-        item_id = _require_int(doc, "item_id", line_no)
-        if item_id in seen:
-            raise FormatError(
-                f"duplicate item_id {item_id} (first on line {seen[item_id]})", line_no
-            )
-        distance = doc["distance_to_source"]
-        if distance is not None and not isinstance(distance, (int, float)):
-            raise FormatError("field distance_to_source must be a number", line_no)
-        source = doc["source_item_id"]
-        if source is not None and (not isinstance(source, int) or isinstance(source, bool)):
-            raise FormatError("field source_item_id must be an integer", line_no)
-        try:
-            record = LabelRecord(
-                item_id=item_id,
-                label=doc["label"],
-                provenance=doc["provenance"] if isinstance(doc["provenance"], str) else "",
-                round=_require_int(doc, "round", line_no),
-                source_item_id=source,
-                distance_to_source=float(distance) if distance is not None else None,
-            )
-        except ValueError as exc:
-            raise FormatError(str(exc), line_no) from exc
-        records.append(record)
-        seen[item_id] = line_no
+            raise FormatError(f"invalid JSON ({exc.msg})", 1) from exc
+        if header != _LABEL_STORE_HEADER:
+            raise FormatError("unrecognized label store header", 1)
+        for line_no, item_id, doc in _read_records(fh, _LABEL_FIELDS, first_line=2):
+            if not isinstance(doc["label"], bool):
+                raise FormatError("field label must be a boolean", line_no)
+            distance = doc["distance_to_source"]
+            if distance is not None and not isinstance(distance, (int, float)):
+                raise FormatError("field distance_to_source must be a number", line_no)
+            source = doc["source_item_id"]
+            if source is not None and (not isinstance(source, int) or isinstance(source, bool)):
+                raise FormatError("field source_item_id must be an integer", line_no)
+            try:
+                records.append(LabelRecord(
+                    item_id=item_id,
+                    label=doc["label"],
+                    provenance=doc["provenance"] if isinstance(doc["provenance"], str) else "",
+                    round=_require_int(doc, "round", line_no),
+                    source_item_id=source,
+                    distance_to_source=float(distance) if distance is not None else None,
+                ))
+            except ValueError as exc:
+                raise FormatError(str(exc), line_no) from exc
     return records
-
-
-def items_by_id(items: Iterable[Item]) -> dict[int, Item]:
-    """Index items by id, rejecting duplicates."""
-    index: dict[int, Item] = {}
-    for item in items:
-        if item.item_id in index:
-            raise ValueError(f"duplicate item_id {item.item_id}")
-        index[item.item_id] = item
-    return index
-
-
-def ground_truth_of(items: Iterable[Item]) -> dict[int, bool]:
-    """Extract the hidden ground-truth map from items that carry one."""
-    return {
-        item.item_id: item.ground_truth
-        for item in items
-        if item.ground_truth is not None
-    }

@@ -2,7 +2,7 @@
 greedy maximal-coverage sampling down to a per-round review budget.
 
 Stages take and return ascending int64 id arrays. A run has one position
-index, the graph's ascending ids: the label store (``labeling.KnownStore``)
+index, the corpus's ascending ids: the label store (``labeling.KnownStore``)
 and the content reach (``Reach``) keep their state as arrays over it, so the
 membership tests of a stage are mask gathers, not one lookup per item.
 
@@ -23,8 +23,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .corpus import Item
-from .simgraph import SimilarityGraph
+from .simgraph import SimilarityGraph, positions
 
 # one origin bit per selection channel
 ORIGIN_CONTENT = 1
@@ -40,17 +39,6 @@ def id_array(item_ids: Iterable[int]) -> np.ndarray:
         item_ids = np.fromiter(item_ids, dtype=np.int64)
     item_ids = item_ids.astype(np.int64, copy=False)
     return item_ids if np.all(item_ids[1:] > item_ids[:-1]) else np.unique(item_ids)
-
-
-def positions(index: np.ndarray, item_ids) -> np.ndarray:
-    """Positions of ``item_ids`` in the ascending ``index``; KeyError if absent."""
-    item_ids = np.asarray(item_ids, dtype=np.int64)
-    pos = np.searchsorted(index, item_ids)
-    found = pos < len(index)
-    found[found] = index[pos[found]] == item_ids[found]
-    if not found.all():
-        raise KeyError(f"unknown item id {int(item_ids[np.argmin(found)])}")
-    return pos
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,10 +163,10 @@ def expand_actor(store, min_positives: int, min_rate: float) -> np.ndarray:
 
 
 def select_by_score(
-    items: Iterable[Item], scores: Mapping[int, float], tau: float
+    item_ids: Iterable[int], scores: Mapping[int, float], tau: float
 ) -> set[int]:
-    """Items whose model score strictly exceeds tau; unscored items excluded."""
-    known = {item.item_id for item in items}
+    """Ids among ``item_ids`` whose model score strictly exceeds tau; unscored ids excluded."""
+    known = set(np.asarray(item_ids).tolist())
     out: set[int] = set()
     for item_id, score in scores.items():
         if not 0.0 <= score <= 1.0:

@@ -23,15 +23,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import (
-    Item,
     LabelRecord,
     PROVENANCE_ORACLE,
     PROVENANCE_PROPAGATED,
     PROVENANCE_SEED,
     embedding_fingerprint,
 )
-from .funnel import CoveragePlan, positions
-from .simgraph import SimilarityGraph
+from .funnel import CoveragePlan
+from .simgraph import SimilarityGraph, positions
 
 
 class AlreadyLabeledError(RuntimeError):
@@ -320,22 +319,25 @@ def oracle_label(
     oracle: Oracle,
     store: KnownStore,
     round_no: int,
-    items_index: Mapping[int, Item] | None = None,
+    embeddings: np.ndarray | None = None,
 ) -> list[LabelRecord]:
-    """Send the plan's representatives to the oracle and store the verdicts."""
-    for rep in plan.representatives:
-        if rep in store:
-            raise AlreadyLabeledError(f"representative {rep} already labeled")
-    if not plan.representatives:
+    """Send the plan's representatives to the oracle and store the verdicts.
+
+    ``embeddings``, when given, holds one row per store position; the oracle
+    receives each representative's row (None without it).
+    """
+    reps = plan.representatives
+    pos = store.positions(reps)
+    labeled = store.labels[pos] >= 0
+    if labeled.any():
+        raise AlreadyLabeledError(f"representative {reps[np.argmax(labeled)]} already labeled")
+    if not reps:
         return []
-    batch = [
-        (rep, items_index[rep].embedding if items_index is not None else None)
-        for rep in plan.representatives
-    ]
-    verdicts = oracle.label_batch(batch)
+    rows = embeddings[pos] if embeddings is not None else [None] * len(reps)
+    verdicts = oracle.label_batch(list(zip(reps, rows)))
     records = [
         LabelRecord(item_id=rep, label=verdict, provenance=PROVENANCE_ORACLE, round=round_no)
-        for rep, verdict in zip(plan.representatives, verdicts)
+        for rep, verdict in zip(reps, verdicts)
     ]
     store.extend(records)
     return records
@@ -375,8 +377,8 @@ def propagate_labels(
         if np.any(known < 0):
             bad = routed[np.argmax(known < 0)]
             raise KeyError(f"routed duplicate target {bad[0]} matched unknown item {bad[1]}")
-        dists = [graph.distance(t, k) for t, k in routed.tolist()]
-        offers.append((routed[:, 0], np.array(dists), known == 1, routed[:, 1]))
+        dists = graph.distances(routed[:, 0], routed[:, 1])
+        offers.append((routed[:, 0], dists, known == 1, routed[:, 1]))
     target, dist, label, source = (np.concatenate(part) for part in zip(*offers))
     # per unlabelled target: nearest first, then the positive label, then the lowest source
     order = np.lexsort((source, ~label, dist, target))

@@ -17,14 +17,11 @@ import numpy as np
 
 from .corpus import (
     ConfigError,
-    Item,
+    Corpus,
     LabelRecord,
     PROVENANCE_ORACLE,
     PROVENANCE_PROPAGATED,
     PROVENANCE_SEED,
-    corpus_content_hash,
-    ground_truth_of,
-    items_by_id,
 )
 from .funnel import (
     CandidateSet,
@@ -50,7 +47,7 @@ from .labeling import (
     oracle_label,
     propagate_labels,
 )
-from .simgraph import GRAPH_MODES, MODE_BLOCKED, SimilarityGraph, build_graph
+from .simgraph import GRAPH_MODES, MODE_BLOCKED, SimilarityGraph, build_graph, positions
 
 
 class StageError(RuntimeError):
@@ -243,13 +240,12 @@ class MetricsReport:
 
 @dataclass
 class PipelineState:
-    """A run's inputs and round state; arrays follow the store's positions."""
+    """A run's inputs and round state; the store's positions are the corpus rows."""
 
-    items_index: dict[int, Item]
+    corpus: Corpus
     graph: SimilarityGraph
     store: KnownStore
     oracle: Oracle
-    impressions: np.ndarray
     score_ids: np.ndarray
     reach: Reach
 
@@ -272,18 +268,19 @@ def simulate_model_scores(
 
 
 def compute_metrics(
-    records: Sequence[LabelRecord], ground_truth: Mapping[int, bool] | None, corpus: Sequence[Item]
+    records: Sequence[LabelRecord], ground_truth: Mapping[int, bool] | None, corpus
 ) -> MetricsReport:
     """Evaluate label records, against hidden ground truth when it is given.
 
-    Without ground truth, recall, precision and amplification are None.
+    ``corpus`` is a Corpus or an Item list. Without ground truth, recall,
+    precision and amplification are None.
     """
+    corpus = Corpus.of(corpus)
+    ids = corpus.ids.tolist()
     if ground_truth is not None:
-        for item in corpus:
-            if item.item_id not in ground_truth:
-                raise MissingGroundTruthError(
-                    f"ground truth missing for item {item.item_id}"
-                )
+        missing = set(ids).difference(ground_truth)
+        if missing:
+            raise MissingGroundTruthError(f"ground truth missing for item {min(missing)}")
     reviews = sum(1 for r in records if r.provenance == PROVENANCE_ORACLE)
     positives = {
         provenance: sum(1 for r in records if r.label and r.provenance == provenance)
@@ -296,7 +293,7 @@ def compute_metrics(
         corpus_hash=None,
         oracle_reviews=reviews,
         oracle_cost=0.0,
-        review_fraction=reviews / len(corpus) if corpus else 0.0,
+        review_fraction=reviews / len(corpus) if len(corpus) else 0.0,
         positives_seed=positives[PROVENANCE_SEED],
         positives_oracle=pos_oracle,
         positives_propagated=positives[PROVENANCE_PROPAGATED],
@@ -308,18 +305,15 @@ def compute_metrics(
     )
     if ground_truth is None:
         return report
-    gt_positive_ids = [i for i in ground_truth if ground_truth[i]]
-    impressions = {item.item_id: item.impressions for item in corpus}
-    gt_positive_impressions = sum(impressions.get(i, 0) for i in gt_positive_ids)
-    true_positive_ids = [
-        r.item_id for r in records if r.label and ground_truth.get(r.item_id, False)
-    ]
-    tp = len(true_positive_ids)
-    tp_impressions = sum(impressions.get(i, 0) for i in true_positive_ids)
-    report.recall = tp / len(gt_positive_ids) if gt_positive_ids else None
+    truly_positive = np.fromiter(map(ground_truth.__getitem__, ids), dtype=bool, count=len(ids))
+    found = truly_positive & np.isin(corpus.ids, [r.item_id for r in records if r.label])
+    gt_positives = int(np.count_nonzero(truly_positive))
+    gt_impressions = int(corpus.impressions[truly_positive].sum())
+    tp = int(np.count_nonzero(found))
+    report.recall = tp / gt_positives if gt_positives else None
     report.precision = tp / pos_total if pos_total else None
     report.impression_weighted_recall = (
-        tp_impressions / gt_positive_impressions if gt_positive_impressions else None
+        int(corpus.impressions[found].sum()) / gt_impressions if gt_impressions else None
     )
     report.amplification = pos_total / pos_oracle if pos_oracle else None
     return report
@@ -332,6 +326,7 @@ def run_round(
     store = state.store
     graph = state.graph
     reach = state.reach
+    impressions = state.corpus.impressions
     stages: list[StageStat] = []
     store.begin_round()
 
@@ -361,10 +356,10 @@ def run_round(
         )
 
         current_stage = "filter_eligible"
-        eligible = filter_eligible(kept, store, state.impressions)
+        eligible = filter_eligible(kept, store, impressions)
         kept_pos = store.positions(kept)
         labeled = store.labels[kept_pos] >= 0
-        inactive = ~labeled & (state.impressions[kept_pos] == 0)
+        inactive = ~labeled & (impressions[kept_pos] == 0)
         removed = {"inactive": int(inactive.sum()), "labeled": int(labeled.sum())}
         stages.append(StageStat("filter_eligible", len(kept), len(eligible), removed))
 
@@ -376,7 +371,7 @@ def run_round(
 
         current_stage = "sample"
         weights = (
-            state.impressions[store.positions(unique)].astype(np.float64)
+            impressions[store.positions(unique)].astype(np.float64)
             if config.impression_weighted_sampling
             else None
         )
@@ -394,7 +389,7 @@ def run_round(
 
         current_stage = "label"
         cost_before = state.oracle.cost_so_far
-        records = oracle_label(plan, state.oracle, store, round_no, state.items_index)
+        records = oracle_label(plan, state.oracle, store, round_no, state.corpus.embeddings)
         stages.append(StageStat("label", len(plan.representatives), len(records)))
 
         current_stage = "propagate"
@@ -419,14 +414,13 @@ def run_round(
 
 
 def _bootstrap_records(
-    truth: Mapping[int, bool], count: int, rng_seed: int
+    positive_ids: np.ndarray, count: int, rng_seed: int
 ) -> list[LabelRecord]:
-    positives = sorted(i for i, v in truth.items() if v)
-    take = min(count, len(positives))
+    take = min(count, len(positive_ids))
     if take == 0:
         return []
     rng = np.random.default_rng(rng_seed)
-    chosen = sorted(rng.choice(np.array(positives), size=take, replace=False).tolist())
+    chosen = sorted(rng.choice(positive_ids, size=take, replace=False).tolist())
     return [
         LabelRecord(item_id=i, label=True, provenance=PROVENANCE_SEED, round=0)
         for i in chosen
@@ -434,7 +428,7 @@ def _bootstrap_records(
 
 
 def run_pipeline(
-    corpus: Sequence[Item],
+    corpus,
     config: PipelineConfig,
     *,
     graph: SimilarityGraph | None = None,
@@ -442,15 +436,16 @@ def run_pipeline(
 ) -> MetricsReport:
     """Run the configured number of rounds and evaluate against ground truth.
 
-    A prebuilt graph may be passed to amortize construction across runs; it
-    must cover the corpus at a radius of at least theta_sim.
+    ``corpus`` is a Corpus or an Item list. A prebuilt graph may be passed to
+    amortize construction across runs; it must cover the corpus at a radius
+    of at least theta_sim.
     """
     report, _ = run_pipeline_detailed(corpus, config, graph=graph, oracle=oracle)
     return report
 
 
 def run_pipeline_detailed(
-    corpus: Sequence[Item],
+    corpus,
     config: PipelineConfig,
     *,
     graph: SimilarityGraph | None = None,
@@ -458,12 +453,11 @@ def run_pipeline_detailed(
 ) -> tuple[MetricsReport, PipelineState]:
     """run_pipeline, but also returning the final state (store included)."""
     config.validate()
-    if not corpus:
+    corpus = Corpus.of(corpus)
+    if not len(corpus):
         raise ValueError("corpus is empty")
-    items = list(corpus)
-    index = items_by_id(items)
-    truth = ground_truth_of(items)
-    truth_complete = len(truth) == len(items)
+    truth = corpus.truth_map()
+    truth_complete = len(truth) == len(corpus)
     if oracle is None:
         if not truth_complete:
             raise MissingGroundTruthError(
@@ -478,7 +472,7 @@ def run_pipeline_detailed(
         )
     if graph is None:
         graph = build_graph(
-            items,
+            corpus,
             config.theta_sim,
             config.graph_mode,
             bands=config.graph_bands,
@@ -490,77 +484,68 @@ def run_pipeline_detailed(
             raise ValueError(
                 f"provided graph radius {graph.theta} < theta_sim {config.theta_sim}"
             )
-        missing = set(index).difference(graph.node_ids)
-        if missing:
-            raise ValueError(f"provided graph is missing item {min(missing)}")
-        if len(graph) != len(index):
+        missing = np.setdiff1d(corpus.ids, graph.node_ids)
+        if len(missing):
+            raise ValueError(f"provided graph is missing item {missing[0]}")
+        if len(graph) != len(corpus):
             raise ValueError("provided graph has items outside the corpus")
 
-    # the run's position index: ascending ids, with the columns rounds read
-    ordered = [index[i] for i in sorted(index)]
-    ids = np.array([item.item_id for item in ordered], dtype=np.int64)
-    store = KnownStore(
-        ids,
-        accounts=[item.account_id for item in ordered],
-        hashes=np.array([item.exact_hash for item in ordered], dtype=np.uint64),
+    positive = corpus.truth == 1
+    store = KnownStore(corpus.ids, accounts=corpus.accounts, hashes=corpus.hashes)
+    store.extend(
+        _bootstrap_records(corpus.ids[positive], config.bootstrap_seeds, config.rng_seed)
     )
-    store.extend(_bootstrap_records(truth, config.bootstrap_seeds, config.rng_seed))
     score_ids = (
-        select_by_score(items, simulate_model_scores(truth, config.score), config.score.tau)
+        select_by_score(
+            corpus.ids, simulate_model_scores(truth, config.score), config.score.tau
+        )
         if config.score is not None
         else ()
     )
     state = PipelineState(
-        items_index=index,
+        corpus=corpus,
         graph=graph,
         store=store,
         oracle=oracle,
-        impressions=np.array([item.impressions for item in ordered], dtype=np.int64),
         score_ids=id_array(score_ids),
-        reach=Reach(ids),
+        reach=Reach(corpus.ids),
     )
 
-    gt_positives = sum(1 for v in truth.values() if v) if truth_complete else 0
-    truly_positive = np.array([truth.get(i, False) for i in ids.tolist()], dtype=bool)
+    gt_positives = int(np.count_nonzero(positive)) if truth_complete else 0
     round_metrics: list[RoundMetrics] = []
     for round_no in range(1, config.rounds + 1):
         state, metrics = run_round(state, config, round_no)
-        if truth_complete and gt_positives:
-            cumulative_tp = int(np.count_nonzero(truly_positive & (store.labels == 1)))
+        if gt_positives:
+            cumulative_tp = int(np.count_nonzero(positive & (store.labels == 1)))
             metrics.cumulative_recall = cumulative_tp / gt_positives
         round_metrics.append(metrics)
 
-    report = compute_metrics(store.records(), truth if truth_complete else None, items)
-    report.corpus_hash = corpus_content_hash(items)
+    report = compute_metrics(store.records(), truth if truth_complete else None, corpus)
+    report.corpus_hash = corpus.content_hash
     report.oracle_cost = oracle.cost_so_far
     report.rounds = round_metrics
     return report, state
 
 
-def _baseline_inputs(
-    corpus: Sequence[Item], total_budget: int
-) -> tuple[list[Item], dict[int, bool], dict[int, Item]]:
-    """Items, ground truth and id index of a corpus a baseline may review."""
+def _baseline_inputs(corpus, total_budget: int) -> tuple[Corpus, dict[int, bool]]:
+    """A corpus a baseline may review, and its ground truth."""
+    corpus = Corpus.of(corpus)
     if total_budget < 0:
         raise ValueError("total_budget must be >= 0")
     if total_budget > len(corpus):
         raise ValueError(
             f"total_budget {total_budget} exceeds corpus size {len(corpus)}"
         )
-    items = list(corpus)
-    truth = ground_truth_of(items)
-    if len(truth) != len(items):
+    truth = corpus.truth_map()
+    if len(truth) != len(corpus):
         raise MissingGroundTruthError("baseline evaluation requires full ground truth")
-    return items, truth, items_by_id(items)
+    return corpus, truth
 
 
-def _review(
-    sample: list[int], oracle: Oracle, index: Mapping[int, Item]
-) -> list[LabelRecord]:
+def _review(sample: list[int], oracle: Oracle, corpus: Corpus) -> list[LabelRecord]:
     """Oracle records for a baseline's sample, with no propagation."""
-    verdicts = (
-        oracle.label_batch([(i, index[i].embedding) for i in sample]) if sample else []
-    )
+    rows = corpus.embeddings[positions(corpus.ids, sample)]
+    verdicts = oracle.label_batch(list(zip(sample, rows))) if sample else []
     return [
         LabelRecord(item_id=i, label=v, provenance=PROVENANCE_ORACLE, round=1)
         for i, v in zip(sample, verdicts)
@@ -568,7 +553,7 @@ def _review(
 
 
 def run_score_baseline(
-    corpus: Sequence[Item],
+    corpus,
     total_budget: int,
     oracle: Oracle,
     score_params: ScoreParams,
@@ -579,15 +564,15 @@ def run_score_baseline(
     the top ``total_budget`` go to the oracle; no propagation. Reported
     alongside the random baseline for comparison, never asserted against.
     """
-    items, truth, index = _baseline_inputs(corpus, total_budget)
+    corpus, truth = _baseline_inputs(corpus, total_budget)
     scores = simulate_model_scores(truth, score_params)
     ranked = sorted(
         (i for i, s in scores.items() if s > score_params.tau),
         key=lambda i: (-scores[i], i),
     )
     sample = ranked[:total_budget]
-    report = compute_metrics(_review(sample, oracle, index), truth, items)
-    report.corpus_hash = corpus_content_hash(items)
+    report = compute_metrics(_review(sample, oracle, corpus), truth, corpus)
+    report.corpus_hash = corpus.content_hash
     report.oracle_cost = len(sample) * oracle.unit_cost
     report.baseline = {
         "kind": "score_top",
@@ -601,7 +586,7 @@ def run_score_baseline(
 
 
 def run_random_baseline(
-    corpus: Sequence[Item],
+    corpus,
     total_budget: int,
     oracle: Oracle,
     trials: int,
@@ -614,30 +599,29 @@ def run_random_baseline(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    items, truth, index = _baseline_inputs(corpus, total_budget)
-    id_array = np.array(sorted(truth))
+    corpus, truth = _baseline_inputs(corpus, total_budget)
 
     per_trial: list[MetricsReport] = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         if total_budget:
             sample = sorted(
-                rng.choice(id_array, size=total_budget, replace=False).tolist()
+                rng.choice(corpus.ids, size=total_budget, replace=False).tolist()
             )
         else:
             sample = []
-        per_trial.append(compute_metrics(_review(sample, oracle, index), truth, items))
+        per_trial.append(compute_metrics(_review(sample, oracle, corpus), truth, corpus))
 
     def mean_of(values: Iterable[float | None]) -> float | None:
         present = [v for v in values if v is not None]
         return sum(present) / len(present) if present else None
 
     report = MetricsReport(
-        corpus_size=len(items),
-        corpus_hash=corpus_content_hash(items),
+        corpus_size=len(corpus),
+        corpus_hash=corpus.content_hash,
         oracle_reviews=total_budget,
         oracle_cost=total_budget * oracle.unit_cost,
-        review_fraction=total_budget / len(items) if items else 0.0,
+        review_fraction=total_budget / len(corpus) if len(corpus) else 0.0,
         positives_seed=0.0,
         positives_oracle=mean_of(r.positives_oracle for r in per_trial) or 0.0,
         positives_propagated=0.0,

@@ -17,13 +17,12 @@ per-pair queries agree bitwise.
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .corpus import Item
+from .corpus import Corpus
 
 MODE_EXACT = "exact"
 MODE_BLOCKED = "blocked"
@@ -41,6 +40,17 @@ _TILE_ELEMS = 1 << 22
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # einsum is bit-stable across batch shapes, unlike BLAS matmul
     return np.einsum("ij,ij->i", a, b)
+
+
+def positions(index: np.ndarray, item_ids) -> np.ndarray:
+    """Positions of ``item_ids`` in the ascending ``index``; KeyError if absent."""
+    item_ids = np.asarray(item_ids, dtype=np.int64)
+    pos = np.searchsorted(index, item_ids)
+    found = pos < len(index)
+    found[found] = index[pos[found]] == item_ids[found]
+    if not found.all():
+        raise KeyError(f"unknown item id {int(item_ids[np.argmin(found)])}")
+    return pos
 
 
 def cosine_distance(a, b) -> float:
@@ -104,14 +114,6 @@ class SimilarityGraph:
     def n_edges(self) -> int:
         return len(self._nbr_ids) // 2
 
-    def _positions(self, item_ids: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(self._ids, item_ids)
-        found = pos < len(self._ids)
-        found[found] = self._ids[pos[found]] == item_ids[found]
-        if not found.all():
-            raise KeyError(f"unknown item id {int(item_ids[np.argmin(found)])}")
-        return pos
-
     def neighbors_batch(
         self, item_ids, radius: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,7 +128,7 @@ class SimilarityGraph:
             raise ValueError(
                 f"query radius {radius} exceeds graph threshold {self.theta}"
             )
-        pos = self._positions(np.asarray(item_ids, dtype=np.int64))
+        pos = positions(self._ids, item_ids)
         starts = self._indptr[pos]
         counts = self._indptr[pos + 1] - starts
         row = np.repeat(np.arange(len(pos)), counts)
@@ -137,22 +139,16 @@ class SimilarityGraph:
         slots = slots[keep]
         return row[keep], self._nbr_ids[slots], self._nbr_dists[slots]
 
-    def neighbors_within(self, item_id: int, radius: float) -> list[int]:
-        """Neighbor ids with distance <= radius, ascending (distance, id)."""
-        return self.neighbors_batch([item_id], radius)[1].tolist()
-
     def neighbors_with_distances(
         self, item_id: int, radius: float
     ) -> list[tuple[int, float]]:
         _, nbr_ids, dists = self.neighbors_batch([item_id], radius)
         return list(zip(nbr_ids.tolist(), dists.tolist()))
 
-    def distance(self, a_id: int, b_id: int) -> float:
-        """Canonical cosine distance between two member items."""
-        ia, ib = self._positions(np.array([a_id, b_id], dtype=np.int64))
-        dot = float(np.einsum("i,i->", self._emb[ia], self._emb[ib]))
-        dist = 1.0 - dot / (float(self._norms[ia]) * float(self._norms[ib]))
-        return min(max(dist, 0.0), 2.0)
+    def distances(self, a_ids, b_ids) -> np.ndarray:
+        """Canonical cosine distance of each member pair (a_ids[k], b_ids[k])."""
+        ia, ib = positions(self._ids, a_ids), positions(self._ids, b_ids)
+        return _pair_distances(self._emb, self._norms, ia, ib)
 
 
 def _pair_distances(
@@ -217,7 +213,7 @@ def _bucket_edges(unit, emb, norms, idx, cut, theta, earlier_keys) -> list:
 
 
 def build_graph(
-    items: Sequence[Item],
+    corpus: Corpus | Iterable,
     theta: float,
     mode: str = MODE_EXACT,
     *,
@@ -226,7 +222,7 @@ def build_graph(
     seed: int = 0,
     workers: int = 1,
 ) -> SimilarityGraph:
-    """Build the similarity graph at radius theta over the given items.
+    """Build the similarity graph at radius theta over a corpus (or Item list).
 
     Blocked mode expects ``bands`` independent sign-hash bands of
     ``band_bits`` hyperplanes each; candidate pairs sharing any band bucket
@@ -241,18 +237,14 @@ def build_graph(
     if mode == MODE_BLOCKED and (bands < 1 or band_bits < 1 or band_bits > 62):
         raise ValueError("bands must be >= 1 and band_bits in [1, 62]")
 
-    ids = np.array(sorted(item.item_id for item in items), dtype=np.int64)
-    if len(np.unique(ids)) != len(ids):
-        raise ValueError("duplicate item ids")
-    by_id = {item.item_id: item for item in items}
+    corpus = Corpus.of(corpus)
+    ids, emb = corpus.ids, corpus.embeddings
     n = len(ids)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return SimilarityGraph(
-            ids, np.empty((0, 0)), np.empty(0), theta, mode,
-            np.zeros(1, dtype=np.int64), empty, np.empty(0),
+            ids, emb, np.empty(0), theta, mode, np.zeros(1, dtype=np.int64), empty, np.empty(0)
         )
-    emb = np.stack([by_id[int(i)].embedding for i in ids])
     norms = np.sqrt(_dots(emb, emb))
     if np.any(norms == 0.0):
         raise ValueError("zero embedding in graph input")
@@ -277,18 +269,3 @@ def build_graph(
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
     return SimilarityGraph(ids, emb, norms, theta, mode, indptr, ids[cols], both)
-
-
-def dump_graph(graph: SimilarityGraph, path) -> None:
-    """Debug dump: one JSON line per node with its full adjacency."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id in graph.node_ids:
-            neighbors = [
-                [nid, dist]
-                for nid, dist in graph.neighbors_with_distances(item_id, graph.theta)
-            ]
-            fh.write(
-                json.dumps({"id": item_id, "neighbors": neighbors},
-                           separators=(",", ":"))
-                + "\n"
-            )

@@ -42,6 +42,11 @@ def csr_neighbors(graph, item_id, radius):
     return [(int(graph._nbr_ids[k]), float(graph._nbr_dists[k])) for k in range(lo, cut)]
 
 
+def neighbor_ids(graph, item_id, radius):
+    """Ids of one item's neighbours within radius, ascending (distance, id)."""
+    return [nid for nid, _ in graph.neighbors_with_distances(item_id, radius)]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -28,7 +28,7 @@ from reviewfunnel.pipeline import (
 )
 from reviewfunnel.simgraph import build_graph, cosine_distance
 
-from conftest import make_items
+from conftest import make_items, neighbor_ids
 
 THETA_DUP = 0.05
 THETA_PROP = 0.10
@@ -194,7 +194,7 @@ def test_criterion_4_greedy_matches_brute_force_bound():
         universe = list(range(n))
         plan = max_coverage_sample(universe, graph, theta, k)
         cover = {
-            c: {c} | set(graph.neighbors_within(c, theta)) for c in universe
+            c: {c} | set(neighbor_ids(graph, c, theta)) for c in universe
         }
         optimum = brute_force_best_coverage(universe, cover, min(k, n))
         if plan.total_covered < bound * optimum - 1e-12:
@@ -224,9 +224,9 @@ def test_criterion_5_blocked_graph_recall():
     exact_edges = 0
     found = 0
     for node in exact.node_ids:
-        exact_neighbors = set(exact.neighbors_within(node, THETA_DUP))
+        exact_neighbors = set(neighbor_ids(exact, node, THETA_DUP))
         exact_edges += len(exact_neighbors)
-        found += len(set(blocked.neighbors_within(node, THETA_DUP)) & exact_neighbors)
+        found += len(set(neighbor_ids(blocked, node, THETA_DUP)) & exact_neighbors)
     elapsed = time.perf_counter() - t0
     recall = found / exact_edges if exact_edges else 0.0
     report_line(

@@ -1,0 +1,60 @@
+"""The benchmark in funnelbench/ drives this package through its Python API
+and the CLI. These tests call the package the way the harness does, so an
+API change that would break the benchmark fails here first."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from reviewfunnel import cli
+from reviewfunnel.corpus import GeneratorConfig, generate_corpus
+from reviewfunnel.pipeline import PipelineConfig, run_pipeline_detailed
+from reviewfunnel.simgraph import build_graph
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_selftest_passes():
+    # the harness's own checks, run on the package's output and on planted faults
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "funnelbench" / "selftest.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_graph_built_as_the_in_process_workloads_build_it():
+    # funnelbench/run.py InProcess.setup passes exactly these keywords
+    corpus, _ = generate_corpus(GeneratorConfig(n_clusters=40, rng_seed=1))
+    c = PipelineConfig()
+    graph = build_graph(
+        corpus, c.theta_sim, c.graph_mode, bands=c.graph_bands,
+        band_bits=c.graph_band_bits, seed=c.graph_seed, workers=c.workers,
+    )
+    report, state = run_pipeline_detailed(corpus, c, graph=graph)
+    assert state.graph is graph and report.corpus_size == len(corpus)
+    assert state.store.records()
+
+
+def test_cli_run_calls_the_module_global(tmp_path, monkeypatch):
+    # the cli workload swaps cli.run_pipeline_detailed for a wrapper that
+    # keeps the state, so cmd_run must look the name up at call time
+    corpus_file = tmp_path / "corpus.jsonl"
+    gen = tmp_path / "gen.json"
+    gen.write_text('{"schema_version": 1, "kind": "generator", "n_clusters": 20}')
+    assert cli.main(["generate", "--config", str(gen), "--out", str(corpus_file)]) == 0
+    captured = []
+    original = cli.run_pipeline_detailed
+
+    def capture(*args, **kwargs):
+        captured.append(original(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setattr(cli, "run_pipeline_detailed", capture)
+    config = ROOT / "configs" / "desk_pipeline.json"
+    code = cli.main(["run", "--corpus", str(corpus_file), "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+    assert code == 0 and len(captured) == 1
+    assert captured[0][1].graph is not None

@@ -1,12 +1,17 @@
+import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
 
+from reviewfunnel.cli import main
 from reviewfunnel.corpus import (
     ConfigError,
+    Corpus,
     FormatError,
     GeneratorConfig,
+    Item,
     LabelRecord,
     embedding_fingerprint,
     generate_corpus,
@@ -27,7 +32,7 @@ def cosine(a, b):
 class TestGenerator:
     def test_empty(self):
         items, truth = generate_corpus(GeneratorConfig(n_clusters=0))
-        assert items == [] and truth == {}
+        assert list(items) == [] and truth == {}
 
     def test_single_item_positive(self):
         cfg = GeneratorConfig(
@@ -155,7 +160,7 @@ class TestCorpusIO:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        assert load_corpus(path) == []
+        assert list(load_corpus(path)) == []
 
     def test_normalizes_on_load(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -309,3 +314,183 @@ class TestRecordInvariants:
         assert embedding_fingerprint(a) == embedding_fingerprint(b)
         c = a + 1e-4
         assert embedding_fingerprint(a) != embedding_fingerprint(c)
+
+
+def _record(**changes):
+    doc = {
+        "item_id": 1, "embedding": [1.0, 0.5], "account_id": 0, "impressions": 1,
+        "exact_hash": "0", "created_round": 0, "ground_truth": None,
+    }
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+_NUMERIC_FIELDS = ("item_id", "account_id", "impressions", "created_round")
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        pytest.param(json.dumps({"item_id": 2, "embedding": [1.0, 0.5]}), id="missing-field"),
+        pytest.param("[1, 2, 3]", id="array-line"),
+        pytest.param('"item"', id="string-line"),
+        pytest.param(_record(item_id=2, exact_hash="12a"), id="hash-not-digits"),
+        pytest.param(_record(item_id=2, exact_hash="-1"), id="hash-negative"),
+        pytest.param(_record(item_id=2, exact_hash=5), id="hash-not-string"),
+        pytest.param(_record(item_id=2, exact_hash=str(1 << 64)), id="hash-2^64"),
+        pytest.param(_record(item_id=2, embedding=[1.0, float("nan")]), id="embedding-nan"),
+        pytest.param(_record(item_id=2, embedding=[float("inf"), 1.0]), id="embedding-inf"),
+        pytest.param(_record(item_id=2, embedding=[]), id="embedding-empty"),
+        pytest.param(_record(item_id=2, embedding="1.0,0.5"), id="embedding-string"),
+        pytest.param(_record(item_id=2, embedding={"x": 1.0}), id="embedding-object"),
+        pytest.param(_record(item_id=2, embedding=None), id="embedding-null"),
+        pytest.param(_record(item_id=2, ground_truth=1), id="truth-int"),
+        pytest.param(_record(item_id=2, ground_truth="true"), id="truth-string"),
+        *(
+            pytest.param(_record(**{"item_id": 2, field: value}), id=f"{field}-{name}")
+            for field in _NUMERIC_FIELDS
+            for name, value in (("bool", True), ("negative", -1), ("float", 2.0))
+        ),
+    ],
+)
+def test_load_rule_cites_line(tmp_path, bad_line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_record() + "\n" + _record(item_id=3) + "\n" + bad_line + "\n")
+    with pytest.raises(FormatError, match="^line 3: "):
+        load_corpus(path)
+
+
+def test_truncated_last_line_cites_line(tmp_path):
+    path = tmp_path / "cut.jsonl"
+    whole = _record(item_id=2)
+    path.write_text(_record() + "\n" + whole[: len(whole) // 2])
+    with pytest.raises(FormatError, match="^line 2: invalid JSON"):
+        load_corpus(path)
+
+
+def test_embedding_of_non_numbers_cites_line(tmp_path):
+    # numpy raises TypeError, not ValueError, for an object element
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_record() + "\n" + _record(item_id=2, embedding=[{"x": 1}, 1.0]) + "\n")
+    with pytest.raises(FormatError, match="^line 2: "):
+        load_corpus(path)
+
+
+def assert_same_columns(a, b):
+    for field in dataclasses.fields(Corpus):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+
+
+def hand_made_items():
+    # every field varied: unknown truth, large accounts and impressions,
+    # hashes at the top of the uint64 range, created rounds past 0
+    rng = np.random.default_rng(4)
+    items = []
+    rows = [(0, None, 7, 0), (3, True, 2, 15), (1, False, 0, 1), (2, None, 2**40, 2**33)]
+    for i, (created, truth, account, shown) in enumerate(rows):
+        emb = normalize_embedding(rng.standard_normal(5))
+        items.append(Item(
+            item_id=10 * i + 1, embedding=emb, account_id=account, impressions=shown,
+            exact_hash=2**64 - 1 - i if i % 2 else embedding_fingerprint(emb),
+            created_round=created, ground_truth=truth,
+        ))
+    return items
+
+
+class TestCorpus:
+    def test_of_items_equals_generated_columns(self):
+        corpus, truth = generate_corpus(GeneratorConfig(n_clusters=40, rng_seed=13))
+        again = Corpus.of(list(corpus))
+        assert_same_columns(again, corpus)
+        assert Corpus.of(corpus) is corpus
+        assert truth == {int(i): bool(t) for i, t in zip(corpus.ids, corpus.truth)}
+
+    def test_row_views_round_trip_every_field(self):
+        items = hand_made_items()
+        corpus = Corpus.of(items[::-1])  # sorted by id on construction
+        assert corpus.ids.tolist() == [1, 11, 21, 31]
+        for original, row in zip(items, corpus):
+            for field in dataclasses.fields(Item):
+                got, want = getattr(row, field.name), getattr(original, field.name)
+                if field.name == "embedding":
+                    assert np.array_equal(got, want)
+                else:
+                    assert type(got) is type(want) and got == want, field.name
+        assert corpus[-1].item_id == 31 and corpus[np.int64(1)].item_id == 11
+        assert corpus.truth_map() == {11: True, 21: False}
+
+    def test_slices_and_read_only_columns(self):
+        corpus, _ = generate_corpus(GeneratorConfig(n_clusters=20, rng_seed=2))
+        part = corpus[5:12]
+        assert isinstance(part, Corpus) and part.ids.tolist() == list(range(5, 12))
+        assert np.array_equal(part.embeddings, corpus.embeddings[5:12])
+        assert [item.item_id for item in corpus[::-3]] == sorted(corpus.ids[::-3].tolist())
+        for field in dataclasses.fields(Corpus):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(part, field.name)[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            corpus[0].embedding[0] = 0.0
+
+    def test_empty(self, tmp_path):
+        corpus = Corpus.of([])
+        assert len(corpus) == 0 and list(corpus) == [] and corpus.truth_map() == {}
+        assert corpus.embeddings.shape == (0, 0)
+        assert corpus.content_hash == "cae66941d9efbd404e4d88758ea67670"
+        save_corpus(corpus, tmp_path / "empty.jsonl")
+        assert_same_columns(load_corpus(tmp_path / "empty.jsonl"), corpus)
+
+    def test_duplicate_id_named(self):
+        items = hand_made_items()
+        clash = dataclasses.replace(items[0], item_id=21)
+        with pytest.raises(ValueError, match="duplicate item_id 21"):
+            Corpus.of(items + [clash])
+
+    def test_ragged_columns_rejected(self):
+        good = Corpus.of(hand_made_items())
+        columns = [getattr(good, field.name) for field in dataclasses.fields(Corpus)]
+        with pytest.raises(ValueError, match="column impressions has 3 rows for 4 ids"):
+            Corpus(*columns[:3], columns[3][:3], *columns[4:])
+        with pytest.raises(ValueError, match="matrix"):
+            Corpus(columns[0], columns[1].ravel(), *columns[2:])
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            # digests of the earlier per-Item corpus_content_hash on the same corpora
+            (lambda: generate_corpus(GeneratorConfig(n_clusters=50, rng_seed=3))[0],
+             "9335d0df63ca983ba7519558181c0d68"),
+            (lambda: Corpus.of(hand_made_items()), "01425265332ce9a9d67a905894feca9d"),
+        ],
+        ids=["generated", "hand-made"],
+    )
+    def test_content_hash_is_pinned(self, make, digest):
+        assert make().content_hash == digest
+
+
+def test_line_order_changes_nothing(tmp_path):
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({
+        "schema_version": 1, "kind": "generator", "n_clusters": 30,
+        "cluster_size_mean": 8, "positive_cluster_rate": 0.2, "n_accounts": 25,
+        "rng_seed": 17,
+    }))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "kind": "pipeline", "rounds": 2, "budget_per_round": 6,
+        "bootstrap_seeds": 3, "graph_mode": "exact",
+    }))
+    sorted_file, shuffled_file = tmp_path / "sorted.jsonl", tmp_path / "shuffled.jsonl"
+    assert main(["generate", "--config", str(gen), "--out", str(sorted_file)]) == 0
+    lines = sorted_file.read_text().splitlines(keepends=True)
+    random.Random(5).shuffle(lines)
+    shuffled_file.write_text("".join(lines))
+
+    a, b = load_corpus(sorted_file), load_corpus(shuffled_file)
+    assert_same_columns(a, b)
+    assert a.content_hash == b.content_hash
+    for path, out in ((sorted_file, "a"), (shuffled_file, "b")):
+        args = ["run", "--corpus", str(path), "--config", str(config)]
+        assert main(args + ["--out", str(tmp_path / out)]) == 0
+    metrics = [(tmp_path / out / "metrics.json").read_bytes() for out in "ab"]
+    assert metrics[0] == metrics[1]

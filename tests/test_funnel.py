@@ -21,7 +21,7 @@ from reviewfunnel.funnel import (
 from reviewfunnel.labeling import KnownStore
 from reviewfunnel.simgraph import build_graph, cosine_distance
 
-from conftest import make_items, planted_blob
+from conftest import make_items, neighbor_ids, planted_blob
 
 
 def oracle_rec(item_id, label=True, round_no=1):
@@ -118,20 +118,20 @@ class TestExpandActor:
 class TestSelectByScore:
     def test_tau_one_selects_nothing(self, rng):
         items, _ = blob_corpus(rng, [3])
-        assert select_by_score(items, {0: 1.0, 1: 0.99}, 1.0) == set()
+        assert select_by_score([it.item_id for it in items], {0: 1.0, 1: 0.99}, 1.0) == set()
 
     def test_tau_zero_selects_all_scored(self, rng):
         items, _ = blob_corpus(rng, [3])
-        assert select_by_score(items, {0: 0.2, 2: 0.9}, 0.0) == {0, 2}
+        assert select_by_score([it.item_id for it in items], {0: 0.2, 2: 0.9}, 0.0) == {0, 2}
 
     def test_threshold(self, rng):
         items, _ = blob_corpus(rng, [2])
-        assert select_by_score(items, {0: 0.9, 1: 0.5}, 0.6) == {0}
+        assert select_by_score([it.item_id for it in items], {0: 0.9, 1: 0.5}, 0.6) == {0}
 
     def test_out_of_range_score(self, rng):
         items, _ = blob_corpus(rng, [2])
         with pytest.raises(ValueError, match="outside"):
-            select_by_score(items, {0: 1.5}, 0.5)
+            select_by_score([it.item_id for it in items], {0: 1.5}, 0.5)
 
 
 class TestDedupCrossRound:
@@ -234,7 +234,7 @@ def brute_force_best_coverage(universe, cover, k):
 def cover_sets(items, candidate_ids, graph, radius):
     in_universe = set(candidate_ids)
     return {
-        c: {c} | (set(graph.neighbors_within(c, radius)) & in_universe)
+        c: {c} | (set(neighbor_ids(graph, c, radius)) & in_universe)
         for c in candidate_ids
     }
 

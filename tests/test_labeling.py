@@ -158,10 +158,29 @@ class TestOracleLabel:
     def test_already_labeled_representative_is_a_bug(self):
         store = KnownStore(range(10))
         store.add(oracle_rec(3))
-        oracle = SimulatedOracle(1.0, 1.0, 0, {3: True})
-        plan = CoveragePlan((3,), {3: (3,)}, 1)
-        with pytest.raises(AlreadyLabeledError):
+        store.add(oracle_rec(7))
+        oracle = SimulatedOracle(1.0, 1.0, 0, {i: True for i in range(10)})
+        plan = CoveragePlan((5, 7, 3), {5: (5,), 7: (7,), 3: (3,)}, 3)
+        # the first labelled representative in plan order, before any verdict
+        with pytest.raises(AlreadyLabeledError, match="representative 7 "):
             oracle_label(plan, oracle, store, 1)
+        assert oracle.cost_so_far == 0.0 and store.get(5) is None
+
+    def test_oracle_receives_embedding_rows(self):
+        class Recording(SimulatedOracle):
+            def _judge(self, batch):
+                self.batch = batch
+                return super()._judge(batch)
+
+        store = KnownStore([10, 20, 30])
+        embeddings = np.arange(6.0).reshape(3, 2)
+        oracle = Recording(1.0, 1.0, 0, {10: True, 20: False, 30: True})
+        plan = CoveragePlan((30, 10), {30: (30,), 10: (10,)}, 2)
+        oracle_label(plan, oracle, store, 1, embeddings)
+        assert [i for i, _ in oracle.batch] == [30, 10]
+        assert [row.tolist() for _, row in oracle.batch] == [[4.0, 5.0], [0.0, 1.0]]
+        oracle_label(CoveragePlan((20,), {20: (20,)}, 1), oracle, store, 1)
+        assert oracle.batch == [(20, None)]
 
     def test_cost_tracks_representatives(self):
         store = KnownStore(range(10))
@@ -232,7 +251,8 @@ class TestPropagation:
         pos = [math.cos(angle), -math.sin(angle)]
         items = make_items([target, neg, pos])
         graph = build_graph(items, 0.5)
-        assert graph.distance(0, 1) == graph.distance(0, 2)
+        d01, d02 = graph.distances([0, 0], [1, 2])
+        assert d01 == d02
         store = KnownStore(graph.node_ids)
         neg_rec = oracle_rec(1, label=False)
         pos_rec = oracle_rec(2, label=True)

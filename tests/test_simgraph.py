@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -11,13 +10,9 @@ from reviewfunnel.corpus import (
     generate_corpus,
     generate_corpus_detailed,
 )
-from reviewfunnel.simgraph import (
-    build_graph,
-    cosine_distance,
-    dump_graph,
-)
+from reviewfunnel.simgraph import build_graph, cosine_distance
 
-from conftest import csr_neighbors, make_items, planted_blob
+from conftest import csr_neighbors, make_items, neighbor_ids, planted_blob
 
 
 def brute_force_adjacency(items, theta):
@@ -122,8 +117,8 @@ class TestBuildGraph:
         items = make_items([a, b, c])
         g = build_graph(items, 0.1)
         assert g.n_edges == 1
-        assert g.neighbors_within(0, 0.1) == [1]
-        assert g.neighbors_within(2, 0.1) == []
+        assert neighbor_ids(g, 0, 0.1) == [1]
+        assert neighbor_ids(g, 2, 0.1) == []
 
     def test_invalid_theta(self):
         with pytest.raises(ValueError, match="theta"):
@@ -172,8 +167,8 @@ class TestBuildGraph:
         g1 = build_graph(items, 0.2, "exact")
         g2 = build_graph(items, 0.6, "exact")
         for node in g1.node_ids:
-            assert set(g1.neighbors_within(node, 0.2)) <= set(
-                g2.neighbors_within(node, 0.6)
+            assert set(neighbor_ids(g1, node, 0.2)) <= set(
+                neighbor_ids(g2, node, 0.6)
             )
 
     def test_symmetry_and_irreflexivity(self, rng):
@@ -283,7 +278,7 @@ class TestBuildGraph:
         vec = [0.3, -0.7, 0.64]
         items = make_items([vec, vec, [1.0, 0.0, 0.0]])
         g = build_graph(items, 0.01, "blocked", seed=4)
-        assert g.neighbors_within(0, 0.0) == [1]
+        assert neighbor_ids(g, 0, 0.0) == [1]
 
 
 class TestNeighborQueries:
@@ -295,7 +290,7 @@ class TestNeighborQueries:
         self.graph = build_graph(self.items, 0.25, "exact")
 
     def test_zero_radius_on_distinct_embeddings(self):
-        assert self.graph.neighbors_within(0, 0.0) == []
+        assert neighbor_ids(self.graph, 0, 0.0) == []
 
     def test_full_radius_is_identity_filter(self):
         full = self.graph.neighbors_with_distances(0, self.graph.theta)
@@ -309,7 +304,7 @@ class TestNeighborQueries:
             for j in range(1, 5)
         }
         assert all(d <= 0.05 for d in dists.values())
-        assert self.graph.neighbors_within(0, 0.05) == [
+        assert neighbor_ids(self.graph, 0, 0.05) == [
             j for j, _ in sorted(dists.items(), key=lambda kv: (kv[1], kv[0]))
         ]
 
@@ -320,14 +315,14 @@ class TestNeighborQueries:
 
     def test_radius_above_theta_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            self.graph.neighbors_within(0, 0.3)
+            neighbor_ids(self.graph, 0, 0.3)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError, match="999"):
-            self.graph.neighbors_within(999, 0.1)
+            neighbor_ids(self.graph, 999, 0.1)
 
     def test_distance_matches_metric(self):
-        d = self.graph.distance(0, 1)
+        (d,) = self.graph.distances([0], [1])
         assert d == cosine_distance(self.items[0].embedding, self.items[1].embedding)
 
 
@@ -385,18 +380,3 @@ class TestNeighborsBatch:
             graph.neighbors_batch(graph.node_ids[:3], 0.25 + 1e-9)
         with pytest.raises(ValueError, match="exceeds"):
             graph.neighbors_batch([], 0.3)
-
-
-def test_dump_graph_format(tmp_path, rng):
-    items = make_items(rng.standard_normal((20, 4)))
-    g = build_graph(items, 0.6, "exact")
-    path = tmp_path / "graph.jsonl"
-    dump_graph(g, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 20
-    docs = [json.loads(line) for line in lines]
-    assert [d["id"] for d in docs] == g.node_ids
-    for doc in docs:
-        for nid, dist in doc["neighbors"]:
-            assert isinstance(nid, int)
-            assert 0.0 <= dist <= 0.6

@@ -159,8 +159,8 @@ def ref_propagate_labels(new_records, graph, theta_prop, store, round_no, dup_ro
     for target in sorted(dup_routed):
         if target not in store:
             known = store.get(dup_routed[target])
-            offer(target, graph.distance(target, dup_routed[target]), known.label,
-                  dup_routed[target])
+            (dist,) = graph.distances([target], [dup_routed[target]])
+            offer(target, float(dist), known.label, dup_routed[target])
     out = []
     for target in sorted(offers):
         dist, _, source = min(offers[target])
