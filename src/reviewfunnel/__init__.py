@@ -21,7 +21,7 @@ from .corpus import (
     save_corpus,
     save_labels,
 )
-from .funnel import CandidateSet, CoveragePlan
+from .funnel import CoveragePlan
 from .labeling import HttpOracle, KnownStore, Oracle, SimulatedOracle
 from .pipeline import (
     MetricsReport,
@@ -34,7 +34,6 @@ from .pipeline import (
 from .simgraph import SimilarityGraph, build_graph, cosine_distance
 
 __all__ = [
-    "CandidateSet",
     "ConfigError",
     "Corpus",
     "CoveragePlan",

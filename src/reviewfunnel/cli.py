@@ -244,15 +244,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    corpus = load_corpus(args.corpus)
-    if args.budget is None:
-        raise ConfigError("--budget is required")
+    if args.budget is None or args.budget < 0:
+        raise ConfigError("--budget is required and must be >= 0")
+    if args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
     oracle_params = OracleParams()
     if args.config:
         doc = _load_json(args.config)
         if doc.get("kind") == "run_manifest":
             doc = doc["config"]
         oracle_params = pipeline_config_from_doc(doc).oracle
+    corpus = load_corpus(args.corpus)
     oracle = SimulatedOracle(
         oracle_params.tpr,
         oracle_params.tnr,

@@ -6,14 +6,16 @@ index, the corpus's ascending ids: the label store (``labeling.KnownStore``)
 and the content reach (``Reach``) keep their state as arrays over it, so the
 membership tests of a stage are mask gathers, not one lookup per item.
 
-Selection is incremental. ``Reach`` holds two masks, the one-hop reach of
-every positive expanded so far and that of the positives earlier rounds
-surfaced (the feedback channel). A round gathers the neighbours of only the
-positives that are new since the last; sources only grow, so the masks equal
-a one-hop expansion of all of them. Every stage reads the graph through one
-batched neighbour gather (``SimilarityGraph.neighbors_batch``); only the
-greedy choices of dedup and sampling stay sequential, in ascending id order,
-so the funnel is deterministic and replayable.
+Selection is incremental. ``Reach`` holds one content mask, the one-hop
+reach of every positive expanded so far; positives surfaced by earlier
+rounds (the feedback loop) join the sources and so widen it. A round gathers
+the neighbours of only the positives that are new since the last; sources
+only grow, so the mask equals a one-hop expansion of all of them. A round's
+candidates are the union of the content, actor and score channels' ids; no
+stage reads which channel nominated an id. Every stage reads the graph
+through one batched neighbour gather (``SimilarityGraph.neighbors_batch``);
+only the greedy choices of dedup and sampling stay sequential, in ascending
+id order, so the funnel is deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -25,51 +27,12 @@ import numpy as np
 
 from .simgraph import SimilarityGraph, positions
 
-# one origin bit per selection channel
-ORIGIN_CONTENT = 1
-ORIGIN_ACTOR = 2
-ORIGIN_SCORE = 4
-ORIGIN_FEEDBACK = 8
-ORIGINS = ORIGIN_CONTENT | ORIGIN_ACTOR | ORIGIN_SCORE | ORIGIN_FEEDBACK
-
-
 def id_array(item_ids: Iterable[int]) -> np.ndarray:
     """The distinct ids of any iterable, as an ascending int64 array."""
     if not isinstance(item_ids, np.ndarray):
         item_ids = np.fromiter(item_ids, dtype=np.int64)
     item_ids = item_ids.astype(np.int64, copy=False)
     return item_ids if np.all(item_ids[1:] > item_ids[:-1]) else np.unique(item_ids)
-
-
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
-    """Candidates selected for one round: ascending ids, an origin bitmask each."""
-
-    round: int
-    ids: np.ndarray
-    origin: np.ndarray
-
-    def __post_init__(self):
-        if len(self.origin) != len(self.ids) or np.any(np.diff(self.ids) <= 0):
-            raise ValueError("candidate ids must be ascending and unique, one origin each")
-        bad = (self.origin == 0) | (self.origin > ORIGINS)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"candidate {self.ids[k]} has missing or unknown origin tags "
-                             f"{self.origin[k]:#x}")
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @classmethod
-    def from_channels(cls, round_no: int, channels: list[tuple[np.ndarray, int]]):
-        """Merge (ids, origin bit) channels; an id carries the bit of each."""
-        ids = np.concatenate([np.asarray(c, dtype=np.int64) for c, _ in channels])
-        bits = np.concatenate([np.full(len(c), bit, np.uint8) for c, bit in channels])
-        unique, inverse = np.unique(ids, return_inverse=True)
-        origin = np.zeros(len(unique), np.uint8)
-        np.bitwise_or.at(origin, inverse, bits)
-        return cls(round_no, unique, origin)
 
 
 @dataclass(frozen=True)
@@ -105,42 +68,30 @@ class CoveragePlan:
 class Reach:
     """What the labels so far reach in one hop, as arrays over ``index``.
 
-    ``content`` and ``feedback`` hold the neighbourhoods of the expanded
-    ``sources`` and of those flagged as feedback. ``nearest`` holds each
-    position's first reviewed neighbour within theta_dup (-1 if none) among
-    the ``reviewed`` items absorbed so far. Nothing is ever taken out.
+    ``content`` holds the neighbourhoods of the expanded ``sources``.
+    ``nearest`` holds each position's first reviewed neighbour within
+    theta_dup (-1 if none) among the ``reviewed`` items absorbed so far.
+    Nothing is ever taken out.
     """
 
     def __init__(self, index: np.ndarray):
         self.index = np.asarray(index, dtype=np.int64)
         n = len(self.index)
-        self.sources, self.content, self.feedback, self.reviewed = (
-            np.zeros(n, dtype=bool) for _ in range(4)
-        )
+        self.sources, self.content, self.reviewed = (np.zeros(n, dtype=bool) for _ in range(3))
         self.nearest = np.full(n, -1, dtype=np.int64)
 
 
 def expand_content(
-    graph: SimilarityGraph,
-    reach: Reach,
-    sources: Iterable[int],
-    theta_sim: float,
-    feedback: Iterable[int] = (),
+    graph: SimilarityGraph, reach: Reach, sources: Iterable[int], theta_sim: float
 ) -> np.ndarray:
     """One-hop neighbourhood of every source so far, excluding the sources.
 
-    Only sources new to ``reach`` are gathered; the neighbourhoods of those
-    also in ``feedback`` extend ``reach.feedback`` too.
+    Only sources new to ``reach`` are gathered.
     """
-    src = id_array(sources)
-    pos = positions(reach.index, src)
-    fresh = ~reach.sources[pos]
-    via_feedback = np.isin(src[fresh], id_array(feedback))
-    row, nbr_ids, _ = graph.neighbors_batch(src[fresh], theta_sim)
-    nbr = positions(reach.index, nbr_ids)
+    pos = positions(reach.index, id_array(sources))
+    fresh = reach.index[pos[~reach.sources[pos]]]
     reach.sources[pos] = True
-    reach.content[nbr] = True
-    reach.feedback[nbr[via_feedback[row]]] = True
+    reach.content[positions(reach.index, graph.neighbors_batch(fresh, theta_sim)[1])] = True
     return reach.index[reach.content & ~reach.sources]
 
 
@@ -149,15 +100,17 @@ def expand_actor(store, min_positives: int, min_rate: float) -> np.ndarray:
 
     An account is flagged when it has at least ``min_positives`` positive
     labels and its positive share among labeled items reaches ``min_rate``;
-    the store's per-account counters supply the counts.
+    the counts come from the store's labels and account codes.
     """
     if min_positives < 1:
         raise ValueError("min_positives must be >= 1")
     if not 0.0 < min_rate <= 1.0:
         raise ValueError("min_rate must be in (0, 1]")
-    labeled, positive = store.account_labeled, store.account_positive
+    slots = len(store.accounts) + 1
+    counts = np.bincount(3 * store.account_codes + store.labels + 1, minlength=3 * slots)
+    _, negative, positive = counts.reshape(slots, 3).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        flagged = (positive >= min_positives) & (positive / labeled >= min_rate)
+        flagged = (positive >= min_positives) & (positive / (negative + positive) >= min_rate)
     flagged[-1] = False  # the slot of items without an account
     return store.ids[flagged[store.account_codes] & (store.labels < 0)]
 

@@ -7,10 +7,10 @@ do not depend on batching or call order.
 
 The store covers a run's position index, its ascending item ids. Beside the
 records in write order it keeps per-position label, reviewed and round
-arrays, labelled and positive counts per account, and the lowest reviewed
-position per exact hash, so the funnel reads the labels as mask gathers.
-``abort_round`` drops the round's staged records and restores every one of
-these arrays.
+arrays, so the funnel reads the labels as mask gathers; the per-account
+counts and the exact-hash matches are derived from them per call, so
+``abort_round`` need only drop the round's staged records and rebuild these
+arrays.
 """
 
 from __future__ import annotations
@@ -199,9 +199,9 @@ class KnownStore:
     ``ids`` is the position index, strictly ascending; ``accounts`` and
     ``hashes``, when given, hold each position's account and exact hash.
     Callers read, never write, the per-position arrays ``labels`` (int8, -1
-    unlabelled), ``reviewed`` and ``rounds`` (-1 unlabelled), and the
-    per-account counters ``account_labeled`` and ``account_positive``
-    (indexed by ``account_codes``; the last slot is for no account).
+    unlabelled), ``reviewed``, ``rounds`` (-1 unlabelled) and
+    ``account_codes``, each position's index into the distinct ``accounts``
+    (one past the end for no account).
 
     Writes during a round go to a staging buffer that is visible to reads but
     only becomes permanent on commit, giving the pipeline round atomicity.
@@ -212,7 +212,7 @@ class KnownStore:
         self.ids = np.asarray(ids, dtype=np.int64)
         if np.any(np.diff(self.ids) <= 0):
             raise ValueError("store ids must be strictly ascending")
-        self._accounts, self.account_codes = _codes(accounts, len(self.ids))
+        self.accounts, self.account_codes = _codes(accounts, len(self.ids))
         self._hashes, self._hash_codes = _codes(hashes, len(self.ids))
         self._index([])
 
@@ -223,9 +223,6 @@ class KnownStore:
         self.reviewed = np.zeros(n, dtype=bool)
         self.rounds = np.full(n, -1, dtype=np.int64)
         self._slot = np.full(n, -1, dtype=np.int64)
-        self.account_labeled = np.zeros(len(self._accounts) + 1, dtype=np.int64)
-        self.account_positive = np.zeros(len(self._accounts) + 1, dtype=np.int64)
-        self._hash_first = np.full(len(self._hashes) + 1, n, dtype=np.int64)
         self._records: list[LabelRecord] = []
         self._staged_from: int | None = None
         self.extend(records)
@@ -255,15 +252,14 @@ class KnownStore:
     def positive_ids(self) -> set[int]:
         return set(self.ids[self.labels == 1].tolist())
 
-    def account_label_counts(self) -> dict[int, tuple[int, int]]:
-        """(labeled, positive) item counts of every account with a label."""
-        counts = zip(self.account_labeled.tolist(), self.account_positive.tolist())
-        return {a: c for a, c in zip(self._accounts.tolist(), counts) if c[0]}
-
     def hash_match(self, pos: np.ndarray) -> np.ndarray:
         """Lowest reviewed position sharing each position's exact hash, or -1."""
-        match = self._hash_first[self._hash_codes[pos]]
-        return np.where(match < len(self.ids), match, -1)
+        reviewed = np.flatnonzero(self.reviewed)
+        codes, lowest = np.unique(self._hash_codes[reviewed], return_index=True)
+        match = np.full(len(self._hashes) + 1, -1, dtype=np.int64)
+        match[codes] = reviewed[lowest]
+        match[-1] = -1  # the slot of items without a hash
+        return match[self._hash_codes[pos]]
 
     def add(self, record: LabelRecord) -> None:
         self.extend([record])
@@ -281,11 +277,6 @@ class KnownStore:
         self.labels[pos] = [r.label for r in records]
         self.reviewed[pos] = [r.provenance == PROVENANCE_ORACLE for r in records]
         self.rounds[pos] = [r.round for r in records]
-        np.add.at(self.account_labeled, self.account_codes[pos], 1)
-        np.add.at(self.account_positive, self.account_codes[pos], self.labels[pos])
-        reviewed = pos[self.reviewed[pos]]
-        np.minimum.at(self._hash_first, self._hash_codes[reviewed], reviewed)
-        self._hash_first[-1] = len(self.ids)  # the slot of items without a hash
 
     def begin_round(self) -> None:
         if self._staged_from is not None:

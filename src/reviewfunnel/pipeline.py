@@ -24,11 +24,6 @@ from .corpus import (
     PROVENANCE_SEED,
 )
 from .funnel import (
-    CandidateSet,
-    ORIGIN_ACTOR,
-    ORIGIN_CONTENT,
-    ORIGIN_FEEDBACK,
-    ORIGIN_SCORE,
     Reach,
     dedup_cross_round,
     dedup_intra_batch,
@@ -335,32 +330,22 @@ def run_round(
         seeds = feedback_seeds(store, round_no - 1)
 
         current_stage = "select"
-        # seeds surfaced by earlier rounds (not the round-0 bootstrap) mark
-        # their expansions with the feedback origin tag
-        surfaced = seeds[store.rounds[store.positions(seeds)] > 0]
-        content = expand_content(graph, reach, seeds, config.theta_sim, surfaced)
+        content = expand_content(graph, reach, seeds, config.theta_sim)
         actor = config.actor
         actor_ids = expand_actor(store, actor.min_positives, actor.min_rate)
-        candidates = CandidateSet.from_channels(round_no, [
-            (content, ORIGIN_CONTENT),
-            (reach.index[reach.feedback & ~reach.sources], ORIGIN_FEEDBACK),
-            (actor_ids, ORIGIN_ACTOR),
-            (state.score_ids, ORIGIN_SCORE),
-        ])
+        candidates = id_array(np.concatenate([content, actor_ids, state.score_ids]))
         stages.append(StageStat("select", 0, len(candidates)))
 
         current_stage = "dedup_cross_round"
-        kept, routed = dedup_cross_round(candidates.ids, store, graph, config.theta_dup, reach)
+        kept, routed = dedup_cross_round(candidates, store, graph, config.theta_dup, reach)
         stages.append(
             StageStat("dedup_cross_round", len(candidates), len(kept), {"dup": len(routed)})
         )
 
         current_stage = "filter_eligible"
         eligible = filter_eligible(kept, store, impressions)
-        kept_pos = store.positions(kept)
-        labeled = store.labels[kept_pos] >= 0
-        inactive = ~labeled & (impressions[kept_pos] == 0)
-        removed = {"inactive": int(inactive.sum()), "labeled": int(labeled.sum())}
+        labeled = int(np.count_nonzero(store.labels[store.positions(kept)] >= 0))
+        removed = {"inactive": len(kept) - len(eligible) - labeled, "labeled": labeled}
         stages.append(StageStat("filter_eligible", len(kept), len(eligible), removed))
 
         current_stage = "dedup_intra_batch"
@@ -437,8 +422,8 @@ def run_pipeline(
     """Run the configured number of rounds and evaluate against ground truth.
 
     ``corpus`` is a Corpus or an Item list. A prebuilt graph may be passed to
-    amortize construction across runs; it must cover the corpus at a radius
-    of at least theta_sim.
+    amortize construction across runs; it must be built over the corpus's
+    ids and embeddings at a radius of at least theta_sim.
     """
     report, _ = run_pipeline_detailed(corpus, config, graph=graph, oracle=oracle)
     return report
@@ -489,6 +474,8 @@ def run_pipeline_detailed(
             raise ValueError(f"provided graph is missing item {missing[0]}")
         if len(graph) != len(corpus):
             raise ValueError("provided graph has items outside the corpus")
+        if not np.array_equal(graph.embeddings, corpus.embeddings):
+            raise ValueError("provided graph was built over other embeddings")
 
     positive = corpus.truth == 1
     store = KnownStore(corpus.ids, accounts=corpus.accounts, hashes=corpus.hashes)

@@ -74,7 +74,8 @@ class SimilarityGraph:
 
     Row ``p`` of the CSR arrays lists the neighbours of ``ids[p]`` in
     ascending (distance, id) order, so every radius query keeps a prefix of
-    each row it reads.
+    each row it reads. ``embeddings`` is the matrix it was built over, one
+    row per id.
     """
 
     def __init__(
@@ -91,7 +92,7 @@ class SimilarityGraph:
         self.theta = theta
         self.mode = mode
         self._ids = ids
-        self._emb = embeddings
+        self.embeddings = embeddings
         self._norms = norms
         self._indptr = indptr
         self._nbr_ids = nbr_ids
@@ -148,7 +149,7 @@ class SimilarityGraph:
     def distances(self, a_ids, b_ids) -> np.ndarray:
         """Canonical cosine distance of each member pair (a_ids[k], b_ids[k])."""
         ia, ib = positions(self._ids, a_ids), positions(self._ids, b_ids)
-        return _pair_distances(self._emb, self._norms, ia, ib)
+        return _pair_distances(self.embeddings, self._norms, ia, ib)
 
 
 def _pair_distances(

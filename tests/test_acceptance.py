@@ -238,6 +238,34 @@ def test_criterion_5_blocked_graph_recall():
     )
 
 
+def edge_keys(graph):
+    """One key per directed edge of the graph at its own radius."""
+    ids = np.array(graph.node_ids)
+    row, nbr, _ = graph.neighbors_batch(ids, graph.theta)
+    return ids[row] * (int(ids.max()) + 1) + nbr
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_criterion_5_blocked_graph_recall_16d(seed):
+    """The same bar at theta_sim on 16-d data, where too few short bands fail it."""
+    items, _ = generate_corpus(GeneratorConfig(n_clusters=1000, embedding_dim=16, rng_seed=seed))
+    exact = edge_keys(build_graph(items, THETA_SIM, "exact"))
+    default = PipelineConfig()
+    recall = {
+        (bands, bits): np.isin(exact, edge_keys(build_graph(
+            items, THETA_SIM, "blocked", bands=bands, band_bits=bits, seed=0))).mean()
+        for bands, bits in ((default.graph_bands, default.graph_band_bits), (12, 12))
+    }
+    default_recall = recall[default.graph_bands, default.graph_band_bits]
+    report_line(
+        5,
+        "blocked-graph-recall-16d",
+        len(exact) > 0 and default_recall >= 0.95 > recall[12, 12],
+        f"items={len(items)} exact_edges={len(exact) // 2} recall default="
+        f"{default_recall:.4f} 12x12={recall[12, 12]:.4f}",
+    )
+
+
 @pytest.fixture(scope="module")
 def invariant_runs():
     cfg = GeneratorConfig(

@@ -2,12 +2,14 @@
 and the CLI. These tests call the package the way the harness does, so an
 API change that would break the benchmark fails here first."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from reviewfunnel import cli
+from reviewfunnel import cli, corpus, pipeline, simgraph
 from reviewfunnel.corpus import GeneratorConfig, generate_corpus
 from reviewfunnel.pipeline import PipelineConfig, run_pipeline_detailed
 from reviewfunnel.simgraph import build_graph
@@ -58,3 +60,28 @@ def test_cli_run_calls_the_module_global(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "run")])
     assert code == 0 and len(captured) == 1
     assert captured[0][1].graph is not None
+
+
+def test_traced_run_records_every_stage_span():
+    # the tracer skips a name the program no longer has without a word, so a
+    # renamed or deleted stage would silently read 0 in the per-layer figures
+    spec = importlib.util.spec_from_file_location(
+        "funnelbench_run", ROOT / "funnelbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    tracer = run.Tracer()
+    prog = SimpleNamespace(cli=cli, corpus=corpus, pipeline=pipeline, simgraph=simgraph)
+    items, _ = generate_corpus(GeneratorConfig(n_clusters=40, rng_seed=1))
+    try:
+        run.install_tracing(prog, tracer)
+        pipeline.run_pipeline_detailed(items, PipelineConfig(rounds=2))
+    finally:
+        tracer.restore()
+    stages = {
+        "funnel": ("expand_content", "expand_actor", "dedup_cross_round", "filter_eligible",
+                   "dedup_intra_batch", "max_coverage_sample"),
+        "labeling": ("oracle_label", "propagate", "feedback_seeds"),
+        "pipeline": ("run_round", "compute_metrics"),
+    }
+    want = {f"{layer}.{name}" for layer, names in stages.items() for name in names}
+    assert want <= {span["name"] for span in tracer.spans}

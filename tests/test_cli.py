@@ -268,6 +268,16 @@ class TestBaselineAndCompare:
         assert code == 0
         assert json.loads((out / "metrics.json").read_text())["recall"] == 0.0
 
+    @pytest.mark.parametrize("flag,value", [("--budget", "-1"), ("--trials", "0")])
+    def test_baseline_bad_flag_exits_2_before_loading(self, tmp_path, corpus_file,
+                                                      monkeypatch, flag, value):
+        loaded = []
+        monkeypatch.setattr(cli, "load_corpus", loaded.append)
+        argv = {"--budget": "5", "--trials": "3", flag: value}
+        code = main(["baseline", "--corpus", str(corpus_file), "--out", str(tmp_path / "b"),
+                     *(part for item in argv.items() for part in item)])
+        assert (code, loaded) == (2, [])
+
     def test_baseline_deterministic(self, tmp_path, corpus_file):
         outs = []
         for name in ("b1", "b2"):

@@ -6,8 +6,6 @@ import pytest
 
 from reviewfunnel.corpus import LabelRecord
 from reviewfunnel.funnel import (
-    ORIGIN_CONTENT,
-    CandidateSet,
     CoveragePlan,
     Reach,
     dedup_cross_round,
@@ -311,14 +309,6 @@ class TestMaxCoverage:
 
 
 class TestDataTypes:
-    def test_candidate_set_requires_tags(self):
-        with pytest.raises(ValueError, match="origin"):
-            CandidateSet(1, np.array([1]), np.array([0], dtype=np.uint8))
-
-    def test_candidate_set_rejects_unknown_tags(self):
-        with pytest.raises(ValueError, match="unknown origin"):
-            CandidateSet(1, np.array([1]), np.array([ORIGIN_CONTENT | 16], dtype=np.uint8))
-
     def test_coverage_plan_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
             CoveragePlan((1, 2), {1: (1, 3), 2: (2, 3)}, 2)

@@ -8,7 +8,7 @@ import pytest
 import requests
 
 from reviewfunnel.corpus import LabelRecord
-from reviewfunnel.funnel import CoveragePlan
+from reviewfunnel.funnel import CoveragePlan, expand_actor
 from reviewfunnel.labeling import (
     AlreadyLabeledError,
     HttpOracle,
@@ -86,7 +86,6 @@ class TestKnownStore:
         store.add(seed_rec(2, False))
         assert store.reviewed_ids() == {1}
         assert store.positive_ids() == {1}
-        assert store.account_label_counts() == {40: (2, 1)}
 
     def test_staging_commit(self):
         store = KnownStore(range(10))
@@ -105,24 +104,24 @@ class TestKnownStore:
         store.abort_round()
         assert store.get(2) is None
         assert store.reviewed_ids() == set()
-        assert store.account_label_counts() == {6: (1, 1)}
         assert [r.item_id for r in store.records()] == [1]
 
     def test_abort_restores_arrays_counters_and_hash_map(self):
         store = KnownStore([1, 2, 3], accounts=[40, 40, 41], hashes=[7, 7, 8])
         store.add(seed_rec(1))
-        arrays = [a.copy() for a in (store.labels, store.reviewed, store.rounds,
-                                     store.account_labeled, store.account_positive)]
+        arrays = [a.copy() for a in (store.labels, store.reviewed, store.rounds)]
+        # the account counts are derived from the labels: account 40 is flagged
+        assert expand_actor(store, 1, 0.5).tolist() == [2]
         store.begin_round()
         store.add(oracle_rec(2, True, round_no=1))
         store.add(oracle_rec(3, False, round_no=1))
         assert store.hash_match(store.positions([1, 2, 3])).tolist() == [1, 1, 2]
+        assert expand_actor(store, 1, 0.5).tolist() == []
         store.abort_round()
         assert store.hash_match(store.positions([1, 2, 3])).tolist() == [-1, -1, -1]
-        for before, after in zip(arrays, (store.labels, store.reviewed, store.rounds,
-                                          store.account_labeled, store.account_positive)):
+        for before, after in zip(arrays, (store.labels, store.reviewed, store.rounds)):
             assert np.array_equal(before, after)
-        assert store.account_label_counts() == {40: (1, 1)}
+        assert expand_actor(store, 1, 0.5).tolist() == [2]
 
     def test_hash_match_is_lowest_reviewed(self):
         store = KnownStore([1, 2, 3, 4], hashes=[5, 5, 5, 6])

@@ -185,16 +185,16 @@ class TestRunRound:
         """Round 3 fails at ``stage`` and leaves the store as it found it."""
         store = state.store
         snapshot = list(store.records())
-        indexes = (store.reviewed_ids(), store.positive_ids(), store.account_label_counts())
+        arrays = (store.reviewed.tolist(), store.labels.tolist(), store.rounds.tolist())
         with pytest.raises(StageError, match=f"round 3 stage {stage}"):
             run_round(state, config, 3)
         assert store.records() == snapshot
-        assert (store.reviewed_ids(), store.positive_ids(), store.account_label_counts()) == indexes
+        assert (store.reviewed.tolist(), store.labels.tolist(), store.rounds.tolist()) == arrays
         return snapshot
 
     def check_rerun(self, items, state, config, snapshot):
         """Round 3 rerun equals round 3 of a clean three-round run, so the
-        aborted round advanced no reach mask, counter or hash map."""
+        aborted round advanced no reach mask."""
         _, metrics = run_round(state, config, 3)
         clean, clean_state = run_pipeline_detailed(items, small_config(rounds=3))
         # cumulative recall is filled in by run_pipeline_detailed, not run_round
@@ -342,6 +342,16 @@ class TestRunPipeline:
         graph = build_graph(items[:-1], config.theta_sim, "exact")
         with pytest.raises(ValueError, match="missing"):
             run_pipeline(items, config, graph=graph)
+
+    def test_prebuilt_graph_over_other_embeddings(self):
+        # singleton clusters: two seeds give the same ids, other embeddings
+        one, two = (generate_corpus(GeneratorConfig(n_clusters=300, cluster_size_mean=1,
+                                                    rng_seed=seed))[0] for seed in (1, 2))
+        assert one.ids.tolist() == two.ids.tolist()
+        config = small_config()
+        graph = build_graph(one, config.theta_sim, "exact")
+        with pytest.raises(ValueError, match="other embeddings"):
+            run_pipeline(two, config, graph=graph)
 
     def test_missing_ground_truth_without_oracle(self, rng):
         items = make_items(rng.standard_normal((5, 3)))

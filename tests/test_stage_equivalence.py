@@ -15,12 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reviewfunnel.corpus import GeneratorConfig, LabelRecord, generate_corpus
+from reviewfunnel import pipeline
 from reviewfunnel.funnel import (
-    ORIGIN_ACTOR,
-    ORIGIN_CONTENT,
-    ORIGIN_FEEDBACK,
-    ORIGIN_SCORE,
-    CandidateSet,
     CoveragePlan,
     Reach,
     dedup_cross_round,
@@ -50,17 +46,11 @@ def nbr_ids(graph, item_id, radius):
     return [i for i, _ in csr_neighbors(graph, item_id, radius)]
 
 
-def ref_expand_content(graph, sources, theta_sim, feedback_ids):
-    def one_hop(seeds):
-        out = set()
-        for source in sorted(seeds):
-            out.update(nbr_ids(graph, source, theta_sim))
-        return out - set(seeds)
-
-    content = one_hop(sources)
-    feedback = one_hop(feedback_ids) & content if feedback_ids else set()
-    return {i: {ORIGIN_CONTENT} | ({ORIGIN_FEEDBACK} if i in feedback else set())
-            for i in content}
+def ref_expand_content(graph, sources, theta_sim):
+    out = set()
+    for source in sorted(sources):
+        out.update(nbr_ids(graph, source, theta_sim))
+    return out - set(sources)
 
 
 def ref_expand_actor(items, store, min_positives, min_rate):
@@ -178,13 +168,6 @@ def new_store(items):
                       np.array([it.exact_hash for it in items], dtype=np.uint64))
 
 
-def tagged(reach, content):
-    """expand_content's ids with their feedback flags, as the reference's map."""
-    flags = reach.feedback[np.searchsorted(reach.index, content)]
-    return {i: {ORIGIN_CONTENT} | ({ORIGIN_FEEDBACK} if f else set())
-            for i, f in zip(content.tolist(), flags.tolist())}
-
-
 def scenario(seed):
     """A corpus, its graph, a partly labeled store and a candidate set."""
     rng = np.random.default_rng(seed)
@@ -207,16 +190,14 @@ def scenario(seed):
 def test_expand_content(seed):
     rng, _, graph, store, _ = scenario(seed)
     sources = sorted(store.positive_ids())
-    for feedback in ([], sources[::3], sources):
-        want = ref_expand_content(graph, set(sources), THETA_SIM, set(feedback))
+    want = ref_expand_content(graph, set(sources), THETA_SIM)
+    got = expand_content(graph, Reach(store.ids), set(sources), THETA_SIM).tolist()
+    assert got == sorted(want)
+    # the same reach grown in two steps: only the new sources are gathered
+    for first in (sources[1::2], sources[::3], sources):
         reach = Reach(store.ids)
-        got = tagged(reach, expand_content(graph, reach, set(sources), THETA_SIM, set(feedback)))
-        assert got == want
-        assert list(got) == sorted(got)
-        # the same reach grown in two steps: only the new sources are gathered
-        reach = Reach(store.ids)
-        expand_content(graph, reach, sources[1::2], THETA_SIM, feedback)
-        assert tagged(reach, expand_content(graph, reach, sources, THETA_SIM, feedback)) == want
+        expand_content(graph, reach, first, THETA_SIM)
+        assert expand_content(graph, reach, sources, THETA_SIM).tolist() == sorted(want)
     assert expand_content(graph, Reach(store.ids), [], THETA_SIM).tolist() == []
 
 
@@ -333,7 +314,7 @@ def audit(round_no, *stages):
 
 def ref_campaign(items, truth, graph, config, bootstrap):
     """Every round of a campaign, each stage recomputed from scratch by the
-    references above: (candidate tags, audit entries, records) per round."""
+    references above: (candidate ids, audit entries, records) per round."""
     index = {it.item_id: it for it in items}
     store = DictStore(bootstrap)
     oracle = SimulatedOracle(config.oracle.tpr, config.oracle.tnr, config.oracle.seed, truth)
@@ -344,13 +325,10 @@ def ref_campaign(items, truth, graph, config, bootstrap):
     rounds = []
     for round_no in range(1, config.rounds + 1):
         seeds = {i for i, r in store.by_id.items() if r.label and r.round <= round_no - 1}
-        surfaced = {i for i in seeds if store.get(i).round > 0}
-        tags = ref_expand_content(graph, seeds, config.theta_sim, surfaced)
-        actor = ref_expand_actor(items, store, config.actor.min_positives, config.actor.min_rate)
-        for channel, ids in ((ORIGIN_ACTOR, actor), (ORIGIN_SCORE, scored)):
-            for i in ids:
-                tags.setdefault(i, set()).add(channel)
-        kept, routed = ref_dedup_cross_round(tags, store, graph, config.theta_dup, index)
+        candidates = (ref_expand_content(graph, seeds, config.theta_sim) | scored
+                      | ref_expand_actor(items, store, config.actor.min_positives,
+                                         config.actor.min_rate))
+        kept, routed = ref_dedup_cross_round(candidates, store, graph, config.theta_dup, index)
         labeled = {c for c in kept if c in store}
         inactive = {c for c in kept - labeled if index[c].impressions == 0}
         eligible = kept - labeled - inactive
@@ -368,8 +346,8 @@ def ref_campaign(items, truth, graph, config, bootstrap):
                                           routed)
         stages = audit(
             round_no,
-            ("select", 0, len(tags), {}),
-            ("dedup_cross_round", len(tags), len(kept), {"dup": len(routed)}),
+            ("select", 0, len(candidates), {}),
+            ("dedup_cross_round", len(candidates), len(kept), {"dup": len(routed)}),
             ("filter_eligible", len(kept), len(eligible),
              {"inactive": len(inactive), "labeled": len(labeled)}),
             ("dedup_intra_batch", len(eligible), len(unique), {"dup": len(dup_of)}),
@@ -377,7 +355,7 @@ def ref_campaign(items, truth, graph, config, bootstrap):
             ("label", len(reps), len(reviews), {}),
             ("propagate", len(reviews), len(propagated), {}),
         )
-        rounds.append((tags, stages, reviews + propagated))
+        rounds.append((candidates, stages, reviews + propagated))
     return rounds
 
 
@@ -414,21 +392,16 @@ def test_campaign_matches_stages_from_scratch(corpus_seed, n_clusters, dim, nois
     graph = build_graph(items, config.theta_sim, mode, seed=corpus_seed)
     candidate_sets = []
 
-    def capture(round_no, channels):
-        candidate_sets.append(from_channels(round_no, channels))
-        return candidate_sets[-1]
+    def capture(candidates, *args):
+        candidate_sets.append(candidates.tolist())
+        return dedup_cross_round(candidates, *args)
 
-    from_channels = CandidateSet.from_channels
-    with mock.patch.object(CandidateSet, "from_channels", capture):
+    with mock.patch.object(pipeline, "dedup_cross_round", capture):
         report, state = run_pipeline_detailed(items, config, graph=graph)
     records = state.store.records()
     bootstrap_records = [r for r in records if r.round == 0]
     want = ref_campaign(items, truth, graph, config, bootstrap_records)
-    for round_no, (tags, stages, new_records) in enumerate(want, start=1):
-        candidates = candidate_sets[round_no - 1]
-        got_tags = {i: {bit for bit in (ORIGIN_CONTENT, ORIGIN_ACTOR, ORIGIN_SCORE,
-                                        ORIGIN_FEEDBACK) if bits & bit}
-                    for i, bits in zip(candidates.ids.tolist(), candidates.origin.tolist())}
-        assert got_tags == tags
+    for round_no, (candidates, stages, new_records) in enumerate(want, start=1):
+        assert candidate_sets[round_no - 1] == sorted(candidates)
         assert report.rounds[round_no - 1].to_dict()["stages"] == stages
         assert [r for r in records if r.round == round_no] == new_records
