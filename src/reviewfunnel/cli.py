@@ -255,6 +255,8 @@ def cmd_baseline(args) -> int:
             doc = doc["config"]
         oracle_params = pipeline_config_from_doc(doc).oracle
     corpus = load_corpus(args.corpus)
+    if args.budget > len(corpus):
+        raise ConfigError(f"--budget {args.budget} exceeds the corpus size {len(corpus)}")
     oracle = SimulatedOracle(
         oracle_params.tpr,
         oracle_params.tnr,

@@ -278,6 +278,14 @@ class TestBaselineAndCompare:
                      *(part for item in argv.items() for part in item)])
         assert (code, loaded) == (2, [])
 
+    def test_baseline_budget_above_corpus_exits_2(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "big"
+        code = main(["baseline", "--corpus", str(corpus_file), "--budget", "999999",
+                     "--out", str(out)])
+        assert code == 2
+        assert "exceeds the corpus size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_baseline_deterministic(self, tmp_path, corpus_file):
         outs = []
         for name in ("b1", "b2"):

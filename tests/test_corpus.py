@@ -1,10 +1,17 @@
 import dataclasses
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reviewfunnel.corpus as corpus_module
 from reviewfunnel.cli import main
 from reviewfunnel.corpus import (
     ConfigError,
@@ -328,35 +335,51 @@ def _record(**changes):
 _NUMERIC_FIELDS = ("item_id", "account_id", "impressions", "created_round")
 
 
-@pytest.mark.parametrize(
-    "bad_line",
-    [
-        pytest.param(json.dumps({"item_id": 2, "embedding": [1.0, 0.5]}), id="missing-field"),
-        pytest.param("[1, 2, 3]", id="array-line"),
-        pytest.param('"item"', id="string-line"),
-        pytest.param(_record(item_id=2, exact_hash="12a"), id="hash-not-digits"),
-        pytest.param(_record(item_id=2, exact_hash="-1"), id="hash-negative"),
-        pytest.param(_record(item_id=2, exact_hash=5), id="hash-not-string"),
-        pytest.param(_record(item_id=2, exact_hash=str(1 << 64)), id="hash-2^64"),
-        pytest.param(_record(item_id=2, embedding=[1.0, float("nan")]), id="embedding-nan"),
-        pytest.param(_record(item_id=2, embedding=[float("inf"), 1.0]), id="embedding-inf"),
-        pytest.param(_record(item_id=2, embedding=[]), id="embedding-empty"),
-        pytest.param(_record(item_id=2, embedding="1.0,0.5"), id="embedding-string"),
-        pytest.param(_record(item_id=2, embedding={"x": 1.0}), id="embedding-object"),
-        pytest.param(_record(item_id=2, embedding=None), id="embedding-null"),
-        pytest.param(_record(item_id=2, ground_truth=1), id="truth-int"),
-        pytest.param(_record(item_id=2, ground_truth="true"), id="truth-string"),
-        *(
-            pytest.param(_record(**{"item_id": 2, field: value}), id=f"{field}-{name}")
-            for field in _NUMERIC_FIELDS
-            for name, value in (("bool", True), ("negative", -1), ("float", 2.0))
-        ),
-    ],
-)
+_BAD_LINES = [
+    pytest.param(json.dumps({"item_id": 2, "embedding": [1.0, 0.5]}), id="missing-field"),
+    pytest.param("[1, 2, 3]", id="array-line"),
+    pytest.param('"item"', id="string-line"),
+    pytest.param(_record(item_id=2, exact_hash="12a"), id="hash-not-digits"),
+    pytest.param(_record(item_id=2, exact_hash="-1"), id="hash-negative"),
+    pytest.param(_record(item_id=2, exact_hash=5), id="hash-not-string"),
+    pytest.param(_record(item_id=2, exact_hash=str(1 << 64)), id="hash-2^64"),
+    pytest.param(_record(item_id=2, exact_hash="\u00b2"), id="hash-superscript-digit"),
+    pytest.param(_record(item_id=2, exact_hash="\u0661\u0662"), id="hash-arabic-digits"),
+    pytest.param(_record(item_id=2, embedding=[1.0, float("nan")]), id="embedding-nan"),
+    pytest.param(_record(item_id=2, embedding=[float("inf"), 1.0]), id="embedding-inf"),
+    pytest.param(_record(item_id=2, embedding=[]), id="embedding-empty"),
+    pytest.param(_record(item_id=2, embedding="1.0,0.5"), id="embedding-string"),
+    pytest.param(_record(item_id=2, embedding={"x": 1.0}), id="embedding-object"),
+    pytest.param(_record(item_id=2, embedding=None), id="embedding-null"),
+    pytest.param(_record(item_id=2, ground_truth=1), id="truth-int"),
+    pytest.param(_record(item_id=2, ground_truth="true"), id="truth-string"),
+    *(
+        pytest.param(_record(**{"item_id": 2, field: value}), id=f"{field}-{name}")
+        for field in _NUMERIC_FIELDS
+        for name, value in (
+            ("bool", True), ("negative", -1), ("float", 2.0), ("2^63", 1 << 63),
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("bad_line", _BAD_LINES)
 def test_load_rule_cites_line(tmp_path, bad_line):
     path = tmp_path / "bad.jsonl"
     path.write_text(_record() + "\n" + _record(item_id=3) + "\n" + bad_line + "\n")
     with pytest.raises(FormatError, match="^line 3: "):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("lines", [
+    [_record(item_id=2, embedding=[1.0, float("nan")], exact_hash="x")],
+    [_record(item_id=2, embedding=[1.0, float("nan")]), "{broken"],
+    [_record(item_id=2, embedding=[0.0, 0.0]), _record(item_id=3, ground_truth=1)],
+], ids=["same-record", "next-line", "zero-then-bad-truth"])
+def test_embedding_fault_comes_before_later_checks(tmp_path, lines):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([_record(), *lines]) + "\n")
+    with pytest.raises(FormatError, match="^line 2: embedding"):
         load_corpus(path)
 
 
@@ -494,3 +517,259 @@ def test_line_order_changes_nothing(tmp_path):
         assert main(args + ["--out", str(tmp_path / out)]) == 0
     metrics = [(tmp_path / out / "metrics.json").read_bytes() for out in "ab"]
     assert metrics[0] == metrics[1]
+
+
+# --- parallel decoding of large corpus files -------------------------------
+
+SRC = str(Path(corpus_module.__file__).resolve().parent.parent)
+
+
+def one_chunk_load(path):
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", 1 << 60):
+        return load_corpus(path)
+
+
+def chunked_load(path, cpus, workers=False):
+    """load_corpus with every range large enough to split, on ``cpus`` CPUs.
+
+    Without ``workers`` no process can start, so every range decodes here.
+    """
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", 1), \
+            mock.patch.object(corpus_module, "_available_cpus", lambda: cpus), \
+            mock.patch.object(sys, "executable", sys.executable if workers else ""):
+        return load_corpus(path)
+
+
+def load_split(path, first_lines, workers=False):
+    """load_corpus on ranges starting at the given 1-based lines (ending in \\n)."""
+    data = path.read_bytes()
+    line_starts = [0] + [k + 1 for k, byte in enumerate(data) if byte == ord("\n")]
+    starts = [0] + [line_starts[line - 1] for line in first_lines]
+    ranges = list(zip(starts, [*starts[1:], len(data)]))
+    with mock.patch.object(corpus_module, "_byte_ranges", lambda _: ranges), \
+            mock.patch.object(sys, "executable", sys.executable if workers else ""):
+        return load_corpus(path)
+
+
+def load_error(load, *args):
+    with pytest.raises(FormatError) as info:
+        load(*args)
+    return str(info.value)
+
+
+def assert_same_corpus(a, b):
+    assert_same_columns(a, b)
+    for field in dataclasses.fields(Corpus):
+        assert getattr(a, field.name).tobytes() == getattr(b, field.name).tobytes()
+    assert a.content_hash == b.content_hash
+
+
+_rows = st.lists(
+    st.tuples(
+        st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=3, max_size=3),
+        st.booleans(),  # normalise before writing, so the row passes through
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**63 - 1),
+        st.sampled_from([None, True, False]),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        # a blank line after it; str.splitlines would break at \x0c and \x85 too
+        st.sampled_from(["", " \n", "\t\r\n", "\x0c\n", "\x85\r"]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(rows=_rows, ids=st.lists(st.integers(0, 2**63 - 1), min_size=13, max_size=13,
+                                unique=True),
+       cpus=st.integers(1, 4), newline_at_end=st.booleans(),
+       bad_at=st.one_of(st.none(), st.integers(1, 12)))
+def test_chunked_load_equals_one_chunk(tmp_path_factory, rows, ids, cpus, newline_at_end,
+                                       bad_at):
+    records, docs = [], []
+    for item_id, (emb, unit, hash_, count, truth, end, blank) in zip(ids, rows):
+        emb = np.array(emb)
+        emb[0] += np.abs(emb).max() < 1e-3  # no norm that underflows to 0
+        doc = {
+            "item_id": item_id,
+            "embedding": (normalize_embedding(emb) if unit else emb).tolist(),
+            "account_id": count, "impressions": count // 3, "exact_hash": str(hash_),
+            "created_round": count % 7, "ground_truth": truth,
+        }
+        docs.append(doc)
+        records.append(json.dumps(doc) + end + blank)
+    if bad_at is not None:
+        # a repeat of the first id, or broken JSON if there is none
+        bad = dict(json.loads(records[0].splitlines()[0]), embedding=[7.0, 7.0, 7.0]) \
+            if records else {"bad": [7.0, 7.0, 7.0]}
+        records.insert(bad_at, json.dumps(bad)[: None if records else -1] + "\n")
+    text = "".join(records)
+    if not newline_at_end:
+        text = text.rstrip("\r\n")
+    path = tmp_path_factory.mktemp("chunks") / "c.jsonl"
+    path.write_bytes(text.encode())
+    if bad_at is None:
+        loaded = one_chunk_load(path)
+        assert_same_corpus(chunked_load(path, cpus), loaded)
+        reference = {doc["item_id"]: normalize_embedding(doc["embedding"]) for doc in docs}
+        assert loaded.embeddings.tobytes() == b"".join(
+            reference[item_id].tobytes() for item_id in sorted(reference))
+        return
+    with open(path, encoding="utf-8") as fh:  # text mode: universal newlines
+        expected = next(k for k, line in enumerate(fh, 1) if "7.0, 7.0, 7.0" in line)
+    message = load_error(one_chunk_load, path)
+    assert message.startswith(f"line {expected}: ")
+    assert load_error(chunked_load, path, cpus) == message
+
+
+def test_large_file_splits_into_worker_processes(tmp_path):
+    items, _ = generate_corpus(GeneratorConfig(n_clusters=40, rng_seed=2))
+    path = tmp_path / "c.jsonl"
+    save_corpus(items, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[60:] + ["\n"] + lines[:60]))
+    started = []
+    popen = subprocess.Popen
+
+    def counting_popen(*args, **kwargs):
+        started.append(args)
+        return popen(*args, **kwargs)
+
+    with mock.patch.object(corpus_module.subprocess, "Popen", counting_popen):
+        loaded = chunked_load(path, 4, workers=True)
+    assert len(started) == 3
+    assert_same_corpus(loaded, one_chunk_load(path))
+
+
+def test_small_file_starts_no_process(tmp_path):
+    items, _ = generate_corpus(GeneratorConfig(n_clusters=20, rng_seed=1))
+    path = tmp_path / "c.jsonl"
+    save_corpus(items, path)
+    with mock.patch.object(corpus_module.subprocess, "Popen", side_effect=AssertionError):
+        assert len(load_corpus(path)) == len(items)
+
+
+def _good(item_id):
+    return _record(item_id=item_id, embedding=[1.0, 0.25 * item_id])
+
+
+@pytest.mark.parametrize("bad_line", [
+    *_BAD_LINES,
+    pytest.param(_record(item_id=2, embedding=[1.0, 0.5, 0.5]), id="embedding-dimension"),
+])
+@pytest.mark.parametrize("first_in_chunk", [False, True], ids=["mid-chunk", "chunk-start"])
+def test_bad_line_in_later_chunk_cites_same_line(tmp_path, bad_line, first_in_chunk):
+    path = tmp_path / "bad.jsonl"
+    good = [_good(item_id) for item_id in range(10, 17)]
+    path.write_text("\n".join(good[:5] + [bad_line] + good[5:]) + "\n")
+    message = load_error(one_chunk_load, path)
+    assert message.startswith("line 6: ")
+    assert load_error(load_split, path, [3, 6 if first_in_chunk else 5]) == message
+
+
+@pytest.mark.parametrize("later_line", [
+    pytest.param(_good(13), id="good"),
+    pytest.param(_record(item_id=13, embedding=[1.0, float("nan")]), id="bad-embedding"),
+    pytest.param(_record(item_id=13, embedding=[1.0, 0.5, 0.5]), id="bad-dimension"),
+    pytest.param(_record(item_id=13, exact_hash="x"), id="bad-hash"),
+])
+def test_duplicate_across_chunks_cites_first_line(tmp_path, later_line):
+    # line 7 repeats line 3's id; the bad record after it must not win
+    path = tmp_path / "dup.jsonl"
+    lines = [_good(item_id) for item_id in (10, 11, 13, 14, 15, 16)]
+    path.write_text("\n".join(lines + [later_line, "{broken", _good(20)]) + "\n")
+    message = "line 7: duplicate item_id 13 (first on line 3)"
+    assert load_error(one_chunk_load, path) == message
+    assert load_error(load_split, path, [5]) == message
+    assert load_error(load_split, path, [7]) == message
+    assert load_error(chunked_load, path, 3) == message
+
+
+def test_lowest_duplicate_line_wins(tmp_path):
+    # id 20 repeats on a later line than id 50, though it is the smaller id
+    path = tmp_path / "dup.jsonl"
+    path.write_text("".join(_good(item_id) + "\n" for item_id in (50, 20, 30, 40, 60, 50, 20)))
+    message = "line 6: duplicate item_id 50 (first on line 1)"
+    assert load_error(one_chunk_load, path) == message
+    assert load_error(load_split, path, [4]) == message
+
+
+def test_faults_from_worker_processes(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    lines = [_good(item_id) for item_id in range(10, 20)]
+    lines[7] = _good(12)
+    path.write_text("\n".join(lines) + "\n")
+    assert (load_error(load_split, path, [4, 7], True)
+            == "line 8: duplicate item_id 12 (first on line 3)")
+    lines[7] = _record(item_id=30, exact_hash="²")
+    path.write_text("\n".join(lines) + "\n")
+    assert load_error(load_split, path, [4, 7], True) == load_error(one_chunk_load, path)
+
+
+def _substitute_worker(code):
+    """A Popen that starts ``code`` in place of the worker's command."""
+    popen = subprocess.Popen
+    started = []
+
+    def substitute(args, **kwargs):
+        started.append(popen([sys.executable, "-c", code], **kwargs))
+        return started[-1]
+
+    return substitute, started
+
+
+def test_worker_that_cannot_start_decodes_here(tmp_path):
+    items, _ = generate_corpus(GeneratorConfig(n_clusters=30, rng_seed=5))
+    path = tmp_path / "c.jsonl"
+    save_corpus(items, path)
+    with mock.patch.object(corpus_module.subprocess, "Popen", side_effect=OSError("no fork")):
+        loaded = chunked_load(path, 3, workers=True)
+    assert_same_corpus(loaded, one_chunk_load(path))
+
+
+@pytest.mark.parametrize("code", [
+    pytest.param("import sys; sys.exit(1)", id="exit-1"),
+    pytest.param("import sys; sys.stdout.buffer.write(b'\\x93NUMPY')", id="cut-output"),
+    pytest.param("raise MemoryError", id="crash"),
+])
+def test_worker_without_result_names_range(tmp_path, code):
+    path = tmp_path / "c.jsonl"
+    path.write_text("".join(_good(item_id) + "\n" for item_id in range(10, 20)))
+    substitute, started = _substitute_worker(code)
+    with mock.patch.object(corpus_module.subprocess, "Popen", substitute):
+        with pytest.raises(RuntimeError, match=r"c\.jsonl bytes \d+-\d+: worker exited"):
+            chunked_load(path, 2, workers=True)
+    assert [proc.poll() is not None for proc in started] == [True]
+
+
+def test_fault_in_first_chunk_stops_the_workers(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text("{broken\n" + "".join(_good(item_id) + "\n" for item_id in range(10, 20)))
+    substitute, started = _substitute_worker("import time; time.sleep(60)")
+    with mock.patch.object(corpus_module.subprocess, "Popen", substitute):
+        assert load_error(chunked_load, path, 3, True).startswith("line 1: invalid JSON")
+    assert len(started) == 2
+    assert all(proc.poll() is not None for proc in started)
+
+
+def test_script_without_main_guard_runs_once(tmp_path):
+    items, _ = generate_corpus(GeneratorConfig(n_clusters=30, rng_seed=6))
+    path = tmp_path / "c.jsonl"
+    save_corpus(items, path)
+    marker = tmp_path / "ran.txt"
+    script = tmp_path / "script.py"
+    script.write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {SRC!r})\n"
+        "from reviewfunnel import corpus\n"
+        f"with open({str(marker)!r}, 'a') as fh:\n"
+        "    fh.write('ran\\n')\n"
+        "corpus._CHUNK_BYTES = 1\n"
+        "corpus._available_cpus = lambda: 3\n"
+        f"print(len(corpus.load_corpus({str(path)!r})))\n"
+    )
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(len(items))]
+    assert marker.read_text() == "ran\n"
