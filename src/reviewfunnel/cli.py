@@ -138,7 +138,7 @@ def _write_json(path: Path, doc: dict) -> None:
 def cmd_generate(args) -> int:
     cfg = generator_config_from_doc(_load_json(args.config))
     corpus, truth, clusters = generate_corpus_detailed(cfg)
-    save_corpus(corpus, args.out)
+    _write_atomic(Path(args.out), lambda tmp: save_corpus(corpus, tmp))
     positives = sum(truth.values())
     rate = positives / len(corpus) if len(corpus) else 0.0
     dup_pairs = sum(

@@ -11,10 +11,9 @@ oracle and the metrics evaluator do.
 The JSON Lines loader decodes the file as columns. A file of at least two
 ``_CHUNK_BYTES`` is split at line ends into byte ranges, one per available
 CPU and none smaller than that; the calling process decodes the first range
-and fresh interpreters (``sys.executable``, importing this module, never a
-fork) decode the others and hand their columns back as ``.npy`` data. The
-ranges are merged in file order, so the corpus, and the first fault's line
-and message, are the same at any process count.
+and ``Worker`` processes the others. The ranges are merged in file order, so
+the corpus, and the first fault's line and message, are the same at any
+process count.
 """
 
 from __future__ import annotations
@@ -467,10 +466,6 @@ _BLOCK_ROWS = 4096
 _ITEM_KEYS = frozenset(_ITEM_FIELDS)
 # A decoded range's arrays: each row's line number, then the Corpus columns.
 _CHUNK_DTYPES = {"lines": np.int64, **_COLUMN_DTYPES}
-_WORKER_CODE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from reviewfunnel.corpus import _decode_worker; _decode_worker(*sys.argv[2:])"
-)
 
 
 def _text_lines(fh, size: int | None):
@@ -612,55 +607,77 @@ def _decode_range(path, start: int, end: int | None) -> _Chunk:
     return _Chunk(columns, line_no, dim, dim_line, fault)
 
 
-def _decode_worker(path: str, start: str, end: str) -> None:
-    """A worker process's entry: write one decoded range to standard output."""
+def _decode_worker(path: str, start: str, end: str) -> list[np.ndarray]:
+    """A worker's entry: one decoded range as arrays, its metadata first."""
     chunk = _decode_range(path, int(start), int(end))
     meta = {key: value for key, value in vars(chunk).items() if key != "columns"}
-    out = sys.stdout.buffer
-    np.save(out, np.array(json.dumps(meta)))
-    for name in _CHUNK_DTYPES:
-        np.save(out, chunk.columns[name], allow_pickle=False)
-    out.flush()
+    return [np.array(json.dumps(meta)), *(chunk.columns[name] for name in _CHUNK_DTYPES)]
 
 
-class _Worker:
-    """A fresh interpreter decoding one byte range into a temporary file.
+_WORKER_CODE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import importlib, numpy as np; "
+    "func = getattr(importlib.import_module(sys.argv[2]), sys.argv[3]); "
+    "arrays = func(*sys.stdin.read().split('\\0')); out = sys.stdout.buffer\n"
+    "for array in arrays: np.save(out, array, allow_pickle=False)\n"
+    "out.flush()"
+)
+_ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
-    If it cannot be started, ``result`` decodes the range in this process.
+
+class Worker:
+    """``func(*args)``, returning a list of arrays, in a fresh interpreter.
+
+    The child (``sys.executable``: no fork, no re-run of ``__main__``)
+    imports ``func`` from this package, with BLAS on one thread, and waits
+    for ``send``, so the import overlaps the caller's work. The arrays come
+    back as ``.npy`` data read with ``allow_pickle=False``. If the child
+    cannot start, ``result`` calls ``func`` here; if it exits without a
+    result, a ``RuntimeError`` names ``what``. ``close`` kills it.
     """
 
-    def __init__(self, path, start: int, end: int):
-        self.path, self.start, self.end = path, start, end
-        self.proc = self.out = None
+    def __init__(self, func, what: str):
+        self.func, self.what, self.args, self.proc, self.out = func, what, (), None, None
         if not sys.executable:
             return
-        root = str(Path(__file__).resolve().parent.parent)
         try:
             self.out = tempfile.TemporaryFile()
             self.proc = subprocess.Popen(
-                [sys.executable, "-c", _WORKER_CODE, root, os.fspath(path), str(start),
-                 str(end)],
-                stdin=subprocess.DEVNULL, stdout=self.out, stderr=subprocess.PIPE,
+                [sys.executable, "-c", _WORKER_CODE, str(Path(__file__).resolve().parent.parent),
+                 func.__module__, func.__name__],
+                stdin=subprocess.PIPE, stdout=self.out, stderr=subprocess.PIPE,
+                env={**os.environ, **_ONE_THREAD},
             )
         except OSError:
             self.close()
 
-    def result(self) -> _Chunk:
-        if self.proc is None:
-            return _decode_range(self.path, self.start, self.end)
-        _, err = self.proc.communicate()
-        if self.proc.returncode == 0:
+    def send(self, *args: str) -> None:
+        """Start the call on ``args``, which must not contain ``\\0``."""
+        self.args = args
+        if self.proc is not None:
             try:
+                self.proc.stdin.write("\0".join(args).encode())
+                self.proc.stdin.close()
+            except OSError:
+                pass  # the child is gone; result() says how it exited
+
+    def result(self) -> list[np.ndarray]:
+        if self.proc is None:
+            return self.func(*self.args)
+        err = self.proc.stderr.read()
+        if self.proc.wait() == 0:
+            try:
+                size = os.fstat(self.out.fileno()).st_size
                 self.out.seek(0)
-                meta = json.loads(str(np.load(self.out, allow_pickle=False)))
-                columns = {name: np.load(self.out, allow_pickle=False) for name in _CHUNK_DTYPES}
-                return _Chunk(columns, **meta)
-            except (OSError, ValueError, EOFError, TypeError):
+                arrays = []
+                while self.out.tell() < size:
+                    arrays.append(np.load(self.out, allow_pickle=False))
+                return arrays
+            except (OSError, ValueError, EOFError):
                 pass
         detail = err.decode("utf-8", "replace").strip().splitlines()
         raise RuntimeError(
-            f"decoding {os.fspath(self.path)} bytes {self.start}-{self.end}: worker exited "
-            f"{self.proc.returncode} without a result" + (f" ({detail[-1]})" if detail else "")
+            f"{self.what}: worker exited {self.proc.returncode} without a result"
+            + (f" ({detail[-1]})" if detail else "")
         )
 
     def close(self) -> None:
@@ -668,6 +685,7 @@ class _Worker:
             if self.proc.poll() is None:
                 self.proc.kill()
             self.proc.wait()
+            self.proc.stdin.close()
             self.proc.stderr.close()
         if self.out is not None:
             self.out.close()
@@ -753,13 +771,15 @@ def load_corpus(path) -> Corpus:
     (start, end), *rest = _byte_ranges(path)
     workers = []
     try:
-        for bounds in rest:
-            workers.append(_Worker(path, *bounds))
+        for lo, hi in rest:
+            workers.append(Worker(_decode_worker, f"decoding {os.fspath(path)} bytes {lo}-{hi}"))
+            workers[-1].send(os.fspath(path), str(lo), str(hi))
         chunks = [_decode_range(path, start, end)]
         for worker in workers:
             if chunks[-1].fault:
                 break
-            chunks.append(worker.result())
+            meta, *columns = worker.result()
+            chunks.append(_Chunk(dict(zip(_CHUNK_DTYPES, columns)), **json.loads(str(meta))))
     finally:
         for worker in workers:
             worker.close()

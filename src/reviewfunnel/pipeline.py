@@ -85,8 +85,8 @@ class PipelineConfig:
     """Everything a run needs; all randomness flows from the seeds here.
 
     ``workers`` is parsed and validated because configs and manifests carry
-    it, but nothing reads it: the graph build runs in the calling thread and
-    BLAS supplies the parallelism.
+    it, but nothing reads it: the graph build sizes its own worker processes
+    from the work and the available CPUs (see ``simgraph.build_graph``).
     """
 
     rounds: int = 5

@@ -63,6 +63,22 @@ class TestGenerate:
         assert code == 2
         assert "dup_fraction" in capsys.readouterr().err
 
+    def test_failed_write_keeps_previous_corpus(self, tmp_path, monkeypatch):
+        config = write_json(tmp_path / "gen.json", GEN_CONFIG)
+        out = tmp_path / "corpus.jsonl"
+        assert main(["generate", "--config", config, "--out", str(out)]) == 0
+        before = out.read_bytes()
+
+        def half_then_fail(corpus, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write('{"item_id": 0}\n')  # a whole line: loads as a smaller corpus
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "save_corpus", half_then_fail)
+        assert main(["generate", "--config", config, "--out", str(out)]) == 3
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "gen.json"]
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         doc = dict(GEN_CONFIG, turbo=True)
         config = write_json(tmp_path / "gen.json", doc)

@@ -1,10 +1,17 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from reviewfunnel import simgraph
 from reviewfunnel.corpus import (
     GeneratorConfig,
     generate_corpus,
@@ -47,6 +54,45 @@ def edge_list(graph):
         for b, d in neighbors
         if a < b
     )
+
+
+def csr_bytes(graph):
+    return [arr.tobytes() for arr in (graph._indptr, graph._nbr_ids, graph._nbr_dists)]
+
+
+@contextlib.contextmanager
+def graph_workers(cpus, popen=None):
+    """build_graph on ``cpus`` CPUs with no work too small for processes.
+
+    Yields the list of the worker commands started; ``popen`` stands in for
+    ``subprocess.Popen``.
+    """
+    started = []
+    real = popen or subprocess.Popen
+
+    def counting(args, **kwargs):
+        started.append(args)
+        return real(args, **kwargs)
+
+    with mock.patch.object(simgraph, "_SHARE_WORK", 0), \
+            mock.patch.object(simgraph, "_available_cpus", lambda: cpus), \
+            mock.patch.object(subprocess, "Popen", counting):
+        yield started
+
+
+def blob_items(dim=64, scale=1.0):
+    """40 planted blobs of 15 items; theta 0.25 links within blobs."""
+    rng = np.random.default_rng(1)
+    vectors = [
+        v for _ in range(40) for v in planted_blob(rng.standard_normal(dim), 15, 0.06, rng)
+    ]
+    return [dataclasses.replace(it, embedding=it.embedding * scale)
+            for it in make_items(vectors)]
+
+
+def overlap_items():
+    """600 items of overlapping 16-d clusters; theta 0.5 gives dense buckets."""
+    return generate_corpus(GeneratorConfig(n_clusters=60, embedding_dim=16, rng_seed=5))[0][:600]
 
 
 def numpy_oracle(items, theta, bands, band_bits, seed):
@@ -190,6 +236,17 @@ class TestBuildGraph:
             g1 = build_graph(items, 0.3, mode, seed=5, workers=1)
             g2 = build_graph(items, 0.3, mode, seed=5, workers=4)
             assert graph_adjacency(g1) == graph_adjacency(g2)
+        # worker processes, one per CPU, give the in-process build's bytes
+        corpora = [(blob_items(), 0.25), (overlap_items(), 0.5), (blob_items(scale=0.5), 0.25)]
+        for items, theta in corpora:
+            for mode in ("exact", "blocked"):
+                with graph_workers(1) as started:
+                    here = csr_bytes(build_graph(items, theta, mode, seed=3))
+                assert not started
+                for cpus in (2, 3, 4):
+                    with graph_workers(cpus) as started:
+                        assert csr_bytes(build_graph(items, theta, mode, seed=3)) == here
+                    assert len(started) == cpus
 
     def test_blocked_deterministic_per_seed(self, rng):
         vectors = rng.standard_normal((200, 8))
@@ -214,15 +271,9 @@ class TestBuildGraph:
     @pytest.mark.parametrize("corpus", ["blobs64", "overlap16"])
     def test_blocked_is_exact_within_shared_buckets(self, corpus):
         if corpus == "blobs64":
-            rng = np.random.default_rng(1)
-            vectors = [
-                v for _ in range(40)
-                for v in planted_blob(rng.standard_normal(64), 15, 0.06, rng)
-            ]
-            items, theta, bands = make_items(vectors), 0.25, 8
+            items, theta, bands = blob_items(), 0.25, 8
         else:
-            cfg = GeneratorConfig(n_clusters=60, embedding_dim=16, rng_seed=5)
-            items, theta, bands = generate_corpus(cfg)[0][:600], 0.5, 16
+            items, theta, bands = overlap_items(), 0.5, 16
         exact, collide, repeated = numpy_oracle(items, theta, bands, 8, seed=3)
         # the oracle must miss edges and see edges in several bands, or the
         # comparison below would not test banding and first-band ownership
@@ -268,17 +319,104 @@ class TestBuildGraph:
         # digests recorded before detection moved to float32 tiles; a change
         # to detection that moves an edge or a distance bit fails here
         cfg = GeneratorConfig(n_clusters=500, embedding_dim=dim, rng_seed=5)
-        g = build_graph(generate_corpus(cfg)[0], theta, "blocked", seed=0)
-        h = hashlib.sha256()
-        for arr in (g._indptr, g._nbr_ids, g._nbr_dists):
-            h.update(arr.tobytes())
-        assert h.hexdigest() == digest
+        corpus = generate_corpus(cfg)[0]
+        for workers in (contextlib.nullcontext(), graph_workers(2)):
+            with workers:
+                g = build_graph(corpus, theta, "blocked", seed=0)
+            h = hashlib.sha256()
+            for arr in (g._indptr, g._nbr_ids, g._nbr_dists):
+                h.update(arr.tobytes())
+            assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("mode", ["exact", "blocked"])
+    def test_equal_distances_order_by_id(self, mode):
+        # each centre has a mirrored pair of neighbours at bitwise-equal
+        # distances, in a plane of its own, with ids below, above or on both
+        # sides of the centre's; in blocked mode the pair's edges are often
+        # owned by different bands, so found out of id order
+        angles = np.random.default_rng(4).uniform(0.1, 0.5, 30)
+        vectors, ids = [], []
+        for k, angle in enumerate(angles):
+            centre, a, b = np.zeros((3, 60))
+            centre[2 * k] = a[2 * k] = b[2 * k] = 1.0
+            a[2 * k + 1], b[2 * k + 1] = math.tan(angle), -math.tan(angle)
+            vectors += [centre, a, b]
+            ids += [100 * k + (50, 10, 95)[k % 3], 100 * k + 90, 100 * k + 20]
+        items = make_items(vectors, ids=ids)
+        for workers in (contextlib.nullcontext(), graph_workers(2)):
+            with workers:
+                g = build_graph(items, 0.3, mode, bands=16, band_bits=4, seed=1)
+            rows = [g.neighbors_with_distances(centre, 0.3) for centre in ids[::3]]
+            assert sum(len(row) == 2 for row in rows) >= 25
+            for k, row in enumerate(rows):
+                if len(row) == 2:
+                    assert row[0][1] == row[1][1]
+                    assert [i for i, _ in row] == [100 * k + 20, 100 * k + 90]
 
     def test_identical_embeddings_always_linked_in_blocked_mode(self):
         vec = [0.3, -0.7, 0.64]
         items = make_items([vec, vec, [1.0, 0.0, 0.0]])
         g = build_graph(items, 0.01, "blocked", seed=4)
         assert neighbor_ids(g, 0, 0.0) == [1]
+
+
+def _substitute(*codes):
+    """A Popen starting ``codes[k]`` (the last one from then on) for the k-th worker."""
+    popen = subprocess.Popen
+    started = []
+
+    def substitute(args, **kwargs):
+        code = codes[min(len(started), len(codes) - 1)]
+        started.append(popen([sys.executable, "-c", code], **kwargs))
+        return started[-1]
+
+    return substitute, started
+
+
+class TestGraphWorkers:
+    """Failures of the worker processes that build a graph's shares."""
+
+    @pytest.fixture
+    def items(self):
+        return blob_items()
+
+    @pytest.fixture
+    def tmpdir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    @pytest.mark.parametrize("mode", ["exact", "blocked"])
+    def test_worker_that_cannot_start_leaves_its_share_here(self, items, tmpdir, mode):
+        here = csr_bytes(build_graph(items, 0.25, mode, seed=3))
+        environ = dict(os.environ)
+        popen = mock.Mock(side_effect=OSError("no fork"))
+        with graph_workers(3, popen) as started:
+            assert csr_bytes(build_graph(items, 0.25, mode, seed=3)) == here
+        assert len(started) == 3
+        # the child's BLAS runs one thread; the caller's environment is untouched
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            assert popen.call_args.kwargs["env"][name] == "1"
+        assert dict(os.environ) == environ
+        with graph_workers(3) as started, mock.patch.object(sys, "executable", ""):
+            assert csr_bytes(build_graph(items, 0.25, mode, seed=3)) == here
+        assert not started
+        assert not list(tmpdir.iterdir())
+
+    @pytest.mark.parametrize("code", [
+        pytest.param("import sys; sys.exit(1)", id="exit-1"),
+        pytest.param("import sys; sys.stdin.read(); sys.stdout.buffer.write(b'\\x93NUMPY')",
+                     id="cut-output"),
+        pytest.param("raise MemoryError", id="crash"),
+    ])
+    def test_worker_without_result_names_its_share(self, items, tmpdir, code):
+        # the first worker fails; the others would run for a minute
+        substitute, procs = _substitute(code, "import time; time.sleep(60)")
+        with graph_workers(3, substitute):
+            with pytest.raises(RuntimeError, match="similarity graph, share 1: worker exited"):
+                build_graph(items, 0.25, "blocked", seed=3)
+        assert len(procs) == 3
+        assert all(proc.poll() is not None for proc in procs)
+        assert not list(tmpdir.iterdir())
 
 
 class TestNeighborQueries:
