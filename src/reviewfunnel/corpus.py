@@ -189,20 +189,31 @@ class ClusterInfo:
     positive: bool
 
 
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+
+
 def normalize_embedding(vector) -> np.ndarray:
     """Return the vector scaled to unit L2 norm as a float64 array.
 
     Vectors that are already unit-norm (within 1e-9) pass through untouched,
     so normalization is idempotent and save/load round-trips are bit-exact.
+    A vector whose squared norm overflows or underflows (to zero or to a
+    subnormal, which keeps too few bits to give a unit row) is first scaled
+    by its largest magnitude.
     """
     arr = np.asarray(vector, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("embedding must be one-dimensional")
     if not np.all(np.isfinite(arr)):
         raise ValueError("embedding contains non-finite values")
-    norm = math.sqrt(float(np.einsum("i,i->", arr, arr)))
-    if norm == 0.0:
-        raise ValueError("embedding must be non-zero")
+    square = float(np.einsum("i,i->", arr, arr))
+    if not _TINY <= square < math.inf:
+        top = float(np.max(np.abs(arr)))
+        if top == 0.0:
+            raise ValueError("embedding must be non-zero")
+        arr = arr / top
+        square = float(np.einsum("i,i->", arr, arr))
+    norm = math.sqrt(square)
     if abs(norm - 1.0) <= 1e-9:
         return arr.copy()
     return arr / norm
@@ -505,6 +516,13 @@ def _normalized_row(row, line: int) -> np.ndarray:
         raise FormatError(str(exc), line) from exc
 
 
+def _numbers(row: list, line: int) -> list:
+    """``row`` if its elements are all JSON numbers, which decode as int or float."""
+    if not all(type(x) is float or type(x) is int for x in row):
+        raise FormatError("embedding elements must be numbers", line)
+    return row
+
+
 def _embedding_block(rows: list, lines: list[int]) -> np.ndarray:
     """``rows`` as a float64 matrix, each row as ``normalize_embedding`` gives it.
 
@@ -514,14 +532,23 @@ def _embedding_block(rows: list, lines: list[int]) -> np.ndarray:
     rest go through ``normalize_embedding`` itself, so every row is bit-exact.
     """
     try:
-        block = np.array(rows, dtype=np.float64)
+        block = np.array(rows)
+        numeric = block.ndim == 2 and block.dtype.kind in "if"
     except (TypeError, ValueError, OverflowError):
-        block = None
-    if block is None or block.ndim != 2 or not np.isfinite(block).all():
-        return np.stack([_normalized_row(row, line) for row, line in zip(rows, lines)])
+        numeric = False
+    if numeric:
+        block = block.astype(np.float64, copy=False)
+    if not numeric or not np.isfinite(block).all():
+        return np.stack([_normalized_row(_numbers(row, line), line)
+                         for row, line in zip(rows, lines)])
     norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-    for k in np.flatnonzero(np.abs(norms - 1.0) > 0.5e-9).tolist():
-        block[k] = _normalized_row(block[k], lines[k])
+    off = np.abs(norms - 1.0) > 0.5e-9
+    # true and false load as 1 and 0 (bool is an int), so only rows holding
+    # a 1 or a 0 can hide one
+    for k in np.flatnonzero(off | ((block == 0.0) | (block == 1.0)).any(axis=1)).tolist():
+        _numbers(rows[k], lines[k])
+        if off[k]:
+            block[k] = _normalized_row(block[k], lines[k])
     return block
 
 

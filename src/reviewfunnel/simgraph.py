@@ -4,19 +4,36 @@ Edges connect items whose cosine distance is at most theta (ties included).
 Both modes share one candidate-then-verify kernel (all-pairs similarity
 search, Bayardo, Ma & Srikant 2007). Exact mode feeds it the whole corpus as
 one bucket; blocked mode feeds it each bucket of banded random-hyperplane
-sign hashes, so approximation can only drop edges, never invent them.
+sign hashes (SimHash, Charikar 2002), so approximation can only drop edges,
+never invent them.
 
-Detection scores the upper triangle of each bucket in float32 row tiles of
-unit-normalised embeddings, against the cut padded by a float32 error bound
-derived from the dimension, so it never misses a pair within theta. A pair
-colliding in several bands is kept only by the first, which emits each edge
-once without a global dedupe. Every candidate is then accepted or rejected by
-one float64 einsum kernel, so stored distances, exact mode, blocked mode and
+Blocked mode scores one representative per group of rows whose sign bits
+are all equal, as such rows share every bucket. A group's radius e is its
+largest chord from a member to the representative, its lowest row. A member
+pair within theta is at most ``sqrt(2 theta)`` apart as a chord, so by the
+triangle inequality the representatives of its groups G and H are at most
+``sqrt(2 theta) + e_G + e_H`` apart: a pair of groups is a candidate when
+its score meets that bound, and then every member pair of it is verified.
+The pairs inside a group are verified once, as band 0's. On the benchmark
+corpora about half the rows are not their group's representative (desk:
+100,275 rows in 49,450 groups; campaign: 50,173 in 24,230; cli: 50,173 in
+24,920). Their largest radius is 0.102-0.108 and the median over groups of
+two or more rows 0.014-0.017, against the theta chord 0.707 at theta 0.25,
+and desk scores 170.3M pairs where scoring every row took 568.9M. Exact
+mode puts every row in a group of its own.
+
+Detection scores the upper triangle of each bucket in float32 row tiles,
+against the cut padded by a float32 error bound derived from the
+dimension, so it never misses a pair within theta. A pair colliding in
+several bands is kept only by the first, which emits each edge once without
+a global dedupe. Every candidate is then accepted or rejected by one
+float64 einsum kernel, so stored distances, exact mode, blocked mode and
 per-pair queries agree bitwise.
 
 A large build scores its tiles in worker processes, one per available CPU
 (``corpus.Worker``), each given an even part of every band. The caller
-computes the norms and band keys, which workers never recompute, and sorts
+computes the norms, band keys, groups and detection rows, which workers
+never recompute, verifies the pairs inside groups while they run, and sorts
 the CSR rows canonically, so the arrays are the same bytes at any worker
 count. BLAS threads cannot stand in: the tiles are small and most of the
 kernel is numpy work outside the product (a 100k-item desk build took
@@ -49,12 +66,18 @@ _TILE_ROWS = 256
 _TILE_ELEMS = 1 << 22
 
 # The tiles are scored in worker processes when each gets at least
-# _SHARE_WORK units, a pair of d-dim rows costing d + _PAIR_OVERHEAD. On a
-# 2-core host a worker spends about 0.3 s of CPU starting (interpreter and
-# numpy), and two workers tied the in-process build at 6-7e9 units (30k
-# items, 16-d or 64-d) and beat it by 9% at 12e9 (40k items, 64-d).
-_SHARE_WORK = 6e9
+# _SHARE_WORK units, a pair of d-dim group rows costing d + _PAIR_OVERHEAD.
+# On a 2-core host a worker spends about 0.3 s of CPU starting (interpreter
+# and numpy), and two workers about tied the in-process build at 6.5e9
+# units (60k desk items, 64-d) and beat it by 10-20% at 12e9 (80k items).
+_SHARE_WORK = 3e9
 _PAIR_OVERHEAD = 128
+# Member pairs are verified about this many at a time: gathers of that
+# size reuse memory, where one gather of every pair would fault in fresh
+# pages. Groups hold at most _GROUP_ROWS rows, which bounds the pairs one
+# pair of groups expands to, however few hyperplanes split the corpus.
+_VERIFY_PAIRS = 4096
+_GROUP_ROWS = 64
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -180,20 +203,127 @@ def _pair_distances(
 
 
 def _detect_pad(d: int) -> float:
-    # A float32 dot of two float32-rounded unit vectors is within (d + 2) * u
-    # of their cosine, u = 2**-24, whatever the summation order: 2u from
-    # rounding the inputs and d * u from the sum. Casting the cut to float32
-    # adds at most u, the float64 kernel far less; the factor 4 is headroom.
+    # A float32 dot of two float32-rounded d-vectors is within (d + 2) * u
+    # times the sum of its terms' magnitudes of their exact dot, u = 2**-24,
+    # whatever the summation order: 2u from rounding the inputs and d * u
+    # from the sum. That sum is at most 1 for unit vectors. Casting the cut
+    # to float32 adds at most u, the float64 kernel far less; the factor 4
+    # is headroom.
     return 4.0 * (d + 2) * 2.0**-24
 
 
-def _band_keys(emb: np.ndarray, bands: int, band_bits: int, seed: int):
-    """The (n,) sign-hash bucket keys of each band in turn."""
+def _sign_hash(emb: np.ndarray, bands: int, band_bits: int, seed: int):
+    """(keys, starts, members) of banded random-hyperplane sign hashes.
+
+    ``keys`` holds each band's bucket keys, one row per band, in the
+    smallest unsigned dtype that fits. The rows whose sign bits are all
+    equal form groups of at most ``_GROUP_ROWS``: group g holds the rows
+    ``members[starts[g]:starts[g + 1]]`` in ascending order, and groups come
+    in the order of their lowest row, the representative.
+    """
+    n = len(emb)
     planes = np.random.default_rng(seed).standard_normal((emb.shape[1], bands * band_bits))
-    bits = (emb @ planes) > 0
-    weights = np.uint64(1) << np.arange(band_bits, dtype=np.uint64)
-    for band in range(bands):
-        yield bits[:, band * band_bits : (band + 1) * band_bits].astype(np.uint64) @ weights
+    bits = ((emb @ planes) > 0).reshape(n, bands, band_bits)
+    # bit k of a band's key is its k-th hyperplane's sign
+    packed = np.packbits(bits, axis=2, bitorder="little")
+    keys = np.zeros((bands, n), dtype=np.min_scalar_type((1 << band_bits) - 1))
+    for k in range(packed.shape[2]):
+        keys |= packed[:, :, k].T.astype(keys.dtype) << (8 * k)
+    # every sign bit of a row as 64-bit words; a stable sort keeps each
+    # run of equal words in ascending row order
+    width = packed.shape[1] * packed.shape[2]
+    words = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+    words[:, :width] = packed.reshape(n, width)
+    words = words.view(np.uint64)
+    ranked = np.lexsort(words.T)
+    new = np.ones(n, dtype=bool)
+    new[1:] = (words[ranked[1:]] != words[ranked[:-1]]).any(axis=1)
+    # a run longer than _GROUP_ROWS is cut into groups of at most that many
+    first = np.flatnonzero(new)
+    new[(np.arange(n) - np.repeat(first, np.diff(first, append=n))) % _GROUP_ROWS == 0] = True
+    run = np.cumsum(new) - 1
+    # runs in the order of their lowest row
+    rank = np.empty(int(run[-1]) + 1, dtype=np.int64)
+    rank[np.argsort(ranked[new])] = np.arange(len(rank))
+    sizes = np.bincount(rank[run])
+    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    return keys, starts, ranked[np.argsort(rank[run], kind="stable")]
+
+
+def _member_pairs(starts, members, gi, gj) -> tuple[np.ndarray, np.ndarray]:
+    """(ii, jj), ii < jj: the member pairs of each pair of groups (gi[k], gj[k]).
+
+    A group paired with itself gives each pair of its members once.
+    """
+    si, sj = starts[gi], starts[gj]
+    wi, wj = starts[gi + 1] - si, starts[gj + 1] - sj
+    count = wi * wj
+    k = np.repeat(np.arange(len(count)), count)
+    t = np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)
+    wj = wj[k]
+    a, b = members[si[k] + t // wj], members[sj[k] + t % wj]
+    keep = (gi != gj)[k] | (a < b)
+    a, b = a[keep], b[keep]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _member_edges(emb, norms, starts, members, gi, gj, theta) -> list[np.ndarray]:
+    """[ii, jj, dists] of the member pairs of ``_member_pairs`` within theta."""
+    sizes = np.diff(starts)
+    ends = np.cumsum(sizes[gi] * sizes[gj])
+    splits = np.searchsorted(ends, np.arange(_VERIFY_PAIRS, ends[-1] if len(ends) else 0,
+                                             _VERIFY_PAIRS))
+    found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    for part_i, part_j in zip(np.split(gi, splits), np.split(gj, splits)):
+        ii, jj = _member_pairs(starts, members, part_i, part_j)
+        dists = _pair_distances(emb, norms, ii, jj)
+        keep = dists <= theta
+        found.append((ii[keep], jj[keep], dists[keep]))
+    return [np.concatenate(part) for part in zip(*found)]
+
+
+def _detection(emb, norms, starts, members, theta) -> tuple[np.ndarray, float]:
+    """(rows, cut): the groups' float32 detection rows and their cut.
+
+    A group's radius e is computed in float64 and rounded up by a few ulps,
+    an error far below the pad. With ``r = sqrt(2 theta)``, the bound of the
+    module docstring gives a candidate pair of groups a cosine of at least
+    ``1 - (r + e_G + e_H)**2 / 2 >= 1 - theta - f_G - f_H`` for ``f = r e +
+    e**2``. The representatives' rows ``[unit, f, 1]`` against the same rows
+    with their last two columns swapped score ``cos + f_G + f_H`` as one
+    product, so every pair of groups meets its own bound against one cut,
+    ``1 - theta`` less the pad. With every radius zero (exact mode, or groups
+    of equal rows) the rows are the unit rows alone.
+    """
+    sizes = np.diff(starts)
+    eps = np.zeros(len(sizes))
+    multi = sizes > 1
+    if multi.any():
+        rows = members[np.repeat(multi, sizes)]
+        reps = members[np.repeat(starts[:-1][multi], sizes[multi])]
+        chord = np.empty(len(rows))
+        for k in range(0, len(rows), _VERIFY_PAIRS):
+            a, b = rows[k : k + _VERIFY_PAIRS], reps[k : k + _VERIFY_PAIRS]
+            gap = emb[a] / norms[a, None] - emb[b] / norms[b, None]
+            chord[k : k + _VERIFY_PAIRS] = np.sqrt(_dots(gap, gap))
+        first = np.cumsum(sizes[multi]) - sizes[multi]
+        eps[multi] = np.maximum.reduceat(chord, first) * (1.0 + 2.0**-50)
+    spread = math.sqrt(2.0 * theta) * eps + eps * eps
+    reps = members[starts[:-1]]
+    d = emb.shape[1]
+    wide = bool(spread.max() > 0.0)
+    det = np.empty((len(reps), d + 2 * wide), dtype=np.float32)
+    for k in range(0, len(reps), _VERIFY_PAIRS):
+        rows = reps[k : k + _VERIFY_PAIRS]
+        np.divide(emb[rows], norms[rows, None], out=det[k : k + _VERIFY_PAIRS, :d],
+                  casting="same_kind")
+    if not wide:
+        return det, 1.0 - theta - _detect_pad(d)
+    det[:, d], det[:, d + 1] = spread, 1.0
+    # the float32 error of a product scales with the sum of its terms'
+    # magnitudes, at most 1 for unit rows and 1 + 2 f here
+    return det, 1.0 - theta - _detect_pad(d + 2) * (1.0 + 2.0 * float(spread.max()))
 
 
 def _tiles(keys: np.ndarray, order: np.ndarray, shares: int) -> list[np.ndarray]:
@@ -224,42 +354,111 @@ def _tiles(keys: np.ndarray, order: np.ndarray, shares: int) -> list[np.ndarray]
     return [tiles[share == k] for k in range(shares)]
 
 
-def _tile_edges(emb, norms, keys, order, tiles, cut, theta) -> list[np.ndarray]:
-    """[ii, jj, dists] of the edges that a run of ``_tiles`` finds.
+def _tile_edges(emb, norms, keys, order, starts, members, det, tiles, cut, theta):
+    """[ii, jj, dists] of the edges between the groups that a run of ``_tiles`` pairs.
 
-    Candidates come from the upper triangle of float32 unit-row Gram tiles;
-    membership is decided by the canonical float64 kernel alone, whatever
-    the split of the tiles.
+    ``keys`` and ``order`` are over groups, and detection scores their
+    ``_detection`` rows in upper-triangle tiles. Every member pair of a
+    candidate pair of groups is decided by the canonical float64 kernel
+    alone, whatever the split of the tiles.
     """
-    unit = (emb / norms[:, None]).astype(np.float32)
-    found = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
-    bucket = None
+    owned = [(np.empty(0, np.int64), np.empty(0, np.int64))]
+    above = np.triu(np.ones((_TILE_ROWS, _TILE_ROWS), dtype=bool), 1)
+    # each band's tiles here are one run of its buckets, which ends where its
+    # last tile's bucket does
+    band_of = tiles[:, 0]
+    last = np.flatnonzero(np.diff(band_of, append=-1))
+    band_end = dict(zip(band_of[last].tolist(), tiles[last, 2].tolist()))
+    gathered = None
     for band, lo, hi, rows, r0 in tiles.tolist():
-        if bucket != (band, lo):
-            bucket, idx = (band, lo), order[band, lo:hi]
-            sub = unit[idx]
+        if gathered != band:
+            # one gather a band, of the rows its tiles here span
+            gathered, base = band, lo
+            span = order[band, base : band_end[band]]
+            band_left = band_right = det[span]
+            if det.shape[1] > emb.shape[1]:  # [unit, f, 1] against [unit, 1, f]
+                band_right = band_left[:, np.r_[: emb.shape[1], -1, -2]]
+        start, stop = lo + r0 - base, hi - base
+        hit = band_left[start : min(start + rows, stop)] @ band_right[start:stop].T >= cut
+        k = len(hit)
+        hit[:, :k] &= above[:k, :k]  # the upper triangle of the square block
         # flat indices: 2-d np.nonzero is an order of magnitude slower
-        li, lj = np.divmod(np.flatnonzero(sub[r0 : r0 + rows] @ sub[r0:].T >= cut), hi - lo - r0)
-        upper = lj > li
-        ii, jj = idx[r0 + li[upper]], idx[r0 + lj[upper]]
+        li, lj = np.divmod(np.flatnonzero(hit), stop - start)
+        gi, gj = span[start + li], span[start + lj]
         # a pair belongs to the first band it collides in; most pairs collide
         # in the first band checked, so one band at a time touches least
         for earlier in keys[:band]:
-            if not len(ii):
+            if not len(gi):
                 break
-            differ = earlier[ii] != earlier[jj]
-            ii, jj = ii[differ], jj[differ]
-        dists = _pair_distances(emb, norms, ii, jj)
-        keep = dists <= theta
-        found.append((ii[keep], jj[keep], dists[keep]))
-    return [np.concatenate(part) for part in zip(*found)]
+            differ = earlier[gi] != earlier[gj]
+            gi, gj = gi[differ], gj[differ]
+        owned.append((gi, gj))
+    gi, gj = (np.concatenate(part) for part in zip(*owned))
+    return _member_edges(emb, norms, starts, members, gi, gj, theta)
+
+
+def _group_edges(emb, norms, starts, members, theta):
+    """[ii, jj, dists] of the edges inside groups, which band 0 owns."""
+    multi = np.flatnonzero(np.diff(starts) > 1)
+    return _member_edges(emb, norms, starts, members, multi, multi, theta)
+
+
+_INPUTS = ("emb", "norms", "keys", "order", "starts", "members", "det")
 
 
 def _share_edges(folder: str, share: str, cut: str, theta: str) -> list[np.ndarray]:
     """A worker's entry: ``_tile_edges`` of one share, its inputs read from ``folder``."""
     arrays = [np.asarray(np.load(os.path.join(folder, f"{name}.npy"), mmap_mode="r"))
-              for name in ("emb", "norms", "keys", "order", f"tiles{share}")]
+              for name in (*_INPUTS, f"tiles{share}")]
     return _tile_edges(*arrays, float(cut), float(theta))
+
+
+def _edges(emb, norms, theta, mode, bands, band_bits, seed) -> list[np.ndarray]:
+    """[ii, jj, dists] of every edge, ii < jj, in no particular order.
+
+    Blocked mode groups the rows whose keys are equal in every band; exact
+    mode puts every row in a group of its own, in one bucket.
+    """
+    n, d = emb.shape
+    if mode == MODE_EXACT:
+        keys = np.zeros((1, n), dtype=np.uint8)
+        starts, members = np.arange(n + 1), np.arange(n)
+    else:
+        keys, starts, members = _sign_hash(emb, bands, band_bits, seed)
+        keys = keys[:, members[starts[:-1]]]  # the representatives' keys
+    # bands are alike, so the first one's buckets estimate the work
+    m = np.unique(keys[0], return_counts=True)[1]
+    pairs = len(keys) * float(m @ (m - 1)) / 2
+    shares = _available_cpus()
+    while shares > 1 and pairs * (d + _PAIR_OVERHEAD) < shares * _SHARE_WORK:
+        shares -= 1
+    procs, folder = [], None
+    try:
+        for k in range(shares if shares > 1 else 0):
+            procs.append(Worker(_share_edges, f"building the similarity graph, share {k + 1}"))
+        det, cut = _detection(emb, norms, starts, members, theta)
+        order = np.argsort(keys, axis=1, kind="stable")
+        tiles = _tiles(keys, order, max(len(procs), 1))
+        inputs = (emb, norms, keys, order, starts, members, det)
+        if not procs:
+            parts = [_tile_edges(*inputs, tiles[0], cut, theta)]
+        else:
+            parts = []
+            folder = tempfile.mkdtemp(prefix="simgraph-")
+            for name, array in zip(_INPUTS, inputs):
+                np.save(os.path.join(folder, f"{name}.npy"), array)
+            for k, (proc, share) in enumerate(zip(procs, tiles)):
+                np.save(os.path.join(folder, f"tiles{k}.npy"), share)
+                proc.send(folder, str(k), repr(float(cut)), repr(float(theta)))
+        # the caller verifies the pairs inside groups while the workers run
+        parts.append(_group_edges(emb, norms, starts, members, theta))
+        parts += [proc.result() for proc in procs]
+    finally:
+        for proc in procs:
+            proc.close()
+        if folder is not None:
+            shutil.rmtree(folder, ignore_errors=True)
+    return [np.concatenate(part) for part in zip(*parts)]
 
 
 def build_graph(
@@ -300,53 +499,28 @@ def build_graph(
     norms = np.sqrt(_dots(emb, emb))
     if np.any(norms == 0.0):
         raise ValueError("zero embedding in graph input")
-
-    d = emb.shape[1]
-    cut = 1.0 - theta - _detect_pad(d)
-    if mode == MODE_EXACT:
-        bands, band_keys = 1, iter([np.zeros(n, dtype=np.uint64)])
-    else:
-        band_keys = _band_keys(emb, bands, band_bits, seed)
-    first = next(band_keys)
-    # bands are alike, so the first one's buckets estimate the work
-    m = np.unique(first, return_counts=True)[1]
-    pairs = bands * float(m @ (m - 1)) / 2
-    shares = _available_cpus()
-    while shares > 1 and pairs * (d + _PAIR_OVERHEAD) < shares * _SHARE_WORK:
-        shares -= 1
-    procs, folder = [], None
-    try:
-        for k in range(shares if shares > 1 else 0):
-            procs.append(Worker(_share_edges, f"building the similarity graph, share {k + 1}"))
-        keys = np.stack([first, *band_keys])
-        order = np.argsort(keys, axis=1, kind="stable")
-        tiles = _tiles(keys, order, max(len(procs), 1))
-        if not procs:
-            ii, jj, dists = _tile_edges(emb, norms, keys, order, tiles[0], cut, theta)
-        else:
-            folder = tempfile.mkdtemp(prefix="simgraph-")
-            for name, array in (("emb", emb), ("norms", norms), ("keys", keys), ("order", order)):
-                np.save(os.path.join(folder, f"{name}.npy"), array)
-            for k, (proc, share) in enumerate(zip(procs, tiles)):
-                np.save(os.path.join(folder, f"tiles{k}.npy"), share)
-                proc.send(folder, str(k), repr(float(cut)), repr(float(theta)))
-            ii, jj, dists = (np.concatenate(part) for part in zip(*(p.result() for p in procs)))
-    finally:
-        for proc in procs:
-            proc.close()
-        if folder is not None:
-            shutil.rmtree(folder, ignore_errors=True)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("non-finite embedding norm in graph input")
+    ii, jj, dists = _edges(emb, norms, theta, mode, bands, band_bits, seed)
 
     # rows in ascending (distance, id) order, as np.lexsort((cols, both, rows))
     # but faster: edges in (ii, jj) order, (jj, ii) entries first, put each row
-    # in ascending col (ii < jj), which a stable sort by row and distance keeps
+    # in ascending col (ii < jj), which a stable sort by row and distance
+    # keeps. The sort sets the build's peak memory, so each array goes as
+    # soon as it is used.
     edges = np.argsort(ii * n + jj)
     ii, jj, dists = ii[edges], jj[edges], dists[edges]
+    del edges
     levels, rank = np.unique(dists, return_inverse=True)
-    rows, cols = np.concatenate([jj, ii]), np.concatenate([ii, jj])
-    perm = np.argsort(rows * len(levels) + np.concatenate([rank, rank]), kind="stable")
-    rows, cols = rows[perm], cols[perm]
-    both = np.concatenate([dists, dists])[perm]
+    key = np.concatenate([jj, ii]) * len(levels)
+    key[: len(rank)] += rank
+    key[len(rank) :] += rank
+    del levels, rank
+    perm = np.argsort(key, kind="stable")
+    del key
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n))
-    return SimilarityGraph(ids, emb, norms, theta, mode, indptr, ids[cols], both)
+    indptr[1:] = np.cumsum(np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n))
+    nbr_ids = ids[np.concatenate([ii, jj])[perm]]
+    del ii, jj
+    both = np.concatenate([dists, dists])[perm]
+    return SimilarityGraph(ids, emb, norms, theta, mode, indptr, nbr_ids, both)

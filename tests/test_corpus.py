@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import subprocess
 import sys
@@ -315,6 +316,15 @@ class TestRecordInvariants:
         with pytest.raises(ValueError):
             normalize_embedding([0.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200, 5e-324])
+    def test_normalize_extreme_magnitudes(self, scale):
+        # the squared norm overflows, underflows to a subnormal (1e-160) or
+        # underflows to zero at these scales
+        got = normalize_embedding([scale, scale])
+        np.testing.assert_allclose(got, [math.sqrt(0.5)] * 2, rtol=1e-15)
+        np.testing.assert_array_equal(normalize_embedding([scale, 0.0]), [1.0, 0.0])
+        assert normalize_embedding(got).tobytes() == got.tobytes()
+
     def test_fingerprint_quantization(self):
         a = np.array([0.6, 0.8])
         b = a + 1e-9  # below the 1e-6 grid
@@ -351,6 +361,9 @@ _BAD_LINES = [
     pytest.param(_record(item_id=2, embedding="1.0,0.5"), id="embedding-string"),
     pytest.param(_record(item_id=2, embedding={"x": 1.0}), id="embedding-object"),
     pytest.param(_record(item_id=2, embedding=None), id="embedding-null"),
+    pytest.param(_record(item_id=2, embedding=[True, 0.8]), id="embedding-bool"),
+    pytest.param(_record(item_id=2, embedding=[False, True]), id="embedding-unit-bools"),
+    pytest.param(_record(item_id=2, embedding=["0.6", 0.8]), id="embedding-numeric-string"),
     pytest.param(_record(item_id=2, ground_truth=1), id="truth-int"),
     pytest.param(_record(item_id=2, ground_truth="true"), id="truth-string"),
     *(
@@ -389,6 +402,15 @@ def test_truncated_last_line_cites_line(tmp_path):
     path.write_text(_record() + "\n" + whole[: len(whole) // 2])
     with pytest.raises(FormatError, match="^line 2: invalid JSON"):
         load_corpus(path)
+
+
+def test_extreme_magnitudes_load_as_unit_rows(tmp_path):
+    path = tmp_path / "extreme.jsonl"
+    lines = [_record(item_id=k, embedding=[scale, scale])
+             for k, scale in enumerate([1e200, 1e-160, 1e-200, 1.0])]
+    path.write_text("\n".join(lines) + "\n")
+    emb = load_corpus(path).embeddings
+    np.testing.assert_allclose(emb, np.full((4, 2), math.sqrt(0.5)), rtol=1e-15)
 
 
 def test_embedding_of_non_numbers_cites_line(tmp_path):

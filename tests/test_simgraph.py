@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -10,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reviewfunnel import simgraph
 from reviewfunnel.corpus import (
@@ -359,6 +362,93 @@ class TestBuildGraph:
         g = build_graph(items, 0.01, "blocked", seed=4)
         assert neighbor_ids(g, 0, 0.0) == [1]
 
+    def test_group_of_identical_rows(self):
+        # 150 copies of one row among 30 others: equal signatures, cut into
+        # groups of at most _GROUP_ROWS, each of radius 0
+        rng = np.random.default_rng(2)
+        vectors = rng.standard_normal((180, 8))
+        copies = np.sort(rng.choice(180, 150, replace=False))
+        vectors[copies] = vectors[copies[0]]
+        items = make_items(vectors)
+        want = [(a, b) for a in copies.tolist() for b in copies.tolist() if a < b]
+        for workers in (contextlib.nullcontext(), graph_workers(2)):
+            with workers:
+                g = build_graph(items, 0.05, "blocked", bands=4, band_bits=4, seed=1)
+            edges = edge_list(g)
+            assert [e[:2] for e in edges if e[0] in copies or e[1] in copies] == want
+            assert all(e[2] <= 1e-15 for e in edges if e[0] in copies)
+            assert edges == edge_list(build_graph(items, 0.05, "exact"))
+
+    @pytest.mark.parametrize("workers", [False, True])
+    def test_group_radius_widens_the_cut(self, workers):
+        # Groups G = {0, 2} and H = {1, 3} fill two sign cells that share a
+        # band-0 bucket. Their representatives 0 and 1 sit 2 * alpha apart,
+        # far beyond theta, while members 2 and 3 sit on either side of the
+        # cells' common boundary, well within theta: without the radii in
+        # the cut, detection never sees the pair (2, 3).
+        theta, alpha, delta = 0.05, 0.5, 0.05
+
+        def turned(boundary, angle):
+            c, s = math.cos(angle), math.sin(angle)
+            return np.array([c * boundary[0] - s * boundary[1], s * boundary[0] + c * boundary[1]])
+
+        for seed in range(100):
+            # plane 1's boundary; rows turned either way from it take either sign
+            planes = np.random.default_rng(seed).standard_normal((2, 2))
+            boundary = np.array([-planes[1, 1], planes[0, 1]])
+            vectors = [turned(boundary, a) for a in (alpha, -alpha, delta, -delta)]
+            signs = np.stack(vectors) @ planes > 0
+            if not signs[:, 0].any():  # all four on one side of plane 0
+                break
+        assert (signs[0] == signs[2]).all() and (signs[1] == signs[3]).all()
+        assert (signs[0] != signs[1]).any()
+        items = make_items(vectors)
+        assert cosine_distance(items[0].embedding, items[1].embedding) > 0.4
+        assert cosine_distance(items[2].embedding, items[3].embedding) < theta / 5
+        with graph_workers(2) if workers else contextlib.nullcontext():
+            g = build_graph(items, theta, "blocked", bands=2, band_bits=1, seed=seed)
+        assert [e[:2] for e in edge_list(g)] == [(2, 3)]
+        exact, collide, _ = numpy_oracle(items, theta, 2, 1, seed)
+        assert collide == exact == {(2, 3)}
+
+    def test_non_finite_norm_rejected(self):
+        # the squared norm of this row overflows; a zero norm is rejected too
+        items = make_items([[1.0, 1.0], [1.0, 0.0]])
+        huge = [dataclasses.replace(items[0], embedding=np.array([1e200, 1e200])), items[1]]
+        for mode in ("exact", "blocked"):
+            with pytest.raises(ValueError, match="non-finite"):
+                build_graph(huge, 0.1, mode)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    dim=st.sampled_from([2, 3, 8]),
+    centres=st.integers(2, 25),
+    copies=st.integers(1, 6),
+    spread=st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.7]),
+    bands=st.integers(2, 5),
+    band_bits=st.integers(1, 5),
+    theta=st.sampled_from([0.05, 0.25]),
+    workers=st.booleans(),
+)
+def test_grouped_detection_matches_oracle(seed, dim, centres, copies, spread, bands, band_bits,
+                                          theta, workers):
+    # copies scattered around each centre by up to about the theta chord (0.7
+    # at theta 0.25); few hyperplanes leave wide sign cells, so groups of
+    # equal signatures reach such radii too
+    rng = np.random.default_rng(seed)
+    vectors = np.repeat(rng.standard_normal((centres, dim)), copies, axis=0)
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+    vectors += spread / math.sqrt(dim) * rng.standard_normal(vectors.shape)
+    items = make_items(vectors[rng.permutation(len(vectors))])
+    exact, collide, _ = numpy_oracle(items, theta, bands, band_bits, seed)
+    with graph_workers(2) if workers else contextlib.nullcontext():
+        blocked = build_graph(items, theta, "blocked", bands=bands, band_bits=band_bits, seed=seed)
+    want = [e for e in edge_list(build_graph(items, theta, "exact")) if e[:2] in collide]
+    assert [e[:2] for e in want] == sorted(collide)
+    assert edge_list(blocked) == want
+
 
 def _substitute(*codes):
     """A Popen starting ``codes[k]`` (the last one from then on) for the k-th worker."""
@@ -401,6 +491,29 @@ class TestGraphWorkers:
             assert csr_bytes(build_graph(items, 0.25, mode, seed=3)) == here
         assert not started
         assert not list(tmpdir.iterdir())
+
+    def test_worker_imports_only_what_it_runs(self):
+        # a worker imports reviewfunnel.simgraph; the package's other exports
+        # load on first use
+        src = os.path.dirname(os.path.dirname(simgraph.__file__))
+
+        def child(code):
+            code = f"import json, sys; sys.path.insert(0, sys.argv[1]); {code}"
+            out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                                 text=True, check=True).stdout
+            return json.loads(out)
+
+        assert child(
+            "import reviewfunnel.simgraph; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('reviewfunnel'))))"
+        ) == ["reviewfunnel", "reviewfunnel.corpus", "reviewfunnel.simgraph"]
+        assert child(
+            "import reviewfunnel; from reviewfunnel import *; "
+            "from reviewfunnel import cli, run_pipeline; "
+            "print(json.dumps([len(reviewfunnel.__all__), "
+            "run_pipeline is reviewfunnel.pipeline.run_pipeline, "
+            "set(reviewfunnel.__all__) <= set(dir(reviewfunnel))]))"
+        ) == [25, True, True]
 
     @pytest.mark.parametrize("code", [
         pytest.param("import sys; sys.exit(1)", id="exit-1"),
