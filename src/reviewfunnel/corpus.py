@@ -8,12 +8,13 @@ members spread around it. Ground truth is generated alongside the items but
 handed out as a separate map so that funnel stages never see it; only the
 oracle and the metrics evaluator do.
 
-The JSON Lines loader decodes the file as columns. A file of at least two
-``_CHUNK_BYTES`` is split at line ends into byte ranges, one per available
-CPU and none smaller than that; the calling process decodes the first range
-and ``Worker`` processes the others. The ranges are merged in file order, so
-the corpus, and the first fault's line and message, are the same at any
-process count.
+The JSON Lines loader decodes a file in one pass in this process. Its rows
+are written a block at a time into columns sized from a count of the file's
+line ends, so the whole file is never held, and a file in id order is never
+copied. Each line is decoded by orjson where it is installed (the
+``fast`` extra) and by the standard ``json`` module otherwise; a file that
+fails a check is decoded again by ``json`` alone, so every corpus and every
+error message is the same with or without orjson.
 """
 
 from __future__ import annotations
@@ -21,14 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -192,27 +188,38 @@ class ClusterInfo:
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
 
 
+def _scaled(arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """(arr, its squared norm), which is 0.0 only for a zero vector.
+
+    A vector whose squared norm overflows or underflows (to zero or to a
+    subnormal, which keeps too few bits to give a unit row) is first divided
+    by its largest magnitude.
+    """
+    square = float(np.einsum("i,i->", arr, arr))
+    if not _TINY <= square < math.inf:
+        top = float(np.max(np.abs(arr), initial=0.0))
+        if top != 0.0:
+            arr = arr / top
+            square = float(np.einsum("i,i->", arr, arr))
+    return arr, square
+
+
 def normalize_embedding(vector) -> np.ndarray:
     """Return the vector scaled to unit L2 norm as a float64 array.
 
     Vectors that are already unit-norm (within 1e-9) pass through untouched,
     so normalization is idempotent and save/load round-trips are bit-exact.
-    A vector whose squared norm overflows or underflows (to zero or to a
-    subnormal, which keeps too few bits to give a unit row) is first scaled
-    by its largest magnitude.
+    A vector whose squared norm overflows or underflows is first scaled by
+    its largest magnitude (``_scaled``).
     """
     arr = np.asarray(vector, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("embedding must be one-dimensional")
     if not np.all(np.isfinite(arr)):
         raise ValueError("embedding contains non-finite values")
-    square = float(np.einsum("i,i->", arr, arr))
-    if not _TINY <= square < math.inf:
-        top = float(np.max(np.abs(arr)))
-        if top == 0.0:
-            raise ValueError("embedding must be non-zero")
-        arr = arr / top
-        square = float(np.einsum("i,i->", arr, arr))
+    arr, square = _scaled(arr)
+    if square == 0.0:
+        raise ValueError("embedding must be non-zero")
     norm = math.sqrt(square)
     if abs(norm - 1.0) <= 1e-9:
         return arr.copy()
@@ -430,76 +437,27 @@ def _require_hash(value, line: int) -> int:
     return int(digits or "0")
 
 
-def _parse_record(text: str, fields: frozenset, line: int) -> dict:
-    """The JSON object on one line, which must have exactly ``fields``."""
+def _utf8(raw: bytes, line: int) -> str:
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON ({exc.msg})", line) from exc
-    if not isinstance(doc, dict):
-        raise FormatError("record must be a JSON object", line)
-    if doc.keys() != fields:
-        unknown = doc.keys() - fields
-        if unknown:
-            raise FormatError(f"unknown field {sorted(unknown)[0]!r}", line)
-        raise FormatError(f"missing field {sorted(fields - doc.keys())[0]!r}", line)
-    return doc
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"invalid UTF-8 ({exc.reason})", line) from exc
 
 
-def _read_records(lines, fields: tuple[str, ...], first_line: int = 1):
-    """(line number, item_id, object) of each non-blank JSON Lines record.
+def _lines(fh) -> Iterator[tuple[int, bytes | str]]:
+    """(line number, line) of each line of the binary file ``fh``.
 
-    Every record must be a JSON object with exactly ``fields``, among them
-    an ``item_id`` that no earlier record has.
-    """
-    expected = frozenset(fields)
-    seen: dict[int, int] = {}
-    for line_no, raw in enumerate(lines, start=first_line):
-        if not raw or raw.isspace():
-            continue
-        doc = _parse_record(raw, expected, line_no)
-        item_id = _require_int(doc, "item_id", line_no)
-        if item_id in seen:
-            raise FormatError(
-                f"duplicate item_id {item_id} (first on line {seen[item_id]})", line_no
-            )
-        seen[item_id] = line_no
-        yield line_no, item_id, doc
-
-
-# A corpus file is decoded by one process per available CPU when it holds at
-# least two of these, and no process gets less: a worker spends about 0.3 s
-# starting (importing numpy) and decodes roughly 20 MB/s.
-_CHUNK_BYTES = 16 << 20
-# Embeddings are converted to float64 this many rows at a time, which bounds
-# the Python float lists held at once.
-_BLOCK_ROWS = 4096
-_ITEM_KEYS = frozenset(_ITEM_FIELDS)
-# A decoded range's arrays: each row's line number, then the Corpus columns.
-_CHUNK_DTYPES = {"lines": np.int64, **_COLUMN_DTYPES}
-
-
-def _text_lines(fh, size: int | None):
-    """(line number, text) of the lines in the next ``size`` bytes of ``fh``.
-
-    ``size`` None reads to the end of the file; otherwise the range ends at a
-    line end or at the end of the file. As in text mode, a line ends at
-    ``\\n``, ``\\r\\n`` or a lone ``\\r``, read as ``\\n``.
+    As in text mode, a line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``. A
+    run of bytes up to a ``\\n`` that holds a ``\\r`` is decoded as text and
+    split, and invalid UTF-8 in it cites its first line; other lines stay bytes.
     """
     line_no = 0
     for raw in fh:
-        if size is not None:
-            if size <= 0:
-                return
-            size -= len(raw)
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"invalid UTF-8 ({exc.reason})", line_no + 1) from exc
-        if "\r" not in text:
+        if b"\r" not in raw:
             line_no += 1
-            yield line_no, text
+            yield line_no, raw
             continue
+        text = _utf8(raw, line_no + 1)
         *ended, last = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         for part in ended:
             line_no += 1
@@ -507,6 +465,82 @@ def _text_lines(fh, size: int | None):
         if last:
             line_no += 1
             yield line_no, last
+
+
+def _line_count(path) -> int:
+    """At least the number of lines in the file, counted without holding it."""
+    count = 1
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            count += block.count(b"\n")
+            if b"\r" in block:
+                count += block.count(b"\r") - block.count(b"\r\n")
+    return count
+
+
+def _json_value(line, line_no: int, fast):
+    """The JSON value on a line (bytes or str), or None if the line is blank.
+
+    ``fast`` (``orjson.loads``, or None) decodes first; a line it rejects is
+    decoded by ``json``, whose error is raised.
+    """
+    if fast is not None:
+        try:
+            return fast(line)
+        except ValueError:
+            pass
+    if isinstance(line, bytes):
+        line = _utf8(line, line_no)
+    if line.isspace():
+        return None
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON ({exc.msg})", line_no) from exc
+
+
+def _decoded(load, path):
+    """``load(path, fast)``, with ``fast`` orjson's decoder where it is installed.
+
+    A file that fails a check is then decoded again by ``json`` alone, whose
+    verdict and message stand: orjson rejects lines that json accepts (NaN,
+    ``1e400``, lone surrogates) and reads integers beyond 64 bits as floats.
+    A file that passes every check gives the same values either way.
+    """
+    try:
+        import orjson
+    except ImportError:
+        return load(path, None)
+    try:
+        return load(path, orjson.loads)
+    except FormatError:
+        return load(path, None)
+
+
+def _check_fields(doc, fields: frozenset, line: int) -> None:
+    """Raise unless ``doc`` is a JSON object with exactly ``fields``."""
+    if not isinstance(doc, dict):
+        raise FormatError("record must be a JSON object", line)
+    if doc.keys() != fields:
+        unknown = doc.keys() - fields
+        if unknown:
+            raise FormatError(f"unknown field {sorted(unknown)[0]!r}", line)
+        raise FormatError(f"missing field {sorted(fields - doc.keys())[0]!r}", line)
+
+
+def _duplicate(item_id: int, line: int, first: int) -> FormatError:
+    return FormatError(f"duplicate item_id {item_id} (first on line {first})", line)
+
+
+# Rows are decoded this many at a time: their embeddings are checked and
+# normalised as one matrix, which bounds the Python objects held at once.
+_BLOCK_ROWS = 4096
+_ITEM_KEYS = frozenset(_ITEM_FIELDS)
+_LABEL_KEYS = frozenset(_LABEL_FIELDS)
+# The columns of each row's line number and scalar fields, in the order of
+# the lists ``_load_corpus`` collects them in.
+_ROW_DTYPES = {"lines": np.int64, "ids": np.int64, "hashes": np.uint64, "truth": np.int8,
+               "accounts": np.int64, "impressions": np.int64, "created_rounds": np.int64}
 
 
 def _normalized_row(row, line: int) -> np.ndarray:
@@ -552,62 +586,64 @@ def _embedding_block(rows: list, lines: list[int]) -> np.ndarray:
     return block
 
 
-@dataclass
-class _Chunk:
-    """A decoded byte range of a corpus file.
+def _first_duplicate(ids: np.ndarray, lines: np.ndarray) -> FormatError | None:
+    """The error of the lowest line repeating an earlier line's id, if any."""
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    repeats = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+    if not len(repeats):
+        return None
+    k = repeats[np.argmin(lines[order[repeats]])]
+    first = order[np.searchsorted(ranked, ranked[k])]
+    return _duplicate(int(ranked[k]), int(lines[order[k]]), int(lines[first]))
 
-    ``columns`` holds ``_CHUNK_DTYPES`` for its rows in file order, with
-    line numbers counted from the range's first line. ``dim`` is the first
-    record's embedding dimension (0 if none), set on line ``dim_line``. After
-    the range's first fault, only ``lines`` and ``ids``
-    are kept, for every record whose id was read, the faulting one included.
+
+def _load_corpus(path, fast) -> Corpus:
+    """The checked corpus of a JSON Lines file, or the fault on its lowest line.
+
+    Rows are written a block at a time into columns sized by ``_line_count``.
+    The duplicate-id check runs over the ids read, so a repeated id wins over
+    a fault on a later line, or on its own line.
     """
-
-    columns: dict[str, np.ndarray]
-    n_lines: int
-    dim: int
-    dim_line: int
-    fault: list | None  # [line, reason]
-
-
-def _decode_range(path, start: int, end: int | None) -> _Chunk:
-    """Decode and check the records in bytes ``start:end`` (None: to the end).
-
-    Every record check of the loader runs here but the duplicate-id check,
-    which needs the whole file and runs in ``_merge``.
-    """
-    lines, ids, accounts, impressions, hashes, rounds, truth = [], [], [], [], [], [], []
-    blocks, pending, pending_lines = [], [], []
-    dim = dim_line = line_no = 0
-    fault = None
+    n = _line_count(path)
+    cols = {name: np.empty(n, dtype) for name, dtype in _ROW_DTYPES.items()}
+    pending = tuple([] for _ in cols)
+    lines, ids, hashes, truth, accounts, impressions, rounds = pending
+    rows: list[list] = []
+    emb = np.empty((0, 0))
+    done, fault = 0, None
 
     def flush():
-        if pending:
-            blocks.append(_embedding_block(pending, pending_lines))
-            pending.clear()
-            pending_lines.clear()
+        nonlocal done
+        if rows:
+            end = done + len(rows)
+            emb[done:end] = _embedding_block(rows, lines)
+            for col, values in zip(cols.values(), pending):
+                col[done:end] = values
+                values.clear()
+            rows.clear()
+            done = end
 
     with open(path, "rb") as fh:
-        fh.seek(start)
         try:
-            for line_no, text in _text_lines(fh, None if end is None else end - start):
-                if text.isspace():
+            for line_no, line in _lines(fh):
+                doc = _json_value(line, line_no, fast)
+                if doc is None:
                     continue
-                doc = _parse_record(text, _ITEM_KEYS, line_no)
+                _check_fields(doc, _ITEM_KEYS, line_no)
                 ids.append(_require_int(doc, "item_id", line_no))
                 lines.append(line_no)
                 embedding = doc["embedding"]
                 if not isinstance(embedding, list) or not embedding:
                     raise FormatError("field embedding must be a non-empty array", line_no)
-                if not dim:
-                    dim, dim_line = len(embedding), line_no
-                elif len(embedding) != dim:
+                if not emb.shape[1]:
+                    emb = np.empty((n, len(embedding)))
+                elif len(embedding) != emb.shape[1]:
                     raise FormatError(
-                        f"embedding dimension {len(embedding)} != {dim} from earlier records",
-                        line_no,
+                        f"embedding dimension {len(embedding)} != {emb.shape[1]} "
+                        "from earlier records", line_no,
                     )
-                pending.append(embedding)
-                pending_lines.append(line_no)
+                rows.append(embedding)
                 hashes.append(_require_hash(doc["exact_hash"], line_no))
                 ground_truth = doc["ground_truth"]
                 if ground_truth is not None and not isinstance(ground_truth, bool):
@@ -616,201 +652,35 @@ def _decode_range(path, start: int, end: int | None) -> _Chunk:
                 accounts.append(_require_int(doc, "account_id", line_no))
                 impressions.append(_require_int(doc, "impressions", line_no))
                 rounds.append(_require_int(doc, "created_round", line_no))
-                if len(pending) == _BLOCK_ROWS:
+                if len(rows) == _BLOCK_ROWS:
                     flush()
             flush()
         except FormatError as exc:
-            try:
-                flush()  # an embedding on the fault's line or before it comes first
-            except FormatError as earlier:
-                exc = earlier
-            fault = [exc.line, exc.reason]
-            blocks, accounts, impressions, hashes, rounds, truth = [], [], [], [], [], []
-    embeddings = np.concatenate(blocks) if blocks else np.empty((0, dim))
-    arrays = (lines, ids, embeddings, accounts, impressions, hashes, rounds, truth)
-    columns = {
-        name: np.asarray(col, dtype) for (name, dtype), col in zip(_CHUNK_DTYPES.items(), arrays)
-    }
-    return _Chunk(columns, line_no, dim, dim_line, fault)
-
-
-def _decode_worker(path: str, start: str, end: str) -> list[np.ndarray]:
-    """A worker's entry: one decoded range as arrays, its metadata first."""
-    chunk = _decode_range(path, int(start), int(end))
-    meta = {key: value for key, value in vars(chunk).items() if key != "columns"}
-    return [np.array(json.dumps(meta)), *(chunk.columns[name] for name in _CHUNK_DTYPES)]
-
-
-_WORKER_CODE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import importlib, numpy as np; "
-    "func = getattr(importlib.import_module(sys.argv[2]), sys.argv[3]); "
-    "arrays = func(*sys.stdin.read().split('\\0')); out = sys.stdout.buffer\n"
-    "for array in arrays: np.save(out, array, allow_pickle=False)\n"
-    "out.flush()"
-)
-_ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-
-
-class Worker:
-    """``func(*args)``, returning a list of arrays, in a fresh interpreter.
-
-    The child (``sys.executable``: no fork, no re-run of ``__main__``)
-    imports ``func`` from this package, with BLAS on one thread, and waits
-    for ``send``, so the import overlaps the caller's work. The arrays come
-    back as ``.npy`` data read with ``allow_pickle=False``. If the child
-    cannot start, ``result`` calls ``func`` here; if it exits without a
-    result, a ``RuntimeError`` names ``what``. ``close`` kills it.
-    """
-
-    def __init__(self, func, what: str):
-        self.func, self.what, self.args, self.proc, self.out = func, what, (), None, None
-        if not sys.executable:
-            return
-        try:
-            self.out = tempfile.TemporaryFile()
-            self.proc = subprocess.Popen(
-                [sys.executable, "-c", _WORKER_CODE, str(Path(__file__).resolve().parent.parent),
-                 func.__module__, func.__name__],
-                stdin=subprocess.PIPE, stdout=self.out, stderr=subprocess.PIPE,
-                env={**os.environ, **_ONE_THREAD},
-            )
-        except OSError:
-            self.close()
-
-    def send(self, *args: str) -> None:
-        """Start the call on ``args``, which must not contain ``\\0``."""
-        self.args = args
-        if self.proc is not None:
-            try:
-                self.proc.stdin.write("\0".join(args).encode())
-                self.proc.stdin.close()
-            except OSError:
-                pass  # the child is gone; result() says how it exited
-
-    def result(self) -> list[np.ndarray]:
-        if self.proc is None:
-            return self.func(*self.args)
-        err = self.proc.stderr.read()
-        if self.proc.wait() == 0:
-            try:
-                size = os.fstat(self.out.fileno()).st_size
-                self.out.seek(0)
-                arrays = []
-                while self.out.tell() < size:
-                    arrays.append(np.load(self.out, allow_pickle=False))
-                return arrays
-            except (OSError, ValueError, EOFError):
-                pass
-        detail = err.decode("utf-8", "replace").strip().splitlines()
-        raise RuntimeError(
-            f"{self.what}: worker exited {self.proc.returncode} without a result"
-            + (f" ({detail[-1]})" if detail else "")
-        )
-
-    def close(self) -> None:
-        if self.proc is not None:
-            if self.proc.poll() is None:
-                self.proc.kill()
-            self.proc.wait()
-            self.proc.stdin.close()
-            self.proc.stderr.close()
-        if self.out is not None:
-            self.out.close()
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _byte_ranges(path) -> list[tuple[int, int | None]]:
-    """The file's chunks as (start, end) byte offsets, split just after ``\\n``.
-
-    A file below two ``_CHUNK_BYTES`` is one chunk read to its end (None).
-    """
-    size = os.path.getsize(path)
-    n = min(_available_cpus(), size // _CHUNK_BYTES)
-    if n < 2:
-        return [(0, None)]
-    starts = [0]
-    with open(path, "rb") as fh:
-        for k in range(1, n):
-            fh.seek(max(size * k // n, starts[-1] + 1) - 1)
-            fh.readline()
-            if fh.tell() >= size:
-                break
-            starts.append(fh.tell())
-    return list(zip(starts, [*starts[1:], size]))
-
-
-def _first_duplicate(ids: np.ndarray, lines: np.ndarray) -> tuple[int, int, int] | None:
-    """(line, id, first line) of the lowest line repeating an earlier line's id."""
-    order = np.argsort(ids, kind="stable")
-    ranked = ids[order]
-    repeats = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
-    if not len(repeats):
-        return None
-    k = repeats[np.argmin(lines[order[repeats]])]
-    first = order[np.searchsorted(ranked, ranked[k])]
-    return int(lines[order[k]]), int(ranked[k]), int(lines[first])
-
-
-def _merge(chunks: list[_Chunk]) -> Corpus:
-    """The corpus of decoded ranges in file order, or the fault on the lowest line."""
-    offset = dim = 0
-    fault = None
-    kept = []
-    for chunk in chunks:
-        kept.append((chunk, offset))
-        if chunk.dim and dim and chunk.dim != dim:
-            fault = (chunk.dim_line + offset,
-                     f"embedding dimension {chunk.dim} != {dim} from earlier records")
-            break
-        dim = dim or chunk.dim
-        if chunk.fault:
-            fault = (chunk.fault[0] + offset, chunk.fault[1])
-            break
-        offset += chunk.n_lines
-    duplicate = _first_duplicate(
-        np.concatenate([chunk.columns["ids"] for chunk, _ in kept]),
-        np.concatenate([chunk.columns["lines"] + base for chunk, base in kept]),
-    )
-    if duplicate and (fault is None or duplicate[0] <= fault[0]):
-        line, item_id, first = duplicate
-        raise FormatError(f"duplicate item_id {item_id} (first on line {first})", line)
+            fault = exc
+            if rows:
+                try:  # an embedding on the fault's line or before it comes first
+                    _embedding_block(rows, lines)
+                except FormatError as earlier:
+                    fault = earlier
+    read = done + len(ids)
+    cols["ids"][done:read], cols["lines"][done:read] = ids, lines
+    duplicate = _first_duplicate(cols["ids"][:read], cols["lines"][:read])
+    if duplicate and (not fault or duplicate.line <= fault.line):
+        raise duplicate
     if fault:
-        raise FormatError(fault[1], fault[0])
-    filled = [chunk.columns for chunk in chunks if len(chunk.columns["ids"])]
-    if not filled:
-        return Corpus._of_rows([])
-    return Corpus(*(np.concatenate([cols[name] for cols in filled]) for name in _COLUMN_DTYPES))
+        raise fault
+    cols["embeddings"] = emb
+    return Corpus(*(cols[name][:done] for name in _COLUMN_DTYPES))
 
 
 def load_corpus(path) -> Corpus:
     """Load a JSON Lines corpus, re-normalizing embeddings on ingestion.
 
     Rows are sorted by id, so neither the file's formatting nor its line
-    order changes the corpus or its content hash. A large file is decoded in
-    parallel byte ranges (see the module docstring) with the same result.
+    order changes the corpus or its content hash. The file is decoded in one
+    pass, by orjson where it is installed (see the module docstring).
     """
-    (start, end), *rest = _byte_ranges(path)
-    workers = []
-    try:
-        for lo, hi in rest:
-            workers.append(Worker(_decode_worker, f"decoding {os.fspath(path)} bytes {lo}-{hi}"))
-            workers[-1].send(os.fspath(path), str(lo), str(hi))
-        chunks = [_decode_range(path, start, end)]
-        for worker in workers:
-            if chunks[-1].fault:
-                break
-            meta, *columns = worker.result()
-            chunks.append(_Chunk(dict(zip(_CHUNK_DTYPES, columns)), **json.loads(str(meta))))
-    finally:
-        for worker in workers:
-            worker.close()
-    return _merge(chunks)
+    return _decoded(_load_corpus, path)
 
 
 def save_labels(records: Iterable[LabelRecord], path) -> None:
@@ -829,20 +699,25 @@ def save_labels(records: Iterable[LabelRecord], path) -> None:
             fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def load_labels(path) -> list[LabelRecord]:
-    """Load a label store; order-preserving inverse of save_labels."""
+def _load_labels(path, fast) -> list[LabelRecord]:
     records: list[LabelRecord] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
+    seen: dict[int, int] = {}
+    with open(path, "rb") as fh:
+        lines = _lines(fh)
+        _, header = next(lines, (1, None))
+        if header is None:
             raise FormatError("missing label store header", 1)
-        try:
-            header = json.loads(header)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON ({exc.msg})", 1) from exc
-        if header != _LABEL_STORE_HEADER:
+        if _json_value(header, 1, fast) != _LABEL_STORE_HEADER:
             raise FormatError("unrecognized label store header", 1)
-        for line_no, item_id, doc in _read_records(fh, _LABEL_FIELDS, first_line=2):
+        for line_no, line in lines:
+            doc = _json_value(line, line_no, fast)
+            if doc is None:
+                continue
+            _check_fields(doc, _LABEL_KEYS, line_no)
+            item_id = _require_int(doc, "item_id", line_no)
+            if item_id in seen:
+                raise _duplicate(item_id, line_no, seen[item_id])
+            seen[item_id] = line_no
             if not isinstance(doc["label"], bool):
                 raise FormatError("field label must be a boolean", line_no)
             distance = doc["distance_to_source"]
@@ -863,3 +738,8 @@ def load_labels(path) -> list[LabelRecord]:
             except ValueError as exc:
                 raise FormatError(str(exc), line_no) from exc
     return records
+
+
+def load_labels(path) -> list[LabelRecord]:
+    """Load a label store; order-preserving inverse of save_labels."""
+    return _decoded(_load_labels, path)

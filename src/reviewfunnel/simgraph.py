@@ -31,7 +31,7 @@ float64 einsum kernel, so stored distances, exact mode, blocked mode and
 per-pair queries agree bitwise.
 
 A large build scores its tiles in worker processes, one per available CPU
-(``corpus.Worker``), each given an even part of every band. The caller
+(``Worker``), each given an even part of every band. The caller
 computes the norms, band keys, groups and detection rows, which workers
 never recompute, verifies the pairs inside groups while they run, and sorts
 the CSR rows canonically, so the arrays are the same bytes at any worker
@@ -46,12 +46,15 @@ from __future__ import annotations
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, Worker, _available_cpus
+from .corpus import Corpus, _scaled
 
 MODE_EXACT = "exact"
 MODE_BLOCKED = "blocked"
@@ -97,18 +100,22 @@ def positions(index: np.ndarray, item_ids) -> np.ndarray:
 
 
 def cosine_distance(a, b) -> float:
-    """Cosine distance 1 - cos(a, b), clipped into [0, 2]."""
+    """Cosine distance 1 - cos(a, b), clipped into [0, 2].
+
+    A vector whose squared norm overflows or underflows is first divided by
+    its largest magnitude, as ``normalize_embedding`` does; any other vector
+    is used as given.
+    """
     va = np.asarray(a, dtype=np.float64)
     vb = np.asarray(b, dtype=np.float64)
     if va.ndim != 1 or vb.ndim != 1:
         raise ValueError("embeddings must be one-dimensional")
     if va.shape[0] != vb.shape[0]:
         raise ValueError(f"dimension mismatch: {va.shape[0]} != {vb.shape[0]}")
-    na = math.sqrt(float(np.einsum("i,i->", va, va)))
-    nb = math.sqrt(float(np.einsum("i,i->", vb, vb)))
-    if na == 0.0 or nb == 0.0:
+    (va, sa), (vb, sb) = _scaled(va), _scaled(vb)
+    if sa == 0.0 or sb == 0.0:
         raise ValueError("cosine distance undefined for zero vector")
-    dist = 1.0 - float(np.einsum("i,i->", va, vb)) / (na * nb)
+    dist = 1.0 - float(np.einsum("i,i->", va, vb)) / (math.sqrt(sa) * math.sqrt(sb))
     return min(max(dist, 0.0), 2.0)
 
 
@@ -401,6 +408,90 @@ def _group_edges(emb, norms, starts, members, theta):
     """[ii, jj, dists] of the edges inside groups, which band 0 owns."""
     multi = np.flatnonzero(np.diff(starts) > 1)
     return _member_edges(emb, norms, starts, members, multi, multi, theta)
+
+
+_WORKER_CODE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import importlib, numpy as np; "
+    "func = getattr(importlib.import_module(sys.argv[2]), sys.argv[3]); "
+    "arrays = func(*sys.stdin.read().split('\\0')); out = sys.stdout.buffer\n"
+    "for array in arrays: np.save(out, array, allow_pickle=False)\n"
+    "out.flush()"
+)
+_ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+
+class Worker:
+    """``func(*args)``, returning a list of arrays, in a fresh interpreter.
+
+    The child (``sys.executable``: no fork, no re-run of ``__main__``)
+    imports ``func`` from this package, with BLAS on one thread, and waits
+    for ``send``, so the import overlaps the caller's work. The arrays come
+    back as ``.npy`` data read with ``allow_pickle=False``. If the child
+    cannot start, ``result`` calls ``func`` here; if it exits without a
+    result, a ``RuntimeError`` names ``what``. ``close`` kills it.
+    """
+
+    def __init__(self, func, what: str):
+        self.func, self.what, self.args, self.proc, self.out = func, what, (), None, None
+        if not sys.executable:
+            return
+        try:
+            self.out = tempfile.TemporaryFile()
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", _WORKER_CODE, str(Path(__file__).resolve().parent.parent),
+                 func.__module__, func.__name__],
+                stdin=subprocess.PIPE, stdout=self.out, stderr=subprocess.PIPE,
+                env={**os.environ, **_ONE_THREAD},
+            )
+        except OSError:
+            self.close()
+
+    def send(self, *args: str) -> None:
+        """Start the call on ``args``, which must not contain ``\\0``."""
+        self.args = args
+        if self.proc is not None:
+            try:
+                self.proc.stdin.write("\0".join(args).encode())
+                self.proc.stdin.close()
+            except OSError:
+                pass  # the child is gone; result() says how it exited
+
+    def result(self) -> list[np.ndarray]:
+        if self.proc is None:
+            return self.func(*self.args)
+        err = self.proc.stderr.read()
+        if self.proc.wait() == 0:
+            try:
+                size = os.fstat(self.out.fileno()).st_size
+                self.out.seek(0)
+                arrays = []
+                while self.out.tell() < size:
+                    arrays.append(np.load(self.out, allow_pickle=False))
+                return arrays
+            except (OSError, ValueError, EOFError):
+                pass
+        detail = err.decode("utf-8", "replace").strip().splitlines()
+        raise RuntimeError(
+            f"{self.what}: worker exited {self.proc.returncode} without a result"
+            + (f" ({detail[-1]})" if detail else "")
+        )
+
+    def close(self) -> None:
+        if self.proc is not None:
+            if self.proc.poll() is None:
+                self.proc.kill()
+            self.proc.wait()
+            self.proc.stdin.close()
+            self.proc.stderr.close()
+        if self.out is not None:
+            self.out.close()
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 _INPUTS = ("emb", "norms", "keys", "order", "starts", "members", "det")

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import reviewfunnel.corpus as corpus_module
 from reviewfunnel.cli import main
+from reviewfunnel.simgraph import build_graph
 from reviewfunnel.corpus import (
     ConfigError,
     Corpus,
@@ -382,6 +385,7 @@ def test_load_rule_cites_line(tmp_path, bad_line):
     path.write_text(_record() + "\n" + _record(item_id=3) + "\n" + bad_line + "\n")
     with pytest.raises(FormatError, match="^line 3: "):
         load_corpus(path)
+    assert same_error(path) == load_error(load_corpus, path)
 
 
 @pytest.mark.parametrize("lines", [
@@ -541,42 +545,29 @@ def test_line_order_changes_nothing(tmp_path):
     assert metrics[0] == metrics[1]
 
 
-# --- parallel decoding of large corpus files -------------------------------
+# --- block-wise decoding in one process, with and without orjson ------------
 
 SRC = str(Path(corpus_module.__file__).resolve().parent.parent)
 
 
-def one_chunk_load(path):
-    with mock.patch.object(corpus_module, "_CHUNK_BYTES", 1 << 60):
+def block_load(path, rows=1 << 30, fast=True):
+    """load_corpus in blocks of ``rows`` rows; without ``fast``, orjson cannot be imported."""
+    with mock.patch.object(corpus_module, "_BLOCK_ROWS", rows), \
+            mock.patch.dict(sys.modules, {} if fast else {"orjson": None}):
         return load_corpus(path)
 
 
-def chunked_load(path, cpus, workers=False):
-    """load_corpus with every range large enough to split, on ``cpus`` CPUs.
-
-    Without ``workers`` no process can start, so every range decodes here.
-    """
-    with mock.patch.object(corpus_module, "_CHUNK_BYTES", 1), \
-            mock.patch.object(corpus_module, "_available_cpus", lambda: cpus), \
-            mock.patch.object(sys, "executable", sys.executable if workers else ""):
-        return load_corpus(path)
-
-
-def load_split(path, first_lines, workers=False):
-    """load_corpus on ranges starting at the given 1-based lines (ending in \\n)."""
-    data = path.read_bytes()
-    line_starts = [0] + [k + 1 for k, byte in enumerate(data) if byte == ord("\n")]
-    starts = [0] + [line_starts[line - 1] for line in first_lines]
-    ranges = list(zip(starts, [*starts[1:], len(data)]))
-    with mock.patch.object(corpus_module, "_byte_ranges", lambda _: ranges), \
-            mock.patch.object(sys, "executable", sys.executable if workers else ""):
-        return load_corpus(path)
-
-
-def load_error(load, *args):
+def load_error(load, *args, **kwargs):
     with pytest.raises(FormatError) as info:
-        load(*args)
+        load(*args, **kwargs)
     return str(info.value)
+
+
+def same_error(path, rows=1 << 30):
+    """The load's error in blocks of ``rows`` rows, the same with orjson and without."""
+    message = load_error(block_load, path, rows)
+    assert load_error(block_load, path, rows, fast=False) == message
+    return message
 
 
 def assert_same_corpus(a, b):
@@ -604,10 +595,12 @@ _rows = st.lists(
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(rows=_rows, ids=st.lists(st.integers(0, 2**63 - 1), min_size=13, max_size=13,
                                 unique=True),
-       cpus=st.integers(1, 4), newline_at_end=st.booleans(),
+       block_rows=st.integers(1, 4), newline_at_end=st.booleans(),
        bad_at=st.one_of(st.none(), st.integers(1, 12)))
-def test_chunked_load_equals_one_chunk(tmp_path_factory, rows, ids, cpus, newline_at_end,
+def test_chunked_load_equals_one_chunk(tmp_path_factory, rows, ids, block_rows, newline_at_end,
                                        bad_at):
+    # any block size gives the corpus, or the error, of one block, with and
+    # without orjson
     records, docs = [], []
     for item_id, (emb, unit, hash_, count, truth, end, blank) in zip(ids, rows):
         emb = np.array(emb)
@@ -631,44 +624,39 @@ def test_chunked_load_equals_one_chunk(tmp_path_factory, rows, ids, cpus, newlin
     path = tmp_path_factory.mktemp("chunks") / "c.jsonl"
     path.write_bytes(text.encode())
     if bad_at is None:
-        loaded = one_chunk_load(path)
-        assert_same_corpus(chunked_load(path, cpus), loaded)
+        loaded = block_load(path)
+        for fast in (True, False):
+            assert_same_corpus(block_load(path, block_rows, fast), loaded)
+        assert_same_corpus(block_load(path, fast=False), loaded)
         reference = {doc["item_id"]: normalize_embedding(doc["embedding"]) for doc in docs}
         assert loaded.embeddings.tobytes() == b"".join(
             reference[item_id].tobytes() for item_id in sorted(reference))
         return
     with open(path, encoding="utf-8") as fh:  # text mode: universal newlines
         expected = next(k for k, line in enumerate(fh, 1) if "7.0, 7.0, 7.0" in line)
-    message = load_error(one_chunk_load, path)
+    message = same_error(path)
     assert message.startswith(f"line {expected}: ")
-    assert load_error(chunked_load, path, cpus) == message
-
-
-def test_large_file_splits_into_worker_processes(tmp_path):
-    items, _ = generate_corpus(GeneratorConfig(n_clusters=40, rng_seed=2))
-    path = tmp_path / "c.jsonl"
-    save_corpus(items, path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[60:] + ["\n"] + lines[:60]))
-    started = []
-    popen = subprocess.Popen
-
-    def counting_popen(*args, **kwargs):
-        started.append(args)
-        return popen(*args, **kwargs)
-
-    with mock.patch.object(corpus_module.subprocess, "Popen", counting_popen):
-        loaded = chunked_load(path, 4, workers=True)
-    assert len(started) == 3
-    assert_same_corpus(loaded, one_chunk_load(path))
+    assert same_error(path, block_rows) == message
 
 
 def test_small_file_starts_no_process(tmp_path):
     items, _ = generate_corpus(GeneratorConfig(n_clusters=20, rng_seed=1))
     path = tmp_path / "c.jsonl"
     save_corpus(items, path)
-    with mock.patch.object(corpus_module.subprocess, "Popen", side_effect=AssertionError):
+    with mock.patch.object(subprocess, "Popen", side_effect=AssertionError):
         assert len(load_corpus(path)) == len(items)
+
+
+def test_large_file_starts_no_process(tmp_path):
+    # 40 MiB: records between blank lines of 1 MiB of spaces
+    path = tmp_path / "c.jsonl"
+    with open(path, "w") as fh:
+        for item_id in range(40):
+            fh.write(" " * (1 << 20) + "\n" + _good(item_id) + "\n")
+    with mock.patch.object(subprocess, "Popen", side_effect=OSError("no process")), \
+            mock.patch.object(os, "fork", side_effect=OSError("no fork")):
+        loaded = block_load(path, 16)
+    assert loaded.ids.tolist() == list(range(40))
 
 
 def _good(item_id):
@@ -681,12 +669,14 @@ def _good(item_id):
 ])
 @pytest.mark.parametrize("first_in_chunk", [False, True], ids=["mid-chunk", "chunk-start"])
 def test_bad_line_in_later_chunk_cites_same_line(tmp_path, bad_line, first_in_chunk):
+    # line 6 is the first row of the second block of 5 rows, or the second
+    # row of the second block of 4
     path = tmp_path / "bad.jsonl"
     good = [_good(item_id) for item_id in range(10, 17)]
     path.write_text("\n".join(good[:5] + [bad_line] + good[5:]) + "\n")
-    message = load_error(one_chunk_load, path)
+    message = same_error(path)
     assert message.startswith("line 6: ")
-    assert load_error(load_split, path, [3, 6 if first_in_chunk else 5]) == message
+    assert same_error(path, 5 if first_in_chunk else 4) == message
 
 
 @pytest.mark.parametrize("later_line", [
@@ -696,85 +686,154 @@ def test_bad_line_in_later_chunk_cites_same_line(tmp_path, bad_line, first_in_ch
     pytest.param(_record(item_id=13, exact_hash="x"), id="bad-hash"),
 ])
 def test_duplicate_across_chunks_cites_first_line(tmp_path, later_line):
-    # line 7 repeats line 3's id; the bad record after it must not win
+    # line 7 repeats line 3's id; the bad record after it must not win, at
+    # any block boundary: before line 3, between lines 3 and 7, or after 7
     path = tmp_path / "dup.jsonl"
     lines = [_good(item_id) for item_id in (10, 11, 13, 14, 15, 16)]
     path.write_text("\n".join(lines + [later_line, "{broken", _good(20)]) + "\n")
-    message = "line 7: duplicate item_id 13 (first on line 3)"
-    assert load_error(one_chunk_load, path) == message
-    assert load_error(load_split, path, [5]) == message
-    assert load_error(load_split, path, [7]) == message
-    assert load_error(chunked_load, path, 3) == message
+    for rows in (1 << 30, 1, 2, 4, 6, 7):
+        assert same_error(path, rows) == "line 7: duplicate item_id 13 (first on line 3)"
 
 
 def test_lowest_duplicate_line_wins(tmp_path):
     # id 20 repeats on a later line than id 50, though it is the smaller id
     path = tmp_path / "dup.jsonl"
     path.write_text("".join(_good(item_id) + "\n" for item_id in (50, 20, 30, 40, 60, 50, 20)))
-    message = "line 6: duplicate item_id 50 (first on line 1)"
-    assert load_error(one_chunk_load, path) == message
-    assert load_error(load_split, path, [4]) == message
+    for rows in (1 << 30, 3, 5):
+        assert same_error(path, rows) == "line 6: duplicate item_id 50 (first on line 1)"
 
 
-def test_faults_from_worker_processes(tmp_path):
-    path = tmp_path / "dup.jsonl"
-    lines = [_good(item_id) for item_id in range(10, 20)]
-    lines[7] = _good(12)
-    path.write_text("\n".join(lines) + "\n")
-    assert (load_error(load_split, path, [4, 7], True)
-            == "line 8: duplicate item_id 12 (first on line 3)")
-    lines[7] = _record(item_id=30, exact_hash="²")
-    path.write_text("\n".join(lines) + "\n")
-    assert load_error(load_split, path, [4, 7], True) == load_error(one_chunk_load, path)
-
-
-def _substitute_worker(code):
-    """A Popen that starts ``code`` in place of the worker's command."""
-    popen = subprocess.Popen
-    started = []
-
-    def substitute(args, **kwargs):
-        started.append(popen([sys.executable, "-c", code], **kwargs))
-        return started[-1]
-
-    return substitute, started
-
-
-def test_worker_that_cannot_start_decodes_here(tmp_path):
-    items, _ = generate_corpus(GeneratorConfig(n_clusters=30, rng_seed=5))
+@pytest.mark.parametrize("rows", [1 << 30, 2], ids=["one-block", "blocks-of-2"])
+def test_fault_stops_the_decode(tmp_path, rows):
+    # a bad first line is the error, however much good or bad follows it,
+    # and no later line is decoded
     path = tmp_path / "c.jsonl"
-    save_corpus(items, path)
-    with mock.patch.object(corpus_module.subprocess, "Popen", side_effect=OSError("no fork")):
-        loaded = chunked_load(path, 3, workers=True)
-    assert_same_corpus(loaded, one_chunk_load(path))
+    path.write_text("{broken\n" + "".join(_good(item_id) + "\n" for item_id in range(10, 20))
+                    + "{broken too\n")
+    decoded = []
+    loads = json.loads
+
+    def counting(text, *args, **kwargs):
+        decoded.append(text)
+        return loads(text, *args, **kwargs)
+
+    with mock.patch.object(corpus_module.json, "loads", counting):
+        message = load_error(block_load, path, rows, fast=False)
+    assert message.startswith("line 1: invalid JSON")
+    assert decoded == ["{broken\n"]
 
 
-@pytest.mark.parametrize("code", [
-    pytest.param("import sys; sys.exit(1)", id="exit-1"),
-    pytest.param("import sys; sys.stdout.buffer.write(b'\\x93NUMPY')", id="cut-output"),
-    pytest.param("raise MemoryError", id="crash"),
+# JSON texts on which orjson and json differ: orjson rejects NaN, Infinity,
+# numbers beyond the float range and lone surrogates, and reads integers
+# past 64 bits as floats
+_INTS = ["0", "1", "-0", str(2**63 - 1), str(2**63), str(2**64 - 1), str(2**64), str(-2**63),
+         str(-2**63 - 1), "1" + "0" * 30, "-" + "9" * 25, "1" + "0" * 400]
+_FLOATS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400", "0.5", "-0.0", "2.0",
+           "1.7976931348623157e308", "5e-324", "1e-320"]
+_LONG_FLOATS = st.builds(
+    "{}{}.{}e{}".format, st.sampled_from(["", "-"]), st.integers(0, 9),
+    st.text("0123456789", min_size=15, max_size=40), st.integers(-330, 310),
+)
+_NUMBERS = st.one_of(st.sampled_from(_INTS + _FLOATS), _LONG_FLOATS)
+_STRINGS = st.sampled_from(['"0"', '"18446744073709551615"', '"\\u0031\\u0032"', '"\\ud800"',
+                            '"7\\udc00"', '"\\ud83d\\ude00"', "\"é\""])
+_FIELD_VALUES = {
+    "item_id": _NUMBERS, "embedding": st.lists(_NUMBERS, min_size=2, max_size=2).map(
+        lambda xs: "[" + ",".join(xs) + "]"),
+    "account_id": _NUMBERS, "impressions": _NUMBERS, "exact_hash": _STRINGS,
+    "created_round": _NUMBERS, "ground_truth": st.sampled_from(["true", "false", "null", "1"]),
+}
+
+
+@st.composite
+def _tricky_record(draw, item_id):
+    """A corpus line, some of whose values orjson and json may read apart."""
+    good = json.loads(_record(item_id=item_id))
+    # tricky values are rarer outside the embedding, so that most lines pass
+    parts = []
+    for name, values in _FIELD_VALUES.items():
+        tricky = draw(_one_in(2 if name == "embedding" else 12))
+        parts.append(f'"{name}":{draw(values) if tricky else json.dumps(good[name])}')
+    extra = draw(st.sampled_from([None, None, None, *_FIELD_VALUES]))
+    if extra is not None:  # a duplicate key: json keeps the last value
+        parts.append(f'"{extra}":{draw(_FIELD_VALUES[extra])}')
+    line = ("{" + ",".join(parts) + "}").encode()
+    if draw(_one_in(12)):  # raw bytes that are not UTF-8 in a string
+        line = line.replace(b'"exact_hash":', b'"exact_hash":"\xed\xa0\x80",' b'"x":', 1)
+    return line
+
+
+def _one_in(k):
+    return st.integers(0, k - 1).map(lambda x: x == k // 2)  # not an end, which hypothesis favours
+
+
+_TRICKY_LINES = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*(_tricky_record(item_id) for item_id in range(5, 5 + n))))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(lines=_TRICKY_LINES, rows=st.integers(1, 3))
+def test_orjson_and_json_give_one_verdict(tmp_path_factory, lines, rows):
+    pytest.importorskip("orjson")
+    path = tmp_path_factory.mktemp("tricky") / "c.jsonl"
+    path.write_bytes(b"\n".join([_record().encode(), *lines, _good(9).encode()]) + b"\n")
+    try:
+        with_json = block_load(path, rows, fast=False)
+    except FormatError as exc:
+        assert load_error(block_load, path, rows) == str(exc)
+    else:
+        assert_same_corpus(block_load(path, rows), with_json)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("source_item_id", str(2**64)), ("distance_to_source", "NaN"),
+    ("distance_to_source", "1e400"), ("round", str(2**64)), ("item_id", "1" + "0" * 30),
 ])
-def test_worker_without_result_names_range(tmp_path, code):
-    path = tmp_path / "c.jsonl"
-    path.write_text("".join(_good(item_id) + "\n" for item_id in range(10, 20)))
-    substitute, started = _substitute_worker(code)
-    with mock.patch.object(corpus_module.subprocess, "Popen", substitute):
-        with pytest.raises(RuntimeError, match=r"c\.jsonl bytes \d+-\d+: worker exited"):
-            chunked_load(path, 2, workers=True)
-    assert [proc.poll() is not None for proc in started] == [True]
+def test_label_store_reads_alike_without_orjson(tmp_path, field, value):
+    doc = {"item_id": 4, "label": True, "provenance": "propagated", "source_item_id": 3,
+           "round": 1, "distance_to_source": 0.125}
+    path = tmp_path / "labels.jsonl"
+    save_labels([], path)
+    line = json.dumps(doc).replace(f'"{field}": {json.dumps(doc[field])}', f'"{field}": {value}')
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+
+    def outcome(modules):
+        with mock.patch.dict(sys.modules, modules):
+            try:
+                return repr(load_labels(path))
+            except FormatError as exc:
+                return f"FormatError: {exc}"
+
+    assert outcome({}) == outcome({"orjson": None})
 
 
-def test_fault_in_first_chunk_stops_the_workers(tmp_path):
+def test_load_holds_one_block_beyond_its_columns(tmp_path):
+    # numpy reports its buffers to tracemalloc, so the traced peak counts the
+    # columns, the decoded block and anything the loader holds besides
+    corpus, _ = generate_corpus(GeneratorConfig(n_clusters=800, rng_seed=3))
     path = tmp_path / "c.jsonl"
-    path.write_text("{broken\n" + "".join(_good(item_id) + "\n" for item_id in range(10, 20)))
-    substitute, started = _substitute_worker("import time; time.sleep(60)")
-    with mock.patch.object(corpus_module.subprocess, "Popen", substitute):
-        assert load_error(chunked_load, path, 3, True).startswith("line 1: invalid JSON")
-    assert len(started) == 2
-    assert all(proc.poll() is not None for proc in started)
+    save_corpus(corpus, path)
+    rows = 256
+    line_bytes = path.stat().st_size / len(corpus)
+    tracemalloc.start()
+    try:
+        loaded = block_load(path, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_corpus(loaded, corpus)
+    columns = sum(getattr(loaded, field.name).nbytes for field in dataclasses.fields(Corpus))
+    # a block's decoded lines: their text, dicts, lists and floats, and its matrix
+    block = rows * 4 * line_bytes
+    assert peak < columns + block, (peak, columns, block)
+    # reading the whole file, or a second copy of the embeddings, would not fit
+    assert path.stat().st_size > block and loaded.embeddings.nbytes > block
 
 
 def test_script_without_main_guard_runs_once(tmp_path):
+    # a script that loads a corpus and builds its graph in worker processes
+    # runs its own code once: no worker re-runs the caller's __main__
     items, _ = generate_corpus(GeneratorConfig(n_clusters=30, rng_seed=6))
     path = tmp_path / "c.jsonl"
     save_corpus(items, path)
@@ -783,15 +842,18 @@ def test_script_without_main_guard_runs_once(tmp_path):
     script.write_text(
         "import sys\n"
         f"sys.path.insert(0, {SRC!r})\n"
-        "from reviewfunnel import corpus\n"
+        "from reviewfunnel import corpus, simgraph\n"
         f"with open({str(marker)!r}, 'a') as fh:\n"
         "    fh.write('ran\\n')\n"
-        "corpus._CHUNK_BYTES = 1\n"
-        "corpus._available_cpus = lambda: 3\n"
-        f"print(len(corpus.load_corpus({str(path)!r})))\n"
+        "corpus._BLOCK_ROWS = 7\n"
+        "simgraph._SHARE_WORK = 0\n"
+        "simgraph._available_cpus = lambda: 3\n"
+        f"loaded = corpus.load_corpus({str(path)!r})\n"
+        "print(len(loaded), simgraph.build_graph(loaded, 0.25, 'blocked').n_edges)\n"
     )
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(len(items))]
+    edges = build_graph(items, 0.25, "blocked").n_edges
+    assert done.stdout.split() == [str(len(items)), str(edges)]
     assert marker.read_text() == "ran\n"

@@ -152,6 +152,27 @@ class TestCosineDistance:
             assert d == cosine_distance(b, a)
             assert cosine_distance(a, a) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200, 5e-324])
+    def test_extreme_magnitudes(self, scale):
+        # the squared norm overflows, is subnormal or underflows to zero; the
+        # distance is that of the same directions at ordinary scale
+        parallel = cosine_distance([1.0, 1.0], [1.0, 1.0])
+        assert parallel < 1e-15
+        assert cosine_distance([scale, scale], [1.0, 1.0]) == parallel
+        assert cosine_distance([1.0, 1.0], [scale, scale]) == parallel
+        assert cosine_distance([scale, 0.0], [0.0, scale]) == 1.0
+        assert cosine_distance([scale, 0.0], [-1.0, 0.0]) == 2.0
+
+    def test_ordinary_inputs_bitwise_unchanged(self, rng):
+        def unscaled(a, b):
+            norms = math.sqrt(float(np.einsum("i,i->", a, a))) * math.sqrt(
+                float(np.einsum("i,i->", b, b)))
+            return min(max(1.0 - float(np.einsum("i,i->", a, b)) / norms, 0.0), 2.0)
+
+        for _ in range(500):
+            a, b = rng.standard_normal((2, 8)) * 10.0 ** rng.integers(-150, 150, size=(2, 1))
+            assert cosine_distance(a, b) == unscaled(a, b)
+
 
 class TestBuildGraph:
     def test_empty(self):
@@ -493,8 +514,9 @@ class TestGraphWorkers:
         assert not list(tmpdir.iterdir())
 
     def test_worker_imports_only_what_it_runs(self):
-        # a worker imports reviewfunnel.simgraph; the package's other exports
-        # load on first use
+        # a worker imports reviewfunnel.simgraph, and not orjson, which only
+        # the JSON Lines loaders import; the package's other exports load on
+        # first use
         src = os.path.dirname(os.path.dirname(simgraph.__file__))
 
         def child(code):
@@ -504,8 +526,8 @@ class TestGraphWorkers:
             return json.loads(out)
 
         assert child(
-            "import reviewfunnel.simgraph; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('reviewfunnel'))))"
+            "import reviewfunnel.simgraph; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith(('reviewfunnel', 'orjson')))))"
         ) == ["reviewfunnel", "reviewfunnel.corpus", "reviewfunnel.simgraph"]
         assert child(
             "import reviewfunnel; from reviewfunnel import *; "
