@@ -659,6 +659,17 @@ def test_large_file_starts_no_process(tmp_path):
     assert loaded.ids.tolist() == list(range(40))
 
 
+def test_worker_that_cannot_start_decodes_here(tmp_path):
+    # no process can be started: the file still decodes, here, in blocks
+    items, _ = generate_corpus(GeneratorConfig(n_clusters=30, rng_seed=5))
+    path = tmp_path / "c.jsonl"
+    save_corpus(items, path)
+    with mock.patch.object(subprocess, "Popen", side_effect=OSError("no fork")):
+        loaded = block_load(path, 3)
+        assert_same_corpus(block_load(path, 3, fast=False), loaded)
+    assert_same_corpus(loaded, block_load(path))
+
+
 def _good(item_id):
     return _record(item_id=item_id, embedding=[1.0, 0.25 * item_id])
 
