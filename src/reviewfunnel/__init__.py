@@ -16,13 +16,13 @@ import importlib
 _EXPORTS = {
     **dict.fromkeys(
         ("ConfigError", "Corpus", "FormatError", "GeneratorConfig", "Item", "LabelRecord",
-         "generate_corpus", "load_corpus", "load_labels", "save_corpus", "save_labels"),
+         "generate_corpus_detailed", "load_corpus", "load_labels", "save_corpus", "save_labels"),
         "corpus",
     ),
     "CoveragePlan": "funnel",
     **dict.fromkeys(("HttpOracle", "KnownStore", "Oracle", "SimulatedOracle"), "labeling"),
     **dict.fromkeys(
-        ("MetricsReport", "PipelineConfig", "compute_metrics", "run_pipeline",
+        ("MetricsReport", "PipelineConfig", "compute_metrics", "run_pipeline_detailed",
          "run_random_baseline", "run_score_baseline"),
         "pipeline",
     ),

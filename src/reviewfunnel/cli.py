@@ -76,11 +76,19 @@ def _check_envelope(doc: dict, kind: str) -> dict:
     return body
 
 
+# The JSON types each scalar annotation accepts; a bool is never an int or a float.
+_SCALARS = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
 def _build(cls, doc: dict, context: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - names)
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ConfigError(f"unknown {context} key {unknown[0]!r}")
+    for key, value in doc.items():
+        allowed = _SCALARS.get(types[key])
+        if allowed is not None and type(value) not in allowed:
+            raise ConfigError(f"{context} key {key!r} must be {types[key]}, got {value!r}")
     try:
         return cls(**doc)
     except TypeError as exc:
@@ -151,12 +159,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _manifest_config(doc: dict) -> dict:
+    if not isinstance(doc.get("config"), dict):
+        raise ConfigError("manifest key 'config' must be an object")
+    return doc["config"]
+
+
 def _resolve_run_inputs(args) -> tuple[PipelineConfig, str, dict | None]:
     """The config, the corpus path and, on replay, the manifest's corpus record."""
     doc = _load_json(args.config)
     recorded = None
     if doc.get("kind") == "run_manifest":
-        config = pipeline_config_from_doc(doc["config"])
+        config = pipeline_config_from_doc(_manifest_config(doc))
         recorded = doc.get("corpus") or {}
         corpus_path = args.corpus or recorded.get("path")
         if not corpus_path:
@@ -166,10 +180,6 @@ def _resolve_run_inputs(args) -> tuple[PipelineConfig, str, dict | None]:
         if not args.corpus:
             raise ConfigError("--corpus is required")
         corpus_path = args.corpus
-    if args.graph_mode:
-        config = dataclasses.replace(config, graph_mode=args.graph_mode)
-    if args.seed is not None:
-        config = dataclasses.replace(config, rng_seed=args.seed)
     return config, corpus_path, recorded
 
 
@@ -252,7 +262,7 @@ def cmd_baseline(args) -> int:
     if args.config:
         doc = _load_json(args.config)
         if doc.get("kind") == "run_manifest":
-            doc = doc["config"]
+            doc = _manifest_config(doc)
         oracle_params = pipeline_config_from_doc(doc).oracle
     corpus = load_corpus(args.corpus)
     if args.budget > len(corpus):
@@ -324,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--config", required=True, help="pipeline config JSON (or a run manifest)"
     )
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--graph-mode", choices=["exact", "blocked"], default=None)
-    p_run.add_argument("--seed", type=int, default=None, help="override rng_seed")
     p_run.set_defaults(func=cmd_run)
 
     p_base = sub.add_parser("baseline", help="budget-matched random-review baseline")

@@ -333,16 +333,10 @@ class Corpus:
         return dict(zip(self.ids[known].tolist(), (self.truth[known] == 1).tolist()))
 
 
-def generate_corpus(cfg: GeneratorConfig) -> tuple[Corpus, dict[int, bool]]:
-    """Generate a clustered synthetic corpus and its hidden ground truth."""
-    corpus, truth, _ = generate_corpus_detailed(cfg)
-    return corpus, truth
-
-
 def generate_corpus_detailed(
     cfg: GeneratorConfig,
 ) -> tuple[Corpus, dict[int, bool], list[ClusterInfo]]:
-    """Like generate_corpus, but also returns the planted cluster layout.
+    """Generate a clustered synthetic corpus, its hidden truth and its clusters.
 
     Deterministic for a fixed ``rng_seed``. Cluster sizes are 1 + Poisson
     draws so the mean matches ``cluster_size_mean`` exactly; the number of

@@ -115,20 +115,6 @@ def expand_actor(store, min_positives: int, min_rate: float) -> np.ndarray:
     return store.ids[flagged[store.account_codes] & (store.labels < 0)]
 
 
-def select_by_score(
-    item_ids: Iterable[int], scores: Mapping[int, float], tau: float
-) -> set[int]:
-    """Ids among ``item_ids`` whose model score strictly exceeds tau; unscored ids excluded."""
-    known = set(np.asarray(item_ids).tolist())
-    out: set[int] = set()
-    for item_id, score in scores.items():
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score {score} for item {item_id} outside [0, 1]")
-        if score > tau and item_id in known:
-            out.add(item_id)
-    return out
-
-
 def dedup_cross_round(
     candidates: Iterable[int], store, graph: SimilarityGraph, theta_dup: float, reach: Reach
 ) -> tuple[np.ndarray, dict[int, int]]:

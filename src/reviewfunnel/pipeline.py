@@ -1,5 +1,5 @@
-"""Multi-round orchestration of the review funnel, plus the budget-matched
-random baseline and the metrics evaluator.
+"""Multi-round orchestration of the review funnel, plus simulated model
+scores, the budget-matched random and score baselines, and metrics.
 
 Rounds are strictly sequential (the feedback loop is a data dependency) and
 atomic: all label writes go to the store's staging buffer and commit only
@@ -32,7 +32,6 @@ from .funnel import (
     filter_eligible,
     id_array,
     max_coverage_sample,
-    select_by_score,
 )
 from .labeling import (
     KnownStore,
@@ -245,20 +244,19 @@ class PipelineState:
     reach: Reach
 
 
-def simulate_model_scores(
-    truth: Mapping[int, bool], params: ScoreParams
-) -> dict[int, float]:
+def simulate_model_scores(truth: np.ndarray, params: ScoreParams) -> np.ndarray:
     """Stand-in for a cheap pre-trained model: noisy scores from ground truth.
 
-    The true label is flipped with probability ``flip_rate`` and the result
-    beta-jittered into [0, 1], giving a controllably weak signal.
+    Each known label of the truth column is flipped with probability
+    ``flip_rate`` and beta-jittered into [0, 1], a controllably weak signal.
+    Scores are in row order, NaN where truth is unknown (-1).
     """
     rng = np.random.default_rng(params.seed)
-    scores: dict[int, float] = {}
-    for item_id in sorted(truth):
-        effective = truth[item_id] ^ bool(rng.random() < params.flip_rate)
+    scores = np.full(len(truth), np.nan)
+    for row in np.flatnonzero(truth >= 0).tolist():
+        effective = bool(truth[row]) ^ bool(rng.random() < params.flip_rate)
         a, b = (8.0, 2.0) if effective else (2.0, 8.0)
-        scores[item_id] = float(rng.beta(a, b))
+        scores[row] = rng.beta(a, b)
     return scores
 
 
@@ -412,23 +410,6 @@ def _bootstrap_records(
     ]
 
 
-def run_pipeline(
-    corpus,
-    config: PipelineConfig,
-    *,
-    graph: SimilarityGraph | None = None,
-    oracle: Oracle | None = None,
-) -> MetricsReport:
-    """Run the configured number of rounds and evaluate against ground truth.
-
-    ``corpus`` is a Corpus or an Item list. A prebuilt graph may be passed to
-    amortize construction across runs; it must be built over the corpus's
-    ids and embeddings at a radius of at least theta_sim.
-    """
-    report, _ = run_pipeline_detailed(corpus, config, graph=graph, oracle=oracle)
-    return report
-
-
 def run_pipeline_detailed(
     corpus,
     config: PipelineConfig,
@@ -436,7 +417,13 @@ def run_pipeline_detailed(
     graph: SimilarityGraph | None = None,
     oracle: Oracle | None = None,
 ) -> tuple[MetricsReport, PipelineState]:
-    """run_pipeline, but also returning the final state (store included)."""
+    """Run the configured number of rounds and evaluate against ground truth.
+
+    ``corpus`` is a Corpus or an Item list. A prebuilt graph may be passed to
+    amortize construction across runs; it must be built over the corpus's
+    ids and embeddings at a radius of at least theta_sim. Returns the report
+    and the final state, store included.
+    """
     config.validate()
     corpus = Corpus.of(corpus)
     if not len(corpus):
@@ -482,19 +469,16 @@ def run_pipeline_detailed(
     store.extend(
         _bootstrap_records(corpus.ids[positive], config.bootstrap_seeds, config.rng_seed)
     )
-    score_ids = (
-        select_by_score(
-            corpus.ids, simulate_model_scores(truth, config.score), config.score.tau
-        )
-        if config.score is not None
-        else ()
-    )
+    score_ids = corpus.ids[:0]
+    if config.score is not None:
+        scores = simulate_model_scores(corpus.truth, config.score)
+        score_ids = corpus.ids[scores > config.score.tau]
     state = PipelineState(
         corpus=corpus,
         graph=graph,
         store=store,
         oracle=oracle,
-        score_ids=id_array(score_ids),
+        score_ids=score_ids,
         reach=Reach(corpus.ids),
     )
 
@@ -552,12 +536,11 @@ def run_score_baseline(
     alongside the random baseline for comparison, never asserted against.
     """
     corpus, truth = _baseline_inputs(corpus, total_budget)
-    scores = simulate_model_scores(truth, score_params)
-    ranked = sorted(
-        (i for i, s in scores.items() if s > score_params.tau),
-        key=lambda i: (-scores[i], i),
-    )
-    sample = ranked[:total_budget]
+    scores = simulate_model_scores(corpus.truth, score_params)
+    above = int(np.count_nonzero(scores > score_params.tau))
+    # stable over ascending ids, so ties go to the lower id
+    ranked = np.argsort(-scores, kind="stable")[: min(above, total_budget)]
+    sample = corpus.ids[ranked].tolist()
     report = compute_metrics(_review(sample, oracle, corpus), truth, corpus)
     report.corpus_hash = corpus.content_hash
     report.oracle_cost = len(sample) * oracle.unit_cost

@@ -14,13 +14,8 @@ pair within theta is at most ``sqrt(2 theta)`` apart as a chord, so by the
 triangle inequality the representatives of its groups G and H are at most
 ``sqrt(2 theta) + e_G + e_H`` apart: a pair of groups is a candidate when
 its score meets that bound, and then every member pair of it is verified.
-The pairs inside a group are verified once, as band 0's. On the benchmark
-corpora about half the rows are not their group's representative (desk:
-100,275 rows in 49,450 groups; campaign: 50,173 in 24,230; cli: 50,173 in
-24,920). Their largest radius is 0.102-0.108 and the median over groups of
-two or more rows 0.014-0.017, against the theta chord 0.707 at theta 0.25,
-and desk scores 170.3M pairs where scoring every row took 568.9M. Exact
-mode puts every row in a group of its own.
+The pairs inside a group are verified once, as band 0's. Exact mode puts
+every row in a group of its own.
 
 Detection scores the upper triangle of each bucket in float32 row tiles,
 against the cut padded by a float32 error bound derived from the
@@ -36,9 +31,7 @@ computes the norms, band keys, groups and detection rows, which workers
 never recompute, verifies the pairs inside groups while they run, and sorts
 the CSR rows canonically, so the arrays are the same bytes at any worker
 count. BLAS threads cannot stand in: the tiles are small and most of the
-kernel is numpy work outside the product (a 100k-item desk build took
-3.9-4.3 s wall, 7.1-8.1 s CPU, with default OpenBLAS threads on 2 cores;
-3.9-4.0 s with one).
+kernel is numpy work outside the product.
 """
 
 from __future__ import annotations

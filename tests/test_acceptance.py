@@ -15,13 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reviewfunnel.corpus import GeneratorConfig, generate_corpus, generate_corpus_detailed
+from reviewfunnel.corpus import GeneratorConfig, generate_corpus_detailed
 from reviewfunnel.labeling import SimulatedOracle
 from reviewfunnel.pipeline import (
     OracleParams,
     PipelineConfig,
     ScoreParams,
-    run_pipeline,
     run_pipeline_detailed,
     run_random_baseline,
     run_score_baseline,
@@ -70,7 +69,7 @@ def report_line(number, name, passed, detail):
 @pytest.fixture(scope="session")
 def desk():
     t0 = time.perf_counter()
-    items, truth = generate_corpus(DESK_GENERATOR)
+    items, truth, _ = generate_corpus_detailed(DESK_GENERATOR)
     graph = build_graph(
         items,
         THETA_SIM,
@@ -80,7 +79,7 @@ def desk():
         seed=DESK_CONFIG.graph_seed,
         workers=2,
     )
-    primary = run_pipeline(items, DESK_CONFIG, graph=graph)
+    primary, _ = run_pipeline_detailed(items, DESK_CONFIG, graph=graph)
     primary_elapsed = time.perf_counter() - t0
 
     reports = [primary]
@@ -90,7 +89,7 @@ def desk():
             rng_seed=rng_seed,
             oracle=dataclasses.replace(DESK_CONFIG.oracle, seed=oracle_seed),
         )
-        reports.append(run_pipeline(items, config, graph=graph))
+        reports.append(run_pipeline_detailed(items, config, graph=graph)[0])
 
     budget = DESK_CONFIG.rounds * DESK_CONFIG.budget_per_round
     baseline = run_random_baseline(
@@ -217,7 +216,7 @@ def test_criterion_5_blocked_graph_recall():
         positive_cluster_rate=0.05,
         rng_seed=31,
     )
-    items, _ = generate_corpus(cfg)
+    items, _, _ = generate_corpus_detailed(cfg)
     t0 = time.perf_counter()
     exact = build_graph(items, THETA_DUP, "exact")
     blocked = build_graph(items, THETA_DUP, "blocked", seed=0)
@@ -248,7 +247,8 @@ def edge_keys(graph):
 @pytest.mark.parametrize("seed", range(3))
 def test_criterion_5_blocked_graph_recall_16d(seed):
     """The same bar at theta_sim on 16-d data, where too few short bands fail it."""
-    items, _ = generate_corpus(GeneratorConfig(n_clusters=1000, embedding_dim=16, rng_seed=seed))
+    items, _, _ = generate_corpus_detailed(
+        GeneratorConfig(n_clusters=1000, embedding_dim=16, rng_seed=seed))
     exact = edge_keys(build_graph(items, THETA_SIM, "exact"))
     default = PipelineConfig()
     recall = {
@@ -275,7 +275,7 @@ def invariant_runs():
         n_accounts=100,
         rng_seed=77,
     )
-    items, truth = generate_corpus(cfg)
+    items, truth, _ = generate_corpus_detailed(cfg)
     config = PipelineConfig(
         rounds=4,
         budget_per_round=8,
@@ -350,10 +350,10 @@ def test_criterion_6_invariant_suite(invariant_runs):
         problems.append("budget ceiling exceeded")
 
     # determinism: identical runs, and identical under more workers
-    again_report = run_pipeline(items, config)
+    again_report, _ = run_pipeline_detailed(items, config)
     if again_report.to_json() != invariant_runs.report.to_json():
         problems.append("repeat run differs")
-    workers2 = run_pipeline(items, dataclasses.replace(config, workers=2))
+    workers2, _ = run_pipeline_detailed(items, dataclasses.replace(config, workers=2))
     if workers2.to_json() != invariant_runs.report.to_json():
         problems.append("worker count changes report")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from reviewfunnel import cli, corpus, pipeline, simgraph
-from reviewfunnel.corpus import GeneratorConfig, generate_corpus
+from reviewfunnel.corpus import GeneratorConfig, generate_corpus_detailed
 from reviewfunnel.pipeline import PipelineConfig, run_pipeline_detailed
 from reviewfunnel.simgraph import build_graph
 
@@ -29,7 +29,7 @@ def test_benchmark_selftest_passes():
 
 def test_graph_built_as_the_in_process_workloads_build_it():
     # funnelbench/run.py InProcess.setup passes exactly these keywords
-    corpus, _ = generate_corpus(GeneratorConfig(n_clusters=40, rng_seed=1))
+    corpus, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=40, rng_seed=1))
     c = PipelineConfig()
     graph = build_graph(
         corpus, c.theta_sim, c.graph_mode, bands=c.graph_bands,
@@ -62,18 +62,52 @@ def test_cli_run_calls_the_module_global(tmp_path, monkeypatch):
     assert captured[0][1].graph is not None
 
 
-def test_traced_run_records_every_stage_span():
-    # the tracer skips a name the program no longer has without a word, so a
-    # renamed or deleted stage would silently read 0 in the per-layer figures
+PROG = SimpleNamespace(cli=cli, corpus=corpus, pipeline=pipeline, simgraph=simgraph)
+
+
+def load_bench_run():
     spec = importlib.util.spec_from_file_location(
         "funnelbench_run", ROOT / "funnelbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+class NameProbe:
+    """Stands in for the tracer: patches nothing, notes each name not found."""
+
+    def __init__(self):
+        self.missing = []
+
+    def wrap(self, owner, attr, name, count=None):
+        if getattr(owner, attr, None) is None:
+            self.missing.append(f"{owner.__name__.rsplit('.', 1)[-1]}.{attr}")
+
+    def wrap_queries(self, cls, attrs):
+        self.missing.extend(f"{cls.__name__}.{a}" for a in attrs
+                            if getattr(cls, a, None) is None)
+
+
+def test_tracer_finds_every_name_but_the_known_three():
+    # the tracer skips a name the program no longer has without a word, so a
+    # deleted function would silently zero a per-layer metric; these three
+    # read 0 until the benchmark times the program's own spans
+    probe = NameProbe()
+    load_bench_run().install_tracing(PROG, probe)
+    assert sorted(probe.missing) == [
+        "SimilarityGraph.neighbors_within", "cli.corpus_content_hash",
+        "pipeline.corpus_content_hash",
+    ]
+
+
+def test_traced_run_records_every_stage_span():
+    # the tracer skips a name the program no longer has without a word, so a
+    # renamed or deleted stage would silently read 0 in the per-layer figures
+    run = load_bench_run()
     tracer = run.Tracer()
-    prog = SimpleNamespace(cli=cli, corpus=corpus, pipeline=pipeline, simgraph=simgraph)
-    items, _ = generate_corpus(GeneratorConfig(n_clusters=40, rng_seed=1))
+    items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=40, rng_seed=1))
     try:
-        run.install_tracing(prog, tracer)
+        run.install_tracing(PROG, tracer)
         pipeline.run_pipeline_detailed(items, PipelineConfig(rounds=2))
     finally:
         tracer.restore()

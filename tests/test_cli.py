@@ -225,17 +225,6 @@ class TestRun:
                     entry["removed_reason_counts"].values()
                 )
 
-    def test_graph_mode_flag_overrides(self, tmp_path, corpus_file):
-        config = write_json(tmp_path / "c.json", RUN_CONFIG)
-        out = tmp_path / "blocked"
-        code = main([
-            "run", "--corpus", str(corpus_file), "--config", config,
-            "--out", str(out), "--graph-mode", "blocked",
-        ])
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["graph_mode"] == "blocked"
-
     def test_unknown_config_key_exits_2(self, tmp_path, corpus_file, capsys):
         doc = dict(RUN_CONFIG, warp_speed=9)
         code, _ = self.run_once(tmp_path, corpus_file, "bad", doc)
@@ -261,6 +250,44 @@ class TestRun:
             "--out", str(tmp_path / "out"),
         ])
         assert code == 3
+
+
+MANIFEST = {"schema_version": 1, "kind": "run_manifest"}
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    pytest.param("run", dict(RUN_CONFIG, rounds="5"), "rounds", id="int-as-string"),
+    pytest.param("run", dict(RUN_CONFIG, rounds=2.5), "rounds", id="int-as-float"),
+    pytest.param("run", dict(RUN_CONFIG, budget_per_round=True), "budget_per_round",
+                 id="int-as-bool"),
+    pytest.param("run", dict(RUN_CONFIG, theta_dup=False), "theta_dup", id="float-as-bool"),
+    pytest.param("run", dict(RUN_CONFIG, oracle={"tpr": "x"}), "tpr", id="nested-float"),
+    pytest.param("run", dict(RUN_CONFIG, score={"seed": 1.0}), "seed", id="score-int"),
+    pytest.param("run", dict(RUN_CONFIG, graph_mode=1), "graph_mode", id="str-as-int"),
+    pytest.param("run", dict(RUN_CONFIG, impression_weighted_sampling=1),
+                 "impression_weighted_sampling", id="bool-as-int"),
+    pytest.param("run", MANIFEST, "config", id="run-manifest-without-config"),
+    pytest.param("run", dict(MANIFEST, config=[1]), "config", id="run-manifest-config-list"),
+    pytest.param("baseline", MANIFEST, "config", id="baseline-manifest-without-config"),
+    pytest.param("baseline", dict(MANIFEST, config=[1]), "config",
+                 id="baseline-manifest-config-list"),
+    pytest.param("baseline", dict(RUN_CONFIG, oracle={"tnr": True}), "tnr",
+                 id="baseline-float-as-bool"),
+    pytest.param("generate", dict(GEN_CONFIG, n_clusters=2.5), "n_clusters",
+                 id="generator-int-as-float"),
+])
+def test_malformed_config_exits_2_before_writing(tmp_path, corpus_file, capsys, command, doc,
+                                                 key):
+    config = write_json(tmp_path / "config.json", doc)
+    out = tmp_path / "out"
+    args = {
+        "generate": [],
+        "run": ["--corpus", str(corpus_file)],
+        "baseline": ["--corpus", str(corpus_file), "--budget", "5"],
+    }[command]
+    assert main([command, "--config", config, "--out", str(out), *args]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()  # no manifest, no corpus, no report
 
 
 class TestBaselineAndCompare:

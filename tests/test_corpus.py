@@ -25,7 +25,7 @@ from reviewfunnel.corpus import (
     Item,
     LabelRecord,
     embedding_fingerprint,
-    generate_corpus,
+    generate_corpus_detailed,
     generate_corpus_detailed,
     load_corpus,
     load_labels,
@@ -42,7 +42,7 @@ def cosine(a, b):
 
 class TestGenerator:
     def test_empty(self):
-        items, truth = generate_corpus(GeneratorConfig(n_clusters=0))
+        items, truth, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=0))
         assert list(items) == [] and truth == {}
 
     def test_single_item_positive(self):
@@ -50,14 +50,14 @@ class TestGenerator:
             n_clusters=1, cluster_size_mean=1, dup_fraction=0.0,
             positive_cluster_rate=1.0,
         )
-        items, truth = generate_corpus(cfg)
+        items, truth, _ = generate_corpus_detailed(cfg)
         assert len(items) == 1
         assert truth == {items[0].item_id: True}
 
     def test_deterministic(self):
         cfg = GeneratorConfig(n_clusters=30, rng_seed=5)
-        a, _ = generate_corpus(cfg)
-        b, _ = generate_corpus(cfg)
+        a, _, _ = generate_corpus_detailed(cfg)
+        b, _, _ = generate_corpus_detailed(cfg)
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert x.item_id == y.item_id
@@ -67,7 +67,7 @@ class TestGenerator:
             )
 
     def test_unit_norms(self):
-        items, _ = generate_corpus(GeneratorConfig(n_clusters=10, rng_seed=2))
+        items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=10, rng_seed=2))
         for item in items:
             assert abs(np.linalg.norm(item.embedding) - 1.0) < 1e-6
 
@@ -93,7 +93,7 @@ class TestGenerator:
     @pytest.mark.parametrize("n_clusters,seed", [(100, 42), (1000, 7)])
     def test_positive_rate_tracks_config(self, n_clusters, seed):
         cfg = GeneratorConfig(n_clusters=n_clusters, rng_seed=seed)
-        _, truth = generate_corpus(cfg)
+        _, truth, _ = generate_corpus_detailed(cfg)
         rate = sum(truth.values()) / len(truth)
         assert abs(rate - cfg.positive_cluster_rate) <= 0.2 * cfg.positive_cluster_rate
 
@@ -106,14 +106,14 @@ class TestGenerator:
                 assert truth[member] == cluster.positive
 
     def test_inactive_fraction(self):
-        items, _ = generate_corpus(
+        items, _, _ = generate_corpus_detailed(
             GeneratorConfig(n_clusters=300, inactive_rate=0.25, rng_seed=9)
         )
         inactive = sum(1 for it in items if it.impressions == 0)
         assert abs(inactive / len(items) - 0.25) < 0.05
 
     def test_positive_accounts_skewed(self):
-        items, truth = generate_corpus(
+        items, truth, _ = generate_corpus_detailed(
             GeneratorConfig(n_clusters=400, n_accounts=200, account_skew=0.9, rng_seed=4)
         )
         positive_accounts = {it.account_id for it in items if truth[it.item_id]}
@@ -131,7 +131,7 @@ class TestGenerator:
                 assert np.array_equal(by_id[dup].embedding, seed.embedding)
 
     def test_distinct_embeddings_distinct_hashes(self):
-        items, _ = generate_corpus(GeneratorConfig(n_clusters=50, rng_seed=6))
+        items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=50, rng_seed=6))
         hashes = {}
         for item in items:
             if item.exact_hash in hashes:
@@ -152,12 +152,12 @@ class TestGenerator:
     )
     def test_invalid_config_names_field(self, kwargs, field):
         with pytest.raises(ConfigError, match=field):
-            generate_corpus(GeneratorConfig(**kwargs))
+            generate_corpus_detailed(GeneratorConfig(**kwargs))
 
 
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):
-        items, _ = generate_corpus(GeneratorConfig(n_clusters=15, rng_seed=8))
+        items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=15, rng_seed=8))
         path = tmp_path / "corpus.jsonl"
         save_corpus(items, path)
         loaded = load_corpus(path)
@@ -449,7 +449,7 @@ def hand_made_items():
 
 class TestCorpus:
     def test_of_items_equals_generated_columns(self):
-        corpus, truth = generate_corpus(GeneratorConfig(n_clusters=40, rng_seed=13))
+        corpus, truth, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=40, rng_seed=13))
         again = Corpus.of(list(corpus))
         assert_same_columns(again, corpus)
         assert Corpus.of(corpus) is corpus
@@ -470,7 +470,7 @@ class TestCorpus:
         assert corpus.truth_map() == {11: True, 21: False}
 
     def test_slices_and_read_only_columns(self):
-        corpus, _ = generate_corpus(GeneratorConfig(n_clusters=20, rng_seed=2))
+        corpus, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=20, rng_seed=2))
         part = corpus[5:12]
         assert isinstance(part, Corpus) and part.ids.tolist() == list(range(5, 12))
         assert np.array_equal(part.embeddings, corpus.embeddings[5:12])
@@ -507,7 +507,7 @@ class TestCorpus:
         "make, digest",
         [
             # digests of the earlier per-Item corpus_content_hash on the same corpora
-            (lambda: generate_corpus(GeneratorConfig(n_clusters=50, rng_seed=3))[0],
+            (lambda: generate_corpus_detailed(GeneratorConfig(n_clusters=50, rng_seed=3))[0],
              "9335d0df63ca983ba7519558181c0d68"),
             (lambda: Corpus.of(hand_made_items()), "01425265332ce9a9d67a905894feca9d"),
         ],
@@ -640,7 +640,7 @@ def test_chunked_load_equals_one_chunk(tmp_path_factory, rows, ids, block_rows, 
 
 
 def test_small_file_starts_no_process(tmp_path):
-    items, _ = generate_corpus(GeneratorConfig(n_clusters=20, rng_seed=1))
+    items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=20, rng_seed=1))
     path = tmp_path / "c.jsonl"
     save_corpus(items, path)
     with mock.patch.object(subprocess, "Popen", side_effect=AssertionError):
@@ -661,7 +661,7 @@ def test_large_file_starts_no_process(tmp_path):
 
 def test_worker_that_cannot_start_decodes_here(tmp_path):
     # no process can be started: the file still decodes, here, in blocks
-    items, _ = generate_corpus(GeneratorConfig(n_clusters=30, rng_seed=5))
+    items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=30, rng_seed=5))
     path = tmp_path / "c.jsonl"
     save_corpus(items, path)
     with mock.patch.object(subprocess, "Popen", side_effect=OSError("no fork")):
@@ -822,7 +822,7 @@ def test_label_store_reads_alike_without_orjson(tmp_path, field, value):
 def test_load_holds_one_block_beyond_its_columns(tmp_path):
     # numpy reports its buffers to tracemalloc, so the traced peak counts the
     # columns, the decoded block and anything the loader holds besides
-    corpus, _ = generate_corpus(GeneratorConfig(n_clusters=800, rng_seed=3))
+    corpus, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=800, rng_seed=3))
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)
     rows = 256
@@ -845,7 +845,7 @@ def test_load_holds_one_block_beyond_its_columns(tmp_path):
 def test_script_without_main_guard_runs_once(tmp_path):
     # a script that loads a corpus and builds its graph in worker processes
     # runs its own code once: no worker re-runs the caller's __main__
-    items, _ = generate_corpus(GeneratorConfig(n_clusters=30, rng_seed=6))
+    items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=30, rng_seed=6))
     path = tmp_path / "c.jsonl"
     save_corpus(items, path)
     marker = tmp_path / "ran.txt"

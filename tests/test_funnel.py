@@ -14,7 +14,6 @@ from reviewfunnel.funnel import (
     expand_actor,
     filter_eligible,
     max_coverage_sample,
-    select_by_score,
 )
 from reviewfunnel.labeling import KnownStore
 from reviewfunnel.simgraph import build_graph, cosine_distance
@@ -111,25 +110,6 @@ class TestExpandActor:
             expand_actor(store_with(items), 0, 0.5)
         with pytest.raises(ValueError):
             expand_actor(store_with(items), 1, 0.0)
-
-
-class TestSelectByScore:
-    def test_tau_one_selects_nothing(self, rng):
-        items, _ = blob_corpus(rng, [3])
-        assert select_by_score([it.item_id for it in items], {0: 1.0, 1: 0.99}, 1.0) == set()
-
-    def test_tau_zero_selects_all_scored(self, rng):
-        items, _ = blob_corpus(rng, [3])
-        assert select_by_score([it.item_id for it in items], {0: 0.2, 2: 0.9}, 0.0) == {0, 2}
-
-    def test_threshold(self, rng):
-        items, _ = blob_corpus(rng, [2])
-        assert select_by_score([it.item_id for it in items], {0: 0.9, 1: 0.5}, 0.6) == {0}
-
-    def test_out_of_range_score(self, rng):
-        items, _ = blob_corpus(rng, [2])
-        with pytest.raises(ValueError, match="outside"):
-            select_by_score([it.item_id for it in items], {0: 1.5}, 0.5)
 
 
 class TestDedupCrossRound:

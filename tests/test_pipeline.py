@@ -12,7 +12,7 @@ from reviewfunnel.corpus import (
     ConfigError,
     GeneratorConfig,
     LabelRecord,
-    generate_corpus,
+    generate_corpus_detailed,
 )
 from reviewfunnel import pipeline
 from reviewfunnel.labeling import HttpOracle, SimulatedOracle, propagate_labels
@@ -24,7 +24,6 @@ from reviewfunnel.pipeline import (
     ScoreParams,
     StageError,
     compute_metrics,
-    run_pipeline,
     run_pipeline_detailed,
     run_random_baseline,
     run_round,
@@ -50,7 +49,7 @@ def small_config(**overrides):
 
 @pytest.fixture(scope="module")
 def small_corpus():
-    items, truth = generate_corpus(
+    items, truth, _ = generate_corpus_detailed(
         GeneratorConfig(n_clusters=40, cluster_size_mean=8, positive_cluster_rate=0.2,
                         n_accounts=30, rng_seed=21)
     )
@@ -83,19 +82,25 @@ class TestConfigValidation:
 
 class TestSimulatedScores:
     def test_deterministic_and_bounded(self):
-        truth = {i: bool(i % 3 == 0) for i in range(200)}
+        truth = (np.arange(200) % 3 == 0).astype(np.int8)
         params = ScoreParams(tau=0.5, flip_rate=0.1, seed=4)
         a = simulate_model_scores(truth, params)
         b = simulate_model_scores(truth, params)
-        assert a == b
-        assert all(0.0 <= s <= 1.0 for s in a.values())
+        assert a.tobytes() == b.tobytes()
+        assert np.all((0.0 <= a) & (a <= 1.0))
 
     def test_scores_carry_signal(self):
-        truth = {i: i < 500 for i in range(1000)}
+        truth = (np.arange(1000) < 500).astype(np.int8)
         scores = simulate_model_scores(truth, ScoreParams(flip_rate=0.05, seed=1))
-        pos = np.mean([scores[i] for i in range(500)])
-        neg = np.mean([scores[i] for i in range(500, 1000)])
-        assert pos > 0.6 > 0.4 > neg
+        assert scores[:500].mean() > 0.6 > 0.4 > scores[500:].mean()
+
+    def test_unknown_truth_is_unscored_and_draws_nothing(self):
+        truth = np.array([1, -1, 0, -1, 1], dtype=np.int8)
+        params = ScoreParams(flip_rate=0.3, seed=3)
+        scores = simulate_model_scores(truth, params)
+        assert np.isnan(scores[[1, 3]]).all()
+        known = simulate_model_scores(truth[[0, 2, 4]], params)
+        assert scores[[0, 2, 4]].tobytes() == known.tobytes()
 
 
 class TestComputeMetrics:
@@ -173,7 +178,7 @@ class TestRunRound:
         blob = planted_blob(rng.standard_normal(12), 6, 0.002, rng)
         items = make_items(blob, ground_truth=[True] * 6)
         config = small_config(rounds=1, budget_per_round=1, bootstrap_seeds=1)
-        report = run_pipeline(items, config)
+        report, _ = run_pipeline_detailed(items, config)
         assert report.oracle_reviews == 1
         assert report.positives_oracle == 1
         assert report.positives_propagated == 4
@@ -252,8 +257,8 @@ class TestRunRound:
     def test_identical_round_metrics(self, small_corpus):
         items, _ = small_corpus
         config = small_config(rounds=2)
-        a = run_pipeline(items, config)
-        b = run_pipeline(items, config)
+        a, _ = run_pipeline_detailed(items, config)
+        b, _ = run_pipeline_detailed(items, config)
         assert [r.to_dict() for r in a.rounds] == [r.to_dict() for r in b.rounds]
 
 
@@ -261,7 +266,7 @@ class TestRunPipeline:
     def test_zero_budget_recall_is_bootstrap_recall(self, small_corpus):
         items, truth = small_corpus
         config = small_config(rounds=1, budget_per_round=0, bootstrap_seeds=5)
-        report = run_pipeline(items, config)
+        report, _ = run_pipeline_detailed(items, config)
         positives = sum(truth.values())
         assert report.review_fraction == 0.0
         assert report.recall == 5 / positives
@@ -269,31 +274,33 @@ class TestRunPipeline:
     def test_byte_identical_reports(self, small_corpus):
         items, _ = small_corpus
         config = small_config()
-        assert run_pipeline(items, config).to_json() == run_pipeline(items, config).to_json()
+        a, b = (run_pipeline_detailed(items, config)[0] for _ in range(2))
+        assert a.to_json() == b.to_json()
 
     def test_workers_do_not_change_report(self, small_corpus):
         items, _ = small_corpus
         config = small_config(graph_mode="blocked")
         two = dataclasses.replace(config, workers=2)
-        assert run_pipeline(items, config).to_json() == run_pipeline(items, two).to_json()
+        a, b = (run_pipeline_detailed(items, c)[0] for c in (config, two))
+        assert a.to_json() == b.to_json()
 
     def test_budget_ceiling(self, small_corpus):
         items, _ = small_corpus
         config = small_config(rounds=4, budget_per_round=3)
-        report = run_pipeline(items, config)
+        report, _ = run_pipeline_detailed(items, config)
         assert report.oracle_reviews <= 4 * 3
         # candidates are plentiful in this corpus, so the budget is exhausted
         assert all(r.oracle_reviews == 3 for r in report.rounds)
 
     def test_recall_monotone_across_rounds(self, small_corpus):
         items, _ = small_corpus
-        report = run_pipeline(items, small_config(rounds=4))
+        report, _ = run_pipeline_detailed(items, small_config(rounds=4))
         recalls = [r.cumulative_recall for r in report.rounds]
         assert all(a <= b for a, b in zip(recalls, recalls[1:]))
 
     def test_amplification_identity(self, small_corpus):
         items, _ = small_corpus
-        report = run_pipeline(items, small_config())
+        report, _ = run_pipeline_detailed(items, small_config())
         assert report.positives_total == (
             report.positives_seed + report.positives_oracle + report.positives_propagated
         )
@@ -325,8 +332,8 @@ class TestRunPipeline:
         items, _ = small_corpus
         config = small_config()
         graph = build_graph(items, config.theta_sim, "exact")
-        a = run_pipeline(items, config)
-        b = run_pipeline(items, config, graph=graph)
+        a, _ = run_pipeline_detailed(items, config)
+        b, _ = run_pipeline_detailed(items, config, graph=graph)
         assert a.to_json() == b.to_json()
 
     def test_prebuilt_graph_too_small_radius(self, small_corpus):
@@ -334,47 +341,47 @@ class TestRunPipeline:
         config = small_config()
         graph = build_graph(items, 0.1, "exact")
         with pytest.raises(ValueError, match="radius"):
-            run_pipeline(items, config, graph=graph)
+            run_pipeline_detailed(items, config, graph=graph)
 
     def test_prebuilt_graph_missing_item(self, small_corpus):
         items, _ = small_corpus
         config = small_config()
         graph = build_graph(items[:-1], config.theta_sim, "exact")
         with pytest.raises(ValueError, match="missing"):
-            run_pipeline(items, config, graph=graph)
+            run_pipeline_detailed(items, config, graph=graph)
 
     def test_prebuilt_graph_over_other_embeddings(self):
         # singleton clusters: two seeds give the same ids, other embeddings
-        one, two = (generate_corpus(GeneratorConfig(n_clusters=300, cluster_size_mean=1,
+        one, two = (generate_corpus_detailed(GeneratorConfig(n_clusters=300, cluster_size_mean=1,
                                                     rng_seed=seed))[0] for seed in (1, 2))
         assert one.ids.tolist() == two.ids.tolist()
         config = small_config()
         graph = build_graph(one, config.theta_sim, "exact")
         with pytest.raises(ValueError, match="other embeddings"):
-            run_pipeline(two, config, graph=graph)
+            run_pipeline_detailed(two, config, graph=graph)
 
     def test_missing_ground_truth_without_oracle(self, rng):
         items = make_items(rng.standard_normal((5, 3)))
         with pytest.raises(MissingGroundTruthError):
-            run_pipeline(items, small_config())
+            run_pipeline_detailed(items, small_config())
 
     def test_injected_oracle_without_ground_truth(self, rng):
         items = make_items(rng.standard_normal((12, 4)))
         oracle = SimulatedOracle(1.0, 1.0, 0, {i: False for i in range(12)})
         config = small_config(rounds=1, bootstrap_seeds=0)
-        report = run_pipeline(items, config, oracle=oracle)
+        report, _ = run_pipeline_detailed(items, config, oracle=oracle)
         assert report.recall is None
         assert report.precision is None
 
     def test_score_stage_enabled(self, small_corpus):
         items, truth = small_corpus
         config = small_config(score=ScoreParams(tau=0.9, flip_rate=0.05, seed=2))
-        report = run_pipeline(items, config)
+        report, _ = run_pipeline_detailed(items, config)
         assert report.oracle_reviews > 0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            run_pipeline([], small_config())
+            run_pipeline_detailed([], small_config())
 
 
 @pytest.fixture(scope="module")
@@ -383,7 +390,7 @@ def pinned_corpus():
     # feedback all fire within the default five rounds
     cfg = GeneratorConfig(n_clusters=300, embedding_dim=16, positive_cluster_rate=0.1,
                           n_accounts=200, rng_seed=7)
-    return generate_corpus(cfg)[0]
+    return generate_corpus_detailed(cfg)[0]
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from reviewfunnel import simgraph
 from reviewfunnel.corpus import (
     GeneratorConfig,
-    generate_corpus,
+    generate_corpus_detailed,
     generate_corpus_detailed,
 )
 from reviewfunnel.simgraph import build_graph, cosine_distance
@@ -95,7 +95,8 @@ def blob_items(dim=64, scale=1.0):
 
 def overlap_items():
     """600 items of overlapping 16-d clusters; theta 0.5 gives dense buckets."""
-    return generate_corpus(GeneratorConfig(n_clusters=60, embedding_dim=16, rng_seed=5))[0][:600]
+    cfg = GeneratorConfig(n_clusters=60, embedding_dim=16, rng_seed=5)
+    return generate_corpus_detailed(cfg)[0][:600]
 
 
 def numpy_oracle(items, theta, bands, band_bits, seed):
@@ -282,7 +283,7 @@ class TestBuildGraph:
     @pytest.mark.parametrize("mode", ["exact", "blocked"])
     @pytest.mark.parametrize("scale", [0.5, 3.0])
     def test_embedding_scale_does_not_change_edges(self, mode, scale):
-        items = generate_corpus(GeneratorConfig(n_clusters=30, rng_seed=3))[0][:300]
+        items = generate_corpus_detailed(GeneratorConfig(n_clusters=30, rng_seed=3))[0][:300]
         scaled = [dataclasses.replace(it, embedding=it.embedding * scale) for it in items]
         unit = edge_list(build_graph(items, 0.25, mode, seed=0))
         other = edge_list(build_graph(scaled, 0.25, mode, seed=0))
@@ -343,7 +344,7 @@ class TestBuildGraph:
         # digests recorded before detection moved to float32 tiles; a change
         # to detection that moves an edge or a distance bit fails here
         cfg = GeneratorConfig(n_clusters=500, embedding_dim=dim, rng_seed=5)
-        corpus = generate_corpus(cfg)[0]
+        corpus = generate_corpus_detailed(cfg)[0]
         for workers in (contextlib.nullcontext(), graph_workers(2)):
             with workers:
                 g = build_graph(corpus, theta, "blocked", seed=0)
@@ -531,9 +532,9 @@ class TestGraphWorkers:
         ) == ["reviewfunnel", "reviewfunnel.corpus", "reviewfunnel.simgraph"]
         assert child(
             "import reviewfunnel; from reviewfunnel import *; "
-            "from reviewfunnel import cli, run_pipeline; "
+            "from reviewfunnel import cli, run_pipeline_detailed; "
             "print(json.dumps([len(reviewfunnel.__all__), "
-            "run_pipeline is reviewfunnel.pipeline.run_pipeline, "
+            "run_pipeline_detailed is reviewfunnel.pipeline.run_pipeline_detailed, "
             "set(reviewfunnel.__all__) <= set(dir(reviewfunnel))]))"
         ) == [25, True, True]
 
@@ -614,7 +615,7 @@ class TestNeighborsBatch:
     @pytest.fixture(scope="class", params=["exact", "blocked"])
     def graph(self, request):
         cfg = GeneratorConfig(n_clusters=60, embedding_dim=16, rng_seed=9)
-        return build_graph(generate_corpus(cfg)[0], 0.25, request.param, seed=2)
+        return build_graph(generate_corpus_detailed(cfg)[0], 0.25, request.param, seed=2)
 
     @pytest.mark.parametrize("radius", [0.0, 0.05, 0.1, 0.25])
     def test_every_node_matches_per_item_queries(self, graph, radius):

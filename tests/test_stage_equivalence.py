@@ -4,7 +4,8 @@ The references below are the per-item loops the stages used before they
 moved to one batched neighbour gather each; they query the graph one CSR row
 at a time through ``csr_neighbors``. Every stage must give exactly their
 output on seeded random corpora, stores and candidate sets, in both graph
-modes.
+modes. The model-score column is checked against the id -> score dict,
+id filter and sort it replaced.
 """
 
 from unittest import mock
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reviewfunnel.corpus import GeneratorConfig, LabelRecord, generate_corpus
+from reviewfunnel.corpus import Corpus, GeneratorConfig, LabelRecord, generate_corpus_detailed
 from reviewfunnel import pipeline
 from reviewfunnel.funnel import (
     CoveragePlan,
@@ -25,13 +26,14 @@ from reviewfunnel.funnel import (
     expand_content,
     max_coverage_sample,
 )
-from reviewfunnel.labeling import KnownStore, SimulatedOracle, propagate_labels
+from reviewfunnel.labeling import KnownStore, Oracle, SimulatedOracle, propagate_labels
 from reviewfunnel.pipeline import (
     ActorParams,
     OracleParams,
     PipelineConfig,
     ScoreParams,
     run_pipeline_detailed,
+    run_score_baseline,
     simulate_model_scores,
 )
 from reviewfunnel.simgraph import build_graph
@@ -161,6 +163,32 @@ def ref_propagate_labels(new_records, graph, theta_prop, store, round_no, dup_ro
     return out
 
 
+def ref_simulate_model_scores(truth, params):
+    """The score channel as an id -> score dict over the ids of known truth."""
+    rng = np.random.default_rng(params.seed)
+    scores = {}
+    for item_id in sorted(truth):
+        effective = truth[item_id] ^ bool(rng.random() < params.flip_rate)
+        a, b = (8.0, 2.0) if effective else (2.0, 8.0)
+        scores[item_id] = float(rng.beta(a, b))
+    return scores
+
+
+def ref_select_by_score(item_ids, scores, tau):
+    known = set(item_ids)
+    out = set()
+    for item_id, score in scores.items():
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score {score} for item {item_id} outside [0, 1]")
+        if score > tau and item_id in known:
+            out.add(item_id)
+    return out
+
+
+def ref_score_ranking(scores, tau):
+    return sorted((i for i, s in scores.items() if s > tau), key=lambda i: (-scores[i], i))
+
+
 def new_store(items):
     """An empty store over the items' ids, accounts and hashes."""
     items = sorted(items, key=lambda it: it.item_id)
@@ -173,7 +201,7 @@ def scenario(seed):
     rng = np.random.default_rng(seed)
     cfg = GeneratorConfig(n_clusters=40, embedding_dim=16, positive_cluster_rate=0.25,
                           n_accounts=15, rng_seed=100 + seed)
-    items = generate_corpus(cfg)[0]
+    items = generate_corpus_detailed(cfg)[0]
     mode = ("exact", "blocked")[seed % 2]
     graph = build_graph(items, THETA_SIM, mode, seed=seed)
     ids = np.array(sorted(it.item_id for it in items))
@@ -320,7 +348,7 @@ def ref_campaign(items, truth, graph, config, bootstrap):
     oracle = SimulatedOracle(config.oracle.tpr, config.oracle.tnr, config.oracle.seed, truth)
     scored = set()
     if config.score is not None:
-        scores = simulate_model_scores(truth, config.score)
+        scores = ref_simulate_model_scores(truth, config.score)
         scored = {i for i, score in scores.items() if score > config.score.tau}
     rounds = []
     for round_no in range(1, config.rounds + 1):
@@ -382,7 +410,7 @@ def ref_campaign(items, truth, graph, config, bootstrap):
 def test_campaign_matches_stages_from_scratch(corpus_seed, n_clusters, dim, noise, n_accounts,
                                               mode, score, weighted, rounds, budget, bootstrap,
                                               actor, oracle_seed):
-    items, truth = generate_corpus(GeneratorConfig(
+    items, truth, _ = generate_corpus_detailed(GeneratorConfig(
         n_clusters=n_clusters, cluster_size_mean=6, embedding_dim=dim, noise_sigma=noise,
         positive_cluster_rate=0.4, n_accounts=n_accounts, rng_seed=corpus_seed))
     config = PipelineConfig(
@@ -405,3 +433,72 @@ def test_campaign_matches_stages_from_scratch(corpus_seed, n_clusters, dim, nois
         assert candidate_sets[round_no - 1] == sorted(candidates)
         assert report.rounds[round_no - 1].to_dict()["stages"] == stages
         assert [r for r in records if r.round == round_no] == new_records
+
+
+class RecordingOracle(Oracle):
+    """Says no to every item and keeps the ids it was asked about, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def _judge(self, batch):
+        self.asked.extend(item_id for item_id, _ in batch)
+        return [False] * len(batch)
+
+
+def score_corpus(truth, steps):
+    """Items at gapped ascending ids with the given truth codes (-1 unknown)."""
+    ids = np.cumsum(steps).tolist()
+    rng = np.random.default_rng(len(ids))
+    return Corpus.of(make_items(rng.standard_normal((len(ids), 3)), ids=ids,
+                                ground_truth=[None if t < 0 else bool(t) for t in truth]))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([-1, 0, 1]), st.integers(1, 4)),
+                  min_size=1, max_size=40),
+    tau=st.sampled_from([0.0, 0.2, 0.5, 0.8, 0.95]),
+    flip_rate=st.sampled_from([0.0, 0.1, 0.5]),
+    seed=st.integers(0, 2**16),
+    grid=st.sampled_from([None, 4, 20]),
+    budget=st.integers(0, 40),
+)
+def test_score_column_matches_the_score_dict(rows, tau, flip_rate, seed, grid, budget):
+    # the dict, the id filter and the (-score, id) sort are the references;
+    # ``grid`` rounds both sides' scores alike to force ties
+    truth, steps = zip(*rows)
+    params = ScoreParams(tau=tau, flip_rate=flip_rate, seed=seed)
+    corpus = score_corpus(truth, steps)
+    got = simulate_model_scores(corpus.truth, params)
+    want = ref_simulate_model_scores(corpus.truth_map(), params)
+    known = corpus.truth >= 0
+    assert np.isnan(got[~known]).all()
+    assert got[known].tobytes() == np.array(list(want.values()), dtype=np.float64).tobytes()
+
+    def rounded(scores):
+        return scores if grid is None else np.round(scores * grid) / grid
+
+    def patched(truth_column, score_params):
+        return rounded(simulate_model_scores(truth_column, score_params))
+
+    def ref_rounded(scores):
+        return {i: float(rounded(np.float64(s))) for i, s in scores.items()}
+
+    config = PipelineConfig(rounds=1, budget_per_round=0, bootstrap_seeds=0,
+                            graph_mode="exact", score=params)
+    with mock.patch.object(pipeline, "simulate_model_scores", patched):
+        _, state = run_pipeline_detailed(corpus, config, oracle=RecordingOracle())
+    ids = corpus.ids.tolist()
+    assert state.score_ids.tolist() == sorted(ref_select_by_score(ids, ref_rounded(want), tau))
+
+    full = score_corpus([max(t, 0) for t in truth], steps)
+    budget = min(budget, len(full))
+    oracle = RecordingOracle()
+    with mock.patch.object(pipeline, "simulate_model_scores", patched):
+        report = run_score_baseline(full, budget, oracle, params)
+    ranking = ref_score_ranking(ref_rounded(ref_simulate_model_scores(full.truth_map(), params)),
+                                tau)
+    assert oracle.asked == ranking[:budget]
+    assert report.baseline["reviewed"] == len(oracle.asked)
