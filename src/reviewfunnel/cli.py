@@ -258,6 +258,8 @@ def cmd_baseline(args) -> int:
         raise ConfigError("--budget is required and must be >= 0")
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     oracle_params = OracleParams()
     if args.config:
         doc = _load_json(args.config)

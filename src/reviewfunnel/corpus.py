@@ -14,7 +14,8 @@ line ends, so the whole file is never held, and a file in id order is never
 copied. Each line is decoded by orjson where it is installed (the
 ``fast`` extra) and by the standard ``json`` module otherwise; a file that
 fails a check is decoded again by ``json`` alone, so every corpus and every
-error message is the same with or without orjson.
+error message is the same with or without orjson. The writer uses orjson
+too, for the rows it encodes byte for byte as ``json`` does.
 """
 
 from __future__ import annotations
@@ -173,6 +174,8 @@ class GeneratorConfig:
             raise ConfigError("dup_sigma must be < noise_sigma")
         if self.n_accounts < 1:
             raise ConfigError("n_accounts must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -394,21 +397,47 @@ def generate_corpus_detailed(
     return corpus, corpus.truth_map(), clusters
 
 
+def _embedding_rows(embeddings: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]:
+    """Each row, C-contiguous as orjson needs, and whether orjson writes it as json does.
+
+    Both write the shortest digits that read back to each float, and the same
+    notation for zero and magnitudes in [1e-4, 1e16); beyond those, json writes
+    1e-05, 1e+16 and NaN where orjson writes 0.00001, 1e16 and null. Rows are
+    taken ``_BLOCK_ROWS`` at a time, so at most one block is copied.
+    """
+    for start in range(0, len(embeddings), _BLOCK_ROWS):
+        block = np.ascontiguousarray(embeddings[start:start + _BLOCK_ROWS])
+        size = np.abs(block)
+        alike = ((block == 0) | (size >= 1e-4) & (size < 1e16)).all(axis=1)
+        yield from zip(block, alike.tolist())
+
+
 def save_corpus(corpus: Iterable[Item], path) -> None:
-    """Write a corpus as JSON Lines, one object per item in ascending id order."""
+    """Write a corpus as JSON Lines, one object per item in ascending id order.
+
+    orjson, where it is installed, encodes the rows it writes byte for byte
+    as ``json`` does (``_embedding_rows``), so the file never depends on it.
+    """
     corpus = Corpus.of(corpus)
+    orjson = _orjson()
     rows = zip(
         corpus.ids.tolist(),
-        (embedding.tolist() for embedding in corpus.embeddings),
+        _embedding_rows(corpus.embeddings),
         corpus.accounts.tolist(),
         corpus.impressions.tolist(),
         map(str, corpus.hashes.tolist()),
         corpus.created_rounds.tolist(),
         [None if truth < 0 else bool(truth) for truth in corpus.truth.tolist()],
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(dict(zip(_ITEM_FIELDS, row)), separators=(",", ":")) + "\n")
+    with open(path, "wb") as fh:
+        for item_id, (embedding, alike), *rest in rows:
+            doc = dict(zip(_ITEM_FIELDS, (item_id, embedding, *rest)))
+            if orjson and alike:
+                fh.write(orjson.dumps(
+                    doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
+            else:
+                doc["embedding"] = embedding.tolist()
+                fh.write(json.dumps(doc, separators=(",", ":")).encode() + b"\n")
 
 
 def _require_int(doc: dict, key: str, line: int, minimum: int = 0) -> int:
@@ -493,6 +522,15 @@ def _json_value(line, line_no: int, fast):
         raise FormatError(f"invalid JSON ({exc.msg})", line_no) from exc
 
 
+def _orjson():
+    """The orjson module where it is installed (the ``fast`` extra), else None."""
+    try:
+        import orjson
+    except ImportError:
+        return None
+    return orjson
+
+
 def _decoded(load, path):
     """``load(path, fast)``, with ``fast`` orjson's decoder where it is installed.
 
@@ -501,9 +539,8 @@ def _decoded(load, path):
     ``1e400``, lone surrogates) and reads integers beyond 64 bits as floats.
     A file that passes every check gives the same values either way.
     """
-    try:
-        import orjson
-    except ImportError:
+    orjson = _orjson()
+    if orjson is None:
         return load(path, None)
     try:
         return load(path, orjson.loads)

@@ -10,6 +10,7 @@ seeds yield a byte-identical metrics report regardless of worker count.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -118,6 +119,8 @@ class PipelineConfig:
             raise ConfigError("oracle.tpr must be in [0, 1]")
         if not 0.0 <= self.oracle.tnr <= 1.0:
             raise ConfigError("oracle.tnr must be in [0, 1]")
+        if not 0.0 <= self.oracle.unit_cost < math.inf:
+            raise ConfigError("oracle.unit_cost must be finite and >= 0")
         if self.actor.min_positives < 1:
             raise ConfigError("actor.min_positives must be >= 1")
         if not 0.0 < self.actor.min_rate <= 1.0:
@@ -135,6 +138,13 @@ class PipelineConfig:
             raise ConfigError("graph_bands and graph_band_bits must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        seeds = {"rng_seed": self.rng_seed, "graph_seed": self.graph_seed,
+                 "oracle.seed": self.oracle.seed}
+        if self.score is not None:
+            seeds["score.seed"] = self.score.seed
+        for name, seed in seeds.items():
+            if seed < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -255,6 +256,18 @@ class TestRun:
 MANIFEST = {"schema_version": 1, "kind": "run_manifest"}
 
 
+def exits_2_before_writing(tmp_path, corpus_file, command, doc):
+    config = write_json(tmp_path / "config.json", doc)
+    out = tmp_path / "out"
+    args = {
+        "generate": [],
+        "run": ["--corpus", str(corpus_file)],
+        "baseline": ["--corpus", str(corpus_file), "--budget", "5"],
+    }[command]
+    assert main([command, "--config", config, "--out", str(out), *args]) == 2
+    assert not out.exists()  # no manifest, no corpus, no report
+
+
 @pytest.mark.parametrize("command,doc,key", [
     pytest.param("run", dict(RUN_CONFIG, rounds="5"), "rounds", id="int-as-string"),
     pytest.param("run", dict(RUN_CONFIG, rounds=2.5), "rounds", id="int-as-float"),
@@ -278,16 +291,33 @@ MANIFEST = {"schema_version": 1, "kind": "run_manifest"}
 ])
 def test_malformed_config_exits_2_before_writing(tmp_path, corpus_file, capsys, command, doc,
                                                  key):
-    config = write_json(tmp_path / "config.json", doc)
-    out = tmp_path / "out"
-    args = {
-        "generate": [],
-        "run": ["--corpus", str(corpus_file)],
-        "baseline": ["--corpus", str(corpus_file), "--budget", "5"],
-    }[command]
-    assert main([command, "--config", config, "--out", str(out), *args]) == 2
+    exits_2_before_writing(tmp_path, corpus_file, command, doc)
     assert repr(key) in capsys.readouterr().err
-    assert not out.exists()  # no manifest, no corpus, no report
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    pytest.param("run", dict(RUN_CONFIG, rng_seed=-1), "rng_seed", id="rng_seed"),
+    # the exact graph draws no planes, so only validation can catch it
+    pytest.param("run", dict(RUN_CONFIG, graph_seed=-3), "graph_seed", id="graph_seed"),
+    pytest.param("run", dict(RUN_CONFIG, oracle={"seed": -2}), "oracle.seed", id="oracle-seed"),
+    pytest.param("run", dict(RUN_CONFIG, score={"seed": -1}), "score.seed", id="score-seed"),
+    pytest.param("run", dict(MANIFEST, config=dict(RUN_CONFIG, rng_seed=-1)), "rng_seed",
+                 id="replay-rng_seed"),
+    pytest.param("baseline", dict(RUN_CONFIG, oracle={"seed": -2}), "oracle.seed",
+                 id="baseline-oracle-seed"),
+    pytest.param("generate", dict(GEN_CONFIG, rng_seed=-1), "rng_seed", id="generator-rng_seed"),
+    pytest.param("run", dict(RUN_CONFIG, oracle={"unit_cost": -5.0}), "oracle.unit_cost",
+                 id="cost-negative"),
+    # json reads NaN and Infinity, which would reach metrics.json as bare tokens
+    pytest.param("run", dict(RUN_CONFIG, oracle={"unit_cost": math.nan}), "oracle.unit_cost",
+                 id="cost-nan"),
+    pytest.param("run", dict(RUN_CONFIG, oracle={"unit_cost": math.inf}), "oracle.unit_cost",
+                 id="cost-inf"),
+])
+def test_out_of_range_value_exits_2_before_writing(tmp_path, corpus_file, capsys, command, doc,
+                                                   field):
+    exits_2_before_writing(tmp_path, corpus_file, command, doc)
+    assert f"config error: {field} must be" in capsys.readouterr().err
 
 
 class TestBaselineAndCompare:
@@ -311,7 +341,8 @@ class TestBaselineAndCompare:
         assert code == 0
         assert json.loads((out / "metrics.json").read_text())["recall"] == 0.0
 
-    @pytest.mark.parametrize("flag,value", [("--budget", "-1"), ("--trials", "0")])
+    @pytest.mark.parametrize("flag,value", [("--budget", "-1"), ("--trials", "0"),
+                                            ("--seed", "-1")])
     def test_baseline_bad_flag_exits_2_before_loading(self, tmp_path, corpus_file,
                                                       monkeypatch, flag, value):
         loaded = []

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reviewfunnel.corpus as corpus_module
@@ -868,3 +869,98 @@ def test_script_without_main_guard_runs_once(tmp_path):
     edges = build_graph(items, 0.25, "blocked").n_edges
     assert done.stdout.split() == [str(len(items)), str(edges)]
     assert marker.read_text() == "ran\n"
+
+
+# --- the writer: orjson only where it writes json's bytes -------------------
+# The writer passes OPT_SERIALIZE_NUMPY and OPT_APPEND_NEWLINE, both in
+# orjson 3.8.3; the ``fast`` extra asks for orjson>=3.8.
+
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _signed(bits: int):
+    return st.sampled_from([bits, bits | 1 << 63])
+
+
+_EDGES = [1e-4, 1e16, 5e-324, np.finfo(np.float64).tiny]
+_SPECIAL = [math.nan, math.inf, 0.0, *_EDGES,
+            *(float(np.nextafter(x, to)) for x in _EDGES for to in (0.0, math.inf))]
+# every float orjson writes as json does, with its edges
+_ALIKE = st.one_of(
+    st.integers(_bits(1e-4), _bits(1e16) - 1),
+    st.sampled_from([0, _bits(1e-4), _bits(np.nextafter(1e16, 0))]),
+).flatmap(_signed).map(_float)
+# any float64, NaN payloads and subnormals included, or one of the specials
+_ANY = st.one_of(
+    st.integers(0, 2**64 - 1), st.sampled_from([_bits(x) for x in _SPECIAL]).flatmap(_signed),
+).map(_float)
+
+
+@st.composite
+def _matrices(draw):
+    """A float64 matrix, each row of which is all alike or mixes in any float."""
+    d = draw(st.integers(1, 4))
+    row = st.sampled_from([_ALIKE, st.one_of(_ALIKE, _ANY)]).flatmap(
+        lambda elements: st.lists(elements, min_size=d, max_size=d))
+    return np.array(draw(st.lists(row, min_size=1, max_size=7)))
+
+
+def _json_lines(corpus):
+    """The corpus file as the json module writes it: the reference encoding."""
+    return b"".join(json.dumps({
+        "item_id": item.item_id, "embedding": item.embedding.tolist(),
+        "account_id": item.account_id, "impressions": item.impressions,
+        "exact_hash": str(item.exact_hash), "created_round": item.created_round,
+        "ground_truth": item.ground_truth,
+    }, separators=(",", ":")).encode() + b"\n" for item in corpus)
+
+
+def _saved(corpus, path, rows=1 << 30, fast=True):
+    """The bytes save_corpus writes in blocks of ``rows``; without ``fast``, no orjson."""
+    with mock.patch.object(corpus_module, "_BLOCK_ROWS", rows), \
+            mock.patch.dict(sys.modules, {} if fast else {"orjson": None}):
+        save_corpus(corpus, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(emb=_matrices(), fortran=st.booleans(), block_rows=st.integers(1, 3))
+@example(emb=np.array([[sign * x, 0.5] for x in _SPECIAL for sign in (1, -1)]), fortran=True,
+         block_rows=3)
+def test_saved_bytes_do_not_depend_on_orjson(tmp_path_factory, emb, fortran, block_rows):
+    n = len(emb)
+    columns = (np.arange(n) * 3, np.asfortranarray(emb) if fortran else emb,
+               np.arange(n) % 2, np.arange(n) * 7, 2**64 - 1 - np.arange(n, dtype=np.uint64),
+               np.arange(n) % 3, np.arange(n) % 3 - 1)
+    corpus = Corpus(*columns)
+    path = tmp_path_factory.mktemp("save") / "c.jsonl"
+    written = _json_lines(corpus)
+    assert _saved(corpus, path, block_rows, fast=False) == written
+    assert _saved(corpus, path, block_rows) == written
+    if not np.isfinite(emb).all() or not np.abs(emb).max(axis=1).all():
+        return
+    # finite non-zero rows: unit rows load back bit for bit, with every other column
+    unit = Corpus(columns[0], np.stack([normalize_embedding(row) for row in emb]),
+                  *columns[2:])
+    _saved(unit, path, block_rows)
+    assert_same_corpus(load_corpus(path), unit)
+
+
+def test_json_encodes_only_the_rows_orjson_writes_apart(tmp_path):
+    # a generated corpus goes through orjson but for its rows with an element
+    # of magnitude below 1e-4: a wider fallback would undo the fast writer
+    pytest.importorskip("orjson")
+    corpus, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=450, rng_seed=5))
+    apart = sum(any(x != 0 and not 1e-4 <= abs(x) < 1e16 for x in row)
+                for row in corpus.embeddings.tolist())
+    assert len(corpus) > corpus_module._BLOCK_ROWS and 0 < apart < len(corpus) / 10
+    path = tmp_path / "c.jsonl"
+    with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+        save_corpus(corpus, path)
+    assert dumps.call_count == apart
+    assert path.read_bytes() == _json_lines(corpus)
