@@ -171,7 +171,9 @@ def _resolve_run_inputs(args) -> tuple[PipelineConfig, str, dict | None]:
     recorded = None
     if doc.get("kind") == "run_manifest":
         config = pipeline_config_from_doc(_manifest_config(doc))
-        recorded = doc.get("corpus") or {}
+        recorded = doc.get("corpus", {})
+        if not isinstance(recorded, dict) or not isinstance(recorded.get("path", ""), str):
+            raise ConfigError("manifest key 'corpus' must be an object with a string 'path'")
         corpus_path = args.corpus or recorded.get("path")
         if not corpus_path:
             raise ConfigError("manifest has no corpus path; pass --corpus")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -175,15 +175,9 @@ class RoundMetrics:
     cumulative_recall: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "round": self.round,
-            "oracle_reviews": self.oracle_reviews,
-            "positives_oracle": self.positives_oracle,
-            "positives_propagated": self.positives_propagated,
-            "oracle_cost": self.oracle_cost,
-            "cumulative_recall": self.cumulative_recall,
-            "stages": [s.audit_entry(self.round) for s in self.stages],
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "stages"}
+        doc["stages"] = [s.audit_entry(self.round) for s in self.stages]
+        return doc
 
 
 @dataclass
@@ -217,23 +211,10 @@ class MetricsReport:
         return totals
 
     def to_dict(self) -> dict:
-        doc = {
-            "corpus_size": self.corpus_size,
-            "corpus_hash": self.corpus_hash,
-            "oracle_reviews": self.oracle_reviews,
-            "oracle_cost": self.oracle_cost,
-            "review_fraction": self.review_fraction,
-            "positives_seed": self.positives_seed,
-            "positives_oracle": self.positives_oracle,
-            "positives_propagated": self.positives_propagated,
-            "positives_total": self.positives_total,
-            "recall": self.recall,
-            "precision": self.precision,
-            "impression_weighted_recall": self.impression_weighted_recall,
-            "amplification": self.amplification,
-            "stage_totals": self.stage_totals(),
-            "rounds": [r.to_dict() for r in self.rounds],
-        }
+        skip = ("rounds", "baseline")
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+        doc["stage_totals"] = self.stage_totals()
+        doc["rounds"] = [r.to_dict() for r in self.rounds]
         if self.baseline is not None:
             doc["baseline"] = dict(self.baseline)
         return doc
@@ -584,19 +565,14 @@ def run_random_baseline(
     per_trial: list[MetricsReport] = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
-        if total_budget:
-            sample = sorted(
-                rng.choice(corpus.ids, size=total_budget, replace=False).tolist()
-            )
-        else:
-            sample = []
+        sample = sorted(rng.choice(corpus.ids, size=total_budget, replace=False).tolist())
         per_trial.append(compute_metrics(_review(sample, oracle, corpus), truth, corpus))
 
     def mean_of(values: Iterable[float | None]) -> float | None:
         present = [v for v in values if v is not None]
         return sum(present) / len(present) if present else None
 
-    report = MetricsReport(
+    return MetricsReport(
         corpus_size=len(corpus),
         corpus_hash=corpus.content_hash,
         oracle_reviews=total_budget,
@@ -619,4 +595,3 @@ def run_random_baseline(
             "seed": seed,
         },
     )
-    return report

@@ -36,9 +36,10 @@ kernel is numpy work outside the product.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -403,65 +404,88 @@ def _group_edges(emb, norms, starts, members, theta):
     return _member_edges(emb, norms, starts, members, multi, multi, theta)
 
 
+def _save(fh, arrays) -> None:
+    """Write ``arrays`` to ``fh`` as ``.npy`` 1.0 data, each at a multiple of 64 bytes."""
+    for array in arrays:
+        fh.write(bytes(-fh.tell() % 64))
+        np.lib.format.write_array(fh, array, (1, 0), allow_pickle=False)
+
+
+def _mapped(fd: int) -> list[np.ndarray]:
+    """The arrays ``_save`` wrote to file ``fd``, as read-only views of one map.
+
+    Other data raises ``ValueError`` or ``TypeError``, and so does an object
+    array, which only unpickling could read.
+    """
+    size = os.fstat(fd).st_size
+    buf = mmap.mmap(fd, size, access=mmap.ACCESS_READ) if size else None  # mmap refuses 0 bytes
+    arrays, at = [], 0
+    while at < size:
+        buf.seek(at)
+        version = np.lib.format.read_magic(buf)
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(buf)
+        if version != (1, 0) or dtype.hasobject:
+            raise ValueError("not .npy 1.0 data of a plain dtype")
+        arrays.append(np.ndarray(shape, dtype, buf, buf.tell(), order="F" if fortran else "C"))
+        at = buf.tell() + arrays[-1].nbytes
+        at += -at % 64
+    return arrays
+
+
 _WORKER_CODE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import importlib, numpy as np; "
-    "func = getattr(importlib.import_module(sys.argv[2]), sys.argv[3]); "
-    "arrays = func(*sys.stdin.read().split('\\0')); out = sys.stdout.buffer\n"
-    "for array in arrays: np.save(out, array, allow_pickle=False)\n"
-    "out.flush()"
+    "import sys; sys.path.insert(0, sys.argv[1]); import importlib; "
+    f"from {__name__} import _save; "
+    "func = getattr(importlib.import_module(sys.argv[2]), sys.argv[3]); sys.stdin.read(); "
+    "_save(sys.stdout.buffer, func(*sys.argv[4:])); sys.stdout.buffer.flush()"
 )
 _ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
 
 class Worker:
-    """``func(*args)``, returning a list of arrays, in a fresh interpreter.
+    """``func(str(fd), *args)``, returning a list of arrays, in a fresh interpreter.
 
     The child (``sys.executable``: no fork, no re-run of ``__main__``)
-    imports ``func`` from this package, with BLAS on one thread, and waits
-    for ``send``, so the import overlaps the caller's work. The arrays come
-    back as ``.npy`` data read with ``allow_pickle=False``. If the child
-    cannot start, ``result`` calls ``func`` here; if it exits without a
-    result, a ``RuntimeError`` names ``what``. ``close`` kills it.
+    imports ``func`` from this package, with BLAS on one thread, inherits
+    descriptor ``fd`` and waits for ``start``, so the import overlaps the
+    caller's work, which ends in writing the inputs to ``fd``. Arrays cross
+    both ways ``_save``d to an unlinked file and ``_mapped`` read-only, so no
+    exit leaves a file behind. If the child cannot start, ``result`` calls
+    ``func`` here; if it exits without a result, a ``RuntimeError`` names
+    ``what``. ``close`` kills it.
     """
 
-    def __init__(self, func, what: str):
-        self.func, self.what, self.args, self.proc, self.out = func, what, (), None, None
+    def __init__(self, func, what: str, fd: int, *args: str):
+        self.func, self.what, self.proc, self.out = func, what, None, None
+        self.args = (str(fd), *args)
         if not sys.executable:
             return
         try:
             self.out = tempfile.TemporaryFile()
             self.proc = subprocess.Popen(
                 [sys.executable, "-c", _WORKER_CODE, str(Path(__file__).resolve().parent.parent),
-                 func.__module__, func.__name__],
+                 func.__module__, func.__name__, *self.args],
                 stdin=subprocess.PIPE, stdout=self.out, stderr=subprocess.PIPE,
-                env={**os.environ, **_ONE_THREAD},
+                env={**os.environ, **_ONE_THREAD}, pass_fds=(fd,),
             )
         except OSError:
             self.close()
 
-    def send(self, *args: str) -> None:
-        """Start the call on ``args``, which must not contain ``\\0``."""
-        self.args = args
+    def start(self) -> None:
+        """Let the child call ``func``: its stdin reaches end of file."""
         if self.proc is not None:
-            try:
-                self.proc.stdin.write("\0".join(args).encode())
-                self.proc.stdin.close()
-            except OSError:
-                pass  # the child is gone; result() says how it exited
+            self.proc.stdin.close()
 
-    def result(self) -> list[np.ndarray]:
+    def result(self, count: int) -> list[np.ndarray]:
+        """The ``count`` arrays that ``func`` returned."""
         if self.proc is None:
             return self.func(*self.args)
         err = self.proc.stderr.read()
         if self.proc.wait() == 0:
             try:
-                size = os.fstat(self.out.fileno()).st_size
-                self.out.seek(0)
-                arrays = []
-                while self.out.tell() < size:
-                    arrays.append(np.load(self.out, allow_pickle=False))
-                return arrays
-            except (OSError, ValueError, EOFError):
+                arrays = _mapped(self.out.fileno())
+                if len(arrays) == count:
+                    return arrays
+            except (OSError, ValueError, TypeError):
                 pass
         detail = err.decode("utf-8", "replace").strip().splitlines()
         raise RuntimeError(
@@ -487,14 +511,13 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_INPUTS = ("emb", "norms", "keys", "order", "starts", "members", "det")
-
-
-def _share_edges(folder: str, share: str, cut: str, theta: str) -> list[np.ndarray]:
-    """A worker's entry: ``_tile_edges`` of one share, its inputs read from ``folder``."""
-    arrays = [np.asarray(np.load(os.path.join(folder, f"{name}.npy"), mmap_mode="r"))
-              for name in (*_INPUTS, f"tiles{share}")]
-    return _tile_edges(*arrays, float(cut), float(theta))
+def _share_edges(fd: str, share: str) -> list[np.ndarray]:
+    """A worker's entry: ``_tile_edges`` of one share, its inputs mapped from ``fd``."""
+    arrays = _mapped(int(fd))
+    # Python floats, as in the caller: against a NumPy float64 cut the
+    # float32 scores would be compared in float64
+    cut, theta = arrays[7].tolist()
+    return _tile_edges(*arrays[:7], arrays[8 + int(share)], cut, theta)
 
 
 def _edges(emb, norms, theta, mode, bands, band_bits, seed) -> list[np.ndarray]:
@@ -516,32 +539,30 @@ def _edges(emb, norms, theta, mode, bands, band_bits, seed) -> list[np.ndarray]:
     shares = _available_cpus()
     while shares > 1 and pairs * (d + _PAIR_OVERHEAD) < shares * _SHARE_WORK:
         shares -= 1
-    procs, folder = [], None
-    try:
-        for k in range(shares if shares > 1 else 0):
-            procs.append(Worker(_share_edges, f"building the similarity graph, share {k + 1}"))
-        det, cut = _detection(emb, norms, starts, members, theta)
-        order = np.argsort(keys, axis=1, kind="stable")
-        tiles = _tiles(keys, order, max(len(procs), 1))
-        inputs = (emb, norms, keys, order, starts, members, det)
-        if not procs:
-            parts = [_tile_edges(*inputs, tiles[0], cut, theta)]
-        else:
-            parts = []
-            folder = tempfile.mkdtemp(prefix="simgraph-")
-            for name, array in zip(_INPUTS, inputs):
-                np.save(os.path.join(folder, f"{name}.npy"), array)
-            for k, (proc, share) in enumerate(zip(procs, tiles)):
-                np.save(os.path.join(folder, f"tiles{k}.npy"), share)
-                proc.send(folder, str(k), repr(float(cut)), repr(float(theta)))
-        # the caller verifies the pairs inside groups while the workers run
-        parts.append(_group_edges(emb, norms, starts, members, theta))
-        parts += [proc.result() for proc in procs]
-    finally:
-        for proc in procs:
-            proc.close()
-        if folder is not None:
-            shutil.rmtree(folder, ignore_errors=True)
+    procs = []
+    # the workers' inputs, in one file that is never given a name
+    with tempfile.TemporaryFile(buffering=0) if shares > 1 else contextlib.nullcontext() as fh:
+        try:
+            for k in range(shares if shares > 1 else 0):
+                procs.append(Worker(_share_edges, f"building the similarity graph, share {k + 1}",
+                                    fh.fileno(), str(k)))
+            det, cut = _detection(emb, norms, starts, members, theta)
+            order = np.argsort(keys, axis=1, kind="stable")
+            tiles = _tiles(keys, order, max(len(procs), 1))
+            inputs = (emb, norms, keys, order, starts, members, det)
+            if not procs:
+                parts = [_tile_edges(*inputs, tiles[0], cut, theta)]
+            else:
+                parts = []
+                _save(fh, (*inputs, np.array([cut, theta]), *tiles))
+                for proc in procs:
+                    proc.start()
+            # the caller verifies the pairs inside groups while the workers run
+            parts.append(_group_edges(emb, norms, starts, members, theta))
+            parts += [proc.result(3) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.close()
     return [np.concatenate(part) for part in zip(*parts)]
 
 

@@ -259,10 +259,12 @@ MANIFEST = {"schema_version": 1, "kind": "run_manifest"}
 def exits_2_before_writing(tmp_path, corpus_file, command, doc):
     config = write_json(tmp_path / "config.json", doc)
     out = tmp_path / "out"
-    args = {
-        "generate": [],
-        "run": ["--corpus", str(corpus_file)],
-        "baseline": ["--corpus", str(corpus_file), "--budget", "5"],
+    command, *args = {
+        "generate": ["generate"],
+        "run": ["run", "--corpus", str(corpus_file)],
+        # a manifest replayed without --corpus reads its recorded path
+        "replay": ["run"],
+        "baseline": ["baseline", "--corpus", str(corpus_file), "--budget", "5"],
     }[command]
     assert main([command, "--config", config, "--out", str(out), *args]) == 2
     assert not out.exists()  # no manifest, no corpus, no report
@@ -281,6 +283,15 @@ def exits_2_before_writing(tmp_path, corpus_file, command, doc):
                  "impression_weighted_sampling", id="bool-as-int"),
     pytest.param("run", MANIFEST, "config", id="run-manifest-without-config"),
     pytest.param("run", dict(MANIFEST, config=[1]), "config", id="run-manifest-config-list"),
+    pytest.param("run", dict(MANIFEST, config=RUN_CONFIG, corpus=[1]), "corpus",
+                 id="run-manifest-corpus-list"),
+    pytest.param("run", dict(MANIFEST, config=RUN_CONFIG, corpus={"path": True}), "path",
+                 id="run-manifest-path-bool"),
+    # true and 5 would reach open() as file descriptors, 1 being stdout
+    pytest.param("replay", dict(MANIFEST, config=RUN_CONFIG, corpus={"path": True}), "path",
+                 id="replay-path-bool"),
+    pytest.param("replay", dict(MANIFEST, config=RUN_CONFIG, corpus={"path": 5}), "path",
+                 id="replay-path-int"),
     pytest.param("baseline", MANIFEST, "config", id="baseline-manifest-without-config"),
     pytest.param("baseline", dict(MANIFEST, config=[1]), "config",
                  id="baseline-manifest-config-list"),

@@ -543,6 +543,18 @@ class TestGraphWorkers:
         pytest.param("import sys; sys.stdin.read(); sys.stdout.buffer.write(b'\\x93NUMPY')",
                      id="cut-output"),
         pytest.param("raise MemoryError", id="crash"),
+        pytest.param("import sys; sys.stdin.read()", id="no-output"),
+        # three object arrays, each at a multiple of 64 bytes as the reader
+        # expects: unpickling any of them would create a file in the caller's
+        # temporary directory
+        pytest.param(
+            "import sys, tempfile, numpy as np; sys.stdin.read(); out = sys.stdout.buffer\n"
+            "class Planted:\n"
+            "    def __reduce__(self): return (tempfile.mkstemp, ())\n"
+            "for _ in range(3):\n"
+            "    out.write(bytes(-out.tell() % 64))\n"
+            "    np.save(out, np.array([Planted()], dtype=object), allow_pickle=True)\n",
+            id="object-arrays"),
     ])
     def test_worker_without_result_names_its_share(self, items, tmpdir, code):
         # the first worker fails; the others would run for a minute
@@ -553,6 +565,45 @@ class TestGraphWorkers:
         assert len(procs) == 3
         assert all(proc.poll() is not None for proc in procs)
         assert not list(tmpdir.iterdir())
+
+    def test_mapped_reads_back_only_saved_arrays(self):
+        arrays = [np.arange(7, dtype=np.uint8), np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+                  np.arange(5), np.empty((0, 4), dtype=np.float32)]
+        with tempfile.TemporaryFile() as fh:
+            assert simgraph._mapped(fh.fileno()) == []
+            simgraph._save(fh, arrays)
+            fh.flush()
+            back = simgraph._mapped(fh.fileno())
+            assert [(a.dtype, a.shape) for a in back] == [(a.dtype, a.shape) for a in arrays]
+            assert all(np.array_equal(a, b) for a, b in zip(back, arrays))
+            assert all(a.flags.aligned and not a.flags.writeable for a in back)
+            # an object array is refused, not unpickled or viewed as pointers
+            fh.write(bytes(-fh.tell() % 64))
+            np.save(fh, np.array([{}], dtype=object), allow_pickle=True)
+            fh.flush()
+            with pytest.raises(ValueError, match="plain dtype"):
+                simgraph._mapped(fh.fileno())
+
+    def test_killed_caller_leaves_no_file(self, tmp_path):
+        # the caller kills itself once both workers have their inputs; a
+        # worker build names nothing in the temporary directory, so nothing
+        # is left there
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        script = (
+            "import os, signal, sys\n"
+            f"sys.path.insert(0, {os.path.dirname(os.path.dirname(simgraph.__file__))!r})\n"
+            "from reviewfunnel import corpus, simgraph\n"
+            "items = corpus.generate_corpus_detailed(corpus.GeneratorConfig(n_clusters=30))[0]\n"
+            "simgraph._SHARE_WORK = 0\n"
+            "simgraph._available_cpus = lambda: 2\n"
+            "simgraph._group_edges = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+            "simgraph.build_graph(items, 0.25, 'blocked')\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60,
+                              env={**os.environ, "TMPDIR": str(temp)})
+        assert done.returncode == -9, done.stderr
+        assert not list(temp.iterdir())
 
 
 class TestNeighborQueries:
