@@ -63,6 +63,15 @@ _LABEL_FIELDS = (
 # Mean impressions for active generated items (geometric draw).
 _IMPRESSION_MEAN = 20.0
 
+# Every pass over a corpus's rows takes them this many at a time, so a run
+# holds its columns and one block's temporaries, never a copy of a column.
+_BLOCK_ROWS = 4096
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of ``_BLOCK_ROWS`` rows that cover rows 0 to n in order."""
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+
 
 class ConfigError(ValueError):
     """Invalid configuration value; message names the offending field."""
@@ -231,15 +240,17 @@ def normalize_embedding(vector) -> np.ndarray:
 
 def embedding_fingerprint(embedding: np.ndarray) -> int:
     """64-bit content fingerprint of the embedding quantized to 1e-6."""
-    return _fingerprints(np.asarray(embedding, dtype=np.float64)[None, :])[0]
+    return int(_fingerprints(np.asarray(embedding, dtype=np.float64)[None, :])[0])
 
 
-def _fingerprints(rows: np.ndarray) -> list[int]:
-    quantized = np.round(rows / _HASH_QUANTUM).astype(np.int64)
-    return [
-        int.from_bytes(hashlib.blake2b(q.tobytes(), digest_size=8).digest(), "little")
-        for q in quantized
-    ]
+def _fingerprints(rows: np.ndarray) -> np.ndarray:
+    """Each row's fingerprint, as a little-endian uint64 of its blake2b digest."""
+    out = np.empty(len(rows), dtype=np.uint64)
+    for block in _blocks(len(rows)):
+        quantized = np.round(rows[block] / _HASH_QUANTUM).astype(np.int64)
+        digests = b"".join(hashlib.blake2b(q.tobytes(), digest_size=8).digest() for q in quantized)
+        out[block] = np.frombuffer(digests, dtype="<u8")
+    return out
 
 
 _COLUMN_DTYPES = {
@@ -294,11 +305,7 @@ class Corpus:
         """``items`` itself if it is a Corpus, else the Corpus of those Items."""
         if isinstance(items, Corpus):
             return items
-        return cls._of_rows(list(map(attrgetter(*_ITEM_FIELDS), items)))
-
-    @classmethod
-    def _of_rows(cls, rows: list[tuple]) -> Corpus:
-        """The Corpus of rows of Item field values, in Item field order."""
+        rows = list(map(attrgetter(*_ITEM_FIELDS), items))
         if not rows:
             return cls([], np.empty((0, 0)), [], [], [], [], [])
         ids, embeddings, *counts, truth = zip(*rows)
@@ -321,13 +328,12 @@ class Corpus:
     @cached_property
     def content_hash(self) -> str:
         """Stable hex digest of the rows, independent of file formatting and order."""
-        rows = zip(
-            self.ids.tolist(), self.hashes.tolist(), self.accounts.tolist(),
-            self.impressions.tolist(), self.created_rounds.tolist(),
-            np.where(self.truth < 0, 2, self.truth).tolist(),
-        )
+        cols = (self.ids, self.hashes, self.accounts, self.impressions, self.created_rounds,
+                np.where(self.truth < 0, 2, self.truth))
         h = hashlib.blake2b(digest_size=16)
-        h.update(b"".join(b"%d,%d,%d,%d,%d,%d;" % row for row in rows))
+        for block in _blocks(len(self)):
+            rows = zip(*(col[block].tolist() for col in cols))
+            h.update(b"".join(b"%d,%d,%d,%d,%d,%d;" % row for row in rows))
         return h.hexdigest()
 
     def truth_map(self) -> dict[int, bool]:
@@ -361,39 +367,35 @@ def generate_corpus_detailed(
     # Positive items concentrate on a shrinking account pool as skew -> 1.
     positive_pool = max(1, int(round((1.0 - cfg.account_skew) * cfg.n_accounts)))
 
-    blocks, accounts, impressions, truth = [], [], [], []
+    n = int(sizes.sum())
+    emb, truth = np.empty((n, d)), np.empty(n, dtype=np.int8)
+    accounts, impressions = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     clusters: list[ClusterInfo] = []
     next_id = 0
     for cluster_idx, size in enumerate(sizes.tolist()):
+        rows = slice(next_id, next_id + size)
         center = rng.standard_normal(d)
         dup_flags = rng.random(size - 1) < cfg.dup_fraction
         noise = rng.standard_normal((size - 1, d))
         positive = cluster_idx in positive_clusters
-        accounts.append(
-            rng.integers(0, positive_pool if positive else cfg.n_accounts, size=size)
-        )
-        shown = rng.geometric(1.0 / _IMPRESSION_MEAN, size=size)
-        shown[rng.random(size) < cfg.inactive_rate] = 0
-        impressions.append(shown)
-        truth.append(np.full(size, positive, dtype=np.int8))
+        accounts[rows] = rng.integers(0, positive_pool if positive else cfg.n_accounts, size=size)
+        impressions[rows] = rng.geometric(1.0 / _IMPRESSION_MEAN, size=size)
+        impressions[rows][rng.random(size) < cfg.inactive_rate] = 0
+        truth[rows] = positive
 
         sigma = np.where(dup_flags, cfg.dup_sigma, cfg.noise_sigma)
-        block = np.empty((size, d))
+        block = emb[rows]
         block[0] = center
         if size > 1:
             block[1:] = center[None, :] + sigma[:, None] * noise
         block /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
-        blocks.append(block)
 
         members = range(next_id + 1, next_id + size)
         dups = tuple(i for i, dup in zip(members, dup_flags.tolist()) if dup)
         clusters.append(ClusterInfo(next_id, tuple(members), dups, positive))
         next_id += size
-    emb = np.concatenate(blocks)
-    corpus = Corpus(
-        np.arange(next_id), emb, np.concatenate(accounts), np.concatenate(impressions),
-        _fingerprints(emb), np.zeros(next_id, dtype=np.int64), np.concatenate(truth),
-    )
+    corpus = Corpus(np.arange(n), emb, accounts, impressions, _fingerprints(emb),
+                    np.zeros(n, dtype=np.int64), truth)
     return corpus, corpus.truth_map(), clusters
 
 
@@ -405,8 +407,8 @@ def _embedding_rows(embeddings: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]
     1e-05, 1e+16 and NaN where orjson writes 0.00001, 1e16 and null. Rows are
     taken ``_BLOCK_ROWS`` at a time, so at most one block is copied.
     """
-    for start in range(0, len(embeddings), _BLOCK_ROWS):
-        block = np.ascontiguousarray(embeddings[start:start + _BLOCK_ROWS])
+    for rows in _blocks(len(embeddings)):
+        block = np.ascontiguousarray(embeddings[rows])
         size = np.abs(block)
         alike = ((block == 0) | (size >= 1e-4) & (size < 1e16)).all(axis=1)
         yield from zip(block, alike.tolist())
@@ -563,9 +565,6 @@ def _duplicate(item_id: int, line: int, first: int) -> FormatError:
     return FormatError(f"duplicate item_id {item_id} (first on line {first})", line)
 
 
-# Rows are decoded this many at a time: their embeddings are checked and
-# normalised as one matrix, which bounds the Python objects held at once.
-_BLOCK_ROWS = 4096
 _ITEM_KEYS = frozenset(_ITEM_FIELDS)
 _LABEL_KEYS = frozenset(_LABEL_FIELDS)
 # The columns of each row's line number and scalar fields, in the order of

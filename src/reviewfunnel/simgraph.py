@@ -48,7 +48,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, _scaled
+from .corpus import Corpus, _blocks, _scaled
 
 MODE_EXACT = "exact"
 MODE_BLOCKED = "blocked"
@@ -224,17 +224,18 @@ def _sign_hash(emb: np.ndarray, bands: int, band_bits: int, seed: int):
     """
     n = len(emb)
     planes = np.random.default_rng(seed).standard_normal((emb.shape[1], bands * band_bits))
-    bits = ((emb @ planes) > 0).reshape(n, bands, band_bits)
-    # bit k of a band's key is its k-th hyperplane's sign
-    packed = np.packbits(bits, axis=2, bitorder="little")
     keys = np.zeros((bands, n), dtype=np.min_scalar_type((1 << band_bits) - 1))
-    for k in range(packed.shape[2]):
-        keys |= packed[:, :, k].T.astype(keys.dtype) << (8 * k)
-    # every sign bit of a row as 64-bit words; a stable sort keeps each
-    # run of equal words in ascending row order
-    width = packed.shape[1] * packed.shape[2]
+    # every sign bit of a row as 64-bit words, projected a block at a time
+    width = bands * -(-band_bits // 8)
     words = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
-    words[:, :width] = packed.reshape(n, width)
+    for rows in _blocks(n):
+        bits = ((emb[rows] @ planes) > 0).reshape(-1, bands, band_bits)
+        # bit k of a band's key is its k-th hyperplane's sign
+        packed = np.packbits(bits, axis=2, bitorder="little")
+        for k in range(packed.shape[2]):
+            keys[:, rows] |= packed[:, :, k].T.astype(keys.dtype) << (8 * k)
+        words[rows, :width] = packed.reshape(len(packed), width)
+    # a stable sort keeps each run of equal words in ascending row order
     words = words.view(np.uint64)
     ranked = np.lexsort(words.T)
     new = np.ones(n, dtype=bool)
@@ -432,10 +433,18 @@ def _mapped(fd: int) -> list[np.ndarray]:
     return arrays
 
 
+def _watch_stdin() -> None:
+    """Exit this worker when stdin ends, before or after the go byte: its caller is done."""
+    while os.read(0, 64):
+        pass
+    os._exit(1)
+
+
 _WORKER_CODE = (
-    "import sys; sys.path.insert(0, sys.argv[1]); import importlib; "
-    f"from {__name__} import _save; "
-    "func = getattr(importlib.import_module(sys.argv[2]), sys.argv[3]); sys.stdin.read(); "
+    "import os, sys, threading; sys.path.insert(0, sys.argv[1]); import importlib; "
+    f"from {__name__} import _save, _watch_stdin; "
+    "func = getattr(importlib.import_module(sys.argv[2]), sys.argv[3]); os.read(0, 1) or "
+    "_watch_stdin(); threading.Thread(target=_watch_stdin, daemon=True).start(); "
     "_save(sys.stdout.buffer, func(*sys.argv[4:])); sys.stdout.buffer.flush()"
 )
 _ONE_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
@@ -451,7 +460,7 @@ class Worker:
     both ways ``_save``d to an unlinked file and ``_mapped`` read-only, so no
     exit leaves a file behind. If the child cannot start, ``result`` calls
     ``func`` here; if it exits without a result, a ``RuntimeError`` names
-    ``what``. ``close`` kills it.
+    ``what``. ``close`` closes its stdin, which alone would end it, and kills it.
     """
 
     def __init__(self, func, what: str, fd: int, *args: str):
@@ -464,16 +473,17 @@ class Worker:
             self.proc = subprocess.Popen(
                 [sys.executable, "-c", _WORKER_CODE, str(Path(__file__).resolve().parent.parent),
                  func.__module__, func.__name__, *self.args],
-                stdin=subprocess.PIPE, stdout=self.out, stderr=subprocess.PIPE,
+                bufsize=0, stdin=subprocess.PIPE, stdout=self.out, stderr=subprocess.PIPE,
                 env={**os.environ, **_ONE_THREAD}, pass_fds=(fd,),
             )
         except OSError:
             self.close()
 
     def start(self) -> None:
-        """Let the child call ``func``: its stdin reaches end of file."""
+        """Let the child call ``func``: send it the go byte (stdin is unbuffered)."""
         if self.proc is not None:
-            self.proc.stdin.close()
+            with contextlib.suppress(OSError):  # a child that is gone fails in result
+                self.proc.stdin.write(b"\n")
 
     def result(self, count: int) -> list[np.ndarray]:
         """The ``count`` arrays that ``func`` returned."""
@@ -495,10 +505,10 @@ class Worker:
 
     def close(self) -> None:
         if self.proc is not None:
+            self.proc.stdin.close()
             if self.proc.poll() is None:
                 self.proc.kill()
             self.proc.wait()
-            self.proc.stdin.close()
             self.proc.stderr.close()
         if self.out is not None:
             self.out.close()
@@ -611,8 +621,8 @@ def build_graph(
     # rows in ascending (distance, id) order, as np.lexsort((cols, both, rows))
     # but faster: edges in (ii, jj) order, (jj, ii) entries first, put each row
     # in ascending col (ii < jj), which a stable sort by row and distance
-    # keeps. The sort sets the build's peak memory, so each array goes as
-    # soon as it is used.
+    # keeps. Each array goes as soon as it is used: with many edges a row, the
+    # sort, not the end of `_edges`, sets the build's peak memory.
     edges = np.argsort(ii * n + jj)
     ii, jj, dists = ii[edges], jj[edges], dists[edges]
     del edges

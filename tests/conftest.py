@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,14 @@ def neighbor_ids(graph, item_id, radius):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def traced(func, *args):
+    """(func(*args), the traced peak of the call, the traced size still held after it)."""
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held

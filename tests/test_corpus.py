@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -6,7 +7,6 @@ import random
 import struct
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -34,6 +34,8 @@ from reviewfunnel.corpus import (
     save_corpus,
     save_labels,
 )
+
+from conftest import traced
 
 
 def cosine(a, b):
@@ -66,6 +68,35 @@ class TestGenerator:
             assert (x.account_id, x.impressions, x.exact_hash, x.ground_truth) == (
                 y.account_id, y.impressions, y.exact_hash, y.ground_truth
             )
+
+    @pytest.mark.parametrize(
+        "cfg, rows, digest, content",
+        [
+            (GeneratorConfig(n_clusters=900, rng_seed=11), 8921,
+             "da24339d9fed190e45b2b6668a65685527b94b64f5685710093b46df63e17c4d",
+             "0c86fadce16be4331efec19ed25169f4"),
+            (GeneratorConfig(n_clusters=1000, embedding_dim=16, cluster_size_mean=9.0,
+                             noise_sigma=0.3, dup_sigma=0.02, rng_seed=12), 9044,
+             "d93ac09d64e6a5c18fb916aa267c40f85716f83ec7cc464ff63c8de3a01700f0",
+             "37a16b9e399c619348dc0785df72032c"),
+        ],
+        ids=["64-d", "16-d"],
+    )
+    def test_generated_bytes_are_pinned(self, cfg, rows, digest, content):
+        # every column's bytes and the planted clusters, over more than two
+        # blocks and a partial one; content_hash alone leaves embeddings out
+        corpus, truth, clusters = generate_corpus_detailed(cfg)
+        assert len(corpus) == rows and rows > 2 * corpus_module._BLOCK_ROWS
+        assert rows % corpus_module._BLOCK_ROWS
+        h = hashlib.sha256()
+        for field in dataclasses.fields(Corpus):
+            col = getattr(corpus, field.name)
+            h.update(f"{field.name} {col.dtype.str} {col.shape};".encode())
+            h.update(col.tobytes())
+        h.update(repr(clusters).encode())
+        assert h.hexdigest() == digest
+        assert corpus.content_hash == content
+        assert truth == corpus.truth_map()
 
     def test_unit_norms(self):
         items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=10, rng_seed=2))
@@ -828,12 +859,7 @@ def test_load_holds_one_block_beyond_its_columns(tmp_path):
     save_corpus(corpus, path)
     rows = 256
     line_bytes = path.stat().st_size / len(corpus)
-    tracemalloc.start()
-    try:
-        loaded = block_load(path, rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak, _ = traced(block_load, path, rows)
     assert_same_corpus(loaded, corpus)
     columns = sum(getattr(loaded, field.name).nbytes for field in dataclasses.fields(Corpus))
     # a block's decoded lines: their text, dicts, lists and floats, and its matrix
@@ -841,6 +867,37 @@ def test_load_holds_one_block_beyond_its_columns(tmp_path):
     assert peak < columns + block, (peak, columns, block)
     # reading the whole file, or a second copy of the embeddings, would not fit
     assert path.stat().st_size > block and loaded.embeddings.nbytes > block
+
+
+@pytest.fixture(scope="module")
+def five_blocks():
+    """A generated 64-d corpus of about five blocks of rows."""
+    return generate_corpus_detailed(GeneratorConfig(n_clusters=2000, rng_seed=5))[0]
+
+
+def test_generate_holds_one_block_beyond_its_columns(five_blocks):
+    # numpy reports its buffers to tracemalloc; a list of the clusters'
+    # rows or a whole-matrix temporary would each be five blocks
+    (corpus, _, _), peak, held = traced(
+        generate_corpus_detailed, GeneratorConfig(n_clusters=2000, rng_seed=5))
+    assert_same_columns(corpus, five_blocks)
+    block = corpus_module._BLOCK_ROWS * corpus.embeddings.shape[1] * 8
+    columns = sum(getattr(corpus, field.name).nbytes for field in dataclasses.fields(Corpus))
+    assert columns < held and corpus.embeddings.nbytes > 4 * block
+    # what it returns (the columns, the truth map and the clusters) and one
+    # block's quantised rows and fingerprints
+    assert peak < held + 3 * block, (peak, held, block)
+
+
+def test_content_hash_holds_one_block(five_blocks):
+    corpus = Corpus(*(getattr(five_blocks, field.name) for field in dataclasses.fields(Corpus)))
+    digest, peak, _ = traced(lambda: corpus.content_hash)
+    assert digest == five_blocks.content_hash
+    # a block's rows as six Python ints each and their bytes: well under 512
+    # bytes a row, where every column as a list would take about 300 bytes
+    # a corpus row
+    block = corpus_module._BLOCK_ROWS * 512
+    assert peak < block < len(corpus) * 300 / 2, (peak, block)
 
 
 def test_script_without_main_guard_runs_once(tmp_path):

@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reviewfunnel.corpus as corpus_module
 from reviewfunnel import simgraph
 from reviewfunnel.corpus import (
     GeneratorConfig,
@@ -22,7 +25,7 @@ from reviewfunnel.corpus import (
 )
 from reviewfunnel.simgraph import build_graph, cosine_distance
 
-from conftest import csr_neighbors, make_items, neighbor_ids, planted_blob
+from conftest import csr_neighbors, make_items, neighbor_ids, planted_blob, traced
 
 
 def brute_force_adjacency(items, theta):
@@ -540,15 +543,15 @@ class TestGraphWorkers:
 
     @pytest.mark.parametrize("code", [
         pytest.param("import sys; sys.exit(1)", id="exit-1"),
-        pytest.param("import sys; sys.stdin.read(); sys.stdout.buffer.write(b'\\x93NUMPY')",
+        pytest.param("import sys; sys.stdin.read(1); sys.stdout.buffer.write(b'\\x93NUMPY')",
                      id="cut-output"),
         pytest.param("raise MemoryError", id="crash"),
-        pytest.param("import sys; sys.stdin.read()", id="no-output"),
+        pytest.param("import sys; sys.stdin.read(1)", id="no-output"),
         # three object arrays, each at a multiple of 64 bytes as the reader
         # expects: unpickling any of them would create a file in the caller's
         # temporary directory
         pytest.param(
-            "import sys, tempfile, numpy as np; sys.stdin.read(); out = sys.stdout.buffer\n"
+            "import sys, tempfile, numpy as np; sys.stdin.read(1); out = sys.stdout.buffer\n"
             "class Planted:\n"
             "    def __reduce__(self): return (tempfile.mkstemp, ())\n"
             "for _ in range(3):\n"
@@ -584,26 +587,109 @@ class TestGraphWorkers:
             with pytest.raises(ValueError, match="plain dtype"):
                 simgraph._mapped(fh.fileno())
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
     def test_killed_caller_leaves_no_file(self, tmp_path):
-        # the caller kills itself once both workers have their inputs; a
-        # worker build names nothing in the temporary directory, so nothing
-        # is left there
-        temp = tmp_path / "temp"
-        temp.mkdir()
-        script = (
-            "import os, signal, sys\n"
-            f"sys.path.insert(0, {os.path.dirname(os.path.dirname(simgraph.__file__))!r})\n"
-            "from reviewfunnel import corpus, simgraph\n"
-            "items = corpus.generate_corpus_detailed(corpus.GeneratorConfig(n_clusters=30))[0]\n"
-            "simgraph._SHARE_WORK = 0\n"
-            "simgraph._available_cpus = lambda: 2\n"
-            "simgraph._group_edges = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
-            "simgraph.build_graph(items, 0.25, 'blocked')\n"
-        )
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60,
-                              env={**os.environ, "TMPDIR": str(temp)})
+        # the caller kills itself once both workers have their inputs and the
+        # go byte; a worker build names nothing in the temporary directory,
+        # so nothing is left there, and no worker outlives the caller
+        kill_caller_at("_group_edges", tmp_path)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_caller_killed_before_start_leaves_no_worker(self, tmp_path):
+        kill_caller_at("_detection", tmp_path)
+
+
+def kill_caller_at(point: str, tmp_path) -> None:
+    """Run a worker build that SIGKILLs itself at ``simgraph.<point>``.
+
+    Each worker's share takes a minute, so only a worker that sees its caller
+    gone is gone within seconds; the caller's temporary directory stays empty.
+    """
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    (tmp_path / "slow_share.py").write_text(
+        "import time\n"
+        "from reviewfunnel import simgraph\n"
+        "def share(fd, k):\n"
+        "    time.sleep(60)\n"
+        "    return simgraph._share_edges(fd, k)\n"
+    )
+    script = (
+        "import os, signal, sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.dirname(simgraph.__file__))!r})\n"
+        "from reviewfunnel import corpus, simgraph\n"
+        "import slow_share\n"
+        "class Worker(simgraph.Worker):\n"
+        "    def __init__(self, *args):\n"
+        "        super().__init__(*args)\n"
+        "        print(self.proc.pid, flush=True)\n"
+        "items = corpus.generate_corpus_detailed(corpus.GeneratorConfig(n_clusters=30))[0]\n"
+        "simgraph.Worker, simgraph._share_edges = Worker, slow_share.share\n"
+        "simgraph._SHARE_WORK = 0\n"
+        "simgraph._available_cpus = lambda: 2\n"
+        f"simgraph.{point} = lambda *args: os.kill(os.getpid(), signal.SIGKILL)\n"
+        "simgraph.build_graph(items, 0.25, 'blocked')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60,
+                          env={**os.environ, "TMPDIR": str(temp), "PYTHONPATH": str(tmp_path)})
+    pids = [int(pid) for pid in done.stdout.split()]
+    try:
         assert done.returncode == -9, done.stderr
+        assert len(pids) == 2
         assert not list(temp.iterdir())
+        deadline = time.monotonic() + 5
+        while any(map(_share_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_share_running, pids))
+    finally:
+        for pid in filter(_share_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
+def _share_running(pid: int) -> bool:
+    """Whether process ``pid`` is a live (not zombie) worker running ``slow_share``."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            command = fh.read()
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            state = fh.read().rsplit(b")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return b"slow_share" in command and state != b"Z"
+
+
+@pytest.fixture(scope="module")
+def sign_corpus():
+    """A generated 64-d corpus over five blocks and a part of one."""
+    corpus = generate_corpus_detailed(GeneratorConfig(n_clusters=2000, rng_seed=5))[0]
+    assert len(corpus) > 4 * corpus_module._BLOCK_ROWS and len(corpus) % corpus_module._BLOCK_ROWS
+    return corpus
+
+
+@pytest.mark.parametrize("dim, bands, band_bits", [(64, 16, 8), (64, 12, 12), (5, 3, 20)])
+def test_sign_hash_in_blocks_equals_one_product(sign_corpus, dim, bands, band_bits):
+    # BLAS may round a block's product apart from the whole one's; the sign
+    # bits, and so the keys and groups, must not move
+    emb = np.ascontiguousarray(sign_corpus.embeddings[:, :dim])
+    planes = np.random.default_rng(9).standard_normal((dim, bands * band_bits))
+    bits = ((emb @ planes) > 0).reshape(len(emb), bands, band_bits)
+    keys, starts, members = simgraph._sign_hash(emb, bands, band_bits, 9)
+    assert np.array_equal(keys, (bits << np.arange(band_bits)).sum(axis=2).T)
+    with mock.patch.object(corpus_module, "_BLOCK_ROWS", 1 << 30):
+        whole = simgraph._sign_hash(emb, bands, band_bits, 9)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, (keys, starts, members)))
+    assert len(starts) - 1 < len(emb)
+
+
+def test_sign_hash_holds_one_block_of_projections(sign_corpus):
+    emb = sign_corpus.embeddings
+    out, peak, _ = traced(simgraph._sign_hash, emb, 16, 8, 0)
+    product = corpus_module._BLOCK_ROWS * 16 * 8 * 8  # a block's float64 projections
+    # its outputs, sixteen n-element int64 arrays to sort and cut the groups,
+    # and one block's projections with their sign bits and packed bytes; the
+    # whole product alone would be over twice that
+    bound = sum(a.nbytes for a in out) + 16 * 8 * len(emb) + 1.5 * product
+    assert peak < bound < len(emb) * 16 * 8 * 8 / 2, (peak, bound)
 
 
 class TestNeighborQueries:
