@@ -45,7 +45,7 @@ LABELS_NAME = "labels.jsonl"
 AUDIT_NAME = "audit.jsonl"
 MANIFEST_NAME = "manifest.json"
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _utc_now() -> str:
@@ -145,9 +145,9 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def cmd_generate(args) -> int:
     cfg = generator_config_from_doc(_load_json(args.config))
-    corpus, truth, clusters = generate_corpus_detailed(cfg)
+    corpus, _, clusters = generate_corpus_detailed(cfg)
     _write_atomic(Path(args.out), lambda tmp: save_corpus(corpus, tmp))
-    positives = sum(truth.values())
+    positives = int((corpus.truth == 1).sum())
     rate = positives / len(corpus) if len(corpus) else 0.0
     dup_pairs = sum(
         (len(c.dup_ids) + 1) * len(c.dup_ids) // 2 for c in clusters
@@ -271,13 +271,8 @@ def cmd_baseline(args) -> int:
     corpus = load_corpus(args.corpus)
     if args.budget > len(corpus):
         raise ConfigError(f"--budget {args.budget} exceeds the corpus size {len(corpus)}")
-    oracle = SimulatedOracle(
-        oracle_params.tpr,
-        oracle_params.tnr,
-        oracle_params.seed,
-        corpus.truth_map(),
-        oracle_params.unit_cost,
-    )
+    oracle = SimulatedOracle(oracle_params.tpr, oracle_params.tnr, oracle_params.seed,
+                             corpus.ids, corpus.truth, oracle_params.unit_cost)
     report = run_random_baseline(corpus, args.budget, oracle, args.trials, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -4,9 +4,8 @@ A corpus is one set of columns (``Corpus``), built once by the generator or
 the loader and read as columns by every layer; ``Item`` is its row view.
 Synthetic corpora are built from planted clusters: each cluster has a seed
 item, a fraction of near-duplicate members hugging the seed, and looser
-members spread around it. Ground truth is generated alongside the items but
-handed out as a separate map so that funnel stages never see it; only the
-oracle and the metrics evaluator do.
+members spread around it. Ground truth is the corpus's ``truth`` column;
+funnel stages never read it, only the oracle and the metrics evaluator do.
 
 The JSON Lines loader decodes a file in one pass in this process. Its rows
 are written a block at a time into columns sized from a count of the file's
@@ -48,7 +47,6 @@ _ITEM_FIELDS = (
     "account_id",
     "impressions",
     "exact_hash",
-    "created_round",
     "ground_truth",
 )
 _LABEL_FIELDS = (
@@ -101,7 +99,6 @@ class Item:
     account_id: int
     impressions: int
     exact_hash: int
-    created_round: int = 0
     ground_truth: bool | None = None
 
     def __post_init__(self):
@@ -255,7 +252,7 @@ def _fingerprints(rows: np.ndarray) -> np.ndarray:
 
 _COLUMN_DTYPES = {
     "ids": np.int64, "embeddings": np.float64, "accounts": np.int64, "impressions": np.int64,
-    "hashes": np.uint64, "created_rounds": np.int64, "truth": np.int8,
+    "hashes": np.uint64, "truth": np.int8,
 }
 
 
@@ -275,7 +272,6 @@ class Corpus:
     accounts: np.ndarray
     impressions: np.ndarray
     hashes: np.ndarray
-    created_rounds: np.ndarray
     truth: np.ndarray
 
     def __post_init__(self):
@@ -307,7 +303,7 @@ class Corpus:
             return items
         rows = list(map(attrgetter(*_ITEM_FIELDS), items))
         if not rows:
-            return cls([], np.empty((0, 0)), [], [], [], [], [])
+            return cls([], np.empty((0, 0)), [], [], [], [])
         ids, embeddings, *counts, truth = zip(*rows)
         truth = [-1 if known is None else known for known in truth]
         return cls(ids, np.stack(embeddings), *counts, truth)
@@ -327,25 +323,26 @@ class Corpus:
 
     @cached_property
     def content_hash(self) -> str:
-        """Stable hex digest of the rows, independent of file formatting and order."""
-        cols = (self.ids, self.hashes, self.accounts, self.impressions, self.created_rounds,
+        """Stable hex digest of the rows, independent of file formatting and order.
+
+        Each block gives its rows' integers as digits, then its embeddings as
+        little-endian float64 in C order: the stored values, after
+        normalisation, so the digits a file spells them with do not matter.
+        """
+        cols = (self.ids, self.hashes, self.accounts, self.impressions,
                 np.where(self.truth < 0, 2, self.truth))
         h = hashlib.blake2b(digest_size=16)
         for block in _blocks(len(self)):
             rows = zip(*(col[block].tolist() for col in cols))
-            h.update(b"".join(b"%d,%d,%d,%d,%d,%d;" % row for row in rows))
+            h.update(b"".join(b"%d,%d,%d,%d,%d;" % row for row in rows))
+            h.update(np.ascontiguousarray(self.embeddings[block], dtype="<f8"))
         return h.hexdigest()
-
-    def truth_map(self) -> dict[int, bool]:
-        """Ground truth by id, for the items that carry it."""
-        known = self.truth >= 0
-        return dict(zip(self.ids[known].tolist(), (self.truth[known] == 1).tolist()))
 
 
 def generate_corpus_detailed(
     cfg: GeneratorConfig,
 ) -> tuple[Corpus, dict[int, bool], list[ClusterInfo]]:
-    """Generate a clustered synthetic corpus, its hidden truth and its clusters.
+    """Generate a clustered synthetic corpus, its truth by id and its clusters.
 
     Deterministic for a fixed ``rng_seed``. Cluster sizes are 1 + Poisson
     draws so the mean matches ``cluster_size_mean`` exactly; the number of
@@ -394,9 +391,8 @@ def generate_corpus_detailed(
         dups = tuple(i for i, dup in zip(members, dup_flags.tolist()) if dup)
         clusters.append(ClusterInfo(next_id, tuple(members), dups, positive))
         next_id += size
-    corpus = Corpus(np.arange(n), emb, accounts, impressions, _fingerprints(emb),
-                    np.zeros(n, dtype=np.int64), truth)
-    return corpus, corpus.truth_map(), clusters
+    corpus = Corpus(np.arange(n), emb, accounts, impressions, _fingerprints(emb), truth)
+    return corpus, dict(enumerate(corpus.truth.astype(bool).tolist())), clusters
 
 
 def _embedding_rows(embeddings: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]:
@@ -428,7 +424,6 @@ def save_corpus(corpus: Iterable[Item], path) -> None:
         corpus.accounts.tolist(),
         corpus.impressions.tolist(),
         map(str, corpus.hashes.tolist()),
-        corpus.created_rounds.tolist(),
         [None if truth < 0 else bool(truth) for truth in corpus.truth.tolist()],
     )
     with open(path, "wb") as fh:
@@ -566,11 +561,14 @@ def _duplicate(item_id: int, line: int, first: int) -> FormatError:
 
 
 _ITEM_KEYS = frozenset(_ITEM_FIELDS)
+# Schema 1 files carry this key on every line, always 0 and read by nothing;
+# the loader checks it as schema 1 did, so it refuses no less, and drops it.
+_DROPPED_KEY = "created_round"
 _LABEL_KEYS = frozenset(_LABEL_FIELDS)
 # The columns of each row's line number and scalar fields, in the order of
 # the lists ``_load_corpus`` collects them in.
 _ROW_DTYPES = {"lines": np.int64, "ids": np.int64, "hashes": np.uint64, "truth": np.int8,
-               "accounts": np.int64, "impressions": np.int64, "created_rounds": np.int64}
+               "accounts": np.int64, "impressions": np.int64}
 
 
 def _normalized_row(row, line: int) -> np.ndarray:
@@ -638,7 +636,7 @@ def _load_corpus(path, fast) -> Corpus:
     n = _line_count(path)
     cols = {name: np.empty(n, dtype) for name, dtype in _ROW_DTYPES.items()}
     pending = tuple([] for _ in cols)
-    lines, ids, hashes, truth, accounts, impressions, rounds = pending
+    lines, ids, hashes, truth, accounts, impressions = pending
     rows: list[list] = []
     emb = np.empty((0, 0))
     done, fault = 0, None
@@ -660,6 +658,9 @@ def _load_corpus(path, fast) -> Corpus:
                 doc = _json_value(line, line_no, fast)
                 if doc is None:
                     continue
+                if isinstance(doc, dict) and _DROPPED_KEY in doc:
+                    _require_int(doc, _DROPPED_KEY, line_no)
+                    del doc[_DROPPED_KEY]
                 _check_fields(doc, _ITEM_KEYS, line_no)
                 ids.append(_require_int(doc, "item_id", line_no))
                 lines.append(line_no)
@@ -681,7 +682,6 @@ def _load_corpus(path, fast) -> Corpus:
                 truth.append(-1 if ground_truth is None else ground_truth)
                 accounts.append(_require_int(doc, "account_id", line_no))
                 impressions.append(_require_int(doc, "impressions", line_no))
-                rounds.append(_require_int(doc, "created_round", line_no))
                 if len(rows) == _BLOCK_ROWS:
                     flush()
             flush()

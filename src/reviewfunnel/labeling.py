@@ -74,7 +74,9 @@ class Oracle(ABC):
 class SimulatedOracle(Oracle):
     """Ground-truth oracle corrupted by configurable error rates.
 
-    A true positive is labeled positive with probability ``tpr``; a true
+    ``ids`` are strictly ascending and ``truth`` holds each one's ground
+    truth: 1 or 0, or -1 where it is not known, as ``Corpus.truth`` does. A
+    true positive is labeled positive with probability ``tpr``; a true
     negative is labeled negative with probability ``tnr``. The draw for an
     item depends only on (rng_seed, item_id), so verdicts are stable across
     calls, batch splits, and parallel execution.
@@ -85,7 +87,8 @@ class SimulatedOracle(Oracle):
         tpr: float,
         tnr: float,
         rng_seed: int,
-        ground_truth: Mapping[int, bool],
+        ids,
+        truth,
         unit_cost: float = 1.0,
     ):
         if not 0.0 <= tpr <= 1.0:
@@ -96,19 +99,27 @@ class SimulatedOracle(Oracle):
         self.tpr = tpr
         self.tnr = tnr
         self.rng_seed = rng_seed
-        self._truth = ground_truth
+        self._ids = np.asarray(ids, dtype=np.int64)
+        self._truth = np.asarray(truth, dtype=np.int8)
+        if np.any(np.diff(self._ids) <= 0):
+            raise ValueError("oracle ids must be strictly ascending")
+        if self._truth.shape != self._ids.shape:
+            raise ValueError(f"truth has {len(self._truth)} rows for {len(self._ids)} ids")
 
     def _judge(self, batch):
+        item_ids = [item_id for item_id, _embedding in batch]
+        try:
+            truth = self._truth[positions(self._ids, item_ids)]
+        except KeyError:  # an id with no row
+            truth = None
+        if truth is None or np.any(truth < 0):  # name the first, in batch order, without truth
+            lacking = np.isin(item_ids, self._ids[self._truth >= 0], invert=True)
+            item_id = item_ids[np.argmax(lacking)]
+            raise KeyError(f"simulated oracle has no ground truth for item {item_id}")
         verdicts = []
-        for item_id, _embedding in batch:
-            try:
-                truth = self._truth[item_id]
-            except KeyError:
-                raise KeyError(
-                    f"simulated oracle has no ground truth for item {item_id}"
-                ) from None
+        for item_id, positive in zip(item_ids, truth.tolist()):
             draw = np.random.default_rng((self.rng_seed, item_id)).random()
-            verdicts.append(bool(draw < self.tpr) if truth else bool(draw >= self.tnr))
+            verdicts.append(bool(draw < self.tpr) if positive else bool(draw >= self.tnr))
         return verdicts
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -251,20 +251,14 @@ def simulate_model_scores(truth: np.ndarray, params: ScoreParams) -> np.ndarray:
     return scores
 
 
-def compute_metrics(
-    records: Sequence[LabelRecord], ground_truth: Mapping[int, bool] | None, corpus
-) -> MetricsReport:
-    """Evaluate label records, against hidden ground truth when it is given.
+def compute_metrics(records: Sequence[LabelRecord], corpus) -> MetricsReport:
+    """Evaluate label records against the corpus's truth column.
 
-    ``corpus`` is a Corpus or an Item list. Without ground truth, recall,
-    precision and amplification are None.
+    ``corpus`` is a Corpus or an Item list. Unless every row's truth is
+    known, recall, precision, impression-weighted recall and amplification
+    are None.
     """
     corpus = Corpus.of(corpus)
-    ids = corpus.ids.tolist()
-    if ground_truth is not None:
-        missing = set(ids).difference(ground_truth)
-        if missing:
-            raise MissingGroundTruthError(f"ground truth missing for item {min(missing)}")
     reviews = sum(1 for r in records if r.provenance == PROVENANCE_ORACLE)
     positives = {
         provenance: sum(1 for r in records if r.label and r.provenance == provenance)
@@ -287,9 +281,9 @@ def compute_metrics(
         impression_weighted_recall=None,
         amplification=None,
     )
-    if ground_truth is None:
+    if np.any(corpus.truth < 0):
         return report
-    truly_positive = np.fromiter(map(ground_truth.__getitem__, ids), dtype=bool, count=len(ids))
+    truly_positive = corpus.truth == 1
     found = truly_positive & np.isin(corpus.ids, [r.item_id for r in records if r.label])
     gt_positives = int(np.count_nonzero(truly_positive))
     gt_impressions = int(corpus.impressions[truly_positive].sum())
@@ -419,20 +413,13 @@ def run_pipeline_detailed(
     corpus = Corpus.of(corpus)
     if not len(corpus):
         raise ValueError("corpus is empty")
-    truth = corpus.truth_map()
-    truth_complete = len(truth) == len(corpus)
+    truth_complete = bool(np.all(corpus.truth >= 0))
     if oracle is None:
         if not truth_complete:
-            raise MissingGroundTruthError(
-                "simulated oracle requires ground truth for every item"
-            )
-        oracle = SimulatedOracle(
-            config.oracle.tpr,
-            config.oracle.tnr,
-            config.oracle.seed,
-            truth,
-            config.oracle.unit_cost,
-        )
+            raise MissingGroundTruthError("simulated oracle requires ground truth for every item")
+        params = config.oracle
+        oracle = SimulatedOracle(params.tpr, params.tnr, params.seed, corpus.ids, corpus.truth,
+                                 params.unit_cost)
     if graph is None:
         graph = build_graph(
             corpus,
@@ -482,15 +469,15 @@ def run_pipeline_detailed(
             metrics.cumulative_recall = cumulative_tp / gt_positives
         round_metrics.append(metrics)
 
-    report = compute_metrics(store.records(), truth if truth_complete else None, corpus)
+    report = compute_metrics(store.records(), corpus)
     report.corpus_hash = corpus.content_hash
     report.oracle_cost = oracle.cost_so_far
     report.rounds = round_metrics
     return report, state
 
 
-def _baseline_inputs(corpus, total_budget: int) -> tuple[Corpus, dict[int, bool]]:
-    """A corpus a baseline may review, and its ground truth."""
+def _baseline_inputs(corpus, total_budget: int) -> Corpus:
+    """A corpus a baseline may review: within the budget, with full ground truth."""
     corpus = Corpus.of(corpus)
     if total_budget < 0:
         raise ValueError("total_budget must be >= 0")
@@ -498,10 +485,9 @@ def _baseline_inputs(corpus, total_budget: int) -> tuple[Corpus, dict[int, bool]
         raise ValueError(
             f"total_budget {total_budget} exceeds corpus size {len(corpus)}"
         )
-    truth = corpus.truth_map()
-    if len(truth) != len(corpus):
+    if np.any(corpus.truth < 0):
         raise MissingGroundTruthError("baseline evaluation requires full ground truth")
-    return corpus, truth
+    return corpus
 
 
 def _review(sample: list[int], oracle: Oracle, corpus: Corpus) -> list[LabelRecord]:
@@ -526,13 +512,13 @@ def run_score_baseline(
     the top ``total_budget`` go to the oracle; no propagation. Reported
     alongside the random baseline for comparison, never asserted against.
     """
-    corpus, truth = _baseline_inputs(corpus, total_budget)
+    corpus = _baseline_inputs(corpus, total_budget)
     scores = simulate_model_scores(corpus.truth, score_params)
     above = int(np.count_nonzero(scores > score_params.tau))
     # stable over ascending ids, so ties go to the lower id
     ranked = np.argsort(-scores, kind="stable")[: min(above, total_budget)]
     sample = corpus.ids[ranked].tolist()
-    report = compute_metrics(_review(sample, oracle, corpus), truth, corpus)
+    report = compute_metrics(_review(sample, oracle, corpus), corpus)
     report.corpus_hash = corpus.content_hash
     report.oracle_cost = len(sample) * oracle.unit_cost
     report.baseline = {
@@ -560,13 +546,13 @@ def run_random_baseline(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    corpus, truth = _baseline_inputs(corpus, total_budget)
+    corpus = _baseline_inputs(corpus, total_budget)
 
     per_trial: list[MetricsReport] = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         sample = sorted(rng.choice(corpus.ids, size=total_budget, replace=False).tolist())
-        per_trial.append(compute_metrics(_review(sample, oracle, corpus), truth, corpus))
+        per_trial.append(compute_metrics(_review(sample, oracle, corpus), corpus))
 
     def mean_of(values: Iterable[float | None]) -> float | None:
         present = [v for v in values if v is not None]

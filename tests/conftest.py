@@ -18,11 +18,16 @@ def make_items(vectors, accounts=None, impressions=None, ground_truth=None, ids=
                 account_id=accounts[row] if accounts is not None else 0,
                 impressions=impressions[row] if impressions is not None else 1,
                 exact_hash=embedding_fingerprint(emb),
-                created_round=0,
                 ground_truth=None if ground_truth is None else ground_truth[row],
             )
         )
     return items
+
+
+def truth_by_id(corpus):
+    """Ground truth by id for the rows that carry it, as a reference dict."""
+    known = corpus.truth >= 0
+    return dict(zip(corpus.ids[known].tolist(), (corpus.truth[known] == 1).tolist()))
 
 
 def planted_blob(center, count, sigma, rng):

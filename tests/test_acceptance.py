@@ -93,12 +93,12 @@ def desk():
 
     budget = DESK_CONFIG.rounds * DESK_CONFIG.budget_per_round
     baseline = run_random_baseline(
-        items, budget, SimulatedOracle(0.95, 0.95, 901, truth), trials=5, seed=99
+        items, budget, SimulatedOracle(0.95, 0.95, 901, items.ids, items.truth), trials=5, seed=99
     )
     score_baseline = run_score_baseline(
         items,
         budget,
-        SimulatedOracle(0.95, 0.95, 902, truth),
+        SimulatedOracle(0.95, 0.95, 902, items.ids, items.truth),
         ScoreParams(tau=0.5, flip_rate=0.05, seed=17),
     )
     return SimpleNamespace(

@@ -45,7 +45,7 @@ def test_cli_run_calls_the_module_global(tmp_path, monkeypatch):
     # keeps the state, so cmd_run must look the name up at call time
     corpus_file = tmp_path / "corpus.jsonl"
     gen = tmp_path / "gen.json"
-    gen.write_text('{"schema_version": 1, "kind": "generator", "n_clusters": 20}')
+    gen.write_text('{"schema_version": 2, "kind": "generator", "n_clusters": 20}')
     assert cli.main(["generate", "--config", str(gen), "--out", str(corpus_file)]) == 0
     captured = []
     original = cli.run_pipeline_detailed

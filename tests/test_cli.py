@@ -8,7 +8,7 @@ from reviewfunnel.cli import main
 from reviewfunnel.corpus import load_labels
 
 GEN_CONFIG = {
-    "schema_version": 1,
+    "schema_version": 2,
     "kind": "generator",
     "n_clusters": 30,
     "cluster_size_mean": 8,
@@ -18,7 +18,7 @@ GEN_CONFIG = {
 }
 
 RUN_CONFIG = {
-    "schema_version": 1,
+    "schema_version": 2,
     "kind": "pipeline",
     "rounds": 2,
     "budget_per_round": 6,
@@ -232,16 +232,17 @@ class TestRun:
         assert code == 2
         assert "warp_speed" in capsys.readouterr().err
 
-    def test_wrong_schema_version_exits_2(self, tmp_path, corpus_file):
-        doc = dict(RUN_CONFIG, schema_version=2)
-        code, _ = self.run_once(tmp_path, corpus_file, "v2", doc)
+    def test_wrong_schema_version_exits_2(self, tmp_path, corpus_file, capsys):
+        doc = dict(RUN_CONFIG, schema_version=1)
+        code, _ = self.run_once(tmp_path, corpus_file, "v1", doc)
         assert code == 2
+        assert "schema_version must be 2" in capsys.readouterr().err
 
     def test_corpus_without_ground_truth_exits_3(self, tmp_path):
         corpus = tmp_path / "raw.jsonl"
         doc = {
             "item_id": 0, "embedding": [1.0, 0.0], "account_id": 0,
-            "impressions": 1, "exact_hash": "0", "created_round": 0,
+            "impressions": 1, "exact_hash": "0",
             "ground_truth": None,
         }
         corpus.write_text(json.dumps(doc) + "\n")
@@ -253,7 +254,7 @@ class TestRun:
         assert code == 3
 
 
-MANIFEST = {"schema_version": 1, "kind": "run_manifest"}
+MANIFEST = {"schema_version": 2, "kind": "run_manifest"}
 
 
 def exits_2_before_writing(tmp_path, corpus_file, command, doc):
@@ -329,6 +330,53 @@ def test_out_of_range_value_exits_2_before_writing(tmp_path, corpus_file, capsys
                                                    field):
     exits_2_before_writing(tmp_path, corpus_file, command, doc)
     assert f"config error: {field} must be" in capsys.readouterr().err
+
+
+def recorded_manifest(tmp_path, corpus_file) -> dict:
+    """The manifest of a completed run over corpus_file."""
+    config = write_json(tmp_path / "run.json", RUN_CONFIG)
+    out = tmp_path / "r1"
+    assert main(["run", "--corpus", str(corpus_file), "--config", config, "--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+def _negate_row(docs):
+    docs[5]["embedding"] = [-x for x in docs[5]["embedding"]]
+
+
+def _swap_rows(docs):
+    docs[2]["embedding"], docs[7]["embedding"] = docs[7]["embedding"], docs[2]["embedding"]
+
+
+def _move_one_ulp(docs):
+    docs[5]["embedding"][3] = math.nextafter(docs[5]["embedding"][3], math.inf)
+
+
+def _swap_dimensions(docs):
+    for doc in docs:
+        doc["embedding"][0], doc["embedding"][1] = doc["embedding"][1], doc["embedding"][0]
+
+
+@pytest.mark.parametrize("edit", [_negate_row, _swap_rows, _move_one_ulp, _swap_dimensions],
+                         ids=["negated-row", "swapped-rows", "one-ulp", "swapped-dimensions"])
+def test_replay_refuses_changed_embeddings(tmp_path, corpus_file, capsys, edit):
+    # the content hash covers the embeddings the graph, dedup and propagation read
+    manifest = recorded_manifest(tmp_path, corpus_file)
+    docs = [json.loads(line) for line in corpus_file.read_text().splitlines()]
+    edit(docs)
+    corpus_file.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    exits_2_before_writing(tmp_path, corpus_file, "replay", manifest)
+    assert "differs from the manifest" in capsys.readouterr().err
+
+
+def test_schema_1_manifest_exits_2_naming_version_2(tmp_path, corpus_file, capsys):
+    # a manifest from before the hash covered embeddings is refused by its
+    # config's version, before its corpus hash is compared
+    manifest = recorded_manifest(tmp_path, corpus_file)
+    manifest["schema_version"] = manifest["config"]["schema_version"] = 1
+    manifest["corpus"]["content_hash"] = "0" * 32
+    exits_2_before_writing(tmp_path, corpus_file, "replay", manifest)
+    assert "schema_version must be 2" in capsys.readouterr().err
 
 
 class TestBaselineAndCompare:

@@ -35,7 +35,7 @@ from reviewfunnel.corpus import (
     save_labels,
 )
 
-from conftest import traced
+from conftest import traced, truth_by_id
 
 
 def cosine(a, b):
@@ -73,18 +73,18 @@ class TestGenerator:
         "cfg, rows, digest, content",
         [
             (GeneratorConfig(n_clusters=900, rng_seed=11), 8921,
-             "da24339d9fed190e45b2b6668a65685527b94b64f5685710093b46df63e17c4d",
-             "0c86fadce16be4331efec19ed25169f4"),
+             "a24c9326234f31ebc2cbfdc6c66d5ed64e952e61ff7a9a3e4b03e01947427295",
+             "a116760b785bc4729e2e8b4a870b5a14"),
             (GeneratorConfig(n_clusters=1000, embedding_dim=16, cluster_size_mean=9.0,
                              noise_sigma=0.3, dup_sigma=0.02, rng_seed=12), 9044,
-             "d93ac09d64e6a5c18fb916aa267c40f85716f83ec7cc464ff63c8de3a01700f0",
-             "37a16b9e399c619348dc0785df72032c"),
+             "3d8d9d9007a4a4d5492098e801ee23d47777d0f6d2f1d4284875a5c5e5afb073",
+             "740f1f3d79ca0e0fabec68896d68a00d"),
         ],
         ids=["64-d", "16-d"],
     )
     def test_generated_bytes_are_pinned(self, cfg, rows, digest, content):
         # every column's bytes and the planted clusters, over more than two
-        # blocks and a partial one; content_hash alone leaves embeddings out
+        # blocks and a partial one
         corpus, truth, clusters = generate_corpus_detailed(cfg)
         assert len(corpus) == rows and rows > 2 * corpus_module._BLOCK_ROWS
         assert rows % corpus_module._BLOCK_ROWS
@@ -96,7 +96,7 @@ class TestGenerator:
         h.update(repr(clusters).encode())
         assert h.hexdigest() == digest
         assert corpus.content_hash == content
-        assert truth == corpus.truth_map()
+        assert truth == truth_by_id(corpus)
 
     def test_unit_norms(self):
         items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=10, rng_seed=2))
@@ -209,7 +209,7 @@ class TestCorpusIO:
         path = tmp_path / "c.jsonl"
         doc = {
             "item_id": 0, "embedding": [3.0, 4.0], "account_id": 0,
-            "impressions": 1, "exact_hash": "0", "created_round": 0,
+            "impressions": 1, "exact_hash": "0",
             "ground_truth": None,
         }
         path.write_text(json.dumps(doc) + "\n")
@@ -225,7 +225,7 @@ class TestCorpusIO:
             return {
                 "item_id": item_id, "embedding": [1.0, float(line)],
                 "account_id": 0, "impressions": 1, "exact_hash": "0",
-                "created_round": 0, "ground_truth": None,
+                "ground_truth": None,
             }
 
         path = tmp_path / "dup.jsonl"
@@ -237,7 +237,7 @@ class TestCorpusIO:
         path = tmp_path / "bad.jsonl"
         good = json.dumps({
             "item_id": 0, "embedding": [1.0, 0.0], "account_id": 0,
-            "impressions": 1, "exact_hash": "0", "created_round": 0,
+            "impressions": 1, "exact_hash": "0",
             "ground_truth": None,
         })
         path.write_text(good + "\n{not json\n")
@@ -249,7 +249,7 @@ class TestCorpusIO:
             return {
                 "item_id": line, "embedding": [1.0, 0.0, 0.0][: 2 + (line == 3)],
                 "account_id": 0, "impressions": 1, "exact_hash": "0",
-                "created_round": 0, "ground_truth": None,
+                "ground_truth": None,
             }
 
         path = tmp_path / "dim.jsonl"
@@ -261,7 +261,7 @@ class TestCorpusIO:
         path = tmp_path / "extra.jsonl"
         doc = {
             "item_id": 0, "embedding": [1.0, 0.0], "account_id": 0,
-            "impressions": 1, "exact_hash": "0", "created_round": 0,
+            "impressions": 1, "exact_hash": "0",
             "ground_truth": None, "color": "red",
         }
         path.write_text(json.dumps(doc) + "\n")
@@ -272,7 +272,7 @@ class TestCorpusIO:
         path = tmp_path / "zero.jsonl"
         doc = {
             "item_id": 0, "embedding": [0.0, 0.0], "account_id": 0,
-            "impressions": 1, "exact_hash": "0", "created_round": 0,
+            "impressions": 1, "exact_hash": "0",
             "ground_truth": None,
         }
         path.write_text(json.dumps(doc) + "\n")
@@ -371,12 +371,14 @@ class TestRecordInvariants:
 def _record(**changes):
     doc = {
         "item_id": 1, "embedding": [1.0, 0.5], "account_id": 0, "impressions": 1,
-        "exact_hash": "0", "created_round": 0, "ground_truth": None,
+        "exact_hash": "0", "ground_truth": None,
     }
     doc.update(changes)
     return json.dumps(doc)
 
 
+# created_round is the key schema 1 files carry on every line: the loader
+# still checks it where it is present, then drops it
 _NUMERIC_FIELDS = ("item_id", "account_id", "impressions", "created_round")
 
 
@@ -465,16 +467,16 @@ def assert_same_columns(a, b):
 
 def hand_made_items():
     # every field varied: unknown truth, large accounts and impressions,
-    # hashes at the top of the uint64 range, created rounds past 0
+    # hashes at the top of the uint64 range
     rng = np.random.default_rng(4)
     items = []
-    rows = [(0, None, 7, 0), (3, True, 2, 15), (1, False, 0, 1), (2, None, 2**40, 2**33)]
-    for i, (created, truth, account, shown) in enumerate(rows):
+    rows = [(None, 7, 0), (True, 2, 15), (False, 0, 1), (None, 2**40, 2**33)]
+    for i, (truth, account, shown) in enumerate(rows):
         emb = normalize_embedding(rng.standard_normal(5))
         items.append(Item(
             item_id=10 * i + 1, embedding=emb, account_id=account, impressions=shown,
             exact_hash=2**64 - 1 - i if i % 2 else embedding_fingerprint(emb),
-            created_round=created, ground_truth=truth,
+            ground_truth=truth,
         ))
     return items
 
@@ -499,7 +501,7 @@ class TestCorpus:
                 else:
                     assert type(got) is type(want) and got == want, field.name
         assert corpus[-1].item_id == 31 and corpus[np.int64(1)].item_id == 11
-        assert corpus.truth_map() == {11: True, 21: False}
+        assert corpus.truth.tolist() == [-1, 1, 0, -1]
 
     def test_slices_and_read_only_columns(self):
         corpus, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=20, rng_seed=2))
@@ -515,7 +517,7 @@ class TestCorpus:
 
     def test_empty(self, tmp_path):
         corpus = Corpus.of([])
-        assert len(corpus) == 0 and list(corpus) == [] and corpus.truth_map() == {}
+        assert len(corpus) == 0 and list(corpus) == [] and corpus.truth.tolist() == []
         assert corpus.embeddings.shape == (0, 0)
         assert corpus.content_hash == "cae66941d9efbd404e4d88758ea67670"
         save_corpus(corpus, tmp_path / "empty.jsonl")
@@ -538,10 +540,11 @@ class TestCorpus:
     @pytest.mark.parametrize(
         "make, digest",
         [
-            # digests of the earlier per-Item corpus_content_hash on the same corpora
+            # re-recorded when the hash came to cover embeddings and lost
+            # created_round; the six columns it reads kept their bytes
             (lambda: generate_corpus_detailed(GeneratorConfig(n_clusters=50, rng_seed=3))[0],
-             "9335d0df63ca983ba7519558181c0d68"),
-            (lambda: Corpus.of(hand_made_items()), "01425265332ce9a9d67a905894feca9d"),
+             "08d08a8dc7267e7bb02567311c2fc9c2"),
+            (lambda: Corpus.of(hand_made_items()), "75771b711fd081e5f4f390ed8272a0d5"),
         ],
         ids=["generated", "hand-made"],
     )
@@ -552,13 +555,13 @@ class TestCorpus:
 def test_line_order_changes_nothing(tmp_path):
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps({
-        "schema_version": 1, "kind": "generator", "n_clusters": 30,
+        "schema_version": 2, "kind": "generator", "n_clusters": 30,
         "cluster_size_mean": 8, "positive_cluster_rate": 0.2, "n_accounts": 25,
         "rng_seed": 17,
     }))
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
-        "schema_version": 1, "kind": "pipeline", "rounds": 2, "budget_per_round": 6,
+        "schema_version": 2, "kind": "pipeline", "rounds": 2, "budget_per_round": 6,
         "bootstrap_seeds": 3, "graph_mode": "exact",
     }))
     sorted_file, shuffled_file = tmp_path / "sorted.jsonl", tmp_path / "shuffled.jsonl"
@@ -575,6 +578,29 @@ def test_line_order_changes_nothing(tmp_path):
         assert main(args + ["--out", str(tmp_path / out)]) == 0
     metrics = [(tmp_path / out / "metrics.json").read_bytes() for out in "ab"]
     assert metrics[0] == metrics[1]
+
+
+def test_digit_spelling_changes_no_hash(tmp_path):
+    # the hash reads the stored embeddings, so 0.5 and 5e-1 hash alike
+    line = ('{{"item_id": {}, "embedding": [{}, {}], "account_id": 0, "impressions": 1, '
+            '"exact_hash": "0", "ground_truth": false}}\n')
+    plain, spelled = tmp_path / "plain.jsonl", tmp_path / "spelled.jsonl"
+    plain.write_text(line.format(1, "0.5", "0.75") + line.format(2, "-0.25", "1"))
+    spelled.write_text(line.format(1, "5e-1", "7.5E-1") + line.format(2, "-25e-2", "1.0"))
+    assert_same_corpus(load_corpus(plain), load_corpus(spelled))
+
+
+def test_schema_1_file_loads_as_without_its_created_round(tmp_path):
+    # files written before schema 2 carry created_round on every line
+    corpus, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=30, rng_seed=9))
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    save_corpus(corpus, new)
+    lines = new.read_text().splitlines()
+    old.write_text("".join(
+        json.dumps(dict(json.loads(line), created_round=0)) + "\n" for line in lines))
+    assert '"created_round": 0' in old.read_text()
+    assert_same_corpus(load_corpus(old), load_corpus(new))
+    assert load_corpus(old).content_hash == corpus.content_hash
 
 
 # --- block-wise decoding in one process, with and without orjson ------------
@@ -641,7 +667,7 @@ def test_chunked_load_equals_one_chunk(tmp_path_factory, rows, ids, block_rows, 
             "item_id": item_id,
             "embedding": (normalize_embedding(emb) if unit else emb).tolist(),
             "account_id": count, "impressions": count // 3, "exact_hash": str(hash_),
-            "created_round": count % 7, "ground_truth": truth,
+            "ground_truth": truth,
         }
         docs.append(doc)
         records.append(json.dumps(doc) + end + blank)
@@ -784,7 +810,7 @@ _FIELD_VALUES = {
     "item_id": _NUMBERS, "embedding": st.lists(_NUMBERS, min_size=2, max_size=2).map(
         lambda xs: "[" + ",".join(xs) + "]"),
     "account_id": _NUMBERS, "impressions": _NUMBERS, "exact_hash": _STRINGS,
-    "created_round": _NUMBERS, "ground_truth": st.sampled_from(["true", "false", "null", "1"]),
+    "ground_truth": st.sampled_from(["true", "false", "null", "1"]),
 }
 
 
@@ -893,7 +919,7 @@ def test_content_hash_holds_one_block(five_blocks):
     corpus = Corpus(*(getattr(five_blocks, field.name) for field in dataclasses.fields(Corpus)))
     digest, peak, _ = traced(lambda: corpus.content_hash)
     assert digest == five_blocks.content_hash
-    # a block's rows as six Python ints each and their bytes: well under 512
+    # a block's rows as five Python ints each and their bytes: well under 512
     # bytes a row, where every column as a list would take about 300 bytes
     # a corpus row
     block = corpus_module._BLOCK_ROWS * 512
@@ -972,8 +998,7 @@ def _json_lines(corpus):
     return b"".join(json.dumps({
         "item_id": item.item_id, "embedding": item.embedding.tolist(),
         "account_id": item.account_id, "impressions": item.impressions,
-        "exact_hash": str(item.exact_hash), "created_round": item.created_round,
-        "ground_truth": item.ground_truth,
+        "exact_hash": str(item.exact_hash), "ground_truth": item.ground_truth,
     }, separators=(",", ":")).encode() + b"\n" for item in corpus)
 
 
@@ -993,7 +1018,7 @@ def test_saved_bytes_do_not_depend_on_orjson(tmp_path_factory, emb, fortran, blo
     n = len(emb)
     columns = (np.arange(n) * 3, np.asfortranarray(emb) if fortran else emb,
                np.arange(n) % 2, np.arange(n) * 7, 2**64 - 1 - np.arange(n, dtype=np.uint64),
-               np.arange(n) % 3, np.arange(n) % 3 - 1)
+               np.arange(n) % 3 - 1)
     corpus = Corpus(*columns)
     path = tmp_path_factory.mktemp("save") / "c.jsonl"
     written = _json_lines(corpus)

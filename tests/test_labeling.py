@@ -33,21 +33,20 @@ def oracle_rec(item_id, label=True, round_no=1):
 
 class TestSimulatedOracle:
     def test_perfect_oracle(self):
-        oracle = SimulatedOracle(1.0, 1.0, 0, {1: True, 2: False})
+        oracle = SimulatedOracle(1.0, 1.0, 0, [1, 2], [1, 0])
         assert oracle.label_batch([(1, None), (2, None)]) == [True, False]
 
     def test_error_rates_binomial(self):
         # 1,000 planted positives at tpr=0.9: expect 900 +/- 30 (binomial 3 sigma)
-        truth = {i: True for i in range(1000)}
-        oracle = SimulatedOracle(0.9, 0.9, 7, truth)
+        oracle = SimulatedOracle(0.9, 0.9, 7, np.arange(1000), np.ones(1000))
         verdicts = oracle.label_batch([(i, None) for i in range(1000)])
         positives = sum(verdicts)
         assert abs(positives - 900) <= 30
 
     def test_keyed_determinism_across_batching(self):
-        truth = {i: bool(i % 2) for i in range(50)}
-        a = SimulatedOracle(0.7, 0.8, 3, truth)
-        b = SimulatedOracle(0.7, 0.8, 3, truth)
+        ids = np.arange(50)
+        a = SimulatedOracle(0.7, 0.8, 3, ids, ids % 2)
+        b = SimulatedOracle(0.7, 0.8, 3, ids, ids % 2)
         whole = a.label_batch([(i, None) for i in range(50)])
         split = []
         for start in range(0, 50, 7):
@@ -57,16 +56,35 @@ class TestSimulatedOracle:
         assert a.label_batch([(9, None)]) == [whole[9]]
 
     def test_unknown_item(self):
-        oracle = SimulatedOracle(1.0, 1.0, 0, {})
+        oracle = SimulatedOracle(1.0, 1.0, 0, [], [])
         with pytest.raises(KeyError, match="ground truth"):
             oracle.label_batch([(5, None)])
 
+    @pytest.mark.parametrize("batch", [[4, 5, 9], [4, 9, 5]], ids=["unknown-row", "absent-id"])
+    def test_unknown_row_is_named_as_an_absent_id_is(self, batch):
+        # a -1 row has no ground truth, as an id outside the corpus has none;
+        # the first such item in batch order is named, before any verdict
+        oracle = SimulatedOracle(1.0, 1.0, 0, [4, 5, 6], [1, -1, 0])
+        with pytest.raises(KeyError, match=rf"no ground truth for item {batch[1]}\b"):
+            oracle.label_batch([(i, None) for i in batch])
+        assert oracle.items_labeled == 0
+        assert oracle.label_batch([(6, None), (4, None)]) == [False, True]
+
     def test_invalid_rates(self):
         with pytest.raises(ValueError, match="tpr"):
-            SimulatedOracle(1.5, 1.0, 0, {})
+            SimulatedOracle(1.5, 1.0, 0, [], [])
+
+    @pytest.mark.parametrize("ids, truth, match", [
+        ([2, 1], [0, 1], "ascending"),
+        ([1, 1], [0, 1], "ascending"),
+        ([1, 2], [0, 1, 1], "3 rows for 2 ids"),
+    ])
+    def test_columns_checked(self, ids, truth, match):
+        with pytest.raises(ValueError, match=match):
+            SimulatedOracle(1.0, 1.0, 0, ids, truth)
 
     def test_cost_accounting(self):
-        oracle = SimulatedOracle(1.0, 1.0, 0, {i: True for i in range(10)}, unit_cost=2.5)
+        oracle = SimulatedOracle(1.0, 1.0, 0, range(10), [1] * 10, unit_cost=2.5)
         oracle.label_batch([(i, None) for i in range(4)])
         oracle.label_batch([(i, None) for i in range(4, 10)])
         assert oracle.items_labeled == 10
@@ -139,14 +157,14 @@ class TestKnownStore:
 class TestOracleLabel:
     def test_empty_plan(self):
         store = KnownStore(range(10))
-        oracle = SimulatedOracle(1.0, 1.0, 0, {})
+        oracle = SimulatedOracle(1.0, 1.0, 0, [], [])
         plan = CoveragePlan((), {}, 4)
         assert oracle_label(plan, oracle, store, 1) == []
         assert oracle.cost_so_far == 0.0
 
     def test_perfect_oracle_on_planted_positive(self):
         store = KnownStore(range(10))
-        oracle = SimulatedOracle(1.0, 1.0, 0, {3: True})
+        oracle = SimulatedOracle(1.0, 1.0, 0, [3], [1])
         plan = CoveragePlan((3,), {3: (3,)}, 1)
         (record,) = oracle_label(plan, oracle, store, 2)
         assert record.label is True
@@ -158,7 +176,7 @@ class TestOracleLabel:
         store = KnownStore(range(10))
         store.add(oracle_rec(3))
         store.add(oracle_rec(7))
-        oracle = SimulatedOracle(1.0, 1.0, 0, {i: True for i in range(10)})
+        oracle = SimulatedOracle(1.0, 1.0, 0, range(10), [1] * 10)
         plan = CoveragePlan((5, 7, 3), {5: (5,), 7: (7,), 3: (3,)}, 3)
         # the first labelled representative in plan order, before any verdict
         with pytest.raises(AlreadyLabeledError, match="representative 7 "):
@@ -173,7 +191,7 @@ class TestOracleLabel:
 
         store = KnownStore([10, 20, 30])
         embeddings = np.arange(6.0).reshape(3, 2)
-        oracle = Recording(1.0, 1.0, 0, {10: True, 20: False, 30: True})
+        oracle = Recording(1.0, 1.0, 0, [10, 20, 30], [1, 0, 1])
         plan = CoveragePlan((30, 10), {30: (30,), 10: (10,)}, 2)
         oracle_label(plan, oracle, store, 1, embeddings)
         assert [i for i, _ in oracle.batch] == [30, 10]
@@ -183,8 +201,7 @@ class TestOracleLabel:
 
     def test_cost_tracks_representatives(self):
         store = KnownStore(range(10))
-        truth = {i: True for i in range(6)}
-        oracle = SimulatedOracle(1.0, 1.0, 0, truth)
+        oracle = SimulatedOracle(1.0, 1.0, 0, range(6), [1] * 6)
         plan = CoveragePlan((0, 1, 2), {0: (0,), 1: (1,), 2: (2,)}, 3)
         oracle_label(plan, oracle, store, 1)
         assert oracle.cost_so_far == 3.0

@@ -10,6 +10,7 @@ import requests
 
 from reviewfunnel.corpus import (
     ConfigError,
+    Corpus,
     GeneratorConfig,
     LabelRecord,
     generate_corpus_detailed,
@@ -33,6 +34,11 @@ from reviewfunnel.pipeline import (
 from reviewfunnel.simgraph import build_graph
 
 from conftest import make_items, planted_blob
+
+
+def simulated(corpus, rate=1.0, seed=0):
+    """A SimulatedOracle with tpr = tnr = rate over the corpus's truth column."""
+    return SimulatedOracle(rate, rate, seed, corpus.ids, corpus.truth)
 
 
 def small_config(**overrides):
@@ -107,43 +113,51 @@ class TestComputeMetrics:
     def make_corpus(self, n, positives):
         rng = np.random.default_rng(9)
         gt = [i < positives for i in range(n)]
-        return make_items(rng.standard_normal((n, 4)), ground_truth=gt), {
-            i: gt[i] for i in range(n)
-        }
+        return make_items(rng.standard_normal((n, 4)), ground_truth=gt)
 
     def test_empty_store(self):
-        items, truth = self.make_corpus(50, 10)
-        report = compute_metrics([], truth, items)
+        items = self.make_corpus(50, 10)
+        report = compute_metrics([], items)
         assert report.recall == 0.0
         assert report.precision is None
         assert report.oracle_reviews == 0
 
     def test_store_equals_ground_truth(self):
-        items, truth = self.make_corpus(50, 10)
+        items = self.make_corpus(50, 10)
         records = [
             LabelRecord(item_id=i, label=True, provenance="oracle", round=1)
             for i in range(10)
         ]
-        report = compute_metrics(records, truth, items)
+        report = compute_metrics(records, items)
         assert report.recall == 1.0
         assert report.precision == 1.0
 
     def test_partial_arithmetic(self):
         # 20 labeled positive, 10 of them truly positive, 40 true positives
-        items, truth = self.make_corpus(100, 40)
+        items = self.make_corpus(100, 40)
         records = [
             LabelRecord(item_id=i, label=True, provenance="oracle", round=1)
             for i in list(range(10)) + list(range(50, 60))
         ]
-        report = compute_metrics(records, truth, items)
+        report = compute_metrics(records, items)
         assert report.recall == 0.25
         assert report.precision == 0.5
 
     def test_missing_ground_truth(self):
-        items, truth = self.make_corpus(10, 2)
-        del truth[3]
-        with pytest.raises(MissingGroundTruthError, match="3"):
-            compute_metrics([], truth, items)
+        # one unknown row: the report counts records but evaluates nothing,
+        # and neither baseline runs on the corpus
+        items = self.make_corpus(10, 2)
+        items[3] = dataclasses.replace(items[3], ground_truth=None)
+        corpus = Corpus.of(items)
+        records = [LabelRecord(item_id=0, label=True, provenance="oracle", round=1)]
+        report = compute_metrics(records, corpus)
+        assert (report.oracle_reviews, report.positives_total) == (1, 1)
+        assert report.recall is report.precision is None
+        assert report.impression_weighted_recall is report.amplification is None
+        with pytest.raises(MissingGroundTruthError):
+            run_random_baseline(corpus, 5, simulated(corpus), trials=1, seed=0)
+        with pytest.raises(MissingGroundTruthError):
+            run_score_baseline(corpus, 5, simulated(corpus), ScoreParams())
 
     def test_impression_weighting(self):
         rng = np.random.default_rng(2)
@@ -153,9 +167,8 @@ class TestComputeMetrics:
             impressions=[10, 0, 5, 5],
             ground_truth=gt,
         )
-        truth = {i: gt[i] for i in range(4)}
         records = [LabelRecord(item_id=1, label=True, provenance="oracle", round=1)]
-        report = compute_metrics(records, truth, items)
+        report = compute_metrics(records, items)
         assert report.recall == 0.5
         assert report.impression_weighted_recall == 0.0
 
@@ -216,7 +229,8 @@ class TestRunRound:
             def _judge(self, batch):
                 raise RuntimeError("labeler offline")
 
-        real_oracle, state.oracle = state.oracle, ExplodingOracle(1.0, 1.0, 0, truth)
+        exploding = ExplodingOracle(1.0, 1.0, 0, items.ids, items.truth)
+        real_oracle, state.oracle = state.oracle, exploding
         snapshot = self.check_rollback(state, config, "label")
         state.oracle = real_oracle
         self.check_rerun(items, state, config, snapshot)
@@ -367,7 +381,7 @@ class TestRunPipeline:
 
     def test_injected_oracle_without_ground_truth(self, rng):
         items = make_items(rng.standard_normal((12, 4)))
-        oracle = SimulatedOracle(1.0, 1.0, 0, {i: False for i in range(12)})
+        oracle = SimulatedOracle(1.0, 1.0, 0, range(12), [0] * 12)
         config = small_config(rounds=1, bootstrap_seeds=0)
         report, _ = run_pipeline_detailed(items, config, oracle=oracle)
         assert report.recall is None
@@ -398,25 +412,27 @@ def pinned_corpus():
     [
         (
             {},
-            "6dc7d647ac50e267f4bef00e79599e315c341879a52de0c326373cafe5cff21e",
+            "9c7a451812a86cde6a01538c0e4dc759f9d7a23ce23ab001bba6ef1862e3eea5",
             "e15952200a8a7ac8f325ba75f5ededc7f2233ac664221acc687ab0e5324ca36e",
         ),
         (
             {"impression_weighted_sampling": True},
-            "088f1477c078be73916e424e3f324f735063cf2db275199788cc002efb214b8a",
+            "30b9f426ee338e65aa7e70a474b4eb7f8b072159516a93381fdbb61178368473",
             "85496ead0dad03c0ae651a775a61cff571e02b5ffaf73d998aa861b4afd9d9be",
         ),
         (
             {"score": ScoreParams()},
-            "cb27aaf2ef566385a464f30e5ce9c918c6f4cce8d58e5f19b523e21f657c07c8",
+            "8630a312e6993dd5e9cbfc35a873d90948ab886b2e7cdd1961b6cf36758be406",
             "5b07fe6c596209d1f548ce2aec35d0b8f0da43e1617018ef3091d0fb6f355555",
         ),
     ],
     ids=["default", "impression_weighted", "score"],
 )
 def test_run_outputs_are_pinned(pinned_corpus, overrides, report_digest, labels_digest):
-    # digests recorded before the funnel stages moved to batched neighbour
-    # gathers; a stage change that moves any candidate, review or label fails here
+    # labels digests recorded before the funnel stages moved to batched
+    # neighbour gathers, report digests re-recorded when the corpus hash came
+    # to cover embeddings (only corpus_hash moved); a stage change that moves
+    # any candidate, review or label fails here
     report, state = run_pipeline_detailed(pinned_corpus, PipelineConfig(**overrides))
     labels = json.dumps([dataclasses.astuple(r) for r in state.store.records()])
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_digest
@@ -427,19 +443,18 @@ class TestRandomBaseline:
     def make_corpus(self, n, positives, seed=0):
         rng = np.random.default_rng(seed)
         gt = [i < positives for i in range(n)]
-        items = make_items(rng.standard_normal((n, 4)), ground_truth=gt)
-        return items, {i: gt[i] for i in range(n)}
+        return Corpus.of(make_items(rng.standard_normal((n, 4)), ground_truth=gt))
 
     def test_full_budget_perfect_oracle(self):
-        items, truth = self.make_corpus(60, 12)
-        oracle = SimulatedOracle(1.0, 1.0, 0, truth)
+        items = self.make_corpus(60, 12)
+        oracle = simulated(items)
         report = run_random_baseline(items, 60, oracle, trials=2, seed=1)
         assert report.recall == 1.0
         assert report.review_fraction == 1.0
 
     def test_zero_budget(self):
-        items, truth = self.make_corpus(30, 5)
-        oracle = SimulatedOracle(1.0, 1.0, 0, truth)
+        items = self.make_corpus(30, 5)
+        oracle = simulated(items)
         report = run_random_baseline(items, 0, oracle, trials=3, seed=1)
         assert report.recall == 0.0
         assert report.review_fraction == 0.0
@@ -447,26 +462,26 @@ class TestRandomBaseline:
     def test_hypergeometric_expectation(self):
         # 1% budget over 1% positives with a perfect oracle: expected recall
         # is budget/n = 0.01; 3-sigma band for the 40-trial mean is ~0.007
-        items, truth = self.make_corpus(5000, 50, seed=3)
-        oracle = SimulatedOracle(1.0, 1.0, 0, truth)
+        items = self.make_corpus(5000, 50, seed=3)
+        oracle = simulated(items)
         report = run_random_baseline(items, 50, oracle, trials=40, seed=2)
         assert abs(report.recall - 0.01) <= 0.007
 
     def test_budget_exceeds_corpus(self):
-        items, truth = self.make_corpus(10, 2)
-        oracle = SimulatedOracle(1.0, 1.0, 0, truth)
+        items = self.make_corpus(10, 2)
+        oracle = simulated(items)
         with pytest.raises(ValueError, match="exceeds"):
             run_random_baseline(items, 11, oracle, trials=1, seed=0)
 
     def test_deterministic(self):
-        items, truth = self.make_corpus(100, 10)
-        a = run_random_baseline(items, 20, SimulatedOracle(0.9, 0.9, 5, truth), 5, 7)
-        b = run_random_baseline(items, 20, SimulatedOracle(0.9, 0.9, 5, truth), 5, 7)
+        items = self.make_corpus(100, 10)
+        a = run_random_baseline(items, 20, simulated(items, 0.9, 5), 5, 7)
+        b = run_random_baseline(items, 20, simulated(items, 0.9, 5), 5, 7)
         assert a.to_json() == b.to_json()
 
     def test_no_propagation(self):
-        items, truth = self.make_corpus(50, 10)
-        oracle = SimulatedOracle(1.0, 1.0, 0, truth)
+        items = self.make_corpus(50, 10)
+        oracle = simulated(items)
         report = run_random_baseline(items, 25, oracle, trials=3, seed=4)
         assert report.positives_propagated == 0.0
         assert report.amplification in (1.0, None)
@@ -476,46 +491,45 @@ class TestScoreBaseline:
     def make_corpus(self, n, positives, seed=0):
         rng = np.random.default_rng(seed)
         gt = [i < positives for i in range(n)]
-        items = make_items(rng.standard_normal((n, 4)), ground_truth=gt)
-        return items, {i: gt[i] for i in range(n)}
+        return Corpus.of(make_items(rng.standard_normal((n, 4)), ground_truth=gt))
 
     def test_full_budget_perfect_oracle(self):
-        items, truth = self.make_corpus(40, 8)
-        oracle = SimulatedOracle(1.0, 1.0, 0, truth)
+        items = self.make_corpus(40, 8)
+        oracle = simulated(items)
         params = ScoreParams(tau=0.0, flip_rate=0.0, seed=1)
         report = run_score_baseline(items, 40, oracle, params)
         assert report.recall == 1.0
         assert report.baseline["kind"] == "score_top"
 
     def test_respects_budget_and_tau(self):
-        items, truth = self.make_corpus(100, 20)
-        oracle = SimulatedOracle(1.0, 1.0, 0, truth)
+        items = self.make_corpus(100, 20)
+        oracle = simulated(items)
         params = ScoreParams(tau=0.5, flip_rate=0.0, seed=2)
         report = run_score_baseline(items, 10, oracle, params)
         assert report.oracle_reviews == 10
         assert report.positives_propagated == 0
 
     def test_beats_random_when_scores_carry_signal(self):
-        items, truth = self.make_corpus(2000, 100, seed=5)
+        items = self.make_corpus(2000, 100, seed=5)
         params = ScoreParams(tau=0.5, flip_rate=0.05, seed=3)
         score = run_score_baseline(
-            items, 50, SimulatedOracle(1.0, 1.0, 0, truth), params
+            items, 50, simulated(items), params
         )
         random = run_random_baseline(
-            items, 50, SimulatedOracle(1.0, 1.0, 0, truth), trials=5, seed=8
+            items, 50, simulated(items), trials=5, seed=8
         )
         assert score.recall > random.recall
 
     def test_deterministic(self):
-        items, truth = self.make_corpus(100, 10)
+        items = self.make_corpus(100, 10)
         params = ScoreParams(tau=0.6, flip_rate=0.1, seed=4)
-        a = run_score_baseline(items, 15, SimulatedOracle(0.9, 0.9, 1, truth), params)
-        b = run_score_baseline(items, 15, SimulatedOracle(0.9, 0.9, 1, truth), params)
+        a = run_score_baseline(items, 15, simulated(items, 0.9, 1), params)
+        b = run_score_baseline(items, 15, simulated(items, 0.9, 1), params)
         assert a.to_json() == b.to_json()
 
     def test_budget_exceeds_corpus(self):
-        items, truth = self.make_corpus(10, 2)
+        items = self.make_corpus(10, 2)
         with pytest.raises(ValueError, match="exceeds"):
             run_score_baseline(
-                items, 11, SimulatedOracle(1.0, 1.0, 0, truth), ScoreParams()
+                items, 11, simulated(items), ScoreParams()
             )

@@ -38,7 +38,7 @@ from reviewfunnel.pipeline import (
 )
 from reviewfunnel.simgraph import build_graph
 
-from conftest import csr_neighbors, make_items
+from conftest import csr_neighbors, make_items, truth_by_id
 
 THETA_DUP, THETA_PROP, THETA_SIM = 0.05, 0.10, 0.25
 SEEDS = range(8)
@@ -345,7 +345,8 @@ def ref_campaign(items, truth, graph, config, bootstrap):
     references above: (candidate ids, audit entries, records) per round."""
     index = {it.item_id: it for it in items}
     store = DictStore(bootstrap)
-    oracle = SimulatedOracle(config.oracle.tpr, config.oracle.tnr, config.oracle.seed, truth)
+    oracle = SimulatedOracle(config.oracle.tpr, config.oracle.tnr, config.oracle.seed,
+                             items.ids, items.truth)
     scored = set()
     if config.score is not None:
         scores = ref_simulate_model_scores(truth, config.score)
@@ -472,7 +473,7 @@ def test_score_column_matches_the_score_dict(rows, tau, flip_rate, seed, grid, b
     params = ScoreParams(tau=tau, flip_rate=flip_rate, seed=seed)
     corpus = score_corpus(truth, steps)
     got = simulate_model_scores(corpus.truth, params)
-    want = ref_simulate_model_scores(corpus.truth_map(), params)
+    want = ref_simulate_model_scores(truth_by_id(corpus), params)
     known = corpus.truth >= 0
     assert np.isnan(got[~known]).all()
     assert got[known].tobytes() == np.array(list(want.values()), dtype=np.float64).tobytes()
@@ -498,7 +499,7 @@ def test_score_column_matches_the_score_dict(rows, tau, flip_rate, seed, grid, b
     oracle = RecordingOracle()
     with mock.patch.object(pipeline, "simulate_model_scores", patched):
         report = run_score_baseline(full, budget, oracle, params)
-    ranking = ref_score_ranking(ref_rounded(ref_simulate_model_scores(full.truth_map(), params)),
+    ranking = ref_score_ranking(ref_rounded(ref_simulate_model_scores(truth_by_id(full), params)),
                                 tau)
     assert oracle.asked == ranking[:budget]
     assert report.baseline["reviewed"] == len(oracle.asked)
