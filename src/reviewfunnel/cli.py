@@ -67,7 +67,8 @@ def _load_json(path) -> dict:
 
 def _check_envelope(doc: dict, kind: str) -> dict:
     if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, "
+                          f"got {doc.get('schema_version')!r}")
     if doc.get("kind") != kind:
         raise ConfigError(f"kind must be {kind!r}, got {doc.get('kind')!r}")
     body = dict(doc)
@@ -159,29 +160,27 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _manifest_config(doc: dict) -> dict:
+def _config_of(path) -> tuple[PipelineConfig, dict | None]:
+    """The config of a pipeline config or run manifest, and a manifest's corpus record."""
+    doc = _load_json(path)
+    if doc.get("kind") != "run_manifest":
+        return pipeline_config_from_doc(doc), None
+    doc = _check_envelope(doc, "run_manifest")
     if not isinstance(doc.get("config"), dict):
         raise ConfigError("manifest key 'config' must be an object")
-    return doc["config"]
+    recorded = doc.get("corpus", {})
+    if not isinstance(recorded, dict) or not isinstance(recorded.get("path", ""), str):
+        raise ConfigError("manifest key 'corpus' must be an object with a string 'path'")
+    return pipeline_config_from_doc(doc["config"]), recorded
 
 
 def _resolve_run_inputs(args) -> tuple[PipelineConfig, str, dict | None]:
     """The config, the corpus path and, on replay, the manifest's corpus record."""
-    doc = _load_json(args.config)
-    recorded = None
-    if doc.get("kind") == "run_manifest":
-        config = pipeline_config_from_doc(_manifest_config(doc))
-        recorded = doc.get("corpus", {})
-        if not isinstance(recorded, dict) or not isinstance(recorded.get("path", ""), str):
-            raise ConfigError("manifest key 'corpus' must be an object with a string 'path'")
-        corpus_path = args.corpus or recorded.get("path")
-        if not corpus_path:
-            raise ConfigError("manifest has no corpus path; pass --corpus")
-    else:
-        config = pipeline_config_from_doc(doc)
-        if not args.corpus:
-            raise ConfigError("--corpus is required")
-        corpus_path = args.corpus
+    config, recorded = _config_of(args.config)
+    corpus_path = args.corpus or (recorded or {}).get("path")
+    if not corpus_path:
+        raise ConfigError("--corpus is required" if recorded is None
+                          else "manifest has no corpus path; pass --corpus")
     return config, corpus_path, recorded
 
 
@@ -264,10 +263,7 @@ def cmd_baseline(args) -> int:
         raise ConfigError("--seed must be >= 0")
     oracle_params = OracleParams()
     if args.config:
-        doc = _load_json(args.config)
-        if doc.get("kind") == "run_manifest":
-            doc = _manifest_config(doc)
-        oracle_params = pipeline_config_from_doc(doc).oracle
+        oracle_params = _config_of(args.config)[0].oracle
     corpus = load_corpus(args.corpus)
     if args.budget > len(corpus):
         raise ConfigError(f"--budget {args.budget} exceeds the corpus size {len(corpus)}")

@@ -1,10 +1,13 @@
 """Review-candidate funnel: expansion, thresholding, dedup, filtering, and
 greedy maximal-coverage sampling down to a per-round review budget.
 
-Stages take and return ascending int64 id arrays. A run has one position
-index, the corpus's ascending ids: the label store (``labeling.KnownStore``)
-and the content reach (``Reach``) keep their state as arrays over it, so the
-membership tests of a stage are mask gathers, not one lookup per item.
+Stages take and return int64 id arrays: candidates ascending, each dedup's
+routes as an (m, 2) array of [dropped, matched id] ascending by dropped id,
+and the coverage plan as three arrays (``CoveragePlan``). A run has one
+position index, the corpus's ascending ids: the label store
+(``labeling.KnownStore``) and the content reach (``Reach``) keep their state
+as arrays over it, so the membership tests of a stage are mask gathers, not
+one lookup per item.
 
 Selection is incremental. ``Reach`` holds one content mask, the one-hop
 reach of every positive expanded so far; positives surfaced by earlier
@@ -21,7 +24,7 @@ id order, so the funnel is deterministic and replayable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -39,30 +42,27 @@ def id_array(item_ids: Iterable[int]) -> np.ndarray:
 class CoveragePlan:
     """Representatives chosen by coverage sampling and what each one covers.
 
-    Covered sets are disjoint; an item is credited to the representative that
-    reached it first.
+    Three int64 arrays: ``representatives`` in pick order, the covered
+    ``members`` ascending, and ``owner[k]``, the representative that reached
+    ``members[k]`` first. So covered sets cannot overlap; each representative
+    owns itself.
     """
 
-    representatives: tuple[int, ...]
-    covered: Mapping[int, tuple[int, ...]]
+    representatives: np.ndarray
+    members: np.ndarray
+    owner: np.ndarray
     budget: int
 
     def __post_init__(self):
         if len(self.representatives) > self.budget:
             raise ValueError("more representatives than budget")
-        seen: set[int] = set()
-        for rep in self.representatives:
-            members = self.covered[rep]
-            if rep not in members:
-                raise ValueError(f"representative {rep} does not cover itself")
-            overlap = seen.intersection(members)
-            if overlap:
-                raise ValueError(f"covered sets overlap on {sorted(overlap)[:3]}")
-            seen.update(members)
+        lost = np.setdiff1d(self.representatives, self.members[self.owner == self.members])
+        if len(lost):
+            raise ValueError(f"representative {lost[0]} does not cover itself")
 
     @property
     def total_covered(self) -> int:
-        return sum(len(m) for m in self.covered.values())
+        return len(self.members)
 
 
 class Reach:
@@ -117,15 +117,16 @@ def expand_actor(store, min_positives: int, min_rate: float) -> np.ndarray:
 
 def dedup_cross_round(
     candidates: Iterable[int], store, graph: SimilarityGraph, theta_dup: float, reach: Reach
-) -> tuple[np.ndarray, dict[int, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Drop candidates already reviewed in substance in an earlier round.
 
     A candidate is removed when its exact hash matches a reviewed item (the
     lowest id) or it lies within theta_dup of one (the nearest, lowest id
-    first). Removed candidates are returned in the routing map so the
-    propagation stage can copy the matched item's label instead of silently
-    discarding them. ``reach`` first absorbs the items reviewed since its
-    last call: only the rows they touch are searched again.
+    first). Removed candidates come back as (m, 2) routes of [candidate,
+    matched id], ascending by candidate, so the propagation stage can copy the
+    matched item's label instead of silently discarding them. ``reach`` first
+    absorbs the items reviewed since its last call: only the rows they touch
+    are searched again.
     """
     fresh = np.flatnonzero(store.reviewed & ~reach.reviewed)
     reach.reviewed[fresh] = True
@@ -142,7 +143,7 @@ def dedup_cross_round(
     match = store.hash_match(pos)
     match = np.where(match >= 0, match, reach.nearest[pos])
     routed = match >= 0
-    return ids[~routed], dict(zip(ids[routed].tolist(), store.ids[match[routed]].tolist()))
+    return ids[~routed], np.stack([ids[routed], store.ids[match[routed]]], axis=1)
 
 
 def filter_eligible(candidates: Iterable[int], store, impressions: np.ndarray) -> np.ndarray:
@@ -166,12 +167,13 @@ def _batch_neighbors(graph, ids, radius):
 
 def dedup_intra_batch(
     candidates: Iterable[int], graph: SimilarityGraph, theta_dup: float
-) -> tuple[np.ndarray, dict[int, int]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Greedy near-duplicate collapse within one batch.
 
     Scanning in ascending item_id order, an item is kept iff no already-kept
-    item lies within theta_dup; dropped items map to the lowest-id kept item
-    that suppressed them. Kept pairs are therefore all > theta_dup apart.
+    item lies within theta_dup. Dropped items come back as (m, 2) pairs of
+    [dropped, suppressor], ascending by dropped id, the suppressor being the
+    lowest-id kept item within theta_dup. Kept pairs are all > theta_dup apart.
     """
     ids = id_array(candidates)
     row, nbr = _batch_neighbors(graph, ids, theta_dup)
@@ -194,7 +196,7 @@ def dedup_intra_batch(
         else:
             keep[rows[k]] = True
     dropped = suppressor >= 0
-    dup_of = dict(zip(ids[rows[dropped]].tolist(), ids[suppressor[dropped]].tolist()))
+    dup_of = np.stack([ids[rows[dropped]], ids[suppressor[dropped]]], axis=1)
     return ids[np.array(keep, dtype=bool)], dup_of
 
 
@@ -219,7 +221,7 @@ def max_coverage_sample(
     universe = id_array(candidates)
     m = len(universe)
     if k == 0 or not m:
-        return CoveragePlan((), {}, k)
+        return CoveragePlan(universe[:0], universe[:0], universe[:0], k)
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != (m,):
         raise ValueError("weights must hold one value per candidate")
@@ -237,7 +239,6 @@ def max_coverage_sample(
     uncovered = np.ones(m, dtype=bool)
     owner = np.full(m, -1)
     representatives: list[int] = []
-    assigned: dict[int, list[int]] = {}
     while len(representatives) < k and uncovered.any():
         best = int(np.argmax(gains))  # the first maximum is the lowest id
         if not gains[best] > 0.0:
@@ -245,7 +246,6 @@ def max_coverage_sample(
         members = cover[start[best] : start[best + 1]]
         newly = np.sort(members[uncovered[members]])
         representatives.append(best)
-        assigned[best] = newly.tolist()
         owner[newly] = best
         uncovered[newly] = False
         # take each newly covered weight off its coverers, members ascending
@@ -253,13 +253,8 @@ def max_coverage_sample(
         offset = start[newly] - np.cumsum(counts) + counts
         slots = np.arange(counts.sum()) + np.repeat(offset, counts)
         np.subtract.at(gains, cover[slots], np.repeat(w[newly], counts))
-        if owner[best] != best:
-            # an earlier representative reached this one first; hand the
-            # self-coverage back so every representative covers itself
-            assigned[int(owner[best])].remove(best)
-            assigned[best] = sorted(assigned[best] + [best])
-            owner[best] = best
-    covered = {
-        int(universe[rep]): tuple(universe[assigned[rep]].tolist()) for rep in representatives
-    }
-    return CoveragePlan(tuple(universe[representatives].tolist()), covered, k)
+        # an earlier representative may have reached this one first; every
+        # representative owns itself
+        owner[best] = best
+    members = np.flatnonzero(owner >= 0)
+    return CoveragePlan(universe[representatives], universe[members], universe[owner[members]], k)

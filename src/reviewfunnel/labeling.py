@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .corpus import (
     PROVENANCE_SEED,
     embedding_fingerprint,
 )
-from .funnel import CoveragePlan
 from .simgraph import SimilarityGraph, positions
 
 
@@ -317,30 +316,28 @@ def _codes(values, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def oracle_label(
-    plan: CoveragePlan,
+    representatives,
     oracle: Oracle,
     store: KnownStore,
     round_no: int,
     embeddings: np.ndarray | None = None,
 ) -> list[LabelRecord]:
-    """Send the plan's representatives to the oracle and store the verdicts.
+    """Review ``representatives``, a list or array of ids, and store the verdicts in order.
 
     ``embeddings``, when given, holds one row per store position; the oracle
     receives each representative's row (None without it).
     """
-    reps = plan.representatives
-    pos = store.positions(reps)
+    ids = np.asarray(representatives, dtype=np.int64)
+    pos = store.positions(ids)
     labeled = store.labels[pos] >= 0
     if labeled.any():
-        raise AlreadyLabeledError(f"representative {reps[np.argmax(labeled)]} already labeled")
-    if not reps:
+        raise AlreadyLabeledError(f"representative {ids[np.argmax(labeled)]} already labeled")
+    if not len(ids):
         return []
-    rows = embeddings[pos] if embeddings is not None else [None] * len(reps)
-    verdicts = oracle.label_batch(list(zip(reps, rows)))
-    records = [
-        LabelRecord(item_id=rep, label=verdict, provenance=PROVENANCE_ORACLE, round=round_no)
-        for rep, verdict in zip(reps, verdicts)
-    ]
+    rows = embeddings[pos] if embeddings is not None else [None] * len(ids)
+    verdicts = oracle.label_batch(list(zip(ids.tolist(), rows)))
+    records = [LabelRecord(i, v, PROVENANCE_ORACLE, round_no)
+               for i, v in zip(ids.tolist(), verdicts)]
     store.extend(records)
     return records
 
@@ -351,13 +348,14 @@ def propagate_labels(
     theta_prop: float,
     store: KnownStore,
     round_no: int,
-    dup_routed: Mapping[int, int] | None = None,
+    dup_routed: np.ndarray | None = None,
 ) -> list[LabelRecord]:
     """Copy fresh labels to unlabeled near-duplicates, one hop only.
 
     Every unlabeled item within theta_prop of a source record receives that
-    record's label. Items routed here by cross-round dedup get the label of
-    their matched known item. When several sources reach the same item the
+    record's label. Items routed here by cross-round dedup, the (m, 2) array
+    ``dup_routed`` of [item, matched known item], get the matched item's
+    label. When several sources reach the same item the
     nearest wins, an exact distance tie goes to the positive label, and any
     remaining tie goes to the lowest source id.
     """
@@ -372,9 +370,8 @@ def propagate_labels(
     src_labels = np.array([r.label for r in new_records], dtype=bool)
     row, target, dist = graph.neighbors_batch(src_ids, theta_prop)
     offers = [(target, dist, src_labels[row], src_ids[row])]
-    if dup_routed:
-        routed = np.array(sorted(dup_routed.items()), dtype=np.int64).reshape(-1, 2)
-        routed = routed[store.labels[store.positions(routed[:, 0])] < 0]
+    if dup_routed is not None:
+        routed = dup_routed[store.labels[store.positions(dup_routed[:, 0])] < 0]
         known = store.labels[store.positions(routed[:, 1])]
         if np.any(known < 0):
             bad = routed[np.argmax(known < 0)]

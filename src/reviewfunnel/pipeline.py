@@ -42,7 +42,7 @@ from .labeling import (
     oracle_label,
     propagate_labels,
 )
-from .simgraph import GRAPH_MODES, MODE_BLOCKED, SimilarityGraph, build_graph, positions
+from .simgraph import GRAPH_MODES, MODE_BLOCKED, SimilarityGraph, build_graph
 
 
 class StageError(RuntimeError):
@@ -357,7 +357,8 @@ def run_round(
 
         current_stage = "label"
         cost_before = state.oracle.cost_so_far
-        records = oracle_label(plan, state.oracle, store, round_no, state.corpus.embeddings)
+        records = oracle_label(plan.representatives, state.oracle, store, round_no,
+                               state.corpus.embeddings)
         stages.append(StageStat("label", len(plan.representatives), len(records)))
 
         current_stage = "propagate"
@@ -490,16 +491,6 @@ def _baseline_inputs(corpus, total_budget: int) -> Corpus:
     return corpus
 
 
-def _review(sample: list[int], oracle: Oracle, corpus: Corpus) -> list[LabelRecord]:
-    """Oracle records for a baseline's sample, with no propagation."""
-    rows = corpus.embeddings[positions(corpus.ids, sample)]
-    verdicts = oracle.label_batch(list(zip(sample, rows))) if sample else []
-    return [
-        LabelRecord(item_id=i, label=v, provenance=PROVENANCE_ORACLE, round=1)
-        for i, v in zip(sample, verdicts)
-    ]
-
-
 def run_score_baseline(
     corpus,
     total_budget: int,
@@ -517,8 +508,9 @@ def run_score_baseline(
     above = int(np.count_nonzero(scores > score_params.tau))
     # stable over ascending ids, so ties go to the lower id
     ranked = np.argsort(-scores, kind="stable")[: min(above, total_budget)]
-    sample = corpus.ids[ranked].tolist()
-    report = compute_metrics(_review(sample, oracle, corpus), corpus)
+    sample = corpus.ids[ranked]
+    records = oracle_label(sample, oracle, KnownStore(corpus.ids), 1, corpus.embeddings)
+    report = compute_metrics(records, corpus)
     report.corpus_hash = corpus.content_hash
     report.oracle_cost = len(sample) * oracle.unit_cost
     report.baseline = {
@@ -551,8 +543,9 @@ def run_random_baseline(
     per_trial: list[MetricsReport] = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
-        sample = sorted(rng.choice(corpus.ids, size=total_budget, replace=False).tolist())
-        per_trial.append(compute_metrics(_review(sample, oracle, corpus), corpus))
+        sample = np.sort(rng.choice(corpus.ids, size=total_budget, replace=False))
+        records = oracle_label(sample, oracle, KnownStore(corpus.ids), 1, corpus.embeddings)
+        per_trial.append(compute_metrics(records, corpus))
 
     def mean_of(values: Iterable[float | None]) -> float | None:
         present = [v for v in values if v is not None]

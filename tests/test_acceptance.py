@@ -304,7 +304,7 @@ def test_criterion_6_invariant_suite(invariant_runs):
     exact_graph = build_graph(items, THETA_SIM, "exact")
     kept, _ = dedup_intra_batch([it.item_id for it in items], exact_graph, THETA_DUP)
     again, dup_of = dedup_intra_batch(kept, exact_graph, THETA_DUP)
-    if not np.array_equal(again, kept) or dup_of:
+    if not np.array_equal(again, kept) or len(dup_of):
         problems.append("dedup not idempotent")
     kept_list = sorted(kept)
     for i, a in enumerate(kept_list):

@@ -293,6 +293,17 @@ def exits_2_before_writing(tmp_path, corpus_file, command, doc):
                  id="replay-path-bool"),
     pytest.param("replay", dict(MANIFEST, config=RUN_CONFIG, corpus={"path": 5}), "path",
                  id="replay-path-int"),
+    # a manifest's own envelope is checked before its config or corpus is read
+    pytest.param("run", dict(MANIFEST, schema_version=99, config=RUN_CONFIG), 99,
+                 id="run-manifest-schema-99"),
+    pytest.param("replay", dict(MANIFEST, schema_version=99, config=RUN_CONFIG,
+                                corpus={"path": "absent.jsonl"}), 99,
+                 id="replay-manifest-schema-99"),
+    pytest.param("baseline", dict(MANIFEST, schema_version=99, config=RUN_CONFIG), 99,
+                 id="baseline-manifest-schema-99"),
+    # null is no corpus record, never a reason to skip the hash check
+    pytest.param("replay", dict(MANIFEST, config=RUN_CONFIG, corpus=None), "corpus",
+                 id="replay-manifest-corpus-null"),
     pytest.param("baseline", MANIFEST, "config", id="baseline-manifest-without-config"),
     pytest.param("baseline", dict(MANIFEST, config=[1]), "config",
                  id="baseline-manifest-config-list"),
@@ -377,6 +388,14 @@ def test_schema_1_manifest_exits_2_naming_version_2(tmp_path, corpus_file, capsy
     manifest["corpus"]["content_hash"] = "0" * 32
     exits_2_before_writing(tmp_path, corpus_file, "replay", manifest)
     assert "schema_version must be 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "replay", "baseline"])
+def test_completed_manifest_of_another_schema_exits_2(tmp_path, corpus_file, capsys, command):
+    manifest = recorded_manifest(tmp_path, corpus_file)
+    manifest["schema_version"] = 99
+    exits_2_before_writing(tmp_path, corpus_file, command, manifest)
+    assert "schema_version must be 2, got 99" in capsys.readouterr().err
 
 
 class TestBaselineAndCompare:

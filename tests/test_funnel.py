@@ -118,7 +118,7 @@ class TestDedupCrossRound:
         graph = build_graph(items, 0.25)
         store = store_with(items)
         kept, routed = dedup_cross_round(group, store, graph, 0.05, Reach(store.ids))
-        assert kept.tolist() == group and routed == {}
+        assert kept.tolist() == group and routed.tolist() == []
 
     def test_hash_match_removed_and_routed(self, rng):
         base = rng.standard_normal(8)
@@ -127,7 +127,7 @@ class TestDedupCrossRound:
         assert items[0].exact_hash == items[1].exact_hash
         store = store_with(items, [oracle_rec(0)])
         kept, routed = dedup_cross_round([1, 2], store, graph, 0.05, Reach(store.ids))
-        assert routed == {1: 0}
+        assert routed.tolist() == [[1, 0]]
         assert kept.tolist() == [2]
 
     def test_near_reviewed_removed(self, rng):
@@ -137,14 +137,14 @@ class TestDedupCrossRound:
         assert d <= 0.05  # derived: actually within the dedup radius
         store = store_with(items, [oracle_rec(0)])
         kept, routed = dedup_cross_round([1], store, graph, 0.05, Reach(store.ids))
-        assert kept.tolist() == [] and routed == {1: 0}
+        assert kept.tolist() == [] and routed.tolist() == [[1, 0]]
 
     def test_distant_candidate_kept(self, rng):
         items, groups = blob_corpus(rng, [2, 2])
         graph = build_graph(items, 0.25)
         store = store_with(items, [oracle_rec(groups[0][0])])
         kept, routed = dedup_cross_round(groups[1], store, graph, 0.05, Reach(store.ids))
-        assert kept.tolist() == groups[1] and routed == {}
+        assert kept.tolist() == groups[1] and routed.tolist() == []
 
 
 class TestDedupIntraBatch:
@@ -152,7 +152,7 @@ class TestDedupIntraBatch:
         items, groups = blob_corpus(rng, [1, 1, 1])
         graph = build_graph(items, 0.25)
         kept, dup_of = dedup_intra_batch([0, 1, 2], graph, 0.05)
-        assert kept.tolist() == [0, 1, 2] and dup_of == {}
+        assert kept.tolist() == [0, 1, 2] and dup_of.tolist() == []
 
     def test_planted_blob_collapses_to_lowest_id(self, rng):
         items, (group,) = blob_corpus(rng, [5], sigma=0.002)
@@ -161,14 +161,14 @@ class TestDedupIntraBatch:
             assert cosine_distance(items[i].embedding, items[j].embedding) <= 0.05
         kept, dup_of = dedup_intra_batch(group, graph, 0.05)
         assert kept.tolist() == [0]
-        assert dup_of == {1: 0, 2: 0, 3: 0, 4: 0}
+        assert dup_of.tolist() == [[1, 0], [2, 0], [3, 0], [4, 0]]
 
     def test_idempotent_on_kept_set(self, rng):
         items, _ = blob_corpus(rng, [4, 3, 2], sigma=0.002)
         graph = build_graph(items, 0.25)
         kept, _ = dedup_intra_batch(range(len(items)), graph, 0.05)
         again, dup_of = dedup_intra_batch(kept, graph, 0.05)
-        assert np.array_equal(again, kept) and dup_of == {}
+        assert np.array_equal(again, kept) and dup_of.tolist() == []
 
     def test_kept_pairs_separated(self, rng):
         vectors = rng.standard_normal((40, 6))
@@ -222,14 +222,14 @@ class TestMaxCoverage:
         items, (group,) = blob_corpus(rng, [3])
         graph = build_graph(items, 0.25)
         plan = max_coverage_sample(group, graph, 0.1, 0)
-        assert plan.representatives == () and plan.total_covered == 0
+        assert plan.representatives.tolist() == [] and plan.total_covered == 0
 
     def test_disjoint_clusters_picks_largest(self, rng):
         items, groups = blob_corpus(rng, [5, 3, 2], sigma=0.002)
         graph = build_graph(items, 0.25)
         universe = [i for g in groups for i in g]
         plan = max_coverage_sample(universe, graph, 0.1, 2)
-        assert plan.representatives == (groups[0][0], groups[1][0])
+        assert plan.representatives.tolist() == [groups[0][0], groups[1][0]]
         assert plan.total_covered == 8
         # brute-force oracle over all 2-subsets agrees that 8 is optimal
         cover = cover_sets(items, universe, graph, 0.1)
@@ -240,8 +240,8 @@ class TestMaxCoverage:
         graph = build_graph(items, 0.25)
         universe = [g[0] for g in groups]
         plan = max_coverage_sample(universe, graph, 0.1, 10)
-        assert list(plan.representatives) == sorted(universe)
-        assert all(plan.covered[r] == (r,) for r in universe)
+        assert plan.representatives.tolist() == sorted(universe)
+        assert plan.members.tolist() == plan.owner.tolist() == sorted(universe)
 
     def test_greedy_vs_brute_force_bound(self, rng):
         bound = 1 - 1 / math.e
@@ -263,23 +263,22 @@ class TestMaxCoverage:
         graph = build_graph(items, 0.25)
         universe = [i for g in groups for i in g]
         plan = max_coverage_sample(universe, graph, 0.1, 4)
-        seen = set()
-        for rep in plan.representatives:
-            members = set(plan.covered[rep])
-            assert not members & seen
-            seen |= members
-        assert seen == set(universe)
+        # one owner per member, so no item is credited twice
+        assert plan.members.tolist() == sorted(universe)
+        assert plan.representatives.tolist() == [groups[0][0], groups[1][0]]
+        owners = dict(zip(plan.members.tolist(), plan.owner.tolist()))
+        assert owners == {i: g[0] for g in groups for i in g}
 
     def test_impression_weights_change_the_pick(self, rng):
         items, groups = blob_corpus(rng, [3, 1], sigma=0.002)
         graph = build_graph(items, 0.25)
         universe = [i for g in groups for i in g]
         unweighted = max_coverage_sample(universe, graph, 0.1, 1)
-        assert unweighted.representatives == (groups[0][0],)
+        assert unweighted.representatives.tolist() == [groups[0][0]]
         weights = np.ones(len(universe))
         weights[sorted(universe).index(groups[1][0])] = 100.0
         weighted = max_coverage_sample(universe, graph, 0.1, 1, weights)
-        assert weighted.representatives == (groups[1][0],)
+        assert weighted.representatives.tolist() == [groups[1][0]]
 
     def test_negative_budget(self, rng):
         items, _ = blob_corpus(rng, [2])
@@ -289,10 +288,14 @@ class TestMaxCoverage:
 
 
 class TestDataTypes:
-    def test_coverage_plan_rejects_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            CoveragePlan((1, 2), {1: (1, 3), 2: (2, 3)}, 2)
+    def test_coverage_plan_rejects_a_representative_it_does_not_own(self):
+        members = np.array([1, 2, 3])
+        # 2 covers itself but is credited to 1; 4 covers nothing at all
+        for reps, owner in (([1, 2], [1, 1, 1]), ([1, 4], [1, 1, 1])):
+            with pytest.raises(ValueError, match=f"representative {reps[1]} does not cover"):
+                CoveragePlan(np.array(reps), members, np.array(owner), 2)
+        CoveragePlan(np.array([1, 2]), members, np.array([1, 2, 2]), 2)
 
     def test_coverage_plan_rejects_over_budget(self):
         with pytest.raises(ValueError, match="budget"):
-            CoveragePlan((1, 2), {1: (1,), 2: (2,)}, 1)
+            CoveragePlan(np.array([1, 2]), np.array([1, 2]), np.array([1, 2]), 1)

@@ -91,10 +91,13 @@ def test_propagated_label_is_within_theta_prop_of_a_matching_source(params):
 @invariant
 @given(campaigns)
 def test_coverage_sets_are_disjoint_and_cover_their_representatives(params):
-    for plan in campaign(**params).plans:
-        covered = [i for rep in plan.representatives for i in plan.covered[rep]]
-        assert len(covered) == len(set(covered))
-        assert all(rep in plan.covered[rep] for rep in plan.representatives)
+    run = campaign(**params)
+    for kept, plan in zip(run.kept, run.plans, strict=True):
+        # one owner per member, so the covered sets are disjoint
+        assert np.isin(plan.owner, plan.representatives).all()
+        owners = dict(zip(plan.members.tolist(), plan.owner.tolist()))
+        assert all(owners.get(rep) == rep for rep in plan.representatives.tolist())
+        assert np.all(np.diff(plan.members) > 0) and np.isin(plan.members, kept).all()
 
 
 @invariant

@@ -8,7 +8,7 @@ import pytest
 import requests
 
 from reviewfunnel.corpus import LabelRecord
-from reviewfunnel.funnel import CoveragePlan, expand_actor
+from reviewfunnel.funnel import expand_actor
 from reviewfunnel.labeling import (
     AlreadyLabeledError,
     HttpOracle,
@@ -158,15 +158,13 @@ class TestOracleLabel:
     def test_empty_plan(self):
         store = KnownStore(range(10))
         oracle = SimulatedOracle(1.0, 1.0, 0, [], [])
-        plan = CoveragePlan((), {}, 4)
-        assert oracle_label(plan, oracle, store, 1) == []
+        assert oracle_label([], oracle, store, 1) == []
         assert oracle.cost_so_far == 0.0
 
     def test_perfect_oracle_on_planted_positive(self):
         store = KnownStore(range(10))
         oracle = SimulatedOracle(1.0, 1.0, 0, [3], [1])
-        plan = CoveragePlan((3,), {3: (3,)}, 1)
-        (record,) = oracle_label(plan, oracle, store, 2)
+        (record,) = oracle_label([3], oracle, store, 2)
         assert record.label is True
         assert record.provenance == "oracle"
         assert record.round == 2
@@ -177,10 +175,9 @@ class TestOracleLabel:
         store.add(oracle_rec(3))
         store.add(oracle_rec(7))
         oracle = SimulatedOracle(1.0, 1.0, 0, range(10), [1] * 10)
-        plan = CoveragePlan((5, 7, 3), {5: (5,), 7: (7,), 3: (3,)}, 3)
         # the first labelled representative in plan order, before any verdict
         with pytest.raises(AlreadyLabeledError, match="representative 7 "):
-            oracle_label(plan, oracle, store, 1)
+            oracle_label([5, 7, 3], oracle, store, 1)
         assert oracle.cost_so_far == 0.0 and store.get(5) is None
 
     def test_oracle_receives_embedding_rows(self):
@@ -192,19 +189,33 @@ class TestOracleLabel:
         store = KnownStore([10, 20, 30])
         embeddings = np.arange(6.0).reshape(3, 2)
         oracle = Recording(1.0, 1.0, 0, [10, 20, 30], [1, 0, 1])
-        plan = CoveragePlan((30, 10), {30: (30,), 10: (10,)}, 2)
-        oracle_label(plan, oracle, store, 1, embeddings)
+        oracle_label([30, 10], oracle, store, 1, embeddings)
         assert [i for i, _ in oracle.batch] == [30, 10]
         assert [row.tolist() for _, row in oracle.batch] == [[4.0, 5.0], [0.0, 1.0]]
-        oracle_label(CoveragePlan((20,), {20: (20,)}, 1), oracle, store, 1)
+        oracle_label([20], oracle, store, 1)
         assert oracle.batch == [(20, None)]
 
     def test_cost_tracks_representatives(self):
         store = KnownStore(range(10))
         oracle = SimulatedOracle(1.0, 1.0, 0, range(6), [1] * 6)
-        plan = CoveragePlan((0, 1, 2), {0: (0,), 1: (1,), 2: (2,)}, 3)
-        oracle_label(plan, oracle, store, 1)
+        oracle_label([0, 1, 2], oracle, store, 1)
         assert oracle.cost_so_far == 3.0
+
+    def test_list_and_array_review_alike(self):
+        ids = [8, 2, 5, 0]
+        outcomes = []
+        for reps in (ids, np.array(ids, dtype=np.int64)):
+            store = KnownStore(range(10))
+            oracle = SimulatedOracle(0.6, 0.6, 4, range(10), [1, 0] * 5)
+            records = oracle_label(reps, oracle, store, 3)
+            # plain ints, so the records serialise as the label file writes them
+            assert [type(r.item_id) for r in records] == [int] * len(ids)
+            again = [9, 5, 2] if isinstance(reps, list) else np.array([9, 5, 2])
+            with pytest.raises(AlreadyLabeledError, match="representative 5 ") as err:
+                oracle_label(again, oracle, store, 4)
+            outcomes.append((records, str(err.value), oracle.cost_so_far))
+        assert outcomes[0] == outcomes[1]
+        assert [r.item_id for r in outcomes[0][0]] == ids
 
 
 class TestPropagation:
@@ -300,7 +311,7 @@ class TestPropagation:
         store.add(known)
         # a previous dedup stage matched item 2 against known item 0
         propagated = propagate_labels(
-            [], graph, 0.1, store, 2, dup_routed={2: 0}
+            [], graph, 0.1, store, 2, dup_routed=np.array([[2, 0]])
         )
         assert len(propagated) == 1
         rec = propagated[0]

@@ -439,6 +439,19 @@ def test_run_outputs_are_pinned(pinned_corpus, overrides, report_digest, labels_
     assert hashlib.sha256(labels.encode()).hexdigest() == labels_digest
 
 
+def test_baseline_outputs_are_pinned(pinned_corpus):
+    # a noisy oracle and budgets that find tens of positives, so a change to
+    # the baselines' sample, review order or averaging fails here
+    def digest(report):
+        return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+    random = run_random_baseline(pinned_corpus, 200, simulated(pinned_corpus, 0.9, 3), 5, 11)
+    score = run_score_baseline(pinned_corpus, 60, simulated(pinned_corpus, 0.9, 3), ScoreParams())
+    assert random.positives_oracle > 10 and score.positives_oracle > 10
+    assert digest(random) == "57c74904e56b51480e3b23bea9ea2aebb6b391d3d205a6ad00d427c1c563dfd0"
+    assert digest(score) == "8a99237614f87b261a8abac13b875746af70da10bd53259a34a58d5cadc2fd38"
+
+
 class TestRandomBaseline:
     def make_corpus(self, n, positives, seed=0):
         rng = np.random.default_rng(seed)

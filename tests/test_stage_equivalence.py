@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from reviewfunnel.corpus import Corpus, GeneratorConfig, LabelRecord, generate_corpus_detailed
 from reviewfunnel import pipeline
 from reviewfunnel.funnel import (
-    CoveragePlan,
     Reach,
     dedup_cross_round,
     dedup_intra_batch,
@@ -103,7 +102,7 @@ def ref_dedup_intra_batch(candidates, graph, theta_dup):
 def ref_max_coverage_sample(candidates, graph, theta_prop, k, weights):
     universe = sorted(set(candidates))
     if k == 0 or not universe:
-        return CoveragePlan((), {}, k)
+        return (), {}
 
     def weight_of(item_id):
         return 1.0 if weights is None else float(weights.get(item_id, 0.0))
@@ -134,7 +133,15 @@ def ref_max_coverage_sample(candidates, graph, theta_prop, k, weights):
             assigned[owner[best_id]].remove(best_id)
             assigned[best_id] = sorted(assigned[best_id] + [best_id])
             owner[best_id] = best_id
-    return CoveragePlan(tuple(reps), {r: tuple(assigned[r]) for r in reps}, k)
+    return tuple(reps), {r: tuple(assigned[r]) for r in reps}
+
+
+def plan_as_dicts(plan):
+    """A plan's representatives and each one's members, as the reference gives them."""
+    reps = tuple(plan.representatives.tolist())
+    assigned = {r: tuple(plan.members[plan.owner == r].tolist()) for r in reps}
+    assert sum(map(len, assigned.values())) == len(plan.members)  # every owner picked
+    return reps, assigned
 
 
 def ref_propagate_labels(new_records, graph, theta_prop, store, round_no, dup_routed):
@@ -244,9 +251,9 @@ def test_dedup_cross_round(seed):
     index = {it.item_id: it for it in items}
     want = ref_dedup_cross_round(candidates, store, graph, THETA_DUP, index)
     kept, routed = dedup_cross_round(candidates, store, graph, THETA_DUP, Reach(store.ids))
-    assert (set(kept.tolist()), routed) == want
-    assert routed, "the scenario should route some candidates"
-    assert list(routed) == sorted(routed)
+    assert (set(kept.tolist()), dict(routed.tolist())) == want
+    assert len(routed), "the scenario should route some candidates"
+    assert np.all(np.diff(routed[:, 0]) > 0)
     # one reach over a store that grows: it absorbs only the new reviews
     grown, reach = new_store(items), Reach(store.ids)
     records = store.records()
@@ -254,7 +261,7 @@ def test_dedup_cross_round(seed):
         for record in part:
             grown.add(record)
         kept, routed = dedup_cross_round(candidates, grown, graph, THETA_DUP, reach)
-        assert (set(kept.tolist()), routed) == ref_dedup_cross_round(
+        assert (set(kept.tolist()), dict(routed.tolist())) == ref_dedup_cross_round(
             candidates, grown, graph, THETA_DUP, index)
 
 
@@ -263,8 +270,10 @@ def test_dedup_intra_batch(seed):
     _, _, graph, _, candidates = scenario(seed)
     for radius in (0.0, THETA_DUP, THETA_PROP, THETA_SIM):
         kept, dup_of = dedup_intra_batch(candidates, graph, radius)
-        assert (set(kept.tolist()), dup_of) == ref_dedup_intra_batch(candidates, graph, radius)
-    assert dup_of, "the scenario should collapse some candidates"
+        assert (set(kept.tolist()), dict(dup_of.tolist())) == ref_dedup_intra_batch(
+            candidates, graph, radius)
+        assert np.all(np.diff(dup_of[:, 0]) > 0)
+    assert len(dup_of), "the scenario should collapse some candidates"
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -277,7 +286,9 @@ def test_dedup_intra_batch_overlapping(seed):
     candidates = rng.choice(150, size=120, replace=False).tolist()
     for radius in (THETA_DUP, THETA_PROP, THETA_SIM):
         kept, dup_of = dedup_intra_batch(candidates, graph, radius)
-        assert (set(kept.tolist()), dup_of) == ref_dedup_intra_batch(candidates, graph, radius)
+        assert (set(kept.tolist()), dict(dup_of.tolist())) == ref_dedup_intra_batch(
+            candidates, graph, radius)
+        assert np.all(np.diff(dup_of[:, 0]) > 0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -291,7 +302,9 @@ def test_max_coverage_sample(seed):
             [weights.get(i, 0.0) for i in sorted(set(candidates))])
         for k in (0, 1, 7, len(candidates)):
             got = max_coverage_sample(candidates, graph, THETA_PROP, k, aligned)
-            assert got == ref_max_coverage_sample(candidates, graph, THETA_PROP, k, weights)
+            assert got.budget == k
+            assert plan_as_dicts(got) == ref_max_coverage_sample(
+                candidates, graph, THETA_PROP, k, weights)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -307,7 +320,8 @@ def test_propagate_labels(seed):
     for store in stores:
         for record in new_records:
             store.add(record)
-    got = propagate_labels(new_records, graph, THETA_PROP, stores[0], 1, routed)
+    pairs = np.array(sorted(routed.items()), dtype=np.int64)
+    got = propagate_labels(new_records, graph, THETA_PROP, stores[0], 1, pairs)
     want = ref_propagate_labels(new_records, graph, THETA_PROP, stores[1], 1, routed)
     assert got == want and got
     assert stores[0].records() == stores[1].records()
@@ -364,9 +378,8 @@ def ref_campaign(items, truth, graph, config, bootstrap):
         unique, dup_of = ref_dedup_intra_batch(eligible, graph, config.theta_dup)
         weights = ({i: float(index[i].impressions) for i in unique}
                    if config.impression_weighted_sampling else None)
-        plan = ref_max_coverage_sample(unique, graph, config.theta_prop,
-                                       config.budget_per_round, weights)
-        reps = plan.representatives
+        reps, _ = ref_max_coverage_sample(unique, graph, config.theta_prop,
+                                          config.budget_per_round, weights)
         verdicts = oracle.label_batch([(i, None) for i in reps]) if reps else []
         reviews = [LabelRecord(i, v, "oracle", round_no) for i, v in zip(reps, verdicts)]
         for record in reviews:
