@@ -4,21 +4,24 @@ greedy maximal-coverage sampling down to a per-round review budget.
 Stages take and return int64 id arrays: candidates ascending, each dedup's
 routes as an (m, 2) array of [dropped, matched id] ascending by dropped id,
 and the coverage plan as three arrays (``CoveragePlan``). A run has one
-position index, the corpus's ascending ids: the label store
+position index, the corpus's ascending ids: the graph, the label store
 (``labeling.KnownStore``) and the content reach (``Reach``) keep their state
 as arrays over it, so the membership tests of a stage are mask gathers, not
-one lookup per item.
+one lookup per item. Inside a stage the graph is read in positions only:
+``SimilarityGraph.gather`` returns neighbour positions, which index the
+store's and the reach's arrays directly, and each row is cut at the query
+radius. A stage refuses a graph over another index.
 
 Selection is incremental. ``Reach`` holds one content mask, the one-hop
 reach of every positive expanded so far; positives surfaced by earlier
 rounds (the feedback loop) join the sources and so widen it. A round gathers
 the neighbours of only the positives that are new since the last; sources
 only grow, so the mask equals a one-hop expansion of all of them. A round's
-candidates are the union of the content, actor and score channels' ids; no
-stage reads which channel nominated an id. Every stage reads the graph
-through one batched neighbour gather (``SimilarityGraph.neighbors_batch``);
-only the greedy choices of dedup and sampling stay sequential, in ascending
-id order, so the funnel is deterministic and replayable.
+candidates are the union of the content, actor and score channels' position
+masks; no stage reads which channel nominated an id. Every stage reads the
+graph through one batched gather; only the greedy choices of dedup and
+sampling stay sequential, in ascending id order, so the funnel is
+deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ class Reach:
         self.sources, self.content, self.reviewed = (np.zeros(n, dtype=bool) for _ in range(3))
         self.nearest = np.full(n, -1, dtype=np.int64)
 
+    @property
+    def frontier(self) -> np.ndarray:
+        """Mask of the content reach less its sources: ``expand_content``'s ids."""
+        return self.content & ~self.sources
+
 
 def expand_content(
     graph: SimilarityGraph, reach: Reach, sources: Iterable[int], theta_sim: float
@@ -88,11 +96,12 @@ def expand_content(
 
     Only sources new to ``reach`` are gathered.
     """
+    graph.require_index(reach.index)
     pos = positions(reach.index, id_array(sources))
-    fresh = reach.index[pos[~reach.sources[pos]]]
+    fresh = pos[~reach.sources[pos]]
     reach.sources[pos] = True
-    reach.content[positions(reach.index, graph.neighbors_batch(fresh, theta_sim)[1])] = True
-    return reach.index[reach.content & ~reach.sources]
+    reach.content[graph.gather(fresh, theta_sim)[1]] = True
+    return reach.index[reach.frontier]
 
 
 def expand_actor(store, min_positives: int, min_rate: float) -> np.ndarray:
@@ -128,15 +137,19 @@ def dedup_cross_round(
     absorbs the items reviewed since its last call: only the rows they touch
     are searched again.
     """
+    graph.require_index(store.ids)
+    graph.require_index(reach.index)
     fresh = np.flatnonzero(store.reviewed & ~reach.reviewed)
     reach.reviewed[fresh] = True
-    touched = id_array(graph.neighbors_batch(reach.index[fresh], theta_dup)[1])
-    row, nbr_ids, _ = graph.neighbors_batch(touched, theta_dup)
-    nbr = positions(reach.index, nbr_ids)
+    touched = np.zeros(len(reach.index), dtype=bool)
+    touched[graph.gather(fresh, theta_dup)[1]] = True
+    touched = np.flatnonzero(touched)
+    row, nbr, _ = graph.gather(touched, theta_dup)
     hit = reach.reviewed[nbr]
+    row, nbr = row[hit], nbr[hit]
     # rows keep (distance, id) order, so a row's first reviewed entry is its match
-    rows, first = np.unique(row[hit], return_index=True)
-    reach.nearest[positions(reach.index, touched[rows])] = nbr[hit][first]
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    reach.nearest[touched[row[first]]] = nbr[first]
 
     ids = id_array(candidates)
     pos = store.positions(ids)
@@ -158,10 +171,12 @@ def filter_eligible(candidates: Iterable[int], store, impressions: np.ndarray) -
 
 def _batch_neighbors(graph, ids, radius):
     """Neighbours inside the ascending batch ``ids``, as (row, batch index)."""
-    row, nbr_ids, _ = graph.neighbors_batch(ids, radius)
-    loc = np.searchsorted(ids, nbr_ids)
-    inside = loc < len(ids)
-    inside[inside] = ids[loc[inside]] == nbr_ids[inside]
+    pos = positions(graph.ids, ids)
+    slot = np.full(len(graph), -1, dtype=np.int64)  # each position's batch index
+    slot[pos] = np.arange(len(ids))
+    row, nbr, _ = graph.gather(pos, radius)
+    loc = slot[nbr]
+    inside = loc >= 0
     return row[inside], loc[inside]
 
 

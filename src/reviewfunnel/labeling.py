@@ -365,27 +365,33 @@ def propagate_labels(
                 f"propagation source {record.item_id} has provenance "
                 f"{record.provenance}; only seed/oracle records may propagate"
             )
-    # one offer per (target, source): its distance, the source's label and id
-    src_ids = np.array([r.item_id for r in new_records], dtype=np.int64)
+    graph.require_index(store.ids)
+    # one offer per (target, source) position pair: its distance and the source's label
+    src = store.positions([r.item_id for r in new_records])
     src_labels = np.array([r.label for r in new_records], dtype=bool)
-    row, target, dist = graph.neighbors_batch(src_ids, theta_prop)
-    offers = [(target, dist, src_labels[row], src_ids[row])]
+    row, target, dist = graph.gather(src, theta_prop)
+    offers = [(target, dist, src_labels[row], src[row])]
     if dup_routed is not None:
-        routed = dup_routed[store.labels[store.positions(dup_routed[:, 0])] < 0]
-        known = store.labels[store.positions(routed[:, 1])]
+        item = store.positions(dup_routed[:, 0])
+        unlabeled = store.labels[item] < 0
+        routed, item = dup_routed[unlabeled], item[unlabeled]
+        match = store.positions(routed[:, 1])
+        known = store.labels[match]
         if np.any(known < 0):
             bad = routed[np.argmax(known < 0)]
             raise KeyError(f"routed duplicate target {bad[0]} matched unknown item {bad[1]}")
         dists = graph.distances(routed[:, 0], routed[:, 1])
-        offers.append((routed[:, 0], dists, known == 1, routed[:, 1]))
+        offers.append((item, dists, known == 1, match))
     target, dist, label, source = (np.concatenate(part) for part in zip(*offers))
-    # per unlabelled target: nearest first, then the positive label, then the lowest source
+    # per unlabelled target: nearest first, then the positive label, then the
+    # lowest source; positions sort as their ascending ids do
     order = np.lexsort((source, ~label, dist, target))
-    order = order[store.labels[store.positions(target[order])] < 0]
-    pick = order[np.unique(target[order], return_index=True)[1]]
+    order = order[store.labels[target[order]] < 0]
+    pick = order[np.flatnonzero(np.diff(target[order], prepend=-1))]
     propagated = [
         LabelRecord(t, lab, PROVENANCE_PROPAGATED, round_no, s, d)
-        for t, lab, s, d in zip(*(part[pick].tolist() for part in (target, label, source, dist)))
+        for t, lab, s, d in zip(*(part.tolist() for part in (
+            store.ids[target[pick]], label[pick], store.ids[source[pick]], dist[pick])))
     ]
     store.extend(propagated)
     return propagated

@@ -31,7 +31,6 @@ from .funnel import (
     expand_actor,
     expand_content,
     filter_eligible,
-    id_array,
     max_coverage_sample,
 )
 from .labeling import (
@@ -225,13 +224,16 @@ class MetricsReport:
 
 @dataclass
 class PipelineState:
-    """A run's inputs and round state; the store's positions are the corpus rows."""
+    """A run's inputs and round state; the store's positions are the corpus rows.
+
+    ``scored`` marks the positions the model scores above tau.
+    """
 
     corpus: Corpus
     graph: SimilarityGraph
     store: KnownStore
     oracle: Oracle
-    score_ids: np.ndarray
+    scored: np.ndarray
     reach: Reach
 
 
@@ -313,10 +315,13 @@ def run_round(
         seeds = feedback_seeds(store, round_no - 1)
 
         current_stage = "select"
-        content = expand_content(graph, reach, seeds, config.theta_sim)
+        # the content channel's ids are the reach's frontier positions
+        expand_content(graph, reach, seeds, config.theta_sim)
         actor = config.actor
         actor_ids = expand_actor(store, actor.min_positives, actor.min_rate)
-        candidates = id_array(np.concatenate([content, actor_ids, state.score_ids]))
+        selected = reach.frontier | state.scored
+        selected[store.positions(actor_ids)] = True
+        candidates = store.ids[np.flatnonzero(selected)]
         stages.append(StageStat("select", 0, len(candidates)))
 
         current_stage = "dedup_cross_round"
@@ -435,10 +440,10 @@ def run_pipeline_detailed(
             raise ValueError(
                 f"provided graph radius {graph.theta} < theta_sim {config.theta_sim}"
             )
-        missing = np.setdiff1d(corpus.ids, graph.node_ids)
-        if len(missing):
-            raise ValueError(f"provided graph is missing item {missing[0]}")
-        if len(graph) != len(corpus):
+        if not np.array_equal(graph.ids, corpus.ids):
+            missing = corpus.ids[~np.isin(corpus.ids, graph.ids)]
+            if len(missing):
+                raise ValueError(f"provided graph is missing item {missing[0]}")
             raise ValueError("provided graph has items outside the corpus")
         if not np.array_equal(graph.embeddings, corpus.embeddings):
             raise ValueError("provided graph was built over other embeddings")
@@ -448,16 +453,15 @@ def run_pipeline_detailed(
     store.extend(
         _bootstrap_records(corpus.ids[positive], config.bootstrap_seeds, config.rng_seed)
     )
-    score_ids = corpus.ids[:0]
+    scored = np.zeros(len(corpus), dtype=bool)
     if config.score is not None:
-        scores = simulate_model_scores(corpus.truth, config.score)
-        score_ids = corpus.ids[scores > config.score.tau]
+        scored = simulate_model_scores(corpus.truth, config.score) > config.score.tau
     state = PipelineState(
         corpus=corpus,
         graph=graph,
         store=store,
         oracle=oracle,
-        score_ids=score_ids,
+        scored=scored,
         reach=Reach(corpus.ids),
     )
 

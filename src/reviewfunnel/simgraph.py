@@ -116,10 +116,12 @@ def cosine_distance(a, b) -> float:
 class SimilarityGraph:
     """Immutable neighbor index over ascending ids; safe for concurrent readers.
 
-    Row ``p`` of the CSR arrays lists the neighbours of ``ids[p]`` in
-    ascending (distance, id) order, so every radius query keeps a prefix of
-    each row it reads. ``embeddings`` is the matrix it was built over, one
-    row per id.
+    Row ``p`` of the CSR arrays lists the neighbours of ``ids[p]`` as
+    positions into ``ids``, in ascending (distance, id) order, so every
+    radius query keeps a prefix of each row it reads. ``gather`` is the one
+    read path: it takes positions, finds each row's cut at the query radius
+    by bisection and gathers no entry past it; the id-level queries wrap it.
+    ``embeddings`` is the matrix it was built over, one row per id.
     """
 
     def __init__(
@@ -130,59 +132,77 @@ class SimilarityGraph:
         theta: float,
         mode: str,
         indptr: np.ndarray,
-        nbr_ids: np.ndarray,
+        nbr_pos: np.ndarray,
         nbr_dists: np.ndarray,
     ):
         self.theta = theta
         self.mode = mode
-        self._ids = ids
+        self.ids = ids
         self.embeddings = embeddings
         self._norms = norms
         self._indptr = indptr
-        self._nbr_ids = nbr_ids
+        self._nbr_pos = nbr_pos
         self._nbr_dists = nbr_dists
-        for arr in (ids, embeddings, norms, indptr, nbr_ids, nbr_dists):
+        for arr in (ids, embeddings, norms, indptr, nbr_pos, nbr_dists):
             arr.setflags(write=False)
 
     def __contains__(self, item_id: int) -> bool:
-        pos = int(np.searchsorted(self._ids, item_id))
-        return pos < len(self._ids) and self._ids[pos] == item_id
+        pos = int(np.searchsorted(self.ids, item_id))
+        return pos < len(self.ids) and self.ids[pos] == item_id
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self.ids)
 
     @property
     def node_ids(self) -> list[int]:
-        return self._ids.tolist()
+        return self.ids.tolist()
 
     @property
     def n_edges(self) -> int:
-        return len(self._nbr_ids) // 2
+        return len(self._nbr_pos) // 2
 
-    def neighbors_batch(
-        self, item_ids, radius: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Neighbours within radius of every given id, as one CSR gather.
+    def require_index(self, index: np.ndarray) -> None:
+        """ValueError unless ``index`` is ``ids``: positions mean nothing across indexes."""
+        if index is not self.ids and not np.array_equal(index, self.ids):
+            raise ValueError("graph is built over other ids than the caller's index")
 
-        Returns ``(row, nbr_ids, dists)``: entry k is a neighbour of
-        ``item_ids[row[k]]`` at distance ``dists[k]``. Rows come in input
-        order (a repeated id repeats its row), each in ascending
+    def gather(self, pos, radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Neighbours within radius of every given position, as one CSR gather.
+
+        Returns ``(row, nbr, dists)``: entry k is neighbour ``ids[nbr[k]]``
+        of ``ids[pos[row[k]]]`` at distance ``dists[k]``. Rows come in input
+        order (a repeated position repeats its row), each in ascending
         (distance, id) order.
         """
         if radius > self.theta:
             raise ValueError(
                 f"query radius {radius} exceeds graph threshold {self.theta}"
             )
-        pos = positions(self._ids, item_ids)
+        pos = np.asarray(pos, dtype=np.int64)
         starts = self._indptr[pos]
-        counts = self._indptr[pos + 1] - starts
+        ends = self._indptr[pos + 1]
+        # each row's entries within radius are a prefix: one bisection over
+        # every row at once, a power of two at a time, finds where each ends
+        cut = starts
+        step = 1 << int(np.max(ends - starts, initial=0)).bit_length() >> 1
+        while step:
+            probe = np.minimum(cut + step, ends)
+            # probe == cut leaves cut as it is whatever entry probe - 1 holds
+            cut = np.where(self._nbr_dists[probe - 1] <= radius, probe, cut)
+            step >>= 1
+        counts = cut - starts
         row = np.repeat(np.arange(len(pos)), counts)
         # entry k of the gather is entry k - first[row] of its CSR row
         first = np.cumsum(counts) - counts
         slots = np.arange(len(row)) + np.repeat(starts - first, counts)
-        keep = self._nbr_dists[slots] <= radius
-        slots = slots[keep]
-        return row[keep], self._nbr_ids[slots], self._nbr_dists[slots]
+        return row, self._nbr_pos[slots], self._nbr_dists[slots]
+
+    def neighbors_batch(
+        self, item_ids, radius: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``gather`` by ids: ``(row, nbr_ids, dists)``, KeyError for an unknown id."""
+        row, nbr, dists = self.gather(positions(self.ids, item_ids), radius)
+        return row, self.ids[nbr], dists
 
     def neighbors_with_distances(
         self, item_id: int, radius: float
@@ -192,7 +212,7 @@ class SimilarityGraph:
 
     def distances(self, a_ids, b_ids) -> np.ndarray:
         """Canonical cosine distance of each member pair (a_ids[k], b_ids[k])."""
-        ia, ib = positions(self._ids, a_ids), positions(self._ids, b_ids)
+        ia, ib = positions(self.ids, a_ids), positions(self.ids, b_ids)
         return _pair_distances(self.embeddings, self._norms, ia, ib)
 
 
@@ -635,7 +655,7 @@ def build_graph(
     del key
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n))
-    nbr_ids = ids[np.concatenate([ii, jj])[perm]]
+    nbr_pos = np.concatenate([ii, jj])[perm]
     del ii, jj
     both = np.concatenate([dists, dists])[perm]
-    return SimilarityGraph(ids, emb, norms, theta, mode, indptr, nbr_ids, both)
+    return SimilarityGraph(ids, emb, norms, theta, mode, indptr, nbr_pos, both)

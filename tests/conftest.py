@@ -42,11 +42,12 @@ def planted_blob(center, count, sigma, rng):
 
 def csr_neighbors(graph, item_id, radius):
     """Reference per-item query: one CSR row, cut by a binary search."""
-    pos = int(np.searchsorted(graph._ids, item_id))
-    assert graph._ids[pos] == item_id
+    pos = int(np.searchsorted(graph.ids, item_id))
+    assert graph.ids[pos] == item_id
     lo, hi = int(graph._indptr[pos]), int(graph._indptr[pos + 1])
     cut = lo + int(np.searchsorted(graph._nbr_dists[lo:hi], radius, side="right"))
-    return [(int(graph._nbr_ids[k]), float(graph._nbr_dists[k])) for k in range(lo, cut)]
+    nbr_ids = graph.ids[graph._nbr_pos[lo:cut]]
+    return [(int(i), float(d)) for i, d in zip(nbr_ids, graph._nbr_dists[lo:cut])]
 
 
 def neighbor_ids(graph, item_id, radius):

@@ -15,7 +15,7 @@ from reviewfunnel.funnel import (
     filter_eligible,
     max_coverage_sample,
 )
-from reviewfunnel.labeling import KnownStore
+from reviewfunnel.labeling import KnownStore, propagate_labels
 from reviewfunnel.simgraph import build_graph, cosine_distance
 
 from conftest import make_items, neighbor_ids, planted_blob
@@ -73,6 +73,25 @@ class TestExpandContent:
         graph = build_graph(items, 0.25)
         with pytest.raises(KeyError):
             expand_content(graph, Reach(graph.node_ids), {404}, 0.25)
+
+
+def test_stages_refuse_a_graph_over_other_ids(rng):
+    # gathered positions index the store's and the reach's arrays, so they
+    # must share the graph's ids; equal values in another array will do
+    items, _ = blob_corpus(rng, [4])
+    graph = build_graph(items, 0.25)
+    other = make_items([it.embedding for it in items], ids=[10, 11, 12, 13])
+    store = store_with(other, [oracle_rec(10)])
+    same = store_with(items, [oracle_rec(0)])
+    for call in (
+        lambda: expand_content(graph, Reach(store.ids), [10], 0.25),
+        lambda: dedup_cross_round([11], store, graph, 0.05, Reach(store.ids)),
+        lambda: dedup_cross_round([1], same, graph, 0.05, Reach(store.ids)),
+        lambda: propagate_labels([oracle_rec(12)], graph, 0.1, store, 1),
+    ):
+        with pytest.raises(ValueError, match="other ids"):
+            call()
+    assert expand_content(graph, Reach(same.ids.copy()), [0], 0.25).tolist() == [1, 2, 3]
 
 
 class TestExpandActor:

@@ -364,6 +364,21 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="missing"):
             run_pipeline_detailed(items, config, graph=graph)
 
+    def test_prebuilt_graph_over_other_ids(self, small_corpus):
+        items, _ = small_corpus
+        config = small_config()
+        shifted = dataclasses.replace(items, ids=items.ids + 1)
+        graph = build_graph(shifted, config.theta_sim, "exact")
+        with pytest.raises(ValueError, match=f"provided graph is missing item {items.ids[0]}$"):
+            run_pipeline_detailed(items, config, graph=graph)
+
+    def test_prebuilt_graph_with_items_outside_the_corpus(self, small_corpus):
+        items, _ = small_corpus
+        config = small_config()
+        graph = build_graph(items, config.theta_sim, "exact")
+        with pytest.raises(ValueError, match="provided graph has items outside the corpus"):
+            run_pipeline_detailed(items[1:], config, graph=graph)
+
     def test_prebuilt_graph_over_other_embeddings(self):
         # singleton clusters: two seeds give the same ids, other embeddings
         one, two = (generate_corpus_detailed(GeneratorConfig(n_clusters=300, cluster_size_mean=1,
@@ -437,6 +452,29 @@ def test_run_outputs_are_pinned(pinned_corpus, overrides, report_digest, labels_
     labels = json.dumps([dataclasses.astuple(r) for r in state.store.records()])
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_digest
     assert hashlib.sha256(labels.encode()).hexdigest() == labels_digest
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"score": ScoreParams()}, {"impression_weighted_sampling": True}],
+    ids=["default", "score", "impression_weighted"],
+)
+def test_sparse_ids_give_the_same_records(pinned_corpus, overrides):
+    # generated ids are 0..n-1, so a position taken for an id passes every
+    # other test; under gapped ascending ids each record must map back
+    ids = pinned_corpus.ids
+    gaps = np.random.default_rng(5).integers(0, 4, len(ids)).cumsum()
+    sparse = dataclasses.replace(pinned_corpus, ids=ids * 7 + 3 + gaps)
+    config = PipelineConfig(oracle=OracleParams(tpr=1.0, tnr=1.0), **overrides)
+    to_dense = dict(zip(sparse.ids.tolist(), ids.tolist()))
+    to_dense[None] = None
+    want = [dataclasses.astuple(r) for r in run_pipeline_detailed(
+        pinned_corpus, config)[1].store.records()]
+    got = [
+        (to_dense[r.item_id], *dataclasses.astuple(r)[1:4], to_dense[r.source_item_id],
+         r.distance_to_source)
+        for r in run_pipeline_detailed(sparse, config)[1].store.records()
+    ]
+    assert got == want and len(want) > 1000
 
 
 def test_baseline_outputs_are_pinned(pinned_corpus):

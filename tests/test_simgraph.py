@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -63,7 +64,8 @@ def edge_list(graph):
 
 
 def csr_bytes(graph):
-    return [arr.tobytes() for arr in (graph._indptr, graph._nbr_ids, graph._nbr_dists)]
+    nbr_ids = graph.ids[graph._nbr_pos]
+    return [arr.tobytes() for arr in (graph._indptr, nbr_ids, graph._nbr_dists)]
 
 
 @contextlib.contextmanager
@@ -352,7 +354,7 @@ class TestBuildGraph:
             with workers:
                 g = build_graph(corpus, theta, "blocked", seed=0)
             h = hashlib.sha256()
-            for arr in (g._indptr, g._nbr_ids, g._nbr_dists):
+            for arr in (g._indptr, g.ids[g._nbr_pos], g._nbr_dists):
                 h.update(arr.tobytes())
             assert h.hexdigest() == digest
 
@@ -791,3 +793,96 @@ class TestNeighborsBatch:
             graph.neighbors_batch(graph.node_ids[:3], 0.25 + 1e-9)
         with pytest.raises(ValueError, match="exceeds"):
             graph.neighbors_batch([], 0.3)
+
+
+def gather_corpus():
+    """Tight blobs with exact copies (distance 0) and isolated items (empty rows)."""
+    rng = np.random.default_rng(12)
+    vectors = []
+    for sigma in (0.0, 0.02, 0.05, 0.1):
+        vectors += planted_blob(rng.standard_normal(16), 12, sigma, rng)
+    vectors += list(rng.standard_normal((20, 16)))
+    return make_items(vectors)
+
+
+@functools.cache
+def gather_graph(mode):
+    return build_graph(gather_corpus(), 0.25, mode, bands=8, band_bits=4, seed=3)
+
+
+def whole_rows_then_cut(graph, pos, radius):
+    """Reference gather: each whole CSR row, then the entries within radius."""
+    rows = []
+    for p in pos:
+        lo, hi = graph._indptr[p], graph._indptr[p + 1]
+        near = graph._nbr_dists[lo:hi] <= radius
+        rows.append(list(zip(graph._nbr_pos[lo:hi][near].tolist(),
+                             graph._nbr_dists[lo:hi][near].tolist())))
+    return rows
+
+
+def gather_rows(graph, pos, radius):
+    row, nbr, dists = graph.gather(pos, radius)
+    assert len(row) == len(nbr) == len(dists) and np.all(np.diff(row) >= 0)
+    rows = [[] for _ in pos]
+    for r, n, d in zip(row.tolist(), nbr.tolist(), dists.tolist()):
+        rows[r].append((n, d))
+    return rows
+
+
+class TestGather:
+    @pytest.mark.parametrize("mode", ["exact", "blocked"])
+    def test_the_corpus_has_every_edge_case(self, mode):
+        graph = gather_graph(mode)
+        lengths = np.diff(graph._indptr)
+        assert (lengths == 0).sum() >= 10 and lengths.max() >= 8
+        assert (graph._nbr_dists == 0.0).any()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(["exact", "blocked"]))
+    def test_radius_cut_matches_whole_rows(self, data, mode):
+        graph = gather_graph(mode)
+        pos = data.draw(st.lists(st.integers(0, len(graph) - 1), max_size=25))
+        radius = data.draw(st.one_of(
+            st.sampled_from(graph._nbr_dists.tolist()),  # a stored distance exactly
+            st.sampled_from([0.0, graph.theta]),
+            st.floats(0.0, graph.theta),
+        ))
+        assert gather_rows(graph, pos, radius) == whole_rows_then_cut(graph, pos, radius)
+
+    @pytest.mark.parametrize("mode", ["exact", "blocked"])
+    def test_edge_cases(self, mode):
+        graph = gather_graph(mode)
+        lengths = np.diff(graph._indptr)
+        empty, busiest = int(np.argmin(lengths)), int(np.argmax(lengths))
+        pos = [busiest, empty, busiest, empty]
+        for radius in {0.0, graph.theta, *graph._nbr_dists.tolist()}:
+            assert gather_rows(graph, pos, radius) == whole_rows_then_cut(graph, pos, radius)
+        assert gather_rows(graph, [busiest], graph.theta)[0] == whole_rows_then_cut(
+            graph, [busiest], 2.0)[0]
+        for pos in ([], np.empty(0, dtype=np.int64)):
+            assert [len(part) for part in graph.gather(pos, 0.1)] == [0, 0, 0]
+        with pytest.raises(ValueError, match="exceeds"):
+            graph.gather([busiest], graph.theta + 1e-9)
+        with pytest.raises(ValueError, match="exceeds"):
+            graph.gather([], 0.3)
+
+
+@pytest.mark.parametrize("mode", ["exact", "blocked"])
+def test_sparse_ids_are_the_dense_graph_relabelled(mode):
+    # the same embeddings under ids 0..n-1 and under gapped ascending ids: a
+    # graph that took a position for an id would differ
+    items = gather_corpus()
+    sparse = 7 * np.arange(len(items)) + 3 + np.random.default_rng(4).integers(
+        0, 9, len(items)).cumsum()
+    relabelled = make_items([it.embedding for it in items], ids=sparse.tolist())
+    dense = build_graph(items, 0.25, mode, bands=8, band_bits=4, seed=3)
+    graph = build_graph(relabelled, 0.25, mode, bands=8, band_bits=4, seed=3)
+    assert graph.ids.tolist() == sparse.tolist()
+    for k, item_id in enumerate(sparse.tolist()):
+        want = [(int(sparse[n]), d) for n, d in dense.neighbors_with_distances(k, 0.25)]
+        assert graph.neighbors_with_distances(item_id, 0.25) == want
+    row, nbr_ids, _ = graph.neighbors_batch(sparse[::3], 0.1)
+    assert np.isin(nbr_ids, sparse).all() and len(nbr_ids)
+    _, nbr, _ = graph.gather(np.arange(0, len(sparse), 3), 0.1)
+    assert graph.ids[nbr].tolist() == nbr_ids.tolist()

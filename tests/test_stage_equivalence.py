@@ -505,7 +505,8 @@ def test_score_column_matches_the_score_dict(rows, tau, flip_rate, seed, grid, b
     with mock.patch.object(pipeline, "simulate_model_scores", patched):
         _, state = run_pipeline_detailed(corpus, config, oracle=RecordingOracle())
     ids = corpus.ids.tolist()
-    assert state.score_ids.tolist() == sorted(ref_select_by_score(ids, ref_rounded(want), tau))
+    scored = corpus.ids[state.scored].tolist()
+    assert scored == sorted(ref_select_by_score(ids, ref_rounded(want), tau))
 
     full = score_corpus([max(t, 0) for t in truth], steps)
     budget = min(budget, len(full))
