@@ -5,12 +5,13 @@ The oracle is the only component allowed to see ground truth (through the
 simulated implementation); verdicts are keyed by (seed, item_id) so results
 do not depend on batching or call order.
 
-The store covers a run's position index, its ascending item ids. Beside the
-records in write order it keeps per-position label, reviewed and round
-arrays, so the funnel reads the labels as mask gathers; the per-account
-counts and the exact-hash matches are derived from them per call, so
-``abort_round`` need only drop the round's staged records and rebuild these
-arrays.
+The store covers a run's position index, its ascending item ids. It keeps
+its writes in order as the columns of a ``LabelBatch`` and beside them
+per-position label, reviewed and round arrays, so the funnel reads the
+labels as mask gathers; account counts and exact-hash matches are derived
+per call, so ``abort_round`` need only truncate the columns and reset the
+positions it drops. The review and propagation stages take positions and
+return a ``LabelBatch``; records, with ids, are built only on demand.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from collections import Counter
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ from .corpus import (
     LabelRecord,
     PROVENANCE_ORACLE,
     PROVENANCE_PROPAGATED,
-    PROVENANCE_SEED,
+    PROVENANCES,
     embedding_fingerprint,
 )
 from .simgraph import SimilarityGraph, positions
@@ -165,7 +167,11 @@ class HttpOracle(Oracle):
                 ]
             }
             doc = self._post_with_retry(requests, payload)
-            pairs = [(int(v["item_id"]), bool(v["label"])) for v in doc["verdicts"]]
+            pairs = [(v["item_id"], v["label"]) for v in doc["verdicts"]]
+            for item_id, label in pairs:  # type(), as isinstance takes a bool for an int
+                if type(item_id) is not int or type(label) is not bool:
+                    raise RuntimeError(f"remote labeler returned label {label!r} for item "
+                                       f"{item_id!r}: not a JSON boolean for a JSON integer")
             got = dict(pairs)
             asked = {item_id for item_id, _ in chunk}
             extra = sorted(got.keys() - asked)
@@ -203,6 +209,56 @@ class HttpOracle(Oracle):
         return f"{item_id:d}-{fp:016x}"
 
 
+# provenance codes: each provenance's index in PROVENANCES
+_ORACLE = PROVENANCES.index(PROVENANCE_ORACLE)
+_PROPAGATED = PROVENANCES.index(PROVENANCE_PROPAGATED)
+
+
+@dataclass(frozen=True, eq=False)
+class LabelBatch:
+    """Label writes as columns over a store's positions, in write order.
+
+    ``provenance`` holds codes into ``PROVENANCES``; ``source`` is the
+    position a propagated label was copied from (-1 for none) and
+    ``distance`` its distance to it (NaN for none).
+    """
+
+    pos: np.ndarray
+    label: np.ndarray
+    provenance: np.ndarray
+    round: np.ndarray
+    source: np.ndarray
+    distance: np.ndarray
+
+    @classmethod
+    def of(cls, pos, label, provenance, round_no, source=None, distance=None):
+        """A batch whose provenance and round may each be one value for every row."""
+        n = len(pos)
+        return cls(np.asarray(pos, dtype=np.int64), np.asarray(label, dtype=bool),
+                   np.full(n, provenance, dtype=np.int8), np.full(n, round_no, dtype=np.int64),
+                   np.full(n, -1, dtype=np.int64) if source is None else source,
+                   np.full(n, np.nan) if distance is None else distance)
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.pos, self.label, self.provenance, self.round, self.source, self.distance
+
+    def rows(self, index) -> LabelBatch:
+        return LabelBatch(*(column[index] for column in self.columns()))
+
+    def records(self, ids: np.ndarray) -> list[LabelRecord]:
+        """The rows as records, each position read as its id in ``ids``."""
+        copied = self.provenance == _PROPAGATED
+        return [
+            LabelRecord(i, label, PROVENANCES[p], r, s if c else None, d if c else None)
+            for i, label, p, r, c, s, d in zip(*(column.tolist() for column in (
+                ids[self.pos], self.label, self.provenance, self.round, copied,
+                ids[self.source], self.distance)))
+        ]
+
+
 class KnownStore:
     """Append-only label store with first-writer-wins semantics.
 
@@ -213,9 +269,11 @@ class KnownStore:
     ``account_codes``, each position's index into the distinct ``accounts``
     (one past the end for no account).
 
-    Writes during a round go to a staging buffer that is visible to reads but
-    only becomes permanent on commit, giving the pipeline round atomicity.
-    Committed records are never mutated or removed.
+    The writes are kept in order as the six columns of a ``LabelBatch``
+    (``written``); a position is written at most once, so the columns are
+    sized to the index. Writes during a round are staged: visible to reads,
+    but permanent only on commit, giving the pipeline round atomicity.
+    Committed writes are never changed or removed.
     """
 
     def __init__(self, ids, accounts=None, hashes=None):
@@ -224,21 +282,18 @@ class KnownStore:
             raise ValueError("store ids must be strictly ascending")
         self.accounts, self.account_codes = _codes(accounts, len(self.ids))
         self._hashes, self._hash_codes = _codes(hashes, len(self.ids))
-        self._index([])
-
-    def _index(self, records: list[LabelRecord]) -> None:
-        """Reset every array and the records to exactly ``records``."""
         n = len(self.ids)
         self.labels = np.full(n, -1, dtype=np.int8)
         self.reviewed = np.zeros(n, dtype=bool)
         self.rounds = np.full(n, -1, dtype=np.int64)
-        self._slot = np.full(n, -1, dtype=np.int64)
-        self._records: list[LabelRecord] = []
+        self._slot = np.full(n, -1, dtype=np.int64)  # each position's row in the columns
+        self._log = LabelBatch(*(np.empty(n, dtype=dtype) for dtype in (
+            np.int64, bool, np.int8, np.int64, np.int64, np.float64)))
+        self._size = 0
         self._staged_from: int | None = None
-        self.extend(records)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._size
 
     def __contains__(self, item_id: int) -> bool:
         return self.get(item_id) is not None
@@ -246,15 +301,19 @@ class KnownStore:
     def positions(self, item_ids) -> np.ndarray:
         return positions(self.ids, item_ids)
 
+    def written(self) -> LabelBatch:
+        """Every visible write (committed plus staged), in write order, as views."""
+        return self._log.rows(slice(0, self._size))
+
     def get(self, item_id: int) -> LabelRecord | None:
         pos = int(np.searchsorted(self.ids, item_id))
         if pos == len(self.ids) or self.ids[pos] != item_id or self._slot[pos] < 0:
             return None
-        return self._records[self._slot[pos]]
+        return self._log.rows(slice(self._slot[pos], self._slot[pos] + 1)).records(self.ids)[0]
 
     def records(self) -> list[LabelRecord]:
         """All visible records (committed plus staged), in write order."""
-        return list(self._records)
+        return self.written().records(self.ids)
 
     def reviewed_ids(self) -> set[int]:
         return set(self.ids[self.reviewed].tolist())
@@ -275,23 +334,43 @@ class KnownStore:
         self.extend([record])
 
     def extend(self, records: Sequence[LabelRecord]) -> None:
-        """Append records in order; if one is already labelled, none is."""
-        pos = self.positions([r.item_id for r in records])
+        self.write(self.batch(records))
+
+    def batch(self, records: Sequence[LabelRecord]) -> LabelBatch:
+        """Records as columns over this store's positions; KeyError for an id outside it."""
+        batch = LabelBatch.of(self.positions([r.item_id for r in records]),
+                              [r.label for r in records],
+                              [PROVENANCES.index(r.provenance) for r in records],
+                              [r.round for r in records])
+        copied = [r for r in records if r.provenance == PROVENANCE_PROPAGATED]
+        batch.source[batch.provenance == _PROPAGATED] = self.positions(
+            [r.source_item_id for r in copied])
+        batch.distance[batch.provenance == _PROPAGATED] = [r.distance_to_source for r in copied]
+        return batch
+
+    def write(self, batch: LabelBatch) -> None:
+        """Append a batch in order; if one of its positions is already labelled, none is."""
+        pos = batch.pos
+        if np.any(pos < 0):
+            raise IndexError(f"position {pos[np.argmax(pos < 0)]} is negative")
         repeat = np.ones(len(pos), dtype=bool)
         repeat[np.unique(pos, return_index=True)[1]] = False
         bad = repeat | (self.labels[pos] >= 0)
         if bad.any():
-            raise AlreadyLabeledError(f"item {records[np.argmax(bad)].item_id} already labeled")
-        self._slot[pos] = np.arange(len(self._records), len(self._records) + len(pos))
-        self._records.extend(records)
-        self.labels[pos] = [r.label for r in records]
-        self.reviewed[pos] = [r.provenance == PROVENANCE_ORACLE for r in records]
-        self.rounds[pos] = [r.round for r in records]
+            raise AlreadyLabeledError(f"item {self.ids[pos[np.argmax(bad)]]} already labeled")
+        end = self._size + len(pos)
+        for column, values in zip(self._log.columns(), batch.columns()):
+            column[self._size : end] = values
+        self._slot[pos] = np.arange(self._size, end)
+        self.labels[pos] = batch.label
+        self.reviewed[pos] = batch.provenance == _ORACLE
+        self.rounds[pos] = batch.round
+        self._size = end
 
     def begin_round(self) -> None:
         if self._staged_from is not None:
             raise RuntimeError("round already in progress")
-        self._staged_from = len(self._records)
+        self._staged_from = self._size
 
     def commit_round(self) -> None:
         if self._staged_from is None:
@@ -302,7 +381,10 @@ class KnownStore:
         """Discard staged writes, restoring the pre-round store exactly."""
         if self._staged_from is None:
             raise RuntimeError("no round in progress")
-        self._index(self._records[: self._staged_from])
+        staged = self._log.pos[self._staged_from : self._size]
+        self.labels[staged], self.reviewed[staged], self.rounds[staged] = -1, False, -1
+        self._slot[staged] = -1
+        self._size, self._staged_from = self._staged_from, None
 
 
 def _codes(values, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,82 +403,74 @@ def oracle_label(
     store: KnownStore,
     round_no: int,
     embeddings: np.ndarray | None = None,
-) -> list[LabelRecord]:
-    """Review ``representatives``, a list or array of ids, and store the verdicts in order.
+) -> LabelBatch:
+    """Review ``representatives``, store positions, and store the verdicts in order.
 
-    ``embeddings``, when given, holds one row per store position; the oracle
-    receives each representative's row (None without it).
+    The oracle receives each representative's id and, when ``embeddings``
+    (one row per store position) is given, its row (else None).
     """
-    ids = np.asarray(representatives, dtype=np.int64)
-    pos = store.positions(ids)
+    pos = np.asarray(representatives, dtype=np.int64)
+    if np.any(pos < 0):
+        raise IndexError(f"position {pos[np.argmax(pos < 0)]} is negative")
     labeled = store.labels[pos] >= 0
     if labeled.any():
-        raise AlreadyLabeledError(f"representative {ids[np.argmax(labeled)]} already labeled")
-    if not len(ids):
-        return []
-    rows = embeddings[pos] if embeddings is not None else [None] * len(ids)
-    verdicts = oracle.label_batch(list(zip(ids.tolist(), rows)))
-    records = [LabelRecord(i, v, PROVENANCE_ORACLE, round_no)
-               for i, v in zip(ids.tolist(), verdicts)]
-    store.extend(records)
-    return records
+        raise AlreadyLabeledError(
+            f"representative {store.ids[pos[np.argmax(labeled)]]} already labeled")
+    verdicts = []
+    if len(pos):
+        rows = embeddings[pos] if embeddings is not None else [None] * len(pos)
+        verdicts = oracle.label_batch(list(zip(store.ids[pos].tolist(), rows)))
+    reviews = LabelBatch.of(pos, verdicts, _ORACLE, round_no)
+    store.write(reviews)
+    return reviews
 
 
 def propagate_labels(
-    new_records: Sequence[LabelRecord],
+    sources: LabelBatch,
     graph: SimilarityGraph,
     theta_prop: float,
     store: KnownStore,
     round_no: int,
     dup_routed: np.ndarray | None = None,
-) -> list[LabelRecord]:
+) -> LabelBatch:
     """Copy fresh labels to unlabeled near-duplicates, one hop only.
 
-    Every unlabeled item within theta_prop of a source record receives that
-    record's label. Items routed here by cross-round dedup, the (m, 2) array
-    ``dup_routed`` of [item, matched known item], get the matched item's
-    label. When several sources reach the same item the
+    Every unlabeled item within theta_prop of a source receives that
+    source's label. Items routed here by cross-round dedup, the (m, 2)
+    position array ``dup_routed`` of [item, matched known item], get the
+    matched item's label. When several sources reach the same item the
     nearest wins, an exact distance tie goes to the positive label, and any
-    remaining tie goes to the lowest source id.
+    remaining tie goes to the lowest source.
     """
-    for record in new_records:
-        if record.provenance not in (PROVENANCE_SEED, PROVENANCE_ORACLE):
-            raise ValueError(
-                f"propagation source {record.item_id} has provenance "
-                f"{record.provenance}; only seed/oracle records may propagate"
-            )
+    copied = sources.provenance == _PROPAGATED
+    if copied.any():
+        raise ValueError(f"propagation source {store.ids[sources.pos[np.argmax(copied)]]} has"
+                         f" provenance {PROVENANCE_PROPAGATED}; only seed/oracle records may"
+                         " propagate")
     graph.require_index(store.ids)
-    # one offer per (target, source) position pair: its distance and the source's label
-    src = store.positions([r.item_id for r in new_records])
-    src_labels = np.array([r.label for r in new_records], dtype=bool)
-    row, target, dist = graph.gather(src, theta_prop)
-    offers = [(target, dist, src_labels[row], src[row])]
+    # one offer per (target, source) pair: its distance and the source's label
+    row, target, dist = graph.gather(sources.pos, theta_prop)
+    offers = [(target, dist, sources.label[row], sources.pos[row])]
     if dup_routed is not None:
-        item = store.positions(dup_routed[:, 0])
-        unlabeled = store.labels[item] < 0
-        routed, item = dup_routed[unlabeled], item[unlabeled]
-        match = store.positions(routed[:, 1])
+        item, match = dup_routed[store.labels[dup_routed[:, 0]] < 0].T
         known = store.labels[match]
         if np.any(known < 0):
-            bad = routed[np.argmax(known < 0)]
-            raise KeyError(f"routed duplicate target {bad[0]} matched unknown item {bad[1]}")
-        dists = graph.distances(routed[:, 0], routed[:, 1])
-        offers.append((item, dists, known == 1, match))
+            k = np.argmax(known < 0)
+            raise KeyError(f"routed duplicate target {store.ids[item[k]]} "
+                           f"matched unknown item {store.ids[match[k]]}")
+        offers.append((item, graph.pair_distances(item, match), known == 1, match))
     target, dist, label, source = (np.concatenate(part) for part in zip(*offers))
     # per unlabelled target: nearest first, then the positive label, then the
     # lowest source; positions sort as their ascending ids do
     order = np.lexsort((source, ~label, dist, target))
     order = order[store.labels[target[order]] < 0]
     pick = order[np.flatnonzero(np.diff(target[order], prepend=-1))]
-    propagated = [
-        LabelRecord(t, lab, PROVENANCE_PROPAGATED, round_no, s, d)
-        for t, lab, s, d in zip(*(part.tolist() for part in (
-            store.ids[target[pick]], label[pick], store.ids[source[pick]], dist[pick])))
-    ]
-    store.extend(propagated)
+    propagated = LabelBatch.of(target[pick], label[pick], _PROPAGATED, round_no,
+                               source[pick], dist[pick])
+    store.write(propagated)
     return propagated
 
 
 def feedback_seeds(store: KnownStore, round_no: int) -> np.ndarray:
-    """Ids of all positive-labeled items as of the end of the given round."""
-    return store.ids[(store.labels == 1) & (store.rounds <= round_no)]
+    """Positions of all positive-labeled items as of the end of the given round."""
+    return np.flatnonzero((store.labels == 1) & (store.rounds <= round_no))

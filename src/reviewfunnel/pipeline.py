@@ -12,18 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .corpus import (
-    ConfigError,
-    Corpus,
-    LabelRecord,
-    PROVENANCE_ORACLE,
-    PROVENANCE_PROPAGATED,
-    PROVENANCE_SEED,
-)
+from .corpus import ConfigError, Corpus, LabelRecord, PROVENANCE_SEED, PROVENANCES
 from .funnel import (
     Reach,
     dedup_cross_round,
@@ -41,7 +34,7 @@ from .labeling import (
     oracle_label,
     propagate_labels,
 )
-from .simgraph import GRAPH_MODES, MODE_BLOCKED, SimilarityGraph, build_graph
+from .simgraph import GRAPH_MODES, MODE_BLOCKED, SimilarityGraph, build_graph, positions
 
 
 class StageError(RuntimeError):
@@ -253,50 +246,47 @@ def simulate_model_scores(truth: np.ndarray, params: ScoreParams) -> np.ndarray:
     return scores
 
 
-def compute_metrics(records: Sequence[LabelRecord], corpus) -> MetricsReport:
-    """Evaluate label records against the corpus's truth column.
+def compute_metrics(store: KnownStore, corpus) -> MetricsReport:
+    """Evaluate a label store's columns against the corpus's truth column.
 
-    ``corpus`` is a Corpus or an Item list. Unless every row's truth is
-    known, recall, precision, impression-weighted recall and amplification
-    are None.
+    ``corpus`` is a Corpus or an Item list over the store's ids. Unless every
+    row's truth is known, recall, precision, impression-weighted recall and
+    amplification are None.
     """
     corpus = Corpus.of(corpus)
-    reviews = sum(1 for r in records if r.provenance == PROVENANCE_ORACLE)
-    positives = {
-        provenance: sum(1 for r in records if r.label and r.provenance == provenance)
-        for provenance in (PROVENANCE_SEED, PROVENANCE_ORACLE, PROVENANCE_PROPAGATED)
-    }
-    pos_oracle = positives[PROVENANCE_ORACLE]
-    pos_total = sum(positives.values())
-    report = MetricsReport(
+    if not np.array_equal(store.ids, corpus.ids):
+        raise ValueError("store is over other ids than the corpus")
+    written = store.written()
+    reviews = int(np.count_nonzero(store.reviewed))
+    # provenance codes follow PROVENANCES: seed, oracle, propagated
+    pos_seed, pos_oracle, pos_propagated = np.bincount(
+        written.provenance[written.label], minlength=len(PROVENANCES)).tolist()
+    pos_total = pos_seed + pos_oracle + pos_propagated
+    known = not np.any(corpus.truth < 0)
+    truly_positive = corpus.truth == 1
+    found = truly_positive & (store.labels == 1)
+    gt_positives = int(np.count_nonzero(truly_positive))
+    gt_impressions = int(corpus.impressions[truly_positive].sum())
+    tp = int(np.count_nonzero(found))
+
+    def rate(num, den):
+        return num / den if known and den else None
+
+    return MetricsReport(
         corpus_size=len(corpus),
         corpus_hash=None,
         oracle_reviews=reviews,
         oracle_cost=0.0,
         review_fraction=reviews / len(corpus) if len(corpus) else 0.0,
-        positives_seed=positives[PROVENANCE_SEED],
+        positives_seed=pos_seed,
         positives_oracle=pos_oracle,
-        positives_propagated=positives[PROVENANCE_PROPAGATED],
+        positives_propagated=pos_propagated,
         positives_total=pos_total,
-        recall=None,
-        precision=None,
-        impression_weighted_recall=None,
-        amplification=None,
+        recall=rate(tp, gt_positives),
+        precision=rate(tp, pos_total),
+        impression_weighted_recall=rate(int(corpus.impressions[found].sum()), gt_impressions),
+        amplification=rate(pos_total, pos_oracle),
     )
-    if np.any(corpus.truth < 0):
-        return report
-    truly_positive = corpus.truth == 1
-    found = truly_positive & np.isin(corpus.ids, [r.item_id for r in records if r.label])
-    gt_positives = int(np.count_nonzero(truly_positive))
-    gt_impressions = int(corpus.impressions[truly_positive].sum())
-    tp = int(np.count_nonzero(found))
-    report.recall = tp / gt_positives if gt_positives else None
-    report.precision = tp / pos_total if pos_total else None
-    report.impression_weighted_recall = (
-        int(corpus.impressions[found].sum()) / gt_impressions if gt_impressions else None
-    )
-    report.amplification = pos_total / pos_oracle if pos_oracle else None
-    return report
 
 
 def run_round(
@@ -315,13 +305,12 @@ def run_round(
         seeds = feedback_seeds(store, round_no - 1)
 
         current_stage = "select"
-        # the content channel's ids are the reach's frontier positions
-        expand_content(graph, reach, seeds, config.theta_sim)
-        actor = config.actor
-        actor_ids = expand_actor(store, actor.min_positives, actor.min_rate)
-        selected = reach.frontier | state.scored
-        selected[store.positions(actor_ids)] = True
-        candidates = store.ids[np.flatnonzero(selected)]
+        content = expand_content(graph, reach, seeds, config.theta_sim)
+        actor = expand_actor(store, config.actor.min_positives, config.actor.min_rate)
+        selected = state.scored.copy()
+        selected[content] = True
+        selected[actor] = True
+        candidates = np.flatnonzero(selected)
         stages.append(StageStat("select", 0, len(candidates)))
 
         current_stage = "dedup_cross_round"
@@ -332,7 +321,7 @@ def run_round(
 
         current_stage = "filter_eligible"
         eligible = filter_eligible(kept, store, impressions)
-        labeled = int(np.count_nonzero(store.labels[store.positions(kept)] >= 0))
+        labeled = int(np.count_nonzero(store.labels[kept] >= 0))
         removed = {"inactive": len(kept) - len(eligible) - labeled, "labeled": labeled}
         stages.append(StageStat("filter_eligible", len(kept), len(eligible), removed))
 
@@ -344,7 +333,7 @@ def run_round(
 
         current_stage = "sample"
         weights = (
-            impressions[store.positions(unique)].astype(np.float64)
+            impressions[unique].astype(np.float64)
             if config.impression_weighted_sampling
             else None
         )
@@ -362,15 +351,15 @@ def run_round(
 
         current_stage = "label"
         cost_before = state.oracle.cost_so_far
-        records = oracle_label(plan.representatives, state.oracle, store, round_no,
+        reviews = oracle_label(plan.representatives, state.oracle, store, round_no,
                                state.corpus.embeddings)
-        stages.append(StageStat("label", len(plan.representatives), len(records)))
+        stages.append(StageStat("label", len(plan.representatives), len(reviews)))
 
         current_stage = "propagate"
         propagated = propagate_labels(
-            records, graph, config.theta_prop, store, round_no, routed
+            reviews, graph, config.theta_prop, store, round_no, routed
         )
-        stages.append(StageStat("propagate", len(records), len(propagated)))
+        stages.append(StageStat("propagate", len(reviews), len(propagated)))
     except Exception as exc:
         store.abort_round()
         raise StageError(round_no, current_stage, exc) from exc
@@ -378,9 +367,9 @@ def run_round(
     store.commit_round()
     metrics = RoundMetrics(
         round=round_no,
-        oracle_reviews=len(records),
-        positives_oracle=sum(1 for r in records if r.label),
-        positives_propagated=sum(1 for r in propagated if r.label),
+        oracle_reviews=len(reviews),
+        positives_oracle=int(np.count_nonzero(reviews.label)),
+        positives_propagated=int(np.count_nonzero(propagated.label)),
         oracle_cost=state.oracle.cost_so_far - cost_before,
         stages=stages,
     )
@@ -474,7 +463,7 @@ def run_pipeline_detailed(
             metrics.cumulative_recall = cumulative_tp / gt_positives
         round_metrics.append(metrics)
 
-    report = compute_metrics(store.records(), corpus)
+    report = compute_metrics(store, corpus)
     report.corpus_hash = corpus.content_hash
     report.oracle_cost = oracle.cost_so_far
     report.rounds = round_metrics
@@ -512,15 +501,15 @@ def run_score_baseline(
     above = int(np.count_nonzero(scores > score_params.tau))
     # stable over ascending ids, so ties go to the lower id
     ranked = np.argsort(-scores, kind="stable")[: min(above, total_budget)]
-    sample = corpus.ids[ranked]
-    records = oracle_label(sample, oracle, KnownStore(corpus.ids), 1, corpus.embeddings)
-    report = compute_metrics(records, corpus)
+    store = KnownStore(corpus.ids)
+    oracle_label(ranked, oracle, store, 1, corpus.embeddings)
+    report = compute_metrics(store, corpus)
     report.corpus_hash = corpus.content_hash
-    report.oracle_cost = len(sample) * oracle.unit_cost
+    report.oracle_cost = len(ranked) * oracle.unit_cost
     report.baseline = {
         "kind": "score_top",
         "total_budget": total_budget,
-        "reviewed": len(sample),
+        "reviewed": len(ranked),
         "tau": score_params.tau,
         "flip_rate": score_params.flip_rate,
         "seed": score_params.seed,
@@ -548,8 +537,9 @@ def run_random_baseline(
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         sample = np.sort(rng.choice(corpus.ids, size=total_budget, replace=False))
-        records = oracle_label(sample, oracle, KnownStore(corpus.ids), 1, corpus.embeddings)
-        per_trial.append(compute_metrics(records, corpus))
+        store = KnownStore(corpus.ids)
+        oracle_label(positions(corpus.ids, sample), oracle, store, 1, corpus.embeddings)
+        per_trial.append(compute_metrics(store, corpus))
 
     def mean_of(values: Iterable[float | None]) -> float | None:
         present = [v for v in values if v is not None]

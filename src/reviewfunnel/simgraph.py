@@ -212,8 +212,11 @@ class SimilarityGraph:
 
     def distances(self, a_ids, b_ids) -> np.ndarray:
         """Canonical cosine distance of each member pair (a_ids[k], b_ids[k])."""
-        ia, ib = positions(self.ids, a_ids), positions(self.ids, b_ids)
-        return _pair_distances(self.embeddings, self._norms, ia, ib)
+        return self.pair_distances(positions(self.ids, a_ids), positions(self.ids, b_ids))
+
+    def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``distances`` of each position pair (a[k], b[k])."""
+        return _pair_distances(self.embeddings, self._norms, a, b)
 
 
 def _pair_distances(

@@ -302,11 +302,11 @@ def test_criterion_6_invariant_suite(invariant_runs):
 
     # dedup idempotence and post-dedup separation, checked exactly
     exact_graph = build_graph(items, THETA_SIM, "exact")
-    kept, _ = dedup_intra_batch([it.item_id for it in items], exact_graph, THETA_DUP)
+    kept, _ = dedup_intra_batch(np.arange(len(exact_graph)), exact_graph, THETA_DUP)
     again, dup_of = dedup_intra_batch(kept, exact_graph, THETA_DUP)
     if not np.array_equal(again, kept) or len(dup_of):
         problems.append("dedup not idempotent")
-    kept_list = sorted(kept)
+    kept_list = sorted(exact_graph.ids[kept].tolist())
     for i, a in enumerate(kept_list):
         for b in kept_list[i + 1 :]:
             d = cosine_distance(by_id[a].embedding, by_id[b].embedding)

@@ -71,8 +71,9 @@ class TestExpandContent:
     def test_unknown_source(self, rng):
         items, _ = blob_corpus(rng, [3])
         graph = build_graph(items, 0.25)
-        with pytest.raises(KeyError):
-            expand_content(graph, Reach(graph.node_ids), {404}, 0.25)
+        for outside in (404, -1):
+            with pytest.raises(IndexError):
+                expand_content(graph, Reach(graph.node_ids), {outside}, 0.25)
 
 
 def test_stages_refuse_a_graph_over_other_ids(rng):
@@ -87,11 +88,11 @@ def test_stages_refuse_a_graph_over_other_ids(rng):
         lambda: expand_content(graph, Reach(store.ids), [10], 0.25),
         lambda: dedup_cross_round([11], store, graph, 0.05, Reach(store.ids)),
         lambda: dedup_cross_round([1], same, graph, 0.05, Reach(store.ids)),
-        lambda: propagate_labels([oracle_rec(12)], graph, 0.1, store, 1),
+        lambda: propagate_labels(store.batch([oracle_rec(12)]), graph, 0.1, store, 1),
     ):
         with pytest.raises(ValueError, match="other ids"):
             call()
-    assert expand_content(graph, Reach(same.ids.copy()), [0], 0.25).tolist() == [1, 2, 3]
+    assert same.ids[expand_content(graph, Reach(same.ids.copy()), [0], 0.25)].tolist() == [1, 2, 3]
 
 
 class TestExpandActor:
@@ -213,8 +214,9 @@ class TestFilterEligible:
 
     def test_unknown_id(self, rng):
         items, _ = blob_corpus(rng, [2])
-        with pytest.raises(KeyError, match="unknown item id"):
-            filter_eligible([5], store_with(items), np.array([1, 1]))
+        for outside in (5, -1):
+            with pytest.raises(IndexError):
+                filter_eligible([outside], store_with(items), np.array([1, 1]))
 
 
 def brute_force_best_coverage(universe, cover, k):
@@ -298,6 +300,20 @@ class TestMaxCoverage:
         weights[sorted(universe).index(groups[1][0])] = 100.0
         weighted = max_coverage_sample(universe, graph, 0.1, 1, weights)
         assert weighted.representatives.tolist() == [groups[1][0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf, -np.inf])
+    def test_unrankable_weights_rejected(self, rng, bad):
+        # on a 5-item exact graph a NaN weight gave an empty plan, a negative
+        # one suppressed coverage and inf made the gains NaN; the lazy greedy
+        # is right only while gains only fall
+        items, (group,) = blob_corpus(rng, [5], sigma=0.002)
+        graph = build_graph(items, 0.25, "exact")
+        weights = np.ones(5)
+        weights[2] = bad
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            max_coverage_sample(group, graph, 0.1, 2, weights)
+        weights[2] = 0.0  # a zero weight ranks
+        assert max_coverage_sample(group, graph, 0.1, 2, weights).representatives.tolist() == [0]
 
     def test_negative_budget(self, rng):
         items, _ = blob_corpus(rng, [2])

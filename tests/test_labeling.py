@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 import requests
 
-from reviewfunnel.corpus import LabelRecord
+from reviewfunnel.corpus import PROVENANCES, LabelRecord
 from reviewfunnel.funnel import expand_actor
 from reviewfunnel.labeling import (
     AlreadyLabeledError,
     HttpOracle,
     KnownStore,
+    LabelBatch,
     SimulatedOracle,
     feedback_seeds,
     oracle_label,
@@ -114,6 +115,22 @@ class TestKnownStore:
         store.commit_round()
         assert [r.item_id for r in store.records()] == [1, 2]
 
+    def test_abort_truncates_the_columns(self):
+        # a write after an abort takes the rows the aborted round held
+        store = KnownStore([1, 2, 3])
+        store.add(seed_rec(1))
+        before = [column.tobytes() for column in store.written().columns()]
+        store.begin_round()
+        store.add(oracle_rec(2))
+        store.abort_round()
+        assert len(store) == 1 and store.get(2) is None
+        assert [column.tobytes() for column in store.written().columns()] == before
+        store.begin_round()
+        store.add(oracle_rec(3, False))
+        store.commit_round()
+        assert store.records() == [seed_rec(1), oracle_rec(3, False)]
+        assert store.get(2) is None and store.get(3) == oracle_rec(3, False)
+
     def test_staging_abort_restores_everything(self):
         store = KnownStore([1, 2], accounts=[6, 7])
         store.add(seed_rec(1))
@@ -129,17 +146,17 @@ class TestKnownStore:
         store.add(seed_rec(1))
         arrays = [a.copy() for a in (store.labels, store.reviewed, store.rounds)]
         # the account counts are derived from the labels: account 40 is flagged
-        assert expand_actor(store, 1, 0.5).tolist() == [2]
+        assert store.ids[expand_actor(store, 1, 0.5)].tolist() == [2]
         store.begin_round()
         store.add(oracle_rec(2, True, round_no=1))
         store.add(oracle_rec(3, False, round_no=1))
         assert store.hash_match(store.positions([1, 2, 3])).tolist() == [1, 1, 2]
-        assert expand_actor(store, 1, 0.5).tolist() == []
+        assert store.ids[expand_actor(store, 1, 0.5)].tolist() == []
         store.abort_round()
         assert store.hash_match(store.positions([1, 2, 3])).tolist() == [-1, -1, -1]
         for before, after in zip(arrays, (store.labels, store.reviewed, store.rounds)):
             assert np.array_equal(before, after)
-        assert expand_actor(store, 1, 0.5).tolist() == [2]
+        assert store.ids[expand_actor(store, 1, 0.5)].tolist() == [2]
 
     def test_hash_match_is_lowest_reviewed(self):
         store = KnownStore([1, 2, 3, 4], hashes=[5, 5, 5, 6])
@@ -158,13 +175,13 @@ class TestOracleLabel:
     def test_empty_plan(self):
         store = KnownStore(range(10))
         oracle = SimulatedOracle(1.0, 1.0, 0, [], [])
-        assert oracle_label([], oracle, store, 1) == []
+        assert oracle_label([], oracle, store, 1).records(store.ids) == []
         assert oracle.cost_so_far == 0.0
 
     def test_perfect_oracle_on_planted_positive(self):
         store = KnownStore(range(10))
         oracle = SimulatedOracle(1.0, 1.0, 0, [3], [1])
-        (record,) = oracle_label([3], oracle, store, 2)
+        (record,) = oracle_label([3], oracle, store, 2).records(store.ids)
         assert record.label is True
         assert record.provenance == "oracle"
         assert record.round == 2
@@ -180,6 +197,18 @@ class TestOracleLabel:
             oracle_label([5, 7, 3], oracle, store, 1)
         assert oracle.cost_so_far == 0.0 and store.get(5) is None
 
+    def test_position_outside_the_index_is_refused_before_review(self):
+        # numpy would read -1 as the last position
+        store = KnownStore(range(10))
+        oracle = SimulatedOracle(1.0, 1.0, 0, range(10), [1] * 10)
+        for outside in (-1, 10):
+            with pytest.raises(IndexError):
+                oracle_label([3, outside], oracle, store, 1)
+        assert oracle.cost_so_far == 0.0 and len(store) == 0
+        with pytest.raises(IndexError, match="position -2 is negative"):
+            store.write(LabelBatch.of([4, -2], [True, True], PROVENANCES.index("oracle"), 1))
+        assert len(store) == 0 and store.labels.tolist() == [-1] * 10
+
     def test_oracle_receives_embedding_rows(self):
         class Recording(SimulatedOracle):
             def _judge(self, batch):
@@ -189,10 +218,10 @@ class TestOracleLabel:
         store = KnownStore([10, 20, 30])
         embeddings = np.arange(6.0).reshape(3, 2)
         oracle = Recording(1.0, 1.0, 0, [10, 20, 30], [1, 0, 1])
-        oracle_label([30, 10], oracle, store, 1, embeddings)
+        oracle_label(store.positions([30, 10]), oracle, store, 1, embeddings)
         assert [i for i, _ in oracle.batch] == [30, 10]
         assert [row.tolist() for _, row in oracle.batch] == [[4.0, 5.0], [0.0, 1.0]]
-        oracle_label([20], oracle, store, 1)
+        oracle_label(store.positions([20]), oracle, store, 1)
         assert oracle.batch == [(20, None)]
 
     def test_cost_tracks_representatives(self):
@@ -207,7 +236,7 @@ class TestOracleLabel:
         for reps in (ids, np.array(ids, dtype=np.int64)):
             store = KnownStore(range(10))
             oracle = SimulatedOracle(0.6, 0.6, 4, range(10), [1, 0] * 5)
-            records = oracle_label(reps, oracle, store, 3)
+            records = oracle_label(reps, oracle, store, 3).records(store.ids)
             # plain ints, so the records serialise as the label file writes them
             assert [type(r.item_id) for r in records] == [int] * len(ids)
             again = [9, 5, 2] if isinstance(reps, list) else np.array([9, 5, 2])
@@ -235,14 +264,16 @@ class TestPropagation:
         store = KnownStore(graph.node_ids)
         record = oracle_rec(0)
         store.add(record)
-        assert propagate_labels([record], graph, 0.1, store, 1) == []
+        assert propagate_labels(store.batch([record]), graph, 0.1, store, 1).records(
+            store.ids) == []
 
     def test_planted_blob_fully_propagated(self, rng):
         items, (group,), graph = self.make_blob_graph(rng, [5])
         store = KnownStore(graph.node_ids)
         record = oracle_rec(0)
         store.add(record)
-        propagated = propagate_labels([record], graph, 0.1, store, 1)
+        propagated = propagate_labels(store.batch([record]), graph, 0.1, store, 1).records(
+            store.ids)
         assert sorted(r.item_id for r in propagated) == group[1:]
         for rec in propagated:
             assert rec.label is True
@@ -265,7 +296,8 @@ class TestPropagation:
         pos = oracle_rec(2, label=True)
         store.add(neg)
         store.add(pos)
-        (rec,) = propagate_labels([neg, pos], graph, 0.5, store, 1)
+        (rec,) = propagate_labels(store.batch([neg, pos]), graph, 0.5, store, 1).records(
+            store.ids)
         assert rec.item_id == 0
         assert rec.label is False
         assert rec.source_item_id == 1
@@ -285,7 +317,8 @@ class TestPropagation:
         pos_rec = oracle_rec(2, label=True)
         store.add(neg_rec)
         store.add(pos_rec)
-        (rec,) = propagate_labels([neg_rec, pos_rec], graph, 0.5, store, 1)
+        (rec,) = propagate_labels(store.batch([neg_rec, pos_rec]), graph, 0.5, store,
+                                  1).records(store.ids)
         assert rec.label is True
         assert rec.source_item_id == 2
 
@@ -301,7 +334,8 @@ class TestPropagation:
         rec_b = oracle_rec(2, label=True)
         store.add(rec_a)
         store.add(rec_b)
-        (rec,) = propagate_labels([rec_a, rec_b], graph, 0.5, store, 1)
+        (rec,) = propagate_labels(store.batch([rec_a, rec_b]), graph, 0.5, store,
+                                  1).records(store.ids)
         assert rec.source_item_id == 1
 
     def test_dup_routed_targets_receive_known_label(self, rng):
@@ -311,8 +345,8 @@ class TestPropagation:
         store.add(known)
         # a previous dedup stage matched item 2 against known item 0
         propagated = propagate_labels(
-            [], graph, 0.1, store, 2, dup_routed=np.array([[2, 0]])
-        )
+            store.batch([]), graph, 0.1, store, 2, dup_routed=store.positions([[2, 0]])
+        ).records(store.ids)
         assert len(propagated) == 1
         rec = propagated[0]
         assert rec.item_id == 2 and rec.label is True and rec.source_item_id == 0
@@ -328,7 +362,8 @@ class TestPropagation:
         store = KnownStore(graph.node_ids)
         rec = oracle_rec(0)
         store.add(rec)
-        propagated = propagate_labels([rec], graph, radius, store, 1)
+        propagated = propagate_labels(store.batch([rec]), graph, radius, store, 1).records(
+            store.ids)
         assert [r.item_id for r in propagated] == [1]
         # the fresh propagated record is not a source within the same round
         assert store.get(2) is None
@@ -337,10 +372,11 @@ class TestPropagation:
         items, _, graph = self.make_blob_graph(rng, [2])
         prop = LabelRecord(
             item_id=0, label=True, provenance="propagated", round=1,
-            source_item_id=5, distance_to_source=0.01,
+            source_item_id=1, distance_to_source=0.01,
         )
+        store = KnownStore(graph.node_ids)
         with pytest.raises(ValueError, match="seed/oracle"):
-            propagate_labels([prop], graph, 0.1, KnownStore(graph.node_ids), 1)
+            propagate_labels(store.batch([prop]), graph, 0.1, store, 1)
 
 
 class TestFeedbackSeeds:
@@ -457,11 +493,16 @@ class _Reply:
 
 
 def answering(monkeypatch, verdicts_for):
-    """Route requests.post to ``verdicts_for(asked ids)``, with no network."""
+    """Route requests.post to ``verdicts_for(asked ids)``, with no network.
+
+    Each element it returns is a verdict as sent, or an id to say True for.
+    """
 
     def post(url, json, timeout):
         asked = [item["item_id"] for item in json["items"]]
-        return _Reply({"verdicts": [{"item_id": i, "label": True} for i in verdicts_for(asked)]})
+        verdicts = [v if isinstance(v, dict) else {"item_id": v, "label": True}
+                    for v in verdicts_for(asked)]
+        return _Reply({"verdicts": verdicts})
 
     monkeypatch.setattr(requests, "post", post)
 
@@ -476,6 +517,26 @@ class TestHttpOracleVerdicts:
         answering(monkeypatch, lambda asked: asked + asked[:1])
         with pytest.raises(RuntimeError, match=r"duplicate verdicts for \[1\]"):
             HttpOracle("http://127.0.0.1:9/label").label_batch([(1, None), (2, None)])
+
+    @pytest.mark.parametrize("verdict, match", [
+        ({"item_id": 1, "label": "false"}, r"label 'false' for item 1: not a JSON boolean"),
+        ({"item_id": 1, "label": 0}, r"label 0 for item 1: not a JSON boolean"),
+        ({"item_id": 1, "label": None}, r"label None for item 1: not a JSON boolean"),
+        ({"item_id": "1", "label": False}, r"label False for item '1': not .* JSON integer"),
+        ({"item_id": 1.0, "label": False}, r"label False for item 1\.0: not .* JSON integer"),
+        ({"item_id": 2.9, "label": 0}, r"label 0 for item 2\.9: not .* JSON integer"),
+        ({"item_id": True, "label": False}, r"label False for item True: not .* JSON integer"),
+    ])
+    def test_verdicts_of_other_json_types_rejected(self, monkeypatch, verdict, match):
+        # bool("false") is True and int(2.9) is 2: neither may pass as a verdict
+        answering(monkeypatch, lambda asked: [verdict, 2])
+        with pytest.raises(RuntimeError, match=match):
+            HttpOracle("http://127.0.0.1:9/label").label_batch([(1, None), (2, None)])
+
+    def test_json_booleans_accepted(self, monkeypatch):
+        answering(monkeypatch, lambda asked: [{"item_id": 1, "label": False}, 2])
+        oracle = HttpOracle("http://127.0.0.1:9/label")
+        assert oracle.label_batch([(1, None), (2, None)]) == [False, True]
 
     def test_exact_answer_accepted(self, monkeypatch):
         answering(monkeypatch, lambda asked: asked[::-1])

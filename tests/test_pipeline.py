@@ -16,7 +16,7 @@ from reviewfunnel.corpus import (
     generate_corpus_detailed,
 )
 from reviewfunnel import pipeline
-from reviewfunnel.labeling import HttpOracle, SimulatedOracle, propagate_labels
+from reviewfunnel.labeling import HttpOracle, KnownStore, SimulatedOracle, propagate_labels
 from reviewfunnel.pipeline import (
     ActorParams,
     MissingGroundTruthError,
@@ -39,6 +39,13 @@ from conftest import make_items, planted_blob
 def simulated(corpus, rate=1.0, seed=0):
     """A SimulatedOracle with tpr = tnr = rate over the corpus's truth column."""
     return SimulatedOracle(rate, rate, seed, corpus.ids, corpus.truth)
+
+
+def stored(records, corpus):
+    """A label store over the corpus's ids holding ``records``."""
+    store = KnownStore(Corpus.of(corpus).ids)
+    store.extend(records)
+    return store
 
 
 def small_config(**overrides):
@@ -117,7 +124,7 @@ class TestComputeMetrics:
 
     def test_empty_store(self):
         items = self.make_corpus(50, 10)
-        report = compute_metrics([], items)
+        report = compute_metrics(stored([], items), items)
         assert report.recall == 0.0
         assert report.precision is None
         assert report.oracle_reviews == 0
@@ -128,7 +135,7 @@ class TestComputeMetrics:
             LabelRecord(item_id=i, label=True, provenance="oracle", round=1)
             for i in range(10)
         ]
-        report = compute_metrics(records, items)
+        report = compute_metrics(stored(records, items), items)
         assert report.recall == 1.0
         assert report.precision == 1.0
 
@@ -139,7 +146,7 @@ class TestComputeMetrics:
             LabelRecord(item_id=i, label=True, provenance="oracle", round=1)
             for i in list(range(10)) + list(range(50, 60))
         ]
-        report = compute_metrics(records, items)
+        report = compute_metrics(stored(records, items), items)
         assert report.recall == 0.25
         assert report.precision == 0.5
 
@@ -150,7 +157,7 @@ class TestComputeMetrics:
         items[3] = dataclasses.replace(items[3], ground_truth=None)
         corpus = Corpus.of(items)
         records = [LabelRecord(item_id=0, label=True, provenance="oracle", round=1)]
-        report = compute_metrics(records, corpus)
+        report = compute_metrics(stored(records, corpus), corpus)
         assert (report.oracle_reviews, report.positives_total) == (1, 1)
         assert report.recall is report.precision is None
         assert report.impression_weighted_recall is report.amplification is None
@@ -168,7 +175,7 @@ class TestComputeMetrics:
             ground_truth=gt,
         )
         records = [LabelRecord(item_id=1, label=True, provenance="oracle", round=1)]
-        report = compute_metrics(records, items)
+        report = compute_metrics(stored(records, items), items)
         assert report.recall == 0.5
         assert report.impression_weighted_recall == 0.0
 
@@ -203,11 +210,16 @@ class TestRunRound:
         """Round 3 fails at ``stage`` and leaves the store as it found it."""
         store = state.store
         snapshot = list(store.records())
-        arrays = (store.reviewed.tolist(), store.labels.tolist(), store.rounds.tolist())
+
+        def columns():
+            return (len(store), [column.tobytes() for column in store.written().columns()],
+                    store.reviewed.tolist(), store.labels.tolist(), store.rounds.tolist())
+
+        before = columns()
         with pytest.raises(StageError, match=f"round 3 stage {stage}"):
             run_round(state, config, 3)
         assert store.records() == snapshot
-        assert (store.reviewed.tolist(), store.labels.tolist(), store.rounds.tolist()) == arrays
+        assert columns() == before
         return snapshot
 
     def check_rerun(self, items, state, config, snapshot):
@@ -241,13 +253,18 @@ class TestRunRound:
         config = small_config(rounds=2)
         _, state = run_pipeline_detailed(items, config)
 
-        def propagate_then_fail(*args, **kwargs):
-            propagate_labels(*args, **kwargs)
+        staged = []
+
+        def propagate_then_fail(reviews, *args, **kwargs):
+            staged.extend(reviews.pos.tolist())
+            staged.extend(propagate_labels(reviews, *args, **kwargs).pos.tolist())
             raise RuntimeError("propagation interrupted")
 
         with monkeypatch.context() as patch:
             patch.setattr(pipeline, "propagate_labels", propagate_then_fail)
             snapshot = self.check_rollback(state, config, "propagate")
+        assert staged  # the round's reviews at least were written before it failed
+        assert all(state.store.get(i) is None for i in state.store.ids[staged].tolist())
         self.check_rerun(items, state, config, snapshot)
 
     def test_http_oracle_extra_verdicts_roll_back(self, small_corpus, monkeypatch):
@@ -467,14 +484,19 @@ def test_sparse_ids_give_the_same_records(pinned_corpus, overrides):
     config = PipelineConfig(oracle=OracleParams(tpr=1.0, tnr=1.0), **overrides)
     to_dense = dict(zip(sparse.ids.tolist(), ids.tolist()))
     to_dense[None] = None
-    want = [dataclasses.astuple(r) for r in run_pipeline_detailed(
-        pinned_corpus, config)[1].store.records()]
+    dense_report, dense_state = run_pipeline_detailed(pinned_corpus, config)
+    sparse_report, sparse_state = run_pipeline_detailed(sparse, config)
+    want = [dataclasses.astuple(r) for r in dense_state.store.records()]
     got = [
         (to_dense[r.item_id], *dataclasses.astuple(r)[1:4], to_dense[r.source_item_id],
          r.distance_to_source)
-        for r in run_pipeline_detailed(sparse, config)[1].store.records()
+        for r in sparse_state.store.records()
     ]
     assert got == want and len(want) > 1000
+    # every round's audit entries and the report's counts and rates; only
+    # the corpus hash covers the ids
+    assert dict(sparse_report.to_dict(), corpus_hash=None) == dict(
+        dense_report.to_dict(), corpus_hash=None)
 
 
 def test_baseline_outputs_are_pinned(pinned_corpus):

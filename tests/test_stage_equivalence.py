@@ -5,7 +5,8 @@ moved to one batched neighbour gather each; they query the graph one CSR row
 at a time through ``csr_neighbors``. Every stage must give exactly their
 output on seeded random corpora, stores and candidate sets, in both graph
 modes. The model-score column is checked against the id -> score dict,
-id filter and sort it replaced.
+id filter and sort it replaced, and the lazy coverage greedy against the
+eager one it replaced.
 """
 
 from unittest import mock
@@ -134,6 +135,45 @@ def ref_max_coverage_sample(candidates, graph, theta_prop, k, weights):
             assigned[best_id] = sorted(assigned[best_id] + [best_id])
             owner[best_id] = best_id
     return tuple(reps), {r: tuple(assigned[r]) for r in reps}
+
+
+def eager_max_coverage_sample(universe, graph, theta_prop, k, weights):
+    """The coverage greedy before it went lazy, over ascending positions:
+    after every pick the covered weights come off every gain (``subtract.at``,
+    members ascending) and the next pick is the first ``argmax``."""
+    m = len(universe)
+    if k == 0 or not m:
+        return universe[:0], universe[:0], universe[:0]
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=np.float64)
+    slot = np.full(len(graph), -1)
+    slot[universe] = np.arange(m)
+    row, nbr, _ = graph.gather(universe, theta_prop)
+    inside = slot[nbr] >= 0
+    row, nbr = row[inside], slot[nbr][inside]
+    coverer = np.concatenate([np.arange(m), row])
+    order = np.argsort(coverer, kind="stable")
+    cover = np.concatenate([np.arange(m), nbr])[order]
+    start = np.searchsorted(coverer[order], np.arange(m + 1))
+    gains = np.bincount(coverer[order], weights=w[cover], minlength=m)
+    uncovered = np.ones(m, dtype=bool)
+    owner = np.full(m, -1)
+    representatives = []
+    while len(representatives) < k and uncovered.any():
+        best = int(np.argmax(gains))
+        if not gains[best] > 0.0:
+            break
+        members = cover[start[best] : start[best + 1]]
+        newly = np.sort(members[uncovered[members]])
+        representatives.append(best)
+        owner[newly] = best
+        uncovered[newly] = False
+        counts = start[newly + 1] - start[newly]
+        offset = start[newly] - np.cumsum(counts) + counts
+        slots = np.arange(counts.sum()) + np.repeat(offset, counts)
+        np.subtract.at(gains, cover[slots], np.repeat(w[newly], counts))
+        owner[best] = best
+    members = np.flatnonzero(owner >= 0)
+    return universe[representatives], universe[members], universe[owner[members]]
 
 
 def plan_as_dicts(plan):
@@ -307,6 +347,33 @@ def test_max_coverage_sample(seed):
                 candidates, graph, THETA_PROP, k, weights)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    distinct=st.sampled_from([0.3, 1.0]),
+    share=st.sampled_from([0.0, 0.4, 1.0]),
+    radius=st.sampled_from([0.0, 0.1, 0.3, 0.6]),
+    kind=st.sampled_from(["unit", "integer", "float"]),
+    budget=st.integers(0, 45),
+)
+def test_lazy_coverage_equals_eager(seed, n, distinct, share, radius, kind, budget):
+    # repeated rows cover the same sets, so gains tie; integer weights of 0-3
+    # tie too, and floats sum in an order-sensitive way; a share of 0 leaves
+    # the universe empty, and budgets reach past what can be covered
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((max(1, int(n * distinct)), 3))
+    items = make_items(base[rng.integers(0, len(base), n)], ids=np.arange(n) * 3 + 1)
+    graph = build_graph(items, 0.6, "exact")
+    universe = np.flatnonzero(rng.random(n) < share)
+    weights = {"unit": None, "integer": rng.integers(0, 4, len(universe)).astype(float),
+               "float": rng.random(len(universe)) * 10}[kind]
+    plan = max_coverage_sample(universe, graph, radius, budget, weights)
+    want = eager_max_coverage_sample(universe, graph, radius, budget, weights)
+    got = (plan.representatives, plan.members, plan.owner)
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_propagate_labels(seed):
     rng, items, graph, _, _ = scenario(seed)
@@ -320,10 +387,10 @@ def test_propagate_labels(seed):
     for store in stores:
         for record in new_records:
             store.add(record)
-    pairs = np.array(sorted(routed.items()), dtype=np.int64)
-    got = propagate_labels(new_records, graph, THETA_PROP, stores[0], 1, pairs)
+    pairs = stores[0].positions(sorted(routed.items()))
+    got = propagate_labels(stores[0].batch(new_records), graph, THETA_PROP, stores[0], 1, pairs)
     want = ref_propagate_labels(new_records, graph, THETA_PROP, stores[1], 1, routed)
-    assert got == want and got
+    assert got.records(stores[0].ids) == want and len(got)
     assert stores[0].records() == stores[1].records()
 
 
@@ -435,7 +502,7 @@ def test_campaign_matches_stages_from_scratch(corpus_seed, n_clusters, dim, nois
     candidate_sets = []
 
     def capture(candidates, *args):
-        candidate_sets.append(candidates.tolist())
+        candidate_sets.append(items.ids[candidates].tolist())
         return dedup_cross_round(candidates, *args)
 
     with mock.patch.object(pipeline, "dedup_cross_round", capture):
