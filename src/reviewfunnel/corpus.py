@@ -22,9 +22,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -244,8 +245,8 @@ def _fingerprints(rows: np.ndarray) -> np.ndarray:
     """Each row's fingerprint, as a little-endian uint64 of its blake2b digest."""
     out = np.empty(len(rows), dtype=np.uint64)
     for block in _blocks(len(rows)):
-        quantized = np.round(rows[block] / _HASH_QUANTUM).astype(np.int64)
-        digests = b"".join(hashlib.blake2b(q.tobytes(), digest_size=8).digest() for q in quantized)
+        digests = b"".join(hashlib.blake2b(q.tobytes(), digest_size=8).digest()
+                           for q in np.round(rows[block] / _HASH_QUANTUM).astype(np.int64))
         out[block] = np.frombuffer(digests, dtype="<u8")
     return out
 
@@ -339,9 +340,28 @@ class Corpus:
         return h.hexdigest()
 
 
+class _TruthById(Mapping):
+    """Read-only ``{id: bool}`` view of the truth column of a corpus whose ids are 0 to n - 1."""
+
+    def __init__(self, truth: np.ndarray):
+        self._truth = truth
+
+    def __getitem__(self, item_id) -> bool:
+        row = index(item_id)
+        if not 0 <= row < len(self._truth):
+            raise KeyError(item_id)
+        return bool(self._truth[row])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self)))
+
+    def __len__(self) -> int:
+        return len(self._truth)
+
+
 def generate_corpus_detailed(
     cfg: GeneratorConfig,
-) -> tuple[Corpus, dict[int, bool], list[ClusterInfo]]:
+) -> tuple[Corpus, Mapping[int, bool], list[ClusterInfo]]:
     """Generate a clustered synthetic corpus, its truth by id and its clusters.
 
     Deterministic for a fixed ``rng_seed``. Cluster sizes are 1 + Poisson
@@ -392,7 +412,7 @@ def generate_corpus_detailed(
         clusters.append(ClusterInfo(next_id, tuple(members), dups, positive))
         next_id += size
     corpus = Corpus(np.arange(n), emb, accounts, impressions, _fingerprints(emb), truth)
-    return corpus, dict(enumerate(corpus.truth.astype(bool).tolist())), clusters
+    return corpus, _TruthById(corpus.truth), clusters
 
 
 def _embedding_rows(embeddings: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]:

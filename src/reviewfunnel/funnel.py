@@ -33,17 +33,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .simgraph import SimilarityGraph
+from .simgraph import SimilarityGraph, _nonnegative
 
 def position_array(pos: Iterable[int]) -> np.ndarray:
     """The distinct positions of any iterable, ascending int64; IndexError if negative."""
     if not isinstance(pos, np.ndarray):
         pos = np.fromiter(pos, dtype=np.int64)
-    pos = pos.astype(np.int64, copy=False)
-    pos = pos if np.all(pos[1:] > pos[:-1]) else np.unique(pos)
-    if len(pos) and pos[0] < 0:
-        raise IndexError(f"position {pos[0]} is negative")
-    return pos
+    pos = _nonnegative(pos)
+    return pos if np.all(pos[1:] > pos[:-1]) else np.unique(pos)
 
 
 @dataclass(frozen=True)

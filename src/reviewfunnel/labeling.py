@@ -31,7 +31,7 @@ from .corpus import (
     PROVENANCES,
     embedding_fingerprint,
 )
-from .simgraph import SimilarityGraph, positions
+from .simgraph import SimilarityGraph, _nonnegative, positions
 
 
 class AlreadyLabeledError(RuntimeError):
@@ -348,16 +348,20 @@ class KnownStore:
         batch.distance[batch.provenance == _PROPAGATED] = [r.distance_to_source for r in copied]
         return batch
 
-    def write(self, batch: LabelBatch) -> None:
-        """Append a batch in order; if one of its positions is already labelled, none is."""
-        pos = batch.pos
-        if np.any(pos < 0):
-            raise IndexError(f"position {pos[np.argmax(pos < 0)]} is negative")
+    def require_unlabeled(self, pos, what: str = "item") -> np.ndarray:
+        """``pos`` as int64 if all are new: IndexError for a negative position, and
+        AlreadyLabeledError naming the first repeated or labelled ``what`` by id."""
+        pos = _nonnegative(pos)
         repeat = np.ones(len(pos), dtype=bool)
         repeat[np.unique(pos, return_index=True)[1]] = False
         bad = repeat | (self.labels[pos] >= 0)
         if bad.any():
-            raise AlreadyLabeledError(f"item {self.ids[pos[np.argmax(bad)]]} already labeled")
+            raise AlreadyLabeledError(f"{what} {self.ids[pos[np.argmax(bad)]]} already labeled")
+        return pos
+
+    def write(self, batch: LabelBatch) -> None:
+        """Append a batch in order; if one of its positions is already labelled, none is."""
+        pos = self.require_unlabeled(batch.pos)
         end = self._size + len(pos)
         for column, values in zip(self._log.columns(), batch.columns()):
             column[self._size : end] = values
@@ -409,13 +413,7 @@ def oracle_label(
     The oracle receives each representative's id and, when ``embeddings``
     (one row per store position) is given, its row (else None).
     """
-    pos = np.asarray(representatives, dtype=np.int64)
-    if np.any(pos < 0):
-        raise IndexError(f"position {pos[np.argmax(pos < 0)]} is negative")
-    labeled = store.labels[pos] >= 0
-    if labeled.any():
-        raise AlreadyLabeledError(
-            f"representative {store.ids[pos[np.argmax(labeled)]]} already labeled")
+    pos = store.require_unlabeled(representatives, "representative")
     verdicts = []
     if len(pos):
         rows = embeddings[pos] if embeddings is not None else [None] * len(pos)

@@ -82,6 +82,14 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _nonnegative(pos) -> np.ndarray:
+    """``pos`` as int64; IndexError for a negative one, which numpy would read from the end."""
+    pos = np.asarray(pos, dtype=np.int64)
+    if np.any(pos < 0):
+        raise IndexError(f"position {pos[np.argmax(pos < 0)]} is negative")
+    return pos
+
+
 def positions(index: np.ndarray, item_ids) -> np.ndarray:
     """Positions of ``item_ids`` in the ascending ``index``; KeyError if absent."""
     item_ids = np.asarray(item_ids, dtype=np.int64)
@@ -178,7 +186,7 @@ class SimilarityGraph:
             raise ValueError(
                 f"query radius {radius} exceeds graph threshold {self.theta}"
             )
-        pos = np.asarray(pos, dtype=np.int64)
+        pos = _nonnegative(pos)
         starts = self._indptr[pos]
         ends = self._indptr[pos + 1]
         # each row's entries within radius are a prefix: one bisection over
@@ -216,7 +224,7 @@ class SimilarityGraph:
 
     def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``distances`` of each position pair (a[k], b[k])."""
-        return _pair_distances(self.embeddings, self._norms, a, b)
+        return _pair_distances(self.embeddings, self._norms, _nonnegative(a), _nonnegative(b))
 
 
 def _pair_distances(
@@ -293,8 +301,8 @@ def _member_pairs(starts, members, gi, gj) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _member_edges(emb, norms, starts, members, gi, gj, theta) -> list[np.ndarray]:
-    """[ii, jj, dists] of the member pairs of ``_member_pairs`` within theta."""
+def _member_edges(emb, norms, starts, members, gi, gj, theta) -> list[tuple]:
+    """(ii, jj, dists) parts of the member pairs of ``_member_pairs`` within theta."""
     sizes = np.diff(starts)
     ends = np.cumsum(sizes[gi] * sizes[gj])
     splits = np.searchsorted(ends, np.arange(_VERIFY_PAIRS, ends[-1] if len(ends) else 0,
@@ -305,7 +313,7 @@ def _member_edges(emb, norms, starts, members, gi, gj, theta) -> list[np.ndarray
         dists = _pair_distances(emb, norms, ii, jj)
         keep = dists <= theta
         found.append((ii[keep], jj[keep], dists[keep]))
-    return [np.concatenate(part) for part in zip(*found)]
+    return found
 
 
 def _detection(emb, norms, starts, members, theta) -> tuple[np.ndarray, float]:
@@ -380,7 +388,7 @@ def _tiles(keys: np.ndarray, order: np.ndarray, shares: int) -> list[np.ndarray]
 
 
 def _tile_edges(emb, norms, keys, order, starts, members, det, tiles, cut, theta):
-    """[ii, jj, dists] of the edges between the groups that a run of ``_tiles`` pairs.
+    """``_member_edges`` parts of the edges between the groups that a run of ``_tiles`` pairs.
 
     ``keys`` and ``order`` are over groups, and detection scores their
     ``_detection`` rows in upper-triangle tiles. Every member pair of a
@@ -423,7 +431,7 @@ def _tile_edges(emb, norms, keys, order, starts, members, det, tiles, cut, theta
 
 
 def _group_edges(emb, norms, starts, members, theta):
-    """[ii, jj, dists] of the edges inside groups, which band 0 owns."""
+    """``_member_edges`` parts of the edges inside groups, which band 0 owns."""
     multi = np.flatnonzero(np.diff(starts) > 1)
     return _member_edges(emb, norms, starts, members, multi, multi, theta)
 
@@ -545,12 +553,13 @@ def _available_cpus() -> int:
 
 
 def _share_edges(fd: str, share: str) -> list[np.ndarray]:
-    """A worker's entry: ``_tile_edges`` of one share, its inputs mapped from ``fd``."""
+    """A worker's entry: one share's ``_tile_edges`` joined, its inputs mapped from ``fd``."""
     arrays = _mapped(int(fd))
     # Python floats, as in the caller: against a NumPy float64 cut the
     # float32 scores would be compared in float64
     cut, theta = arrays[7].tolist()
-    return _tile_edges(*arrays[:7], arrays[8 + int(share)], cut, theta)
+    return [np.concatenate(part) for part in
+            zip(*_tile_edges(*arrays[:7], arrays[8 + int(share)], cut, theta))]
 
 
 def _edges(emb, norms, theta, mode, bands, band_bits, seed) -> list[np.ndarray]:
@@ -584,19 +593,26 @@ def _edges(emb, norms, theta, mode, bands, band_bits, seed) -> list[np.ndarray]:
             tiles = _tiles(keys, order, max(len(procs), 1))
             inputs = (emb, norms, keys, order, starts, members, det)
             if not procs:
-                parts = [_tile_edges(*inputs, tiles[0], cut, theta)]
+                parts = _tile_edges(*inputs, tiles[0], cut, theta)
             else:
                 parts = []
                 _save(fh, (*inputs, np.array([cut, theta]), *tiles))
                 for proc in procs:
                     proc.start()
+            del keys, order, det, tiles, inputs
             # the caller verifies the pairs inside groups while the workers run
-            parts.append(_group_edges(emb, norms, starts, members, theta))
+            parts += _group_edges(emb, norms, starts, members, theta)
             parts += [proc.result(3) for proc in procs]
         finally:
             for proc in procs:
                 proc.close()
-    return [np.concatenate(part) for part in zip(*parts)]
+    # each part is copied once and released, a worker's mapped result with it
+    at = np.cumsum([0] + [len(part[0]) for part in parts]).tolist()
+    ii, jj, dists = (np.empty(at[-1], dtype) for dtype in (np.int64, np.int64, np.float64))
+    for k in range(len(parts)):
+        ii[at[k] : at[k + 1]], jj[at[k] : at[k + 1]], dists[at[k] : at[k + 1]] = parts[k]
+        parts[k] = None
+    return [ii, jj, dists]
 
 
 def build_graph(
@@ -647,7 +663,9 @@ def build_graph(
     # keeps. Each array goes as soon as it is used: with many edges a row, the
     # sort, not the end of `_edges`, sets the build's peak memory.
     edges = np.argsort(ii * n + jj)
-    ii, jj, dists = ii[edges], jj[edges], dists[edges]
+    ii = ii[edges]
+    jj = jj[edges]
+    dists = dists[edges]
     del edges
     levels, rank = np.unique(dists, return_inverse=True)
     key = np.concatenate([jj, ii]) * len(levels)
@@ -658,7 +676,10 @@ def build_graph(
     del key
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n))
-    nbr_pos = np.concatenate([ii, jj])[perm]
+    nbr_pos = np.concatenate([ii, jj])
     del ii, jj
-    both = np.concatenate([dists, dists])[perm]
+    nbr_pos = nbr_pos[perm]
+    both = np.concatenate([dists, dists])
+    del dists
+    both = both[perm]
     return SimilarityGraph(ids, emb, norms, theta, mode, indptr, nbr_pos, both)

@@ -57,6 +57,20 @@ class TestGenerator:
         assert len(items) == 1
         assert truth == {items[0].item_id: True}
 
+    def test_truth_is_a_read_only_view_of_its_column(self):
+        corpus, truth, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=30, rng_seed=5))
+        n = len(corpus)
+        assert truth == dict(enumerate(corpus.truth.astype(bool).tolist()))
+        assert len(truth) == n == len(list(truth.values()))
+        assert list(truth.values()) == (corpus.truth == 1).tolist()
+        assert truth[np.int64(n - 1)] is bool(corpus.truth[-1])
+        for outside in (-1, n, np.int64(n)):
+            with pytest.raises(KeyError):
+                truth[outside]
+        assert n - 1 in truth and n not in truth
+        with pytest.raises(TypeError):
+            truth[0] = True
+
     def test_deterministic(self):
         cfg = GeneratorConfig(n_clusters=30, rng_seed=5)
         a, _, _ = generate_corpus_detailed(cfg)

@@ -197,6 +197,13 @@ class TestOracleLabel:
             oracle_label([5, 7, 3], oracle, store, 1)
         assert oracle.cost_so_far == 0.0 and store.get(5) is None
 
+    def test_repeated_representative_is_refused_before_review(self):
+        store = KnownStore(range(10))
+        oracle = SimulatedOracle(1.0, 1.0, 0, range(10), [1] * 10)
+        with pytest.raises(AlreadyLabeledError, match="representative 3 "):
+            oracle_label([3, 5, 3], oracle, store, 1)
+        assert oracle.items_labeled == 0 and len(store) == 0
+
     def test_position_outside_the_index_is_refused_before_review(self):
         # numpy would read -1 as the last position
         store = KnownStore(range(10))

@@ -694,6 +694,29 @@ def test_sign_hash_holds_one_block_of_projections(sign_corpus):
     assert peak < bound < len(emb) * 16 * 8 * 8 / 2, (peak, bound)
 
 
+@pytest.mark.parametrize("workers, dim, cluster_size", [(1, 64, 20), (2, 128, 10)],
+                         ids=["in-process", "workers"])
+def test_build_holds_under_one_and_a_half_outputs_beyond_them(workers, dim, cluster_size):
+    # The buffers of a fixed size (a block of projections, a batch of member
+    # pairs, a detection tile) are shrunk, so the bound sees what grows with
+    # the corpus. The CSR sort's keys and permutation take about 1.25
+    # outputs. Held while the edges are assembled, the tiles' edges and their
+    # concatenation (in this process, about 10 edges a row here) or the
+    # detection rows and band orders (through workers, 128-d rows) would each
+    # push the peak past the bound.
+    corpus = generate_corpus_detailed(GeneratorConfig(
+        n_clusters=20000 // cluster_size, cluster_size_mean=cluster_size, embedding_dim=dim,
+        rng_seed=5))[0]
+    with mock.patch.object(corpus_module, "_BLOCK_ROWS", 512), \
+            mock.patch.object(simgraph, "_VERIFY_PAIRS", 512), \
+            mock.patch.object(simgraph, "_TILE_ELEMS", 1 << 16), \
+            graph_workers(workers) as started:
+        graph, peak, _ = traced(build_graph, corpus, 0.25, "blocked")
+    assert len(started) == (workers if workers > 1 else 0)
+    out = sum(a.nbytes for a in (graph._indptr, graph._nbr_pos, graph._nbr_dists, graph._norms))
+    assert peak - out < 1.5 * out, (peak, out)
+
+
 class TestNeighborQueries:
     def setup_method(self):
         rng = np.random.default_rng(3)
@@ -737,6 +760,14 @@ class TestNeighborQueries:
     def test_distance_matches_metric(self):
         (d,) = self.graph.distances([0], [1])
         assert d == cosine_distance(self.items[0].embedding, self.items[1].embedding)
+
+    def test_negative_position_rejected(self):
+        # numpy would read a negative position from the end
+        with pytest.raises(IndexError, match="position -2 is negative"):
+            self.graph.gather([-2], 0.25)
+        for a, b in (([-1], [0]), ([0], [-1])):
+            with pytest.raises(IndexError, match="position -1 is negative"):
+                self.graph.pair_distances(np.array(a), np.array(b))
 
 
 def batch_rows(graph, ids, radius):
