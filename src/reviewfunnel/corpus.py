@@ -165,17 +165,17 @@ class GeneratorConfig:
     def validate(self) -> None:
         if self.n_clusters < 0:
             raise ConfigError("n_clusters must be >= 0")
-        if self.cluster_size_mean < 1:
-            raise ConfigError("cluster_size_mean must be >= 1")
+        if not 1 <= self.cluster_size_mean < math.inf:
+            raise ConfigError("cluster_size_mean must be finite and >= 1")
         for field_name in ("dup_fraction", "positive_cluster_rate", "inactive_rate", "account_skew"):
             value = getattr(self, field_name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{field_name} must be in [0, 1]")
         if self.embedding_dim < 2:
             raise ConfigError("embedding_dim must be >= 2")
-        if self.noise_sigma <= 0:
-            raise ConfigError("noise_sigma must be > 0")
-        if self.dup_sigma < 0:
+        if not 0 < self.noise_sigma < math.inf:
+            raise ConfigError("noise_sigma must be finite and > 0")
+        if not 0 <= self.dup_sigma:
             raise ConfigError("dup_sigma must be >= 0")
         if self.dup_sigma >= self.noise_sigma:
             raise ConfigError("dup_sigma must be < noise_sigma")

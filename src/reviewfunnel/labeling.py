@@ -269,11 +269,13 @@ class KnownStore:
     ``account_codes``, each position's index into the distinct ``accounts``
     (one past the end for no account).
 
-    The writes are kept in order as the six columns of a ``LabelBatch``
-    (``written``); a position is written at most once, so the columns are
-    sized to the index. Writes during a round are staged: visible to reads,
-    but permanent only on commit, giving the pipeline round atomicity.
-    Committed writes are never changed or removed.
+    ``write(LabelBatch)`` is the one write, by position; ``written`` (the
+    columns) and ``records`` (with ids) are the reads of what was written.
+    The writes are kept in order as the six columns of a ``LabelBatch``; a
+    position is written at most once, so the columns are sized to the index.
+    Writes during a round are staged: visible to reads, but permanent only
+    on commit, giving the pipeline round atomicity. Committed writes are
+    never changed or removed.
     """
 
     def __init__(self, ids, accounts=None, hashes=None):
@@ -286,7 +288,6 @@ class KnownStore:
         self.labels = np.full(n, -1, dtype=np.int8)
         self.reviewed = np.zeros(n, dtype=bool)
         self.rounds = np.full(n, -1, dtype=np.int64)
-        self._slot = np.full(n, -1, dtype=np.int64)  # each position's row in the columns
         self._log = LabelBatch(*(np.empty(n, dtype=dtype) for dtype in (
             np.int64, bool, np.int8, np.int64, np.int64, np.float64)))
         self._size = 0
@@ -295,31 +296,13 @@ class KnownStore:
     def __len__(self) -> int:
         return self._size
 
-    def __contains__(self, item_id: int) -> bool:
-        return self.get(item_id) is not None
-
-    def positions(self, item_ids) -> np.ndarray:
-        return positions(self.ids, item_ids)
-
     def written(self) -> LabelBatch:
         """Every visible write (committed plus staged), in write order, as views."""
         return self._log.rows(slice(0, self._size))
 
-    def get(self, item_id: int) -> LabelRecord | None:
-        pos = int(np.searchsorted(self.ids, item_id))
-        if pos == len(self.ids) or self.ids[pos] != item_id or self._slot[pos] < 0:
-            return None
-        return self._log.rows(slice(self._slot[pos], self._slot[pos] + 1)).records(self.ids)[0]
-
     def records(self) -> list[LabelRecord]:
         """All visible records (committed plus staged), in write order."""
         return self.written().records(self.ids)
-
-    def reviewed_ids(self) -> set[int]:
-        return set(self.ids[self.reviewed].tolist())
-
-    def positive_ids(self) -> set[int]:
-        return set(self.ids[self.labels == 1].tolist())
 
     def hash_match(self, pos: np.ndarray) -> np.ndarray:
         """Lowest reviewed position sharing each position's exact hash, or -1."""
@@ -329,24 +312,6 @@ class KnownStore:
         match[codes] = reviewed[lowest]
         match[-1] = -1  # the slot of items without a hash
         return match[self._hash_codes[pos]]
-
-    def add(self, record: LabelRecord) -> None:
-        self.extend([record])
-
-    def extend(self, records: Sequence[LabelRecord]) -> None:
-        self.write(self.batch(records))
-
-    def batch(self, records: Sequence[LabelRecord]) -> LabelBatch:
-        """Records as columns over this store's positions; KeyError for an id outside it."""
-        batch = LabelBatch.of(self.positions([r.item_id for r in records]),
-                              [r.label for r in records],
-                              [PROVENANCES.index(r.provenance) for r in records],
-                              [r.round for r in records])
-        copied = [r for r in records if r.provenance == PROVENANCE_PROPAGATED]
-        batch.source[batch.provenance == _PROPAGATED] = self.positions(
-            [r.source_item_id for r in copied])
-        batch.distance[batch.provenance == _PROPAGATED] = [r.distance_to_source for r in copied]
-        return batch
 
     def require_unlabeled(self, pos, what: str = "item") -> np.ndarray:
         """``pos`` as int64 if all are new: IndexError for a negative position, and
@@ -365,7 +330,6 @@ class KnownStore:
         end = self._size + len(pos)
         for column, values in zip(self._log.columns(), batch.columns()):
             column[self._size : end] = values
-        self._slot[pos] = np.arange(self._size, end)
         self.labels[pos] = batch.label
         self.reviewed[pos] = batch.provenance == _ORACLE
         self.rounds[pos] = batch.round
@@ -387,7 +351,6 @@ class KnownStore:
             raise RuntimeError("no round in progress")
         staged = self._log.pos[self._staged_from : self._size]
         self.labels[staged], self.reviewed[staged], self.rounds[staged] = -1, False, -1
-        self._slot[staged] = -1
         self._size, self._staged_from = self._staged_from, None
 
 

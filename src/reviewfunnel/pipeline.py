@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import ConfigError, Corpus, LabelRecord, PROVENANCE_SEED, PROVENANCES
+from .corpus import ConfigError, Corpus, PROVENANCE_SEED, PROVENANCES
 from .funnel import (
     Reach,
     dedup_cross_round,
@@ -28,6 +28,7 @@ from .funnel import (
 )
 from .labeling import (
     KnownStore,
+    LabelBatch,
     Oracle,
     SimulatedOracle,
     feedback_seeds,
@@ -126,8 +127,10 @@ class PipelineConfig:
             raise ConfigError("bootstrap_seeds must be >= 0")
         if self.graph_mode not in GRAPH_MODES:
             raise ConfigError(f"graph_mode must be one of {GRAPH_MODES}")
-        if self.graph_bands < 1 or self.graph_band_bits < 1:
-            raise ConfigError("graph_bands and graph_band_bits must be >= 1")
+        if self.graph_bands < 1:
+            raise ConfigError("graph_bands must be >= 1")
+        if not 1 <= self.graph_band_bits <= 62:  # one int64 key per band
+            raise ConfigError("graph_band_bits must be in [1, 62]")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         seeds = {"rng_seed": self.rng_seed, "graph_seed": self.graph_seed,
@@ -376,18 +379,13 @@ def run_round(
     return state, metrics
 
 
-def _bootstrap_records(
-    positive_ids: np.ndarray, count: int, rng_seed: int
-) -> list[LabelRecord]:
-    take = min(count, len(positive_ids))
-    if take == 0:
-        return []
+def _bootstrap(positive_positions: np.ndarray, count: int, rng_seed: int) -> LabelBatch:
+    """``count`` seed labels drawn from the positive positions, in ascending order."""
     rng = np.random.default_rng(rng_seed)
-    chosen = sorted(rng.choice(positive_ids, size=take, replace=False).tolist())
-    return [
-        LabelRecord(item_id=i, label=True, provenance=PROVENANCE_SEED, round=0)
-        for i in chosen
-    ]
+    take = min(count, len(positive_positions))
+    chosen = np.sort(rng.choice(positive_positions, size=take, replace=False))
+    return LabelBatch.of(chosen, np.ones(take, dtype=bool),
+                          PROVENANCES.index(PROVENANCE_SEED), 0)
 
 
 def run_pipeline_detailed(
@@ -439,9 +437,7 @@ def run_pipeline_detailed(
 
     positive = corpus.truth == 1
     store = KnownStore(corpus.ids, accounts=corpus.accounts, hashes=corpus.hashes)
-    store.extend(
-        _bootstrap_records(corpus.ids[positive], config.bootstrap_seeds, config.rng_seed)
-    )
+    store.write(_bootstrap(np.flatnonzero(positive), config.bootstrap_seeds, config.rng_seed))
     scored = np.zeros(len(corpus), dtype=bool)
     if config.score is not None:
         scored = simulate_model_scores(corpus.truth, config.score) > config.score.tau

@@ -128,8 +128,9 @@ class SimilarityGraph:
     positions into ``ids``, in ascending (distance, id) order, so every
     radius query keeps a prefix of each row it reads. ``gather`` is the one
     read path: it takes positions, finds each row's cut at the query radius
-    by bisection and gathers no entry past it; the id-level queries wrap it.
-    ``embeddings`` is the matrix it was built over, one row per id.
+    by bisection and gathers no entry past it; ``neighbors_with_distances``
+    wraps it for one id. ``embeddings`` is the matrix it was built over, one
+    row per id.
     """
 
     def __init__(
@@ -153,10 +154,6 @@ class SimilarityGraph:
         self._nbr_dists = nbr_dists
         for arr in (ids, embeddings, norms, indptr, nbr_pos, nbr_dists):
             arr.setflags(write=False)
-
-    def __contains__(self, item_id: int) -> bool:
-        pos = int(np.searchsorted(self.ids, item_id))
-        return pos < len(self.ids) and self.ids[pos] == item_id
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -205,25 +202,15 @@ class SimilarityGraph:
         slots = np.arange(len(row)) + np.repeat(starts - first, counts)
         return row, self._nbr_pos[slots], self._nbr_dists[slots]
 
-    def neighbors_batch(
-        self, item_ids, radius: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``gather`` by ids: ``(row, nbr_ids, dists)``, KeyError for an unknown id."""
-        row, nbr, dists = self.gather(positions(self.ids, item_ids), radius)
-        return row, self.ids[nbr], dists
-
     def neighbors_with_distances(
         self, item_id: int, radius: float
     ) -> list[tuple[int, float]]:
-        _, nbr_ids, dists = self.neighbors_batch([item_id], radius)
-        return list(zip(nbr_ids.tolist(), dists.tolist()))
-
-    def distances(self, a_ids, b_ids) -> np.ndarray:
-        """Canonical cosine distance of each member pair (a_ids[k], b_ids[k])."""
-        return self.pair_distances(positions(self.ids, a_ids), positions(self.ids, b_ids))
+        """``gather`` of one id: its (neighbour id, distance) pairs; KeyError if unknown."""
+        _, nbr, dists = self.gather(positions(self.ids, [item_id]), radius)
+        return list(zip(self.ids[nbr].tolist(), dists.tolist()))
 
     def pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``distances`` of each position pair (a[k], b[k])."""
+        """Canonical cosine distance of each position pair (a[k], b[k])."""
         return _pair_distances(self.embeddings, self._norms, _nonnegative(a), _nonnegative(b))
 
 

@@ -239,9 +239,9 @@ def test_criterion_5_blocked_graph_recall():
 
 def edge_keys(graph):
     """One key per directed edge of the graph at its own radius."""
-    ids = np.array(graph.node_ids)
-    row, nbr, _ = graph.neighbors_batch(ids, graph.theta)
-    return ids[row] * (int(ids.max()) + 1) + nbr
+    ids = graph.ids
+    row, nbr, _ = graph.gather(np.arange(len(ids)), graph.theta)
+    return ids[row] * (int(ids.max()) + 1) + ids[nbr]
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -336,6 +336,21 @@ def test_malformed_config_exits_2_before_writing(tmp_path, corpus_file, capsys, 
                  id="cost-nan"),
     pytest.param("run", dict(RUN_CONFIG, oracle={"unit_cost": math.inf}), "oracle.unit_cost",
                  id="cost-inf"),
+    # a blocked build would refuse it only after the manifest is written
+    pytest.param("run", dict(RUN_CONFIG, graph_mode="blocked", graph_band_bits=63),
+                 "graph_band_bits", id="band-bits-63"),
+    # a NaN spread writes a corpus of NaN embeddings; a NaN or infinite mean
+    # fails inside numpy's Poisson draw
+    pytest.param("generate", dict(GEN_CONFIG, noise_sigma=math.nan), "noise_sigma",
+                 id="generator-noise_sigma-nan"),
+    pytest.param("generate", dict(GEN_CONFIG, noise_sigma=math.inf), "noise_sigma",
+                 id="generator-noise_sigma-inf"),
+    pytest.param("generate", dict(GEN_CONFIG, dup_sigma=math.nan), "dup_sigma",
+                 id="generator-dup_sigma-nan"),
+    pytest.param("generate", dict(GEN_CONFIG, cluster_size_mean=math.nan), "cluster_size_mean",
+                 id="generator-cluster_size_mean-nan"),
+    pytest.param("generate", dict(GEN_CONFIG, cluster_size_mean=math.inf), "cluster_size_mean",
+                 id="generator-cluster_size_mean-inf"),
 ])
 def test_out_of_range_value_exits_2_before_writing(tmp_path, corpus_file, capsys, command, doc,
                                                    field):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reviewfunnel.corpus import LabelRecord
+from reviewfunnel.corpus import PROVENANCES
 from reviewfunnel.funnel import (
     CoveragePlan,
     Reach,
@@ -15,25 +15,24 @@ from reviewfunnel.funnel import (
     filter_eligible,
     max_coverage_sample,
 )
-from reviewfunnel.labeling import KnownStore, propagate_labels
+from reviewfunnel.labeling import KnownStore, LabelBatch, propagate_labels
 from reviewfunnel.simgraph import build_graph, cosine_distance
 
 from conftest import make_items, neighbor_ids, planted_blob
 
 
-def oracle_rec(item_id, label=True, round_no=1):
-    return LabelRecord(item_id=item_id, label=label, provenance="oracle", round=round_no)
+ORACLE = PROVENANCES.index("oracle")
 
 
-def store_with(items, records=()):
-    """A store over the items' ids, accounts and hashes, holding records."""
+def store_with(items, reviews=None):
+    """A store over the items' ids, accounts and hashes, holding the ``reviews`` batch."""
     store = KnownStore(
         [it.item_id for it in items],
         [it.account_id for it in items],
         np.array([it.exact_hash for it in items], dtype=np.uint64),
     )
-    for record in records:
-        store.add(record)
+    if reviews is not None:
+        store.write(reviews)
     return store
 
 
@@ -82,13 +81,13 @@ def test_stages_refuse_a_graph_over_other_ids(rng):
     items, _ = blob_corpus(rng, [4])
     graph = build_graph(items, 0.25)
     other = make_items([it.embedding for it in items], ids=[10, 11, 12, 13])
-    store = store_with(other, [oracle_rec(10)])
-    same = store_with(items, [oracle_rec(0)])
+    store = store_with(other, LabelBatch.of([0], [True], ORACLE, 1))  # item 10
+    same = store_with(items, LabelBatch.of([0], [True], ORACLE, 1))
     for call in (
         lambda: expand_content(graph, Reach(store.ids), [10], 0.25),
         lambda: dedup_cross_round([11], store, graph, 0.05, Reach(store.ids)),
         lambda: dedup_cross_round([1], same, graph, 0.05, Reach(store.ids)),
-        lambda: propagate_labels(store.batch([oracle_rec(12)]), graph, 0.1, store, 1),
+        lambda: propagate_labels(LabelBatch.of([2], [True], ORACLE, 1), graph, 0.1, store, 1),
     ):
         with pytest.raises(ValueError, match="other ids"):
             call()
@@ -105,23 +104,19 @@ class TestExpandActor:
         items = make_items(
             [it.embedding for it in items], accounts=[7, 7, 7, 7, 7, 3]
         )
-        store = store_with(
-            items, [oracle_rec(0, True), oracle_rec(1, True), oracle_rec(2, False)]
-        )
+        store = store_with(items, LabelBatch.of([0, 1, 2], [True, True, False], ORACLE, 1))
         # account 7: 3 labeled, 2 positive -> flagged at (2, 0.5)
         assert expand_actor(store, 2, 0.5).tolist() == [3, 4]
 
     def test_low_rate_not_flagged(self, rng):
         items, _ = blob_corpus(rng, [11])
         items = make_items([it.embedding for it in items], accounts=[5] * 11)
-        labels = [oracle_rec(0, True)] + [oracle_rec(i, False) for i in range(1, 10)]
-        store = store_with(items, labels)
+        store = store_with(items, LabelBatch.of(range(10), [True] + [False] * 9, ORACLE, 1))
         assert expand_actor(store, 1, 0.5).tolist() == []
 
     def test_items_without_account_never_flagged(self):
         store = KnownStore(range(4))
-        for item_id in (0, 1):
-            store.add(oracle_rec(item_id, True))
+        store.write(LabelBatch.of([0, 1], [True, True], ORACLE, 1))
         assert expand_actor(store, 1, 0.5).tolist() == []
 
     def test_invalid_params(self, rng):
@@ -145,7 +140,7 @@ class TestDedupCrossRound:
         items = make_items([base, base, base * 3.0 + 10.0])
         graph = build_graph(items, 0.25)
         assert items[0].exact_hash == items[1].exact_hash
-        store = store_with(items, [oracle_rec(0)])
+        store = store_with(items, LabelBatch.of([0], [True], ORACLE, 1))
         kept, routed = dedup_cross_round([1, 2], store, graph, 0.05, Reach(store.ids))
         assert routed.tolist() == [[1, 0]]
         assert kept.tolist() == [2]
@@ -155,14 +150,14 @@ class TestDedupCrossRound:
         graph = build_graph(items, 0.25)
         d = cosine_distance(items[0].embedding, items[1].embedding)
         assert d <= 0.05  # derived: actually within the dedup radius
-        store = store_with(items, [oracle_rec(0)])
+        store = store_with(items, LabelBatch.of([0], [True], ORACLE, 1))
         kept, routed = dedup_cross_round([1], store, graph, 0.05, Reach(store.ids))
         assert kept.tolist() == [] and routed.tolist() == [[1, 0]]
 
     def test_distant_candidate_kept(self, rng):
         items, groups = blob_corpus(rng, [2, 2])
         graph = build_graph(items, 0.25)
-        store = store_with(items, [oracle_rec(groups[0][0])])
+        store = store_with(items, LabelBatch.of([groups[0][0]], [True], ORACLE, 1))
         kept, routed = dedup_cross_round(groups[1], store, graph, 0.05, Reach(store.ids))
         assert kept.tolist() == groups[1] and routed.tolist() == []
 
@@ -209,7 +204,7 @@ class TestFilterEligible:
 
     def test_labeled_removed(self, rng):
         items, (group,) = blob_corpus(rng, [3])
-        store = store_with(items, [oracle_rec(1)])
+        store = store_with(items, LabelBatch.of([1], [True], ORACLE, 1))
         assert filter_eligible(group, store, np.array([1, 1, 1])).tolist() == [0, 2]
 
     def test_unknown_id(self, rng):

@@ -16,6 +16,7 @@ from reviewfunnel import pipeline
 from reviewfunnel.corpus import PROVENANCE_ORACLE, PROVENANCE_SEED, GeneratorConfig
 from reviewfunnel.corpus import generate_corpus_detailed
 from reviewfunnel.pipeline import OracleParams, PipelineConfig, run_pipeline_detailed
+from reviewfunnel.simgraph import positions
 
 campaigns = st.fixed_dictionaries({
     "seed": st.integers(0, 2**16),
@@ -85,7 +86,9 @@ def test_propagated_label_is_within_theta_prop_of_a_matching_source(params):
         source = records[record.source_item_id]
         assert source.provenance in (PROVENANCE_SEED, PROVENANCE_ORACLE)
         assert source.label == record.label
-        distance = run.state.graph.distances([record.item_id], [source.item_id])[0]
+        graph = run.state.graph
+        (distance,) = graph.pair_distances(positions(graph.ids, [record.item_id]),
+                                           positions(graph.ids, [source.item_id]))
         assert distance == record.distance_to_source <= run.config.theta_prop
 
 

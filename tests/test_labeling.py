@@ -19,9 +19,12 @@ from reviewfunnel.labeling import (
     oracle_label,
     propagate_labels,
 )
-from reviewfunnel.simgraph import build_graph, cosine_distance
+from reviewfunnel.simgraph import build_graph, cosine_distance, positions
 
 from conftest import make_items, planted_blob
+
+
+SEED, ORACLE, PROPAGATED = (PROVENANCES.index(p) for p in ("seed", "oracle", "propagated"))
 
 
 def seed_rec(item_id, label=True):
@@ -95,65 +98,65 @@ class TestSimulatedOracle:
 class TestKnownStore:
     def test_first_writer_wins(self):
         store = KnownStore(range(10))
-        store.add(oracle_rec(1))
+        store.write(LabelBatch.of([1], [True], ORACLE, 1))
         with pytest.raises(AlreadyLabeledError):
-            store.add(oracle_rec(1, label=False))
+            store.write(LabelBatch.of([1], [False], ORACLE, 1))
 
     def test_index_sets(self):
         store = KnownStore([1, 2, 3], accounts=[40, 40, 41])
-        store.add(oracle_rec(1, True))
-        store.add(seed_rec(2, False))
-        assert store.reviewed_ids() == {1}
-        assert store.positive_ids() == {1}
+        store.write(LabelBatch.of([0], [True], ORACLE, 1))
+        store.write(LabelBatch.of([1], [False], SEED, 0))
+        assert store.ids[store.reviewed].tolist() == [1]
+        assert store.ids[store.labels == 1].tolist() == [1]
 
     def test_staging_commit(self):
         store = KnownStore(range(10))
-        store.add(seed_rec(1))
+        store.write(LabelBatch.of([1], [True], SEED, 0))
         store.begin_round()
-        store.add(oracle_rec(2))
-        assert store.get(2) is not None  # staged writes are visible
+        store.write(LabelBatch.of([2], [True], ORACLE, 1))
+        assert store.records()[-1] == oracle_rec(2)  # staged writes are visible
         store.commit_round()
         assert [r.item_id for r in store.records()] == [1, 2]
 
     def test_abort_truncates_the_columns(self):
         # a write after an abort takes the rows the aborted round held
         store = KnownStore([1, 2, 3])
-        store.add(seed_rec(1))
+        store.write(LabelBatch.of([0], [True], SEED, 0))
         before = [column.tobytes() for column in store.written().columns()]
         store.begin_round()
-        store.add(oracle_rec(2))
+        store.write(LabelBatch.of([1], [True], ORACLE, 1))
         store.abort_round()
-        assert len(store) == 1 and store.get(2) is None
+        assert len(store) == 1 and store.labels[1] == -1
         assert [column.tobytes() for column in store.written().columns()] == before
         store.begin_round()
-        store.add(oracle_rec(3, False))
+        store.write(LabelBatch.of([2], [False], ORACLE, 1))
         store.commit_round()
         assert store.records() == [seed_rec(1), oracle_rec(3, False)]
-        assert store.get(2) is None and store.get(3) == oracle_rec(3, False)
+        assert store.labels.tolist() == [1, -1, 0] and store.rounds.tolist() == [0, -1, 1]
 
     def test_staging_abort_restores_everything(self):
         store = KnownStore([1, 2], accounts=[6, 7])
-        store.add(seed_rec(1))
+        store.write(LabelBatch.of([0], [True], SEED, 0))
         store.begin_round()
-        store.add(oracle_rec(2))
+        store.write(LabelBatch.of([1], [True], ORACLE, 1))
         store.abort_round()
-        assert store.get(2) is None
-        assert store.reviewed_ids() == set()
+        assert store.labels[1] == -1
+        assert store.ids[store.reviewed].tolist() == []
         assert [r.item_id for r in store.records()] == [1]
 
     def test_abort_restores_arrays_counters_and_hash_map(self):
         store = KnownStore([1, 2, 3], accounts=[40, 40, 41], hashes=[7, 7, 8])
-        store.add(seed_rec(1))
+        store.write(LabelBatch.of([0], [True], SEED, 0))
         arrays = [a.copy() for a in (store.labels, store.reviewed, store.rounds)]
         # the account counts are derived from the labels: account 40 is flagged
         assert store.ids[expand_actor(store, 1, 0.5)].tolist() == [2]
         store.begin_round()
-        store.add(oracle_rec(2, True, round_no=1))
-        store.add(oracle_rec(3, False, round_no=1))
-        assert store.hash_match(store.positions([1, 2, 3])).tolist() == [1, 1, 2]
+        store.write(LabelBatch.of([1], [True], ORACLE, 1))
+        store.write(LabelBatch.of([2], [False], ORACLE, 1))
+        assert store.hash_match(positions(store.ids, [1, 2, 3])).tolist() == [1, 1, 2]
         assert store.ids[expand_actor(store, 1, 0.5)].tolist() == []
         store.abort_round()
-        assert store.hash_match(store.positions([1, 2, 3])).tolist() == [-1, -1, -1]
+        assert store.hash_match(positions(store.ids, [1, 2, 3])).tolist() == [-1, -1, -1]
         for before, after in zip(arrays, (store.labels, store.reviewed, store.rounds)):
             assert np.array_equal(before, after)
         assert store.ids[expand_actor(store, 1, 0.5)].tolist() == [2]
@@ -161,13 +164,13 @@ class TestKnownStore:
     def test_hash_match_is_lowest_reviewed(self):
         store = KnownStore([1, 2, 3, 4], hashes=[5, 5, 5, 6])
         for item_id in (3, 2, 4):
-            store.add(oracle_rec(item_id))
-        assert store.hash_match(store.positions([1, 2, 3, 4])).tolist() == [1, 1, 1, 3]
+            store.write(LabelBatch.of(positions(store.ids, [item_id]), [True], ORACLE, 1))
+        assert store.hash_match(positions(store.ids, [1, 2, 3, 4])).tolist() == [1, 1, 1, 3]
 
     def test_append_only_write_order(self):
         store = KnownStore(range(10))
         for item_id in (5, 3, 9):
-            store.add(oracle_rec(item_id))
+            store.write(LabelBatch.of([item_id], [True], ORACLE, 1))
         assert [r.item_id for r in store.records()] == [5, 3, 9]
 
 
@@ -185,17 +188,16 @@ class TestOracleLabel:
         assert record.label is True
         assert record.provenance == "oracle"
         assert record.round == 2
-        assert store.get(3) == record
+        assert store.records() == [record]
 
     def test_already_labeled_representative_is_a_bug(self):
         store = KnownStore(range(10))
-        store.add(oracle_rec(3))
-        store.add(oracle_rec(7))
+        store.write(LabelBatch.of([3, 7], [True, True], ORACLE, 1))
         oracle = SimulatedOracle(1.0, 1.0, 0, range(10), [1] * 10)
         # the first labelled representative in plan order, before any verdict
         with pytest.raises(AlreadyLabeledError, match="representative 7 "):
             oracle_label([5, 7, 3], oracle, store, 1)
-        assert oracle.cost_so_far == 0.0 and store.get(5) is None
+        assert oracle.cost_so_far == 0.0 and store.labels[5] == -1
 
     def test_repeated_representative_is_refused_before_review(self):
         store = KnownStore(range(10))
@@ -225,10 +227,10 @@ class TestOracleLabel:
         store = KnownStore([10, 20, 30])
         embeddings = np.arange(6.0).reshape(3, 2)
         oracle = Recording(1.0, 1.0, 0, [10, 20, 30], [1, 0, 1])
-        oracle_label(store.positions([30, 10]), oracle, store, 1, embeddings)
+        oracle_label(positions(store.ids, [30, 10]), oracle, store, 1, embeddings)
         assert [i for i, _ in oracle.batch] == [30, 10]
         assert [row.tolist() for _, row in oracle.batch] == [[4.0, 5.0], [0.0, 1.0]]
-        oracle_label(store.positions([20]), oracle, store, 1)
+        oracle_label(positions(store.ids, [20]), oracle, store, 1)
         assert oracle.batch == [(20, None)]
 
     def test_cost_tracks_representatives(self):
@@ -269,18 +271,16 @@ class TestPropagation:
     def test_no_unlabeled_neighbors(self, rng):
         items, groups, graph = self.make_blob_graph(rng, [1, 1])
         store = KnownStore(graph.node_ids)
-        record = oracle_rec(0)
-        store.add(record)
-        assert propagate_labels(store.batch([record]), graph, 0.1, store, 1).records(
-            store.ids) == []
+        reviews = LabelBatch.of([0], [True], ORACLE, 1)
+        store.write(reviews)
+        assert propagate_labels(reviews, graph, 0.1, store, 1).records(store.ids) == []
 
     def test_planted_blob_fully_propagated(self, rng):
         items, (group,), graph = self.make_blob_graph(rng, [5])
         store = KnownStore(graph.node_ids)
-        record = oracle_rec(0)
-        store.add(record)
-        propagated = propagate_labels(store.batch([record]), graph, 0.1, store, 1).records(
-            store.ids)
+        reviews = LabelBatch.of([0], [True], ORACLE, 1)
+        store.write(reviews)
+        propagated = propagate_labels(reviews, graph, 0.1, store, 1).records(store.ids)
         assert sorted(r.item_id for r in propagated) == group[1:]
         for rec in propagated:
             assert rec.label is True
@@ -299,12 +299,9 @@ class TestPropagation:
         items = make_items([target, near_neg, far_pos])
         graph = build_graph(items, 0.5)
         store = KnownStore(graph.node_ids)
-        neg = oracle_rec(1, label=False)
-        pos = oracle_rec(2, label=True)
-        store.add(neg)
-        store.add(pos)
-        (rec,) = propagate_labels(store.batch([neg, pos]), graph, 0.5, store, 1).records(
-            store.ids)
+        reviews = LabelBatch.of([1, 2], [False, True], ORACLE, 1)
+        store.write(reviews)
+        (rec,) = propagate_labels(reviews, graph, 0.5, store, 1).records(store.ids)
         assert rec.item_id == 0
         assert rec.label is False
         assert rec.source_item_id == 1
@@ -317,15 +314,12 @@ class TestPropagation:
         pos = [math.cos(angle), -math.sin(angle)]
         items = make_items([target, neg, pos])
         graph = build_graph(items, 0.5)
-        d01, d02 = graph.distances([0, 0], [1, 2])
+        d01, d02 = graph.pair_distances(positions(graph.ids, [0, 0]), positions(graph.ids, [1, 2]))
         assert d01 == d02
         store = KnownStore(graph.node_ids)
-        neg_rec = oracle_rec(1, label=False)
-        pos_rec = oracle_rec(2, label=True)
-        store.add(neg_rec)
-        store.add(pos_rec)
-        (rec,) = propagate_labels(store.batch([neg_rec, pos_rec]), graph, 0.5, store,
-                                  1).records(store.ids)
+        reviews = LabelBatch.of([1, 2], [False, True], ORACLE, 1)
+        store.write(reviews)
+        (rec,) = propagate_labels(reviews, graph, 0.5, store, 1).records(store.ids)
         assert rec.label is True
         assert rec.source_item_id == 2
 
@@ -337,22 +331,19 @@ class TestPropagation:
         items = make_items([target, a, b])
         graph = build_graph(items, 0.5)
         store = KnownStore(graph.node_ids)
-        rec_a = oracle_rec(1, label=True)
-        rec_b = oracle_rec(2, label=True)
-        store.add(rec_a)
-        store.add(rec_b)
-        (rec,) = propagate_labels(store.batch([rec_a, rec_b]), graph, 0.5, store,
-                                  1).records(store.ids)
+        reviews = LabelBatch.of([1, 2], [True, True], ORACLE, 1)
+        store.write(reviews)
+        (rec,) = propagate_labels(reviews, graph, 0.5, store, 1).records(store.ids)
         assert rec.source_item_id == 1
 
     def test_dup_routed_targets_receive_known_label(self, rng):
         items, (group,), graph = self.make_blob_graph(rng, [3])
         store = KnownStore(graph.node_ids)
-        known = oracle_rec(0, label=True, round_no=1)
-        store.add(known)
+        store.write(LabelBatch.of([0], [True], ORACLE, 1))
         # a previous dedup stage matched item 2 against known item 0
         propagated = propagate_labels(
-            store.batch([]), graph, 0.1, store, 2, dup_routed=store.positions([[2, 0]])
+            LabelBatch.of([], [], ORACLE, 2), graph, 0.1, store, 2,
+            dup_routed=positions(graph.ids, [[2, 0]])
         ).records(store.ids)
         assert len(propagated) == 1
         rec = propagated[0]
@@ -367,23 +358,19 @@ class TestPropagation:
         graph = build_graph(items, 0.5)
         radius = cosine_distance(np.array(a), np.array(b)) + 0.01
         store = KnownStore(graph.node_ids)
-        rec = oracle_rec(0)
-        store.add(rec)
-        propagated = propagate_labels(store.batch([rec]), graph, radius, store, 1).records(
-            store.ids)
+        reviews = LabelBatch.of([0], [True], ORACLE, 1)
+        store.write(reviews)
+        propagated = propagate_labels(reviews, graph, radius, store, 1).records(store.ids)
         assert [r.item_id for r in propagated] == [1]
         # the fresh propagated record is not a source within the same round
-        assert store.get(2) is None
+        assert store.labels[2] == -1
 
     def test_propagated_records_cannot_be_sources(self, rng):
         items, _, graph = self.make_blob_graph(rng, [2])
-        prop = LabelRecord(
-            item_id=0, label=True, provenance="propagated", round=1,
-            source_item_id=1, distance_to_source=0.01,
-        )
+        prop = LabelBatch.of([0], [True], PROPAGATED, 1, np.array([1]), np.array([0.01]))
         store = KnownStore(graph.node_ids)
         with pytest.raises(ValueError, match="seed/oracle"):
-            propagate_labels(store.batch([prop]), graph, 0.1, store, 1)
+            propagate_labels(prop, graph, 0.1, store, 1)
 
 
 class TestFeedbackSeeds:
@@ -392,30 +379,24 @@ class TestFeedbackSeeds:
 
     def test_positives_of_any_provenance(self):
         store = KnownStore(range(10))
-        store.add(oracle_rec(1, True))
-        store.add(oracle_rec(2, True, round_no=2))
-        for i, label in ((3, True), (4, True), (5, True)):
-            store.add(
-                LabelRecord(
-                    item_id=i, label=label, provenance="propagated", round=2,
-                    source_item_id=1, distance_to_source=0.01,
-                )
-            )
-        for i in (6, 7, 8, 9):
-            store.add(oracle_rec(i, False, round_no=2))
+        store.write(LabelBatch.of([1], [True], ORACLE, 1))
+        store.write(LabelBatch.of([2], [True], ORACLE, 2))
+        store.write(LabelBatch.of([3, 4, 5], [True] * 3, PROPAGATED, 2, np.array([1, 1, 1]),
+                                  np.full(3, 0.01)))
+        store.write(LabelBatch.of([6, 7, 8, 9], [False] * 4, ORACLE, 2))
         assert feedback_seeds(store, 2).tolist() == [1, 2, 3, 4, 5]
 
     def test_round_cutoff(self):
         store = KnownStore(range(10))
-        store.add(oracle_rec(1, True, round_no=1))
-        store.add(oracle_rec(2, True, round_no=3))
+        store.write(LabelBatch.of([1], [True], ORACLE, 1))
+        store.write(LabelBatch.of([2], [True], ORACLE, 3))
         assert feedback_seeds(store, 1).tolist() == [1]
         assert feedback_seeds(store, 3).tolist() == [1, 2]
 
     def test_unchanged_when_round_adds_no_positives(self):
         store = KnownStore(range(10))
-        store.add(oracle_rec(1, True, round_no=1))
-        store.add(oracle_rec(2, False, round_no=2))
+        store.write(LabelBatch.of([1], [True], ORACLE, 1))
+        store.write(LabelBatch.of([2], [False], ORACLE, 2))
         assert np.array_equal(feedback_seeds(store, 2), feedback_seeds(store, 1))
 
 

@@ -12,11 +12,13 @@ from reviewfunnel.corpus import (
     ConfigError,
     Corpus,
     GeneratorConfig,
-    LabelRecord,
+    PROVENANCES,
     generate_corpus_detailed,
 )
 from reviewfunnel import pipeline
-from reviewfunnel.labeling import HttpOracle, KnownStore, SimulatedOracle, propagate_labels
+from reviewfunnel.labeling import (
+    HttpOracle, KnownStore, LabelBatch, SimulatedOracle, propagate_labels,
+)
 from reviewfunnel.pipeline import (
     ActorParams,
     MissingGroundTruthError,
@@ -41,10 +43,11 @@ def simulated(corpus, rate=1.0, seed=0):
     return SimulatedOracle(rate, rate, seed, corpus.ids, corpus.truth)
 
 
-def stored(records, corpus):
-    """A label store over the corpus's ids holding ``records``."""
+def stored(positives, corpus):
+    """A label store over the corpus's ids holding round-1 positive reviews at ``positives``."""
     store = KnownStore(Corpus.of(corpus).ids)
-    store.extend(records)
+    store.write(LabelBatch.of(positives, np.ones(len(positives), dtype=bool),
+                              PROVENANCES.index("oracle"), 1))
     return store
 
 
@@ -131,22 +134,14 @@ class TestComputeMetrics:
 
     def test_store_equals_ground_truth(self):
         items = self.make_corpus(50, 10)
-        records = [
-            LabelRecord(item_id=i, label=True, provenance="oracle", round=1)
-            for i in range(10)
-        ]
-        report = compute_metrics(stored(records, items), items)
+        report = compute_metrics(stored(range(10), items), items)
         assert report.recall == 1.0
         assert report.precision == 1.0
 
     def test_partial_arithmetic(self):
         # 20 labeled positive, 10 of them truly positive, 40 true positives
         items = self.make_corpus(100, 40)
-        records = [
-            LabelRecord(item_id=i, label=True, provenance="oracle", round=1)
-            for i in list(range(10)) + list(range(50, 60))
-        ]
-        report = compute_metrics(stored(records, items), items)
+        report = compute_metrics(stored(list(range(10)) + list(range(50, 60)), items), items)
         assert report.recall == 0.25
         assert report.precision == 0.5
 
@@ -156,8 +151,7 @@ class TestComputeMetrics:
         items = self.make_corpus(10, 2)
         items[3] = dataclasses.replace(items[3], ground_truth=None)
         corpus = Corpus.of(items)
-        records = [LabelRecord(item_id=0, label=True, provenance="oracle", round=1)]
-        report = compute_metrics(stored(records, corpus), corpus)
+        report = compute_metrics(stored([0], corpus), corpus)
         assert (report.oracle_reviews, report.positives_total) == (1, 1)
         assert report.recall is report.precision is None
         assert report.impression_weighted_recall is report.amplification is None
@@ -174,8 +168,7 @@ class TestComputeMetrics:
             impressions=[10, 0, 5, 5],
             ground_truth=gt,
         )
-        records = [LabelRecord(item_id=1, label=True, provenance="oracle", round=1)]
-        report = compute_metrics(stored(records, items), items)
+        report = compute_metrics(stored([1], items), items)
         assert report.recall == 0.5
         assert report.impression_weighted_recall == 0.0
 
@@ -264,7 +257,7 @@ class TestRunRound:
             patch.setattr(pipeline, "propagate_labels", propagate_then_fail)
             snapshot = self.check_rollback(state, config, "propagate")
         assert staged  # the round's reviews at least were written before it failed
-        assert all(state.store.get(i) is None for i in state.store.ids[staged].tolist())
+        assert np.all(state.store.labels[staged] == -1)
         self.check_rerun(items, state, config, snapshot)
 
     def test_http_oracle_extra_verdicts_roll_back(self, small_corpus, monkeypatch):

@@ -24,7 +24,7 @@ from reviewfunnel.corpus import (
     generate_corpus_detailed,
     generate_corpus_detailed,
 )
-from reviewfunnel.simgraph import build_graph, cosine_distance
+from reviewfunnel.simgraph import build_graph, cosine_distance, positions
 
 from conftest import csr_neighbors, make_items, neighbor_ids, planted_blob, traced
 
@@ -758,7 +758,8 @@ class TestNeighborQueries:
             neighbor_ids(self.graph, 999, 0.1)
 
     def test_distance_matches_metric(self):
-        (d,) = self.graph.distances([0], [1])
+        (d,) = self.graph.pair_distances(positions(self.graph.ids, [0]),
+                                         positions(self.graph.ids, [1]))
         assert d == cosine_distance(self.items[0].embedding, self.items[1].embedding)
 
     def test_negative_position_rejected(self):
@@ -771,17 +772,19 @@ class TestNeighborQueries:
 
 
 def batch_rows(graph, ids, radius):
-    """neighbors_batch regrouped as one (id, distance) list per input id."""
-    row, nbr_ids, dists = graph.neighbors_batch(ids, radius)
-    assert row.dtype.kind == "i" and len(row) == len(nbr_ids) == len(dists)
+    """One ``gather`` over the positions of ``ids``, as one (id, distance) list per input id."""
+    row, nbr, dists = graph.gather(positions(graph.ids, ids), radius)
+    assert row.dtype.kind == "i" and len(row) == len(nbr) == len(dists)
     assert np.all(np.diff(row) >= 0)
     out = [[] for _ in ids]
-    for r, nid, dist in zip(row.tolist(), nbr_ids.tolist(), dists.tolist()):
+    for r, nid, dist in zip(row.tolist(), graph.ids[nbr].tolist(), dists.tolist()):
         out[r].append((nid, dist))
     return out
 
 
 class TestNeighborsBatch:
+    """A batch of rows read by one ``gather``, against per-item queries."""
+
     @pytest.fixture(scope="class", params=["exact", "blocked"])
     def graph(self, request):
         cfg = GeneratorConfig(n_clusters=60, embedding_dim=16, rng_seed=9)
@@ -803,8 +806,8 @@ class TestNeighborsBatch:
 
     def test_empty_input(self, graph):
         for ids in ([], np.empty(0, dtype=np.int64)):
-            row, nbr_ids, dists = graph.neighbors_batch(ids, 0.25)
-            assert len(row) == len(nbr_ids) == len(dists) == 0
+            row, nbr, dists = graph.gather(positions(graph.ids, ids), 0.25)
+            assert len(row) == len(nbr) == len(dists) == 0
 
     def test_duplicate_ids_repeat_their_row(self, graph):
         busiest = max(graph.node_ids, key=lambda i: len(csr_neighbors(graph, i, 0.25)))
@@ -817,13 +820,15 @@ class TestNeighborsBatch:
         unknown = max(graph.node_ids) + 1
         for ids in ([unknown], [graph.node_ids[0], unknown], [-1]):
             with pytest.raises(KeyError, match=str(ids[-1])):
-                graph.neighbors_batch(ids, 0.1)
+                batch_rows(graph, ids, 0.1)
+            with pytest.raises(KeyError, match=str(ids[-1])):
+                graph.neighbors_with_distances(ids[-1], 0.1)
 
     def test_radius_above_theta_rejected(self, graph):
         with pytest.raises(ValueError, match="exceeds"):
-            graph.neighbors_batch(graph.node_ids[:3], 0.25 + 1e-9)
+            batch_rows(graph, graph.node_ids[:3], 0.25 + 1e-9)
         with pytest.raises(ValueError, match="exceeds"):
-            graph.neighbors_batch([], 0.3)
+            batch_rows(graph, [], 0.3)
 
 
 def gather_corpus():
@@ -913,7 +918,8 @@ def test_sparse_ids_are_the_dense_graph_relabelled(mode):
     for k, item_id in enumerate(sparse.tolist()):
         want = [(int(sparse[n]), d) for n, d in dense.neighbors_with_distances(k, 0.25)]
         assert graph.neighbors_with_distances(item_id, 0.25) == want
-    row, nbr_ids, _ = graph.neighbors_batch(sparse[::3], 0.1)
+    _, nbr, _ = graph.gather(positions(graph.ids, sparse[::3]), 0.1)
+    nbr_ids = graph.ids[nbr]
     assert np.isin(nbr_ids, sparse).all() and len(nbr_ids)
-    _, nbr, _ = graph.gather(np.arange(0, len(sparse), 3), 0.1)
-    assert graph.ids[nbr].tolist() == nbr_ids.tolist()
+    _, dense_nbr, _ = dense.gather(np.arange(0, len(sparse), 3), 0.1)
+    assert nbr_ids.tolist() == sparse[dense_nbr].tolist()

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reviewfunnel.corpus import Corpus, GeneratorConfig, LabelRecord, generate_corpus_detailed
+from reviewfunnel.corpus import (
+    PROVENANCES, Corpus, GeneratorConfig, LabelRecord, generate_corpus_detailed,
+)
 from reviewfunnel import pipeline
 from reviewfunnel.funnel import (
     Reach,
@@ -26,7 +28,9 @@ from reviewfunnel.funnel import (
     expand_content,
     max_coverage_sample,
 )
-from reviewfunnel.labeling import KnownStore, Oracle, SimulatedOracle, propagate_labels
+from reviewfunnel.labeling import (
+    KnownStore, LabelBatch, Oracle, SimulatedOracle, propagate_labels,
+)
 from reviewfunnel.pipeline import (
     ActorParams,
     OracleParams,
@@ -36,12 +40,13 @@ from reviewfunnel.pipeline import (
     run_score_baseline,
     simulate_model_scores,
 )
-from reviewfunnel.simgraph import build_graph
+from reviewfunnel.simgraph import build_graph, positions
 
 from conftest import csr_neighbors, make_items, truth_by_id
 
 THETA_DUP, THETA_PROP, THETA_SIM = 0.05, 0.10, 0.25
 SEEDS = range(8)
+SEED, ORACLE = PROVENANCES.index("seed"), PROVENANCES.index("oracle")
 
 
 def nbr_ids(graph, item_id, radius):
@@ -55,10 +60,22 @@ def ref_expand_content(graph, sources, theta_sim):
     return out - set(sources)
 
 
-def ref_expand_actor(items, store, min_positives, min_rate):
+def known_of(store):
+    """A store's records as the references read them: an id -> record dict, in write order."""
+    return {r.item_id: r for r in store.records()}
+
+
+def add_records(known, records):
+    """Add records to an id -> record dict; an id is written at most once."""
+    for record in records:
+        assert record.item_id not in known
+        known[record.item_id] = record
+
+
+def ref_expand_actor(items, known, min_positives, min_rate):
     labeled, positive = {}, {}
     for item in items:
-        record = store.get(item.item_id)
+        record = known.get(item.item_id)
         if record is None:
             continue
         labeled[item.account_id] = labeled.get(item.account_id, 0) + 1
@@ -67,11 +84,11 @@ def ref_expand_actor(items, store, min_positives, min_rate):
     flagged = {a for a, p in positive.items()
                if p >= min_positives and p / labeled[a] >= min_rate}
     return {item.item_id for item in items
-            if item.account_id in flagged and store.get(item.item_id) is None}
+            if item.account_id in flagged and item.item_id not in known}
 
 
-def ref_dedup_cross_round(candidates, store, graph, theta_dup, items_index):
-    reviewed = store.reviewed_ids()
+def ref_dedup_cross_round(candidates, known, graph, theta_dup, items_index):
+    reviewed = {i for i, r in known.items() if r.provenance == "oracle"}
     if not reviewed:
         return set(candidates), {}
     kept, routed, by_hash = set(), {}, {}
@@ -184,7 +201,7 @@ def plan_as_dicts(plan):
     return reps, assigned
 
 
-def ref_propagate_labels(new_records, graph, theta_prop, store, round_no, dup_routed):
+def ref_propagate_labels(new_records, graph, theta_prop, known, round_no, dup_routed):
     offers, labels = {}, {}
 
     def offer(target, dist, label, source):
@@ -193,20 +210,20 @@ def ref_propagate_labels(new_records, graph, theta_prop, store, round_no, dup_ro
 
     for record in sorted(new_records, key=lambda r: r.item_id):
         for nid, dist in csr_neighbors(graph, record.item_id, theta_prop):
-            if nid not in store:
+            if nid not in known:
                 offer(nid, dist, record.label, record.item_id)
     for target in sorted(dup_routed):
-        if target not in store:
-            known = store.get(dup_routed[target])
-            (dist,) = graph.distances([target], [dup_routed[target]])
-            offer(target, float(dist), known.label, dup_routed[target])
+        if target not in known:
+            match = dup_routed[target]
+            (dist,) = graph.pair_distances(positions(graph.ids, [target]),
+                                           positions(graph.ids, [match]))
+            offer(target, float(dist), known[match].label, match)
     out = []
     for target in sorted(offers):
         dist, _, source = min(offers[target])
-        record = LabelRecord(item_id=target, label=labels[source], provenance="propagated",
-                             round=round_no, source_item_id=source, distance_to_source=dist)
-        store.add(record)
-        out.append(record)
+        out.append(LabelRecord(item_id=target, label=labels[source], provenance="propagated",
+                               round=round_no, source_item_id=source, distance_to_source=dist))
+    add_records(known, out)
     return out
 
 
@@ -255,8 +272,8 @@ def scenario(seed):
     store = new_store(items)
     labeled = rng.choice(ids, size=len(ids) // 3, replace=False).tolist()
     for item_id in labeled:
-        provenance = "seed" if rng.random() < 0.2 else "oracle"
-        store.add(LabelRecord(item_id, bool(rng.random() < 0.6), provenance, 0))
+        provenance = SEED if rng.random() < 0.2 else ORACLE
+        store.write(LabelBatch.of(positions(ids, [item_id]), [rng.random() < 0.6], provenance, 0))
     candidates = rng.choice(ids, size=len(ids) // 2, replace=False).tolist()
     return rng, items, graph, store, candidates
 
@@ -264,7 +281,7 @@ def scenario(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_expand_content(seed):
     rng, _, graph, store, _ = scenario(seed)
-    sources = sorted(store.positive_ids())
+    sources = store.ids[store.labels == 1].tolist()
     want = ref_expand_content(graph, set(sources), THETA_SIM)
     got = expand_content(graph, Reach(store.ids), set(sources), THETA_SIM).tolist()
     assert got == sorted(want)
@@ -281,7 +298,7 @@ def test_expand_actor(seed):
     _, items, _, store, _ = scenario(seed)
     for min_positives, min_rate in ((1, 0.3), (2, 0.5), (3, 0.8), (1, 1.0)):
         assert set(expand_actor(store, min_positives, min_rate).tolist()) == ref_expand_actor(
-            items, store, min_positives, min_rate
+            items, known_of(store), min_positives, min_rate
         )
 
 
@@ -289,20 +306,19 @@ def test_expand_actor(seed):
 def test_dedup_cross_round(seed):
     _, items, graph, store, candidates = scenario(seed)
     index = {it.item_id: it for it in items}
-    want = ref_dedup_cross_round(candidates, store, graph, THETA_DUP, index)
+    want = ref_dedup_cross_round(candidates, known_of(store), graph, THETA_DUP, index)
     kept, routed = dedup_cross_round(candidates, store, graph, THETA_DUP, Reach(store.ids))
     assert (set(kept.tolist()), dict(routed.tolist())) == want
     assert len(routed), "the scenario should route some candidates"
     assert np.all(np.diff(routed[:, 0]) > 0)
     # one reach over a store that grows: it absorbs only the new reviews
     grown, reach = new_store(items), Reach(store.ids)
-    records = store.records()
-    for part in (records[: len(records) // 2], records[len(records) // 2 :]):
-        for record in part:
-            grown.add(record)
+    written = store.written()
+    for part in (slice(0, len(written) // 2), slice(len(written) // 2, len(written))):
+        grown.write(written.rows(part))
         kept, routed = dedup_cross_round(candidates, grown, graph, THETA_DUP, reach)
         assert (set(kept.tolist()), dict(routed.tolist())) == ref_dedup_cross_round(
-            candidates, grown, graph, THETA_DUP, index)
+            candidates, known_of(grown), graph, THETA_DUP, index)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -376,44 +392,22 @@ def test_lazy_coverage_equals_eager(seed, n, distinct, share, radius, kind, budg
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_propagate_labels(seed):
-    rng, items, graph, _, _ = scenario(seed)
-    stores = [scenario(seed)[3] for _ in range(2)]
-    unlabeled = [it.item_id for it in items if it.item_id not in stores[0]]
+    rng, items, graph, store, _ = scenario(seed)
+    known = known_of(store)
+    unlabeled = [it.item_id for it in items if it.item_id not in known]
     fresh = rng.choice(unlabeled, size=20, replace=False).tolist()
-    known = sorted(stores[0].reviewed_ids())
-    routed = {int(t): int(rng.choice(known))
+    reviewed = store.ids[store.reviewed].tolist()
+    routed = {int(t): int(rng.choice(reviewed))
               for t in rng.choice(unlabeled, size=15, replace=False)}
     new_records = [LabelRecord(i, bool(rng.random() < 0.5), "oracle", 1) for i in fresh]
-    for store in stores:
-        for record in new_records:
-            store.add(record)
-    pairs = stores[0].positions(sorted(routed.items()))
-    got = propagate_labels(stores[0].batch(new_records), graph, THETA_PROP, stores[0], 1, pairs)
-    want = ref_propagate_labels(new_records, graph, THETA_PROP, stores[1], 1, routed)
-    assert got.records(stores[0].ids) == want and len(got)
-    assert stores[0].records() == stores[1].records()
-
-
-class DictStore:
-    """A plain id-keyed label store for the from-scratch campaign."""
-
-    def __init__(self, records):
-        self.by_id = {}
-        for record in records:
-            self.add(record)
-
-    def __contains__(self, item_id):
-        return item_id in self.by_id
-
-    def get(self, item_id):
-        return self.by_id.get(item_id)
-
-    def add(self, record):
-        assert record.item_id not in self.by_id
-        self.by_id[record.item_id] = record
-
-    def reviewed_ids(self):
-        return {i for i, r in self.by_id.items() if r.provenance == "oracle"}
+    reviews = LabelBatch.of(positions(store.ids, fresh), [r.label for r in new_records], ORACLE, 1)
+    store.write(reviews)
+    add_records(known, new_records)
+    pairs = positions(store.ids, sorted(routed.items()))
+    got = propagate_labels(reviews, graph, THETA_PROP, store, 1, pairs)
+    want = ref_propagate_labels(new_records, graph, THETA_PROP, known, 1, routed)
+    assert got.records(store.ids) == want and len(got)
+    assert store.records() == list(known.values())
 
 
 def audit(round_no, *stages):
@@ -425,7 +419,8 @@ def ref_campaign(items, truth, graph, config, bootstrap):
     """Every round of a campaign, each stage recomputed from scratch by the
     references above: (candidate ids, audit entries, records) per round."""
     index = {it.item_id: it for it in items}
-    store = DictStore(bootstrap)
+    known = {}
+    add_records(known, bootstrap)
     oracle = SimulatedOracle(config.oracle.tpr, config.oracle.tnr, config.oracle.seed,
                              items.ids, items.truth)
     scored = set()
@@ -434,12 +429,12 @@ def ref_campaign(items, truth, graph, config, bootstrap):
         scored = {i for i, score in scores.items() if score > config.score.tau}
     rounds = []
     for round_no in range(1, config.rounds + 1):
-        seeds = {i for i, r in store.by_id.items() if r.label and r.round <= round_no - 1}
+        seeds = {i for i, r in known.items() if r.label and r.round <= round_no - 1}
         candidates = (ref_expand_content(graph, seeds, config.theta_sim) | scored
-                      | ref_expand_actor(items, store, config.actor.min_positives,
+                      | ref_expand_actor(items, known, config.actor.min_positives,
                                          config.actor.min_rate))
-        kept, routed = ref_dedup_cross_round(candidates, store, graph, config.theta_dup, index)
-        labeled = {c for c in kept if c in store}
+        kept, routed = ref_dedup_cross_round(candidates, known, graph, config.theta_dup, index)
+        labeled = {c for c in kept if c in known}
         inactive = {c for c in kept - labeled if index[c].impressions == 0}
         eligible = kept - labeled - inactive
         unique, dup_of = ref_dedup_intra_batch(eligible, graph, config.theta_dup)
@@ -449,9 +444,8 @@ def ref_campaign(items, truth, graph, config, bootstrap):
                                           config.budget_per_round, weights)
         verdicts = oracle.label_batch([(i, None) for i in reps]) if reps else []
         reviews = [LabelRecord(i, v, "oracle", round_no) for i, v in zip(reps, verdicts)]
-        for record in reviews:
-            store.add(record)
-        propagated = ref_propagate_labels(reviews, graph, config.theta_prop, store, round_no,
+        add_records(known, reviews)
+        propagated = ref_propagate_labels(reviews, graph, config.theta_prop, known, round_no,
                                           routed)
         stages = audit(
             round_no,
