@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -227,9 +228,9 @@ def cmd_run(args) -> int:
         _write_text(out_dir / METRICS_NAME, report.to_json() + "\n")
         _write_atomic(out_dir / LABELS_NAME, lambda tmp: save_labels(state.store.records(), tmp))
         _write_text(out_dir / AUDIT_NAME, "".join(
-            json.dumps(stage.audit_entry(rm.round), separators=(",", ":")) + "\n"
+            json.dumps(entry, separators=(",", ":")) + "\n"
             for rm in report.rounds
-            for stage in rm.stages
+            for entry in rm.stages
         ))
     except Exception as exc:
         manifest["status"] = "failed"
@@ -282,6 +283,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not 0.0 <= args.floor < math.inf:
+        raise ConfigError(f"--floor must be finite and >= 0, got {args.floor}")
     run_doc = _load_json(args.run_report)
     base_doc = _load_json(args.baseline_report)
     if run_doc.get("corpus_hash") != base_doc.get("corpus_hash"):

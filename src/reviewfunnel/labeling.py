@@ -16,6 +16,7 @@ return a ``LabelBatch``; records, with ids, are built only on demand.
 
 from __future__ import annotations
 
+import math
 import time
 from abc import ABC, abstractmethod
 from collections import Counter
@@ -47,6 +48,8 @@ class Oracle(ABC):
     """
 
     def __init__(self, unit_cost: float = 1.0):
+        if not 0.0 <= unit_cost < math.inf:
+            raise ValueError(f"unit_cost must be finite and >= 0, got {unit_cost}")
         self.unit_cost = unit_cost
         self._items_labeled = 0
 
@@ -144,6 +147,14 @@ class HttpOracle(Oracle):
         timeout: float = 10.0,
     ):
         super().__init__(unit_cost)
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if not 0.0 <= backoff_base < math.inf:
+            raise ValueError(f"backoff_base must be finite and >= 0, got {backoff_base}")
+        if not 0.0 < timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {timeout}")
         self.endpoint = endpoint
         self.batch_size = batch_size
         self.max_retries = max_retries

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -143,36 +143,19 @@ class PipelineConfig:
 
 
 @dataclass
-class StageStat:
-    stage: str
-    n_in: int
-    n_out: int
-    removed: dict[str, int] = field(default_factory=dict)
-
-    def audit_entry(self, round_no: int) -> dict:
-        return {
-            "round": round_no,
-            "stage": self.stage,
-            "in": self.n_in,
-            "out": self.n_out,
-            "removed_reason_counts": dict(self.removed),
-        }
-
-
-@dataclass
 class RoundMetrics:
+    """A round's counts; ``stages`` holds its audit entries as ``audit.jsonl`` has them."""
+
     round: int
     oracle_reviews: int
     positives_oracle: int
     positives_propagated: int
     oracle_cost: float
-    stages: list[StageStat]
     cumulative_recall: float | None = None
+    stages: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "stages"}
-        doc["stages"] = [s.audit_entry(self.round) for s in self.stages]
-        return doc
+        return asdict(self)
 
 
 @dataclass
@@ -199,10 +182,10 @@ class MetricsReport:
         """Candidate in/out counts per stage, summed over rounds."""
         totals: dict[str, dict[str, int]] = {}
         for round_metrics in self.rounds:
-            for stat in round_metrics.stages:
-                entry = totals.setdefault(stat.stage, {"in": 0, "out": 0})
-                entry["in"] += stat.n_in
-                entry["out"] += stat.n_out
+            for stage in round_metrics.stages:
+                entry = totals.setdefault(stage["stage"], {"in": 0, "out": 0})
+                entry["in"] += stage["in"]
+                entry["out"] += stage["out"]
         return totals
 
     def to_dict(self) -> dict:
@@ -292,17 +275,19 @@ def compute_metrics(store: KnownStore, corpus) -> MetricsReport:
     )
 
 
-def run_round(
-    state: PipelineState, config: PipelineConfig, round_no: int
-) -> tuple[PipelineState, RoundMetrics]:
+def run_round(state: PipelineState, config: PipelineConfig, round_no: int) -> RoundMetrics:
     """Execute one funnel round atomically against the shared store."""
     store = state.store
     graph = state.graph
     reach = state.reach
     impressions = state.corpus.impressions
-    stages: list[StageStat] = []
-    store.begin_round()
+    stages: list[dict] = []
 
+    def audit(stage: str, n_in: int, n_out: int, **removed: int) -> None:
+        stages.append({"round": round_no, "stage": stage, "in": n_in, "out": n_out,
+                       "removed_reason_counts": removed})
+
+    store.begin_round()
     current_stage = "seeds"
     try:
         seeds = feedback_seeds(store, round_no - 1)
@@ -314,25 +299,21 @@ def run_round(
         selected[content] = True
         selected[actor] = True
         candidates = np.flatnonzero(selected)
-        stages.append(StageStat("select", 0, len(candidates)))
+        audit("select", 0, len(candidates))
 
         current_stage = "dedup_cross_round"
         kept, routed = dedup_cross_round(candidates, store, graph, config.theta_dup, reach)
-        stages.append(
-            StageStat("dedup_cross_round", len(candidates), len(kept), {"dup": len(routed)})
-        )
+        audit("dedup_cross_round", len(candidates), len(kept), dup=len(routed))
 
         current_stage = "filter_eligible"
         eligible = filter_eligible(kept, store, impressions)
         labeled = int(np.count_nonzero(store.labels[kept] >= 0))
-        removed = {"inactive": len(kept) - len(eligible) - labeled, "labeled": labeled}
-        stages.append(StageStat("filter_eligible", len(kept), len(eligible), removed))
+        audit("filter_eligible", len(kept), len(eligible),
+              inactive=len(kept) - len(eligible) - labeled, labeled=labeled)
 
         current_stage = "dedup_intra_batch"
         unique, dup_of = dedup_intra_batch(eligible, graph, config.theta_dup)
-        stages.append(
-            StageStat("dedup_intra_batch", len(eligible), len(unique), {"dup": len(dup_of)})
-        )
+        audit("dedup_intra_batch", len(eligible), len(unique), dup=len(dup_of))
 
         current_stage = "sample"
         weights = (
@@ -343,32 +324,26 @@ def run_round(
         plan = max_coverage_sample(
             unique, graph, config.theta_prop, config.budget_per_round, weights
         )
-        stages.append(
-            StageStat(
-                "sample",
-                len(unique),
-                len(plan.representatives),
-                {"unsampled": len(unique) - len(plan.representatives)},
-            )
-        )
+        sampled = len(plan.representatives)
+        audit("sample", len(unique), sampled, unsampled=len(unique) - sampled)
 
         current_stage = "label"
         cost_before = state.oracle.cost_so_far
         reviews = oracle_label(plan.representatives, state.oracle, store, round_no,
                                state.corpus.embeddings)
-        stages.append(StageStat("label", len(plan.representatives), len(reviews)))
+        audit("label", sampled, len(reviews))
 
         current_stage = "propagate"
         propagated = propagate_labels(
             reviews, graph, config.theta_prop, store, round_no, routed
         )
-        stages.append(StageStat("propagate", len(reviews), len(propagated)))
+        audit("propagate", len(reviews), len(propagated))
     except Exception as exc:
         store.abort_round()
         raise StageError(round_no, current_stage, exc) from exc
 
     store.commit_round()
-    metrics = RoundMetrics(
+    return RoundMetrics(
         round=round_no,
         oracle_reviews=len(reviews),
         positives_oracle=int(np.count_nonzero(reviews.label)),
@@ -376,7 +351,6 @@ def run_round(
         oracle_cost=state.oracle.cost_so_far - cost_before,
         stages=stages,
     )
-    return state, metrics
 
 
 def _bootstrap(positive_positions: np.ndarray, count: int, rng_seed: int) -> LabelBatch:
@@ -399,8 +373,9 @@ def run_pipeline_detailed(
 
     ``corpus`` is a Corpus or an Item list. A prebuilt graph may be passed to
     amortize construction across runs; it must be built over the corpus's
-    ids and embeddings at a radius of at least theta_sim. Returns the report
-    and the final state, store included.
+    ids and embeddings at a radius of at least theta_sim. Returns the report,
+    whose ``oracle_cost`` counts this run's reviews alone, and the final
+    state, store included.
     """
     config.validate()
     corpus = Corpus.of(corpus)
@@ -413,6 +388,7 @@ def run_pipeline_detailed(
         params = config.oracle
         oracle = SimulatedOracle(params.tpr, params.tnr, params.seed, corpus.ids, corpus.truth,
                                  params.unit_cost)
+    cost_start = oracle.cost_so_far  # a caller's oracle may have labelled before this run
     if graph is None:
         graph = build_graph(
             corpus,
@@ -453,7 +429,7 @@ def run_pipeline_detailed(
     gt_positives = int(np.count_nonzero(positive)) if truth_complete else 0
     round_metrics: list[RoundMetrics] = []
     for round_no in range(1, config.rounds + 1):
-        state, metrics = run_round(state, config, round_no)
+        metrics = run_round(state, config, round_no)
         if gt_positives:
             cumulative_tp = int(np.count_nonzero(positive & (store.labels == 1)))
             metrics.cumulative_recall = cumulative_tp / gt_positives
@@ -461,7 +437,7 @@ def run_pipeline_detailed(
 
     report = compute_metrics(store, corpus)
     report.corpus_hash = corpus.content_hash
-    report.oracle_cost = oracle.cost_so_far
+    report.oracle_cost = oracle.cost_so_far - cost_start
     report.rounds = round_metrics
     return report, state
 

@@ -314,7 +314,7 @@ def _detection(emb, norms, starts, members, theta) -> tuple[np.ndarray, float]:
     with their last two columns swapped score ``cos + f_G + f_H`` as one
     product, so every pair of groups meets its own bound against one cut,
     ``1 - theta`` less the pad. With every radius zero (exact mode, or groups
-    of equal rows) the rows are the unit rows alone.
+    of equal rows) f is 0 and the score is the cosine alone.
     """
     sizes = np.diff(starts)
     eps = np.zeros(len(sizes))
@@ -332,14 +332,11 @@ def _detection(emb, norms, starts, members, theta) -> tuple[np.ndarray, float]:
     spread = math.sqrt(2.0 * theta) * eps + eps * eps
     reps = members[starts[:-1]]
     d = emb.shape[1]
-    wide = bool(spread.max() > 0.0)
-    det = np.empty((len(reps), d + 2 * wide), dtype=np.float32)
+    det = np.empty((len(reps), d + 2), dtype=np.float32)
     for k in range(0, len(reps), _VERIFY_PAIRS):
         rows = reps[k : k + _VERIFY_PAIRS]
         np.divide(emb[rows], norms[rows, None], out=det[k : k + _VERIFY_PAIRS, :d],
                   casting="same_kind")
-    if not wide:
-        return det, 1.0 - theta - _detect_pad(d)
     det[:, d], det[:, d + 1] = spread, 1.0
     # the float32 error of a product scales with the sum of its terms'
     # magnitudes, at most 1 for unit rows and 1 + 2 f here
@@ -395,9 +392,9 @@ def _tile_edges(emb, norms, keys, order, starts, members, det, tiles, cut, theta
             # one gather a band, of the rows its tiles here span
             gathered, base = band, lo
             span = order[band, base : band_end[band]]
+            # rebinding both drops the last band's swapped rows before the swap below
             band_left = band_right = det[span]
-            if det.shape[1] > emb.shape[1]:  # [unit, f, 1] against [unit, 1, f]
-                band_right = band_left[:, np.r_[: emb.shape[1], -1, -2]]
+            band_right = band_left[:, np.r_[: emb.shape[1], -1, -2]]  # [unit, 1, f]
         start, stop = lo + r0 - base, hi - base
         hit = band_left[start : min(start + rows, stop)] @ band_right[start:stop].T >= cut
         k = len(hit)

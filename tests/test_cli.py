@@ -226,6 +226,15 @@ class TestRun:
                     entry["removed_reason_counts"].values()
                 )
 
+    def test_audit_lines_are_the_metrics_stage_entries(self, tmp_path, corpus_file):
+        _, out = self.run_once(tmp_path, corpus_file)
+        metrics = json.loads((out / "metrics.json").read_text())
+        entries = [entry for rm in metrics["rounds"] for entry in rm["stages"]]
+        assert len(entries) == 2 * 7
+        assert (out / "audit.jsonl").read_text().splitlines() == [
+            json.dumps(entry, separators=(",", ":")) for entry in entries
+        ]
+
     def test_unknown_config_key_exits_2(self, tmp_path, corpus_file, capsys):
         doc = dict(RUN_CONFIG, warp_speed=9)
         code, _ = self.run_once(tmp_path, corpus_file, "bad", doc)
@@ -498,6 +507,14 @@ class TestBaselineAndCompare:
         base = self.synth_report(tmp_path, "base.json", 0.0)
         assert main(["compare", run, base, "--floor", "2.0"]) == 0
         assert "inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf", "-0.5"])
+    def test_compare_floor_out_of_range_exits_2(self, tmp_path, capsys, floor):
+        run = self.synth_report(tmp_path, "run.json", 0.6)
+        base = self.synth_report(tmp_path, "base.json", 0.3)
+        assert main(["compare", run, base, f"--floor={floor}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --floor must be finite and >= 0")
 
     def test_compare_hash_mismatch_exits_3(self, tmp_path, capsys):
         run = self.synth_report(tmp_path, "run.json", 0.5, "aaa")

@@ -468,6 +468,21 @@ class TestHttpOracle:
         with pytest.raises(RuntimeError, match="after retries"):
             oracle.label_batch([(4, None)])
 
+    @pytest.mark.parametrize("field, value", [
+        ("unit_cost", -1.0), ("unit_cost", math.nan), ("unit_cost", math.inf),
+        ("batch_size", 0), ("batch_size", -1), ("max_retries", -1),
+        ("backoff_base", -0.5), ("backoff_base", math.nan), ("backoff_base", math.inf),
+        ("timeout", 0.0), ("timeout", -1.0), ("timeout", math.nan), ("timeout", math.inf),
+    ])
+    def test_bad_setting_refused_when_built(self, field, value):
+        # each would otherwise fail only in a round, as a stage error that
+        # does not name the setting
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            HttpOracle("http://localhost:9/label", **{field: value})
+        if field == "unit_cost":
+            with pytest.raises(ValueError, match="^unit_cost must be"):
+                SimulatedOracle(1.0, 1.0, 0, [1], [1], unit_cost=value)
+
 
 class _Reply:
     def __init__(self, doc):

@@ -218,7 +218,7 @@ class TestRunRound:
     def check_rerun(self, items, state, config, snapshot):
         """Round 3 rerun equals round 3 of a clean three-round run, so the
         aborted round advanced no reach mask."""
-        _, metrics = run_round(state, config, 3)
+        metrics = run_round(state, config, 3)
         clean, clean_state = run_pipeline_detailed(items, small_config(rounds=3))
         # cumulative recall is filled in by run_pipeline_detailed, not run_round
         assert metrics.to_dict() == dict(clean.rounds[2].to_dict(), cumulative_recall=None)
@@ -351,6 +351,20 @@ class TestRunPipeline:
         ]
         assert state.oracle.items_labeled == len(oracle_records)
         assert report.oracle_cost == 2.0 * len(oracle_records)
+
+    def test_oracle_cost_counts_this_run_alone(self, small_corpus):
+        # one oracle over two runs: the second run's cost is its own reviews,
+        # not the oracle's lifetime total
+        items, _ = small_corpus
+        config = small_config(rounds=2)
+        oracle = simulated(items)
+        first, _ = run_pipeline_detailed(items, config, oracle=oracle)
+        second, _ = run_pipeline_detailed(items, config, oracle=oracle)
+        assert first.oracle_reviews == second.oracle_reviews > 0
+        for report in (first, second):
+            assert report.oracle_cost == report.oracle_reviews
+            assert report.oracle_cost == sum(rm.oracle_cost for rm in report.rounds)
+        assert oracle.cost_so_far == 2 * first.oracle_cost
 
     def test_prebuilt_graph_matches_autobuilt(self, small_corpus):
         items, _ = small_corpus

@@ -88,6 +88,19 @@ def graph_workers(cpus, popen=None):
         yield started
 
 
+def csr_digests(clusters, dim, theta, mode):
+    """sha256 digests of the CSR arrays over a generated corpus, built in this
+    process and in two workers."""
+    corpus = generate_corpus_detailed(
+        GeneratorConfig(n_clusters=clusters, embedding_dim=dim, rng_seed=5))[0]
+    digests = set()
+    for workers in (contextlib.nullcontext(), graph_workers(2)):
+        with workers:
+            g = build_graph(corpus, theta, mode, seed=0)
+        digests.add(hashlib.sha256(b"".join(csr_bytes(g))).hexdigest())
+    return digests
+
+
 def blob_items(dim=64, scale=1.0):
     """40 planted blobs of 15 items; theta 0.25 links within blobs."""
     rng = np.random.default_rng(1)
@@ -348,15 +361,21 @@ class TestBuildGraph:
     def test_blocked_csr_is_pinned(self, dim, theta, digest):
         # digests recorded before detection moved to float32 tiles; a change
         # to detection that moves an edge or a distance bit fails here
-        cfg = GeneratorConfig(n_clusters=500, embedding_dim=dim, rng_seed=5)
-        corpus = generate_corpus_detailed(cfg)[0]
-        for workers in (contextlib.nullcontext(), graph_workers(2)):
-            with workers:
-                g = build_graph(corpus, theta, "blocked", seed=0)
-            h = hashlib.sha256()
-            for arr in (g._indptr, g.ids[g._nbr_pos], g._nbr_dists):
-                h.update(arr.tobytes())
-            assert h.hexdigest() == digest
+        assert csr_digests(500, dim, theta, "blocked") == {digest}
+
+    @pytest.mark.parametrize(
+        "dim, theta, clusters, digest",
+        [
+            (64, 0.25, 500, "ac2b526d52b0a0fc4dd661fc08b723668d7618946d0c89e87960eaadf9ef1110"),
+            (16, 0.5, 500, "98ceca29fee05ec2be0042cfd2e7eac571728cd5f5eec634d69b4c3d65f2ae4f"),
+            (4, 0.05, 200, "4dbb8b09adc32154a5c884f865ed08f1fa5304411986580efe67042ec291255d"),
+            (2, 0.01, 200, "8eaa6a07b495b3efef9f9b26ad42336568b5a55b3546395618682f4fec863452"),
+        ],
+    )
+    def test_exact_csr_is_pinned(self, dim, theta, clusters, digest):
+        # digests recorded while exact mode scored the unit rows alone; the
+        # [unit, f, 1] rows with f = 0 must find the same edges and distances
+        assert csr_digests(clusters, dim, theta, "exact") == {digest}
 
     @pytest.mark.parametrize("mode", ["exact", "blocked"])
     def test_equal_distances_order_by_id(self, mode):
