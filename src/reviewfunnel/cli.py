@@ -282,12 +282,24 @@ def cmd_baseline(args) -> int:
     return EXIT_OK
 
 
+def _report(path) -> dict:
+    """A metrics report that names its corpus and whose recall, if any, is in [0, 1]."""
+    doc = _load_json(path)
+    if not isinstance(doc.get("corpus_hash"), str) or not doc["corpus_hash"]:
+        raise ConfigError(f"{path}: corpus_hash must be a non-empty string")
+    recall = doc.get("recall")
+    # a bool is no number, and NaN fails the range
+    if recall is not None and (type(recall) not in (int, float) or not 0.0 <= recall <= 1.0):
+        raise ConfigError(f"{path}: recall must be null or a number in [0, 1], got {recall!r}")
+    return doc
+
+
 def cmd_compare(args) -> int:
     if not 0.0 <= args.floor < math.inf:
         raise ConfigError(f"--floor must be finite and >= 0, got {args.floor}")
-    run_doc = _load_json(args.run_report)
-    base_doc = _load_json(args.baseline_report)
-    if run_doc.get("corpus_hash") != base_doc.get("corpus_hash"):
+    run_doc = _report(args.run_report)
+    base_doc = _report(args.baseline_report)
+    if run_doc["corpus_hash"] != base_doc["corpus_hash"]:
         raise RuntimeError(
             "corpus hash mismatch: reports were produced from different corpora"
         )

@@ -771,11 +771,13 @@ def _load_labels(path, fast) -> list[LabelRecord]:
             if not isinstance(doc["label"], bool):
                 raise FormatError("field label must be a boolean", line_no)
             distance = doc["distance_to_source"]
-            if distance is not None and not isinstance(distance, (int, float)):
-                raise FormatError("field distance_to_source must be a number", line_no)
+            # a bool is no number, and NaN fails the range
+            if distance is not None and (type(distance) not in (int, float)
+                                         or not 0.0 <= distance <= 2.0):
+                raise FormatError("field distance_to_source must be a number in [0, 2]", line_no)
             source = doc["source_item_id"]
-            if source is not None and (not isinstance(source, int) or isinstance(source, bool)):
-                raise FormatError("field source_item_id must be an integer", line_no)
+            if source is not None:
+                source = _require_int(doc, "source_item_id", line_no)
             try:
                 records.append(LabelRecord(
                     item_id=item_id,

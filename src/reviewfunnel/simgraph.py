@@ -30,8 +30,8 @@ A large build scores its tiles in worker processes, one per available CPU
 computes the norms, band keys, groups and detection rows, which workers
 never recompute, verifies the pairs inside groups while they run, and sorts
 the CSR rows canonically, so the arrays are the same bytes at any worker
-count. BLAS threads cannot stand in: the tiles are small and most of the
-kernel is numpy work outside the product.
+count. BLAS threads cannot stand in: the tiles are small, and their products
+are about 40% of a share's kernel, numpy gathers, masks and checks the rest.
 """
 
 from __future__ import annotations
@@ -64,10 +64,11 @@ _TILE_ELEMS = 1 << 22
 
 # The tiles are scored in worker processes when each gets at least
 # _SHARE_WORK units, a pair of d-dim group rows costing d + _PAIR_OVERHEAD.
-# On a 2-core host a worker spends about 0.3 s of CPU starting (interpreter
-# and numpy), and two workers about tied the in-process build at 6.5e9
-# units (60k desk items, 64-d) and beat it by 10-20% at 12e9 (80k items).
-_SHARE_WORK = 3e9
+# Against the caller on its default BLAS threads, two workers took +100-200%
+# of a lone blocked build's wall up to 0.8e9 units, +39-48% at 1.9-2.3e9,
+# +10-15% at 3.8-4.7e9 and -1 to +8% at 7.6-8.9e9 (2 cores, see CHANGES.md);
+# from 3e9 the caller's peak falls by the build's transients, about 20 MB.
+_SHARE_WORK = 1.5e9
 _PAIR_OVERHEAD = 128
 # Member pairs are verified about this many at a time: gathers of that
 # size reuse memory, where one gather of every pair would fault in fresh
@@ -244,15 +245,18 @@ def _sign_hash(emb: np.ndarray, bands: int, band_bits: int, seed: int):
     planes = np.random.default_rng(seed).standard_normal((emb.shape[1], bands * band_bits))
     keys = np.zeros((bands, n), dtype=np.min_scalar_type((1 << band_bits) - 1))
     # every sign bit of a row as 64-bit words, projected a block at a time
-    width = bands * -(-band_bits // 8)
+    nbytes = -(-band_bits // 8)
+    width = bands * nbytes
     words = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
     for rows in _blocks(n):
-        bits = ((emb[rows] @ planes) > 0).reshape(-1, bands, band_bits)
-        # bit k of a band's key is its k-th hyperplane's sign
-        packed = np.packbits(bits, axis=2, bitorder="little")
-        for k in range(packed.shape[2]):
-            keys[:, rows] |= packed[:, :, k].T.astype(keys.dtype) << (8 * k)
-        words[rows, :width] = packed.reshape(len(packed), width)
+        # bit k of a band's key is its k-th hyperplane's sign, a band padded to whole bytes
+        bits = np.zeros((len(words[rows]), bands, nbytes * 8), dtype=bool)
+        np.greater((emb[rows] @ planes).reshape(len(bits), bands, band_bits), 0,
+                   out=bits[:, :, :band_bits])
+        packed = np.packbits(bits.reshape(len(bits), width * 8), axis=1, bitorder="little")
+        for k in range(nbytes):
+            keys[:, rows] |= packed[:, k::nbytes].T.astype(keys.dtype) << (8 * k)
+        words[rows, :width] = packed
     # a stable sort keeps each run of equal words in ascending row order
     words = words.view(np.uint64)
     ranked = np.lexsort(words.T)
@@ -394,7 +398,9 @@ def _tile_edges(emb, norms, keys, order, starts, members, det, tiles, cut, theta
             span = order[band, base : band_end[band]]
             # rebinding both drops the last band's swapped rows before the swap below
             band_left = band_right = det[span]
-            band_right = band_left[:, np.r_[: emb.shape[1], -1, -2]]  # [unit, 1, f]
+            # [unit, 1, f]: a copy with two columns swapped costs less than a fancy index
+            band_right = band_left.copy()
+            band_right[:, -2:] = band_left[:, :-3:-1]
         start, stop = lo + r0 - base, hi - base
         hit = band_left[start : min(start + rows, stop)] @ band_right[start:stop].T >= cut
         k = len(hit)

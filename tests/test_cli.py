@@ -516,6 +516,33 @@ class TestBaselineAndCompare:
         err = capsys.readouterr().err
         assert err.startswith("config error: --floor must be finite and >= 0")
 
+    @pytest.mark.parametrize("side, key, value", [
+        ("run", "recall", "0.6"),  # failed on the division
+        ("run", "recall", True),  # passed the floor as 1.0
+        ("run", "recall", 1.5),
+        ("run", "recall", math.nan),
+        ("base", "recall", -0.1),  # a negative ratio
+        ("base", "recall", math.inf),
+        ("both", "corpus_hash", None),  # absent from both, so "equal"
+        ("both", "corpus_hash", ""),
+        ("both", "corpus_hash", 7),
+    ], ids=["recall-str", "recall-bool", "recall-above-1", "recall-nan", "base-recall-negative",
+            "base-recall-inf", "hash-missing", "hash-empty", "hash-int"])
+    def test_compare_malformed_report_exits_2(self, tmp_path, capsys, side, key, value):
+        docs = {}
+        for name, recall in (("run", 0.6), ("base", 0.3)):
+            doc = {"corpus_hash": "abc", "recall": recall, "review_fraction": 0.001,
+                   "amplification": 2.0}
+            if side in (name, "both"):
+                doc[key] = value
+                if value is None:
+                    del doc[key]
+            docs[name] = write_json(tmp_path / f"{name}.json", doc)
+        assert main(["compare", docs["run"], docs["base"], "--floor", "2.0"]) == 2
+        err = capsys.readouterr().err
+        path = docs["base" if side == "base" else "run"]
+        assert err.startswith(f"config error: {path}: {key} must be "), err
+
     def test_compare_hash_mismatch_exits_3(self, tmp_path, capsys):
         run = self.synth_report(tmp_path, "run.json", 0.5, "aaa")
         base = self.synth_report(tmp_path, "base.json", 0.25, "bbb")

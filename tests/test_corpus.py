@@ -891,6 +891,35 @@ def test_label_store_reads_alike_without_orjson(tmp_path, field, value):
     assert outcome({}) == outcome({"orjson": None})
 
 
+@pytest.mark.parametrize("orjson", [True, False], ids=["orjson", "json"])
+@pytest.mark.parametrize("field, value, reason", [
+    ("source_item_id", "-5", "field source_item_id must be >= 0"),
+    ("source_item_id", str(2**63), "field source_item_id out of int64 range"),
+    ("distance_to_source", "true", "field distance_to_source must be a number in [0, 2]"),
+    ("distance_to_source", "NaN", "field distance_to_source must be a number in [0, 2]"),
+    ("distance_to_source", "Infinity", "field distance_to_source must be a number in [0, 2]"),
+    ("distance_to_source", "-7.5", "field distance_to_source must be a number in [0, 2]"),
+    ("distance_to_source", "2.5", "field distance_to_source must be a number in [0, 2]"),
+], ids=["source-negative", "source-2**63", "distance-bool", "distance-nan", "distance-inf",
+        "distance-negative", "distance-above-2"])
+def test_label_store_refuses_out_of_range_fields(tmp_path, orjson, field, value, reason):
+    # NaN and Infinity reach the range check only through json's re-decode
+    if orjson:
+        pytest.importorskip("orjson")
+    doc = {"item_id": 4, "label": True, "provenance": "propagated", "source_item_id": 3,
+           "round": 1, "distance_to_source": 0.125}
+    path = tmp_path / "labels.jsonl"
+    save_labels([LabelRecord(item_id=3, label=True, provenance="oracle", round=1)], path)
+    line = json.dumps(doc).replace(f'"{field}": {json.dumps(doc[field])}', f'"{field}": {value}')
+    assert line != json.dumps(doc)
+    with open(path, "a") as fh:
+        fh.write(line + "\n")
+    with mock.patch.dict(sys.modules, {} if orjson else {"orjson": None}), \
+            pytest.raises(FormatError) as err:
+        load_labels(path)
+    assert (err.value.line, err.value.reason) == (3, reason)
+
+
 def test_load_holds_one_block_beyond_its_columns(tmp_path):
     # numpy reports its buffers to tracemalloc, so the traced peak counts the
     # columns, the decoded block and anything the loader holds besides

@@ -521,6 +521,34 @@ class TestGraphWorkers:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         return tmp_path
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_two_workers_start_at_twice_the_share_work(self, cpus):
+        # Exact mode scores one bucket of all n rows, n (n - 1) / 2 pairs at
+        # d + _PAIR_OVERHEAD units each: the smallest n whose work reaches two
+        # shares, and the one below it, straddle the routing rule.
+        per_pair = 2 + simgraph._PAIR_OVERHEAD
+        n = math.isqrt(int(4 * simgraph._SHARE_WORK / per_pair))
+        while n * (n - 1) / 2 * per_pair < 2 * simgraph._SHARE_WORK:
+            n += 1
+        assert (n - 1) * (n - 2) / 2 * per_pair < 2 * simgraph._SHARE_WORK
+        started = []
+
+        class Recorded(simgraph.Worker):
+            def __init__(self, *args):
+                started.append(args[1])
+                super().__init__(*args)
+
+        vectors = np.random.default_rng(3).standard_normal((n, 2))
+        # no interpreter is launched: with no sys.executable each share runs here
+        with mock.patch.object(simgraph, "Worker", Recorded), \
+                mock.patch.object(sys, "executable", ""), \
+                mock.patch.object(simgraph, "_available_cpus", lambda: cpus):
+            for rows, workers in ((n, cpus if cpus > 1 else 0), (n - 1, 0)):
+                started.clear()
+                graph = build_graph(make_items(vectors[:rows]), 1e-6, "exact")
+                assert len(started) == workers, (rows, started)
+        assert graph.n_edges
+
     @pytest.mark.parametrize("mode", ["exact", "blocked"])
     def test_worker_that_cannot_start_leaves_its_share_here(self, items, tmpdir, mode):
         here = csr_bytes(build_graph(items, 0.25, mode, seed=3))
@@ -687,7 +715,8 @@ def sign_corpus():
     return corpus
 
 
-@pytest.mark.parametrize("dim, bands, band_bits", [(64, 16, 8), (64, 12, 12), (5, 3, 20)])
+@pytest.mark.parametrize("dim, bands, band_bits",
+                         [(64, 16, 8), (64, 12, 12), (5, 3, 20), (7, 5, 3), (16, 4, 1)])
 def test_sign_hash_in_blocks_equals_one_product(sign_corpus, dim, bands, band_bits):
     # BLAS may round a block's product apart from the whole one's; the sign
     # bits, and so the keys and groups, must not move
