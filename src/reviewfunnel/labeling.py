@@ -178,7 +178,12 @@ class HttpOracle(Oracle):
                 ]
             }
             doc = self._post_with_retry(requests, payload)
-            pairs = [(v["item_id"], v["label"]) for v in doc["verdicts"]]
+            rows = doc.get("verdicts") if isinstance(doc, dict) else None
+            if not isinstance(rows, list) or not all(
+                    isinstance(v, dict) and v.keys() >= {"item_id", "label"} for v in rows):
+                raise RuntimeError('remote labeler answered other than {"verdicts": '
+                                   '[{"item_id": ..., "label": ...}, ...]}')
+            pairs = [(v["item_id"], v["label"]) for v in rows]
             for item_id, label in pairs:  # type(), as isinstance takes a bool for an int
                 if type(item_id) is not int or type(label) is not bool:
                     raise RuntimeError(f"remote labeler returned label {label!r} for item "

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .labeling import (
     oracle_label,
     propagate_labels,
 )
-from .simgraph import GRAPH_MODES, MODE_BLOCKED, SimilarityGraph, build_graph, positions
+from .simgraph import GRAPH_MODES, MODE_BLOCKED, SimilarityGraph, build_graph
 
 
 class StageError(RuntimeError):
@@ -235,9 +234,9 @@ def simulate_model_scores(truth: np.ndarray, params: ScoreParams) -> np.ndarray:
 def compute_metrics(store: KnownStore, corpus) -> MetricsReport:
     """Evaluate a label store's columns against the corpus's truth column.
 
-    ``corpus`` is a Corpus or an Item list over the store's ids. Unless every
-    row's truth is known, recall, precision, impression-weighted recall and
-    amplification are None.
+    ``corpus`` is a Corpus or an Item list over the store's ids; the report
+    carries its content hash. Unless every row's truth is known, recall,
+    precision, impression-weighted recall and amplification are None.
     """
     corpus = Corpus.of(corpus)
     if not np.array_equal(store.ids, corpus.ids):
@@ -260,7 +259,7 @@ def compute_metrics(store: KnownStore, corpus) -> MetricsReport:
 
     return MetricsReport(
         corpus_size=len(corpus),
-        corpus_hash=None,
+        corpus_hash=corpus.content_hash,
         oracle_reviews=reviews,
         oracle_cost=0.0,
         review_fraction=reviews / len(corpus) if len(corpus) else 0.0,
@@ -436,7 +435,6 @@ def run_pipeline_detailed(
         round_metrics.append(metrics)
 
     report = compute_metrics(store, corpus)
-    report.corpus_hash = corpus.content_hash
     report.oracle_cost = oracle.cost_so_far - cost_start
     report.rounds = round_metrics
     return report, state
@@ -456,6 +454,15 @@ def _baseline_inputs(corpus, total_budget: int) -> Corpus:
     return corpus
 
 
+def _reviewed(corpus: Corpus, pos: np.ndarray, oracle: Oracle) -> MetricsReport:
+    """The report of one baseline review: ``pos`` to the oracle in order, no propagation."""
+    store = KnownStore(corpus.ids)
+    oracle_label(pos, oracle, store, 1, corpus.embeddings)
+    report = compute_metrics(store, corpus)
+    report.oracle_cost = len(pos) * oracle.unit_cost
+    return report
+
+
 def run_score_baseline(
     corpus,
     total_budget: int,
@@ -473,11 +480,7 @@ def run_score_baseline(
     above = int(np.count_nonzero(scores > score_params.tau))
     # stable over ascending ids, so ties go to the lower id
     ranked = np.argsort(-scores, kind="stable")[: min(above, total_budget)]
-    store = KnownStore(corpus.ids)
-    oracle_label(ranked, oracle, store, 1, corpus.embeddings)
-    report = compute_metrics(store, corpus)
-    report.corpus_hash = corpus.content_hash
-    report.oracle_cost = len(ranked) * oracle.unit_cost
+    report = _reviewed(corpus, ranked, oracle)
     report.baseline = {
         "kind": "score_top",
         "total_budget": total_budget,
@@ -499,44 +502,26 @@ def run_random_baseline(
     """Budget-matched control: uniform random review with no propagation.
 
     Samples ``total_budget`` items without replacement, labels them with the
-    given oracle, and averages the metrics over ``trials`` resamples.
+    given oracle, and averages the counts and rates over ``trials``
+    resamples; the rest of the report is the first trial's.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     corpus = _baseline_inputs(corpus, total_budget)
-
     per_trial: list[MetricsReport] = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
-        sample = np.sort(rng.choice(corpus.ids, size=total_budget, replace=False))
-        store = KnownStore(corpus.ids)
-        oracle_label(positions(corpus.ids, sample), oracle, store, 1, corpus.embeddings)
-        per_trial.append(compute_metrics(store, corpus))
+        sample = np.sort(rng.choice(len(corpus), size=total_budget, replace=False))
+        per_trial.append(_reviewed(corpus, sample, oracle))
 
-    def mean_of(values: Iterable[float | None]) -> float | None:
-        present = [v for v in values if v is not None]
+    def mean_of(name: str) -> float | None:
+        present = [v for v in (getattr(r, name) for r in per_trial) if v is not None]
         return sum(present) / len(present) if present else None
 
-    return MetricsReport(
-        corpus_size=len(corpus),
-        corpus_hash=corpus.content_hash,
-        oracle_reviews=total_budget,
-        oracle_cost=total_budget * oracle.unit_cost,
-        review_fraction=total_budget / len(corpus) if len(corpus) else 0.0,
-        positives_seed=0.0,
-        positives_oracle=mean_of(r.positives_oracle for r in per_trial) or 0.0,
-        positives_propagated=0.0,
-        positives_total=mean_of(r.positives_total for r in per_trial) or 0.0,
-        recall=mean_of(r.recall for r in per_trial),
-        precision=mean_of(r.precision for r in per_trial),
-        impression_weighted_recall=mean_of(
-            r.impression_weighted_recall for r in per_trial
-        ),
-        amplification=mean_of(r.amplification for r in per_trial),
-        baseline={
-            "kind": "random",
-            "total_budget": total_budget,
-            "trials": trials,
-            "seed": seed,
-        },
+    averaged = ("positives_seed", "positives_oracle", "positives_propagated", "positives_total",
+                "recall", "precision", "impression_weighted_recall", "amplification")
+    return replace(
+        per_trial[0], **{name: mean_of(name) for name in averaged},
+        baseline={"kind": "random", "total_budget": total_budget, "trials": trials,
+                  "seed": seed},
     )

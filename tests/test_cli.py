@@ -1,11 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from reviewfunnel import cli
 from reviewfunnel.cli import main
-from reviewfunnel.corpus import load_labels
+from reviewfunnel.corpus import PROVENANCES, load_corpus, load_labels
+from reviewfunnel.labeling import KnownStore, LabelBatch
+from reviewfunnel.pipeline import compute_metrics
 
 GEN_CONFIG = {
     "schema_version": 2,
@@ -488,6 +491,22 @@ class TestBaselineAndCompare:
         out = capsys.readouterr().out
         assert "recall_ratio=" in out
         assert code in (0, 1)
+
+    def test_compute_metrics_report_names_its_corpus(self, tmp_path, corpus_file, capsys):
+        # a report straight from compute_metrics passes compare's corpus guard
+        corpus = load_corpus(corpus_file)
+        positives = np.flatnonzero(corpus.truth == 1)
+        reports = []
+        for name, found in (("run.json", positives), ("base.json", positives[::2])):
+            store = KnownStore(corpus.ids)
+            store.write(LabelBatch.of(found, np.ones(len(found), dtype=bool),
+                                      PROVENANCES.index("oracle"), 1))
+            report = compute_metrics(store, corpus)
+            assert report.corpus_hash == corpus.content_hash
+            (tmp_path / name).write_text(report.to_json())
+            reports.append(str(tmp_path / name))
+        assert main(["compare", *reports, "--floor", "1.5"]) == 0
+        assert "recall_ratio=" in capsys.readouterr().out
 
     def synth_report(self, tmp_path, name, recall, corpus_hash="abc"):
         doc = {

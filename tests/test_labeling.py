@@ -536,6 +536,23 @@ class TestHttpOracleVerdicts:
         with pytest.raises(RuntimeError, match=match):
             HttpOracle("http://127.0.0.1:9/label").label_batch([(1, None), (2, None)])
 
+    @pytest.mark.parametrize("body", [
+        {}, [], {"verdicts": None}, {"verdicts": "x"}, {"verdicts": [[1, True]]},
+        {"verdicts": [{"item_id": 1}]},
+    ], ids=["no-verdicts", "list", "null", "string", "pair", "no-label"])
+    def test_malformed_body_refused_without_retry(self, monkeypatch, body):
+        posts = []
+
+        def post(url, json, timeout):
+            posts.append(json)
+            return _Reply(body)
+
+        monkeypatch.setattr(requests, "post", post)
+        oracle = HttpOracle("http://127.0.0.1:9/label", backoff_base=0.0)
+        with pytest.raises(RuntimeError, match=r'remote labeler .*\{"verdicts": \[\{"item_id"'):
+            oracle.label_batch([(1, None), (2, None)])
+        assert len(posts) == 1
+
     def test_json_booleans_accepted(self, monkeypatch):
         answering(monkeypatch, lambda asked: [{"item_id": 1, "label": False}, 2])
         oracle = HttpOracle("http://127.0.0.1:9/label")

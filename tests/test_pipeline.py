@@ -478,6 +478,12 @@ def test_run_outputs_are_pinned(pinned_corpus, overrides, report_digest, labels_
     assert hashlib.sha256(labels.encode()).hexdigest() == labels_digest
 
 
+def gapped(corpus):
+    """The corpus under gapped ascending ids, rows and columns otherwise unchanged."""
+    gaps = np.random.default_rng(5).integers(0, 4, len(corpus.ids)).cumsum()
+    return dataclasses.replace(corpus, ids=corpus.ids * 7 + 3 + gaps)
+
+
 @pytest.mark.parametrize(
     "overrides", [{}, {"score": ScoreParams()}, {"impression_weighted_sampling": True}],
     ids=["default", "score", "impression_weighted"],
@@ -486,8 +492,7 @@ def test_sparse_ids_give_the_same_records(pinned_corpus, overrides):
     # generated ids are 0..n-1, so a position taken for an id passes every
     # other test; under gapped ascending ids each record must map back
     ids = pinned_corpus.ids
-    gaps = np.random.default_rng(5).integers(0, 4, len(ids)).cumsum()
-    sparse = dataclasses.replace(pinned_corpus, ids=ids * 7 + 3 + gaps)
+    sparse = gapped(pinned_corpus)
     config = PipelineConfig(oracle=OracleParams(tpr=1.0, tnr=1.0), **overrides)
     to_dense = dict(zip(sparse.ids.tolist(), ids.tolist()))
     to_dense[None] = None
@@ -502,6 +507,37 @@ def test_sparse_ids_give_the_same_records(pinned_corpus, overrides):
     assert got == want and len(want) > 1000
     # every round's audit entries and the report's counts and rates; only
     # the corpus hash covers the ids
+    assert dict(sparse_report.to_dict(), corpus_hash=None) == dict(
+        dense_report.to_dict(), corpus_hash=None)
+
+
+class Asked(SimulatedOracle):
+    """A perfect simulated oracle that keeps the ids it is asked about, in order."""
+
+    def __init__(self, corpus):
+        super().__init__(1.0, 1.0, 0, corpus.ids, corpus.truth)
+        self.asked = []
+
+    def _judge(self, batch):
+        self.asked.extend(item_id for item_id, _embedding in batch)
+        return super()._judge(batch)
+
+
+@pytest.mark.parametrize("baseline", [
+    lambda corpus, oracle: run_random_baseline(corpus, 200, oracle, 3, 11),
+    lambda corpus, oracle: run_score_baseline(corpus, 60, oracle, ScoreParams()),
+], ids=["random", "score"])
+def test_sparse_ids_give_the_same_baseline(pinned_corpus, baseline):
+    # a baseline that draws or ranks ids where it means positions reviews
+    # other items once the ids have gaps
+    sparse = gapped(pinned_corpus)
+    dense_oracle, sparse_oracle = Asked(pinned_corpus), Asked(sparse)
+    dense_report = baseline(pinned_corpus, dense_oracle)
+    sparse_report = baseline(sparse, sparse_oracle)
+    to_dense = dict(zip(sparse.ids.tolist(), pinned_corpus.ids.tolist()))
+    assert [to_dense[i] for i in sparse_oracle.asked] == dense_oracle.asked
+    assert len(dense_oracle.asked) >= 60 and dense_report.positives_oracle > 0
+    assert sparse_report.corpus_hash == sparse.content_hash != pinned_corpus.content_hash
     assert dict(sparse_report.to_dict(), corpus_hash=None) == dict(
         dense_report.to_dict(), corpus_hash=None)
 
