@@ -72,10 +72,7 @@ def _check_envelope(doc: dict, kind: str) -> dict:
                           f"got {doc.get('schema_version')!r}")
     if doc.get("kind") != kind:
         raise ConfigError(f"kind must be {kind!r}, got {doc.get('kind')!r}")
-    body = dict(doc)
-    body.pop("schema_version")
-    body.pop("kind")
-    return body
+    return {key: value for key, value in doc.items() if key not in ("schema_version", "kind")}
 
 
 # The JSON types each scalar annotation accepts; a bool is never an int or a float.
@@ -151,9 +148,7 @@ def cmd_generate(args) -> int:
     _write_atomic(Path(args.out), lambda tmp: save_corpus(corpus, tmp))
     positives = int((corpus.truth == 1).sum())
     rate = positives / len(corpus) if len(corpus) else 0.0
-    dup_pairs = sum(
-        (len(c.dup_ids) + 1) * len(c.dup_ids) // 2 for c in clusters
-    )
+    dup_pairs = sum((len(c.dup_ids) + 1) * len(c.dup_ids) // 2 for c in clusters)
     print(
         f"generated {len(corpus)} items in {len(clusters)} clusters; "
         f"positive rate {rate:.4f}; near-duplicate pairs {dup_pairs}"

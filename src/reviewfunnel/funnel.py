@@ -36,10 +36,9 @@ import numpy as np
 from .simgraph import SimilarityGraph, _nonnegative
 
 def position_array(pos: Iterable[int]) -> np.ndarray:
-    """The distinct positions of any iterable, ascending int64; IndexError if negative."""
-    if not isinstance(pos, np.ndarray):
-        pos = np.fromiter(pos, dtype=np.int64)
-    pos = _nonnegative(pos)
+    """The distinct positions of any iterable, ascending int64; IndexError if negative,
+    TypeError if not integers."""
+    pos = _nonnegative(pos if isinstance(pos, np.ndarray) else list(pos))
     return pos if np.all(pos[1:] > pos[:-1]) else np.unique(pos)
 
 

@@ -389,19 +389,11 @@ def run_pipeline_detailed(
                                  params.unit_cost)
     cost_start = oracle.cost_so_far  # a caller's oracle may have labelled before this run
     if graph is None:
-        graph = build_graph(
-            corpus,
-            config.theta_sim,
-            config.graph_mode,
-            bands=config.graph_bands,
-            band_bits=config.graph_band_bits,
-            seed=config.graph_seed,
-        )
+        graph = build_graph(corpus, config.theta_sim, config.graph_mode, bands=config.graph_bands,
+                            band_bits=config.graph_band_bits, seed=config.graph_seed)
     else:
         if graph.theta < config.theta_sim:
-            raise ValueError(
-                f"provided graph radius {graph.theta} < theta_sim {config.theta_sim}"
-            )
+            raise ValueError(f"provided graph radius {graph.theta} < theta_sim {config.theta_sim}")
         if not np.array_equal(graph.ids, corpus.ids):
             missing = corpus.ids[~np.isin(corpus.ids, graph.ids)]
             if len(missing):
@@ -416,14 +408,8 @@ def run_pipeline_detailed(
     scored = np.zeros(len(corpus), dtype=bool)
     if config.score is not None:
         scored = simulate_model_scores(corpus.truth, config.score) > config.score.tau
-    state = PipelineState(
-        corpus=corpus,
-        graph=graph,
-        store=store,
-        oracle=oracle,
-        scored=scored,
-        reach=Reach(corpus.ids),
-    )
+    state = PipelineState(corpus=corpus, graph=graph, store=store, oracle=oracle, scored=scored,
+                          reach=Reach(corpus.ids))
 
     gt_positives = int(np.count_nonzero(positive)) if truth_complete else 0
     round_metrics: list[RoundMetrics] = []
@@ -446,9 +432,7 @@ def _baseline_inputs(corpus, total_budget: int) -> Corpus:
     if total_budget < 0:
         raise ValueError("total_budget must be >= 0")
     if total_budget > len(corpus):
-        raise ValueError(
-            f"total_budget {total_budget} exceeds corpus size {len(corpus)}"
-        )
+        raise ValueError(f"total_budget {total_budget} exceeds corpus size {len(corpus)}")
     if np.any(corpus.truth < 0):
         raise MissingGroundTruthError("baseline evaluation requires full ground truth")
     return corpus

@@ -76,6 +76,10 @@ _PAIR_OVERHEAD = 128
 # pair of groups expands to, however few hyperplanes split the corpus.
 _VERIFY_PAIRS = 4096
 _GROUP_ROWS = 64
+# The CSR keys of a block of rows stay below _KEY_LIMIT, the int64 range,
+# and are packed and decoded _CSR_CHUNK edges at a time.
+_KEY_LIMIT = 2**63
+_CSR_CHUNK = 1 << 14
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,17 +87,25 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+def _int64(values, what: str) -> np.ndarray:
+    """``values`` as int64; TypeError for floats or bools, which a cast would truncate."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be integers, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 def _nonnegative(pos) -> np.ndarray:
-    """``pos`` as int64; IndexError for a negative one, which numpy would read from the end."""
-    pos = np.asarray(pos, dtype=np.int64)
+    """``_int64`` positions; IndexError for a negative one, which numpy would read from the end."""
+    pos = _int64(pos, "positions")
     if np.any(pos < 0):
         raise IndexError(f"position {pos[np.argmax(pos < 0)]} is negative")
     return pos
 
 
 def positions(index: np.ndarray, item_ids) -> np.ndarray:
-    """Positions of ``item_ids`` in the ascending ``index``; KeyError if absent."""
-    item_ids = np.asarray(item_ids, dtype=np.int64)
+    """Positions of ``_int64`` ``item_ids`` in the ascending ``index``; KeyError if absent."""
+    item_ids = _int64(item_ids, "item ids")
     pos = np.searchsorted(index, item_ids)
     found = pos < len(index)
     found[found] = index[pos[found]] == item_ids[found]
@@ -180,10 +192,9 @@ class SimilarityGraph:
         order (a repeated position repeats its row), each in ascending
         (distance, id) order.
         """
-        if radius > self.theta:
+        if not radius <= self.theta:  # NaN included
             raise ValueError(
-                f"query radius {radius} exceeds graph threshold {self.theta}"
-            )
+                f"query radius {radius} is NaN or exceeds graph threshold {self.theta}")
         pos = _nonnegative(pos)
         starts = self._indptr[pos]
         ends = self._indptr[pos + 1]
@@ -605,6 +616,59 @@ def _edges(emb, norms, theta, mode, bands, band_bits, seed) -> list[np.ndarray]:
     return [ii, jj, dists]
 
 
+def _pack(key, ii, jj, level, lo, hi, n_levels, n) -> None:
+    """Write the keys of rows lo..hi - 1 into ``key``, in edge order (see ``_csr``)."""
+    at = 0
+    for c in range(0, len(level), _CSR_CHUNK):
+        a, b, v = ii[c : c + _CSR_CHUNK], jj[c : c + _CSR_CHUNK], level[c : c + _CSR_CHUNK]
+        for row, nbr in ((a, b), (b, a)):  # edge (i, j) is entry j of row i and i of row j
+            sel = (row >= lo) & (row < hi)
+            part = ((row[sel] - lo) * n_levels + v[sel]) * n + nbr[sel]
+            key[at : at + len(part)] = part
+            at += len(part)
+
+
+def _csr(edges: list, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, nbr_pos, nbr_dists) of ``_edges``'s [ii, jj, dists], which it empties.
+
+    Entry (r, nbr) at the v-th smallest of the L distinct distances is the
+    key ``(r * L + v) * n + nbr``, r counted from its block's first row, so
+    sorting a block's unique keys in place puts each row in (distance, id)
+    order; decoded, they give the distances and become ``nbr_pos``. Keys stay
+    below ``_KEY_LIMIT``: one block whenever n * n * L is below it. Each
+    edge array goes once read, before the output distances are allocated.
+    """
+    ii, jj, dists = edges
+    edges.clear()
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n), out=indptr[1:])
+    order = np.argsort(dists)
+    ranked = dists[order]
+    del dists
+    new = np.ones(len(ranked), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    levels = ranked[new]
+    new[:1] = False
+    rank = ranked.view(np.int64)  # the sorted distances are spent: their buffer takes the ranks
+    np.cumsum(new, out=rank)
+    level = np.empty(len(rank), dtype=np.int64)
+    level[order] = rank
+    del order, ranked, rank, new
+    rows = _KEY_LIMIT // max(len(levels) * n, 1)
+    key = np.empty(2 * len(level), dtype=np.int64)
+    for lo in range(0, n, rows):
+        block = key[indptr[lo] : indptr[min(lo + rows, n)]]
+        _pack(block, ii, jj, level, lo, lo + rows, len(levels), n)
+        block.sort()  # unique keys: any sort gives the same bytes
+    del ii, jj, level
+    nbr_dists = np.empty(len(key))
+    for c in range(0, len(key), _CSR_CHUNK):
+        part = key[c : c + _CSR_CHUNK]
+        nbr_dists[c : c + _CSR_CHUNK] = levels[part // n % len(levels)]
+        part %= n
+    return indptr, key, nbr_dists
+
+
 def build_graph(
     corpus: Corpus | Iterable,
     theta: float,
@@ -635,41 +699,12 @@ def build_graph(
     corpus = Corpus.of(corpus)
     ids, emb = corpus.ids, corpus.embeddings
     n = len(ids)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return SimilarityGraph(
-            ids, emb, np.empty(0), theta, mode, np.zeros(1, dtype=np.int64), empty, np.empty(0)
-        )
     norms = np.sqrt(_dots(emb, emb))
     if np.any(norms == 0.0):
         raise ValueError("zero embedding in graph input")
     if not np.all(np.isfinite(norms)):
         raise ValueError("non-finite embedding norm in graph input")
-    ii, jj, dists = _edges(emb, norms, theta, mode, bands, band_bits, seed)
-
-    # rows in ascending (distance, id) order, as np.lexsort((cols, both, rows))
-    # but faster: edges in (ii, jj) order, (jj, ii) entries first, put each row
-    # in ascending col (ii < jj), which a stable sort by row and distance
-    # keeps. Each array goes as soon as it is used: with many edges a row, the
-    # sort, not the end of `_edges`, sets the build's peak memory.
-    edges = np.argsort(ii * n + jj)
-    ii = ii[edges]
-    jj = jj[edges]
-    dists = dists[edges]
-    del edges
-    levels, rank = np.unique(dists, return_inverse=True)
-    key = np.concatenate([jj, ii]) * len(levels)
-    key[: len(rank)] += rank
-    key[len(rank) :] += rank
-    del levels, rank
-    perm = np.argsort(key, kind="stable")
-    del key
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n))
-    nbr_pos = np.concatenate([ii, jj])
-    del ii, jj
-    nbr_pos = nbr_pos[perm]
-    both = np.concatenate([dists, dists])
-    del dists
-    both = both[perm]
-    return SimilarityGraph(ids, emb, norms, theta, mode, indptr, nbr_pos, both)
+    no_edges = [np.empty(0, dtype=np.int64)] * 2 + [np.empty(0)]  # for an empty corpus
+    edges = _edges(emb, norms, theta, mode, bands, band_bits, seed) if n else no_edges
+    indptr, nbr_pos, nbr_dists = _csr(edges, n)
+    return SimilarityGraph(ids, emb, norms, theta, mode, indptr, nbr_pos, nbr_dists)

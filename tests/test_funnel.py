@@ -14,6 +14,7 @@ from reviewfunnel.funnel import (
     expand_actor,
     filter_eligible,
     max_coverage_sample,
+    position_array,
 )
 from reviewfunnel.labeling import KnownStore, LabelBatch, propagate_labels
 from reviewfunnel.simgraph import build_graph, cosine_distance
@@ -212,6 +213,17 @@ class TestFilterEligible:
         for outside in (5, -1):
             with pytest.raises(IndexError):
                 filter_eligible([outside], store_with(items), np.array([1, 1]))
+
+    def test_non_integer_position(self, rng):
+        # a cast to int64 would read 0.5 and 1.7 as positions 0 and 1
+        items, _ = blob_corpus(rng, [2])
+        for bad in ([0.5, 1.7], np.array([1.5]), [True], (x / 2 for x in (0, 2))):
+            with pytest.raises(TypeError, match="positions must be integers"):
+                filter_eligible(bad, store_with(items), np.array([1, 1]))
+        with pytest.raises(TypeError, match="positions must be integers"):
+            position_array([0.5, 1.7])
+        for empty in ([], set(), np.empty(0)):
+            assert position_array(empty).tolist() == []
 
 
 def brute_force_best_coverage(universe, cover, k):

@@ -218,6 +218,18 @@ class TestOracleLabel:
             store.write(LabelBatch.of([4, -2], [True, True], PROVENANCES.index("oracle"), 1))
         assert len(store) == 0 and store.labels.tolist() == [-1] * 10
 
+    def test_non_integer_position_is_refused_before_review(self):
+        # a cast to int64 would review positions 0 and 1 for 0.5 and 1.7
+        store = KnownStore(range(10))
+        oracle = SimulatedOracle(1.0, 1.0, 0, range(10), [1] * 10)
+        for bad in ([0.5, 1.7], np.array([3.0]), [True]):
+            with pytest.raises(TypeError, match="positions must be integers"):
+                oracle_label(bad, oracle, store, 1)
+            with pytest.raises(TypeError, match="positions must be integers"):
+                store.require_unlabeled(bad)
+        assert oracle.cost_so_far == 0.0 and len(store) == 0
+        assert oracle_label([], oracle, store, 1).pos.tolist() == []
+
     def test_oracle_receives_embedding_rows(self):
         class Recording(SimulatedOracle):
             def _judge(self, batch):

@@ -747,8 +747,8 @@ def test_sign_hash_holds_one_block_of_projections(sign_corpus):
 def test_build_holds_under_one_and_a_half_outputs_beyond_them(workers, dim, cluster_size):
     # The buffers of a fixed size (a block of projections, a batch of member
     # pairs, a detection tile) are shrunk, so the bound sees what grows with
-    # the corpus. The CSR sort's keys and permutation take about 1.25
-    # outputs. Held while the edges are assembled, the tiles' edges and their
+    # the corpus. The CSR assembly peaks about half an output beyond its
+    # output. Held while the edges are assembled, the tiles' edges and their
     # concatenation (in this process, about 10 edges a row here) or the
     # detection rows and band orders (through workers, 128-d rows) would each
     # push the peak past the bound.
@@ -763,6 +763,55 @@ def test_build_holds_under_one_and_a_half_outputs_beyond_them(workers, dim, clus
     assert len(started) == (workers if workers > 1 else 0)
     out = sum(a.nbytes for a in (graph._indptr, graph._nbr_pos, graph._nbr_dists, graph._norms))
     assert peak - out < 1.5 * out, (peak, out)
+
+
+def upper_edges(graph, rng):
+    """The graph's edges as ``_edges`` gives them, [ii, jj, dists] with ii < jj, shuffled."""
+    row = np.repeat(np.arange(len(graph)), np.diff(graph._indptr))
+    upper = row < graph._nbr_pos
+    order = rng.permutation(np.count_nonzero(upper))
+    return [row[upper][order], graph._nbr_pos[upper][order], graph._nbr_dists[upper][order]]
+
+
+@pytest.mark.parametrize("mode", ["exact", "blocked"])
+def test_csr_in_row_blocks_is_the_one_block_csr(mode):
+    # A key limit of n * L * rows, L distinct distances, assembles the CSR
+    # in blocks of that many rows. The copies at distance 0 tie, and the
+    # keys order them by id in any block.
+    items = gather_corpus()
+    pack = mock.Mock(wraps=simgraph._pack)
+    with mock.patch.object(simgraph, "_pack", pack):
+        graph = build_graph(items, 0.25, mode, bands=8, band_bits=4, seed=3)
+    assert pack.call_count == 1
+    n, levels = len(graph), len(np.unique(graph._nbr_dists))
+    assert levels < graph.n_edges  # some distances repeat
+    for rows in (1, 7, n - 1):
+        pack.reset_mock()
+        with mock.patch.object(simgraph, "_pack", pack), \
+                mock.patch.object(simgraph, "_KEY_LIMIT", n * levels * rows):
+            blocked = build_graph(items, 0.25, mode, bands=8, band_bits=4, seed=3)
+        assert pack.call_count == -(-n // rows)
+        assert csr_bytes(blocked) == csr_bytes(graph)
+    # the full desk corpus, 200,739 rows with at most one distance an edge
+    # (996,219), is one block: n * n * L is 4e16, below the int64 limit
+    assert simgraph._KEY_LIMIT // (996_219 * 200_739) >= 200_739
+
+
+def test_csr_assembly_holds_one_and_a_half_outputs_beyond_its_edges():
+    # Given the edges, the assembly holds its keys, which become nbr_pos,
+    # the distinct distances and the output distances: about 1.25 outputs.
+    # The argsort assembly it replaced peaked at 2.2 outputs on these edges,
+    # between np.unique's temporaries and the two permutation gathers.
+    corpus = generate_corpus_detailed(
+        GeneratorConfig(n_clusters=2000, embedding_dim=16, rng_seed=5))[0]
+    graph = build_graph(corpus, 0.25, "blocked")
+    edges = upper_edges(graph, np.random.default_rng(0))
+    with mock.patch.object(simgraph, "_CSR_CHUNK", 256):
+        out, peak, _ = traced(simgraph._csr, list(edges), len(graph))
+    assert [a.tobytes() for a in out] == [
+        a.tobytes() for a in (graph._indptr, graph._nbr_pos, graph._nbr_dists)]
+    size = sum(a.nbytes for a in out)
+    assert peak < 1.5 * size, (peak, size)
 
 
 class TestNeighborQueries:
@@ -817,6 +866,20 @@ class TestNeighborQueries:
         for a, b in (([-1], [0]), ([0], [-1])):
             with pytest.raises(IndexError, match="position -1 is negative"):
                 self.graph.pair_distances(np.array(a), np.array(b))
+
+    def test_non_integer_position_rejected(self):
+        # a cast to int64 would read 0.5 and 1.7 as rows 0 and 1, and 1.5 or
+        # True as id 1
+        for bad in (np.array([0.5, 1.7]), [1.5], [True]):
+            with pytest.raises(TypeError, match="positions must be integers"):
+                self.graph.gather(bad, 0.1)
+            with pytest.raises(TypeError, match="positions must be integers"):
+                self.graph.pair_distances(bad, np.zeros(len(bad), dtype=np.int64))
+            with pytest.raises(TypeError, match="item ids must be integers"):
+                positions(self.graph.ids, bad)
+        assert [len(part) for part in self.graph.gather([], 0.1)] == [0, 0, 0]
+        assert positions(self.graph.ids, []).tolist() == []
+        assert positions(self.graph.ids, np.array([1], dtype=np.uint8)).tolist() == [1]
 
 
 def batch_rows(graph, ids, radius):
@@ -950,6 +1013,9 @@ class TestGather:
             graph.gather([busiest], graph.theta + 1e-9)
         with pytest.raises(ValueError, match="exceeds"):
             graph.gather([], 0.3)
+        # NaN fails every comparison, so it passed a bare radius > theta check
+        with pytest.raises(ValueError, match="NaN"):
+            graph.gather([0, 1, 2], float("nan"))
 
 
 @pytest.mark.parametrize("mode", ["exact", "blocked"])
