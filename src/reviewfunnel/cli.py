@@ -183,12 +183,11 @@ def _resolve_run_inputs(args) -> tuple[PipelineConfig, str, dict | None]:
 def cmd_run(args) -> int:
     config, corpus_path, recorded = _resolve_run_inputs(args)
     corpus = load_corpus(corpus_path)
-    content_hash = corpus.content_hash
-    if recorded is not None and (
-        recorded.get("content_hash") != content_hash or recorded.get("items") != len(corpus)
-    ):
+    record = {"path": str(corpus_path), "content_hash": corpus.content_hash, "items": len(corpus)}
+    if recorded is not None and any(
+            recorded.get(k) != record[k] for k in ("content_hash", "items")):
         raise ConfigError(
-            f"corpus {corpus_path} ({len(corpus)} items, hash {content_hash}) differs from "
+            f"corpus {corpus_path} ({len(corpus)} items, hash {corpus.content_hash}) differs from "
             f"the manifest's ({recorded.get('items')} items, hash {recorded.get('content_hash')})"
         )
     out_dir = Path(args.out)
@@ -202,20 +201,16 @@ def cmd_run(args) -> int:
         "error": None,
         "started_at": _utc_now(),
         "finished_at": None,
-        "corpus": {
-            "path": str(corpus_path),
-            "content_hash": content_hash,
-            "items": len(corpus),
-        },
+        "corpus": record,
         "config": pipeline_config_to_doc(config),
-        "outputs": {
-            "metrics": METRICS_NAME,
-            "labels": LABELS_NAME,
-            "audit": AUDIT_NAME,
-        },
+        "outputs": {"metrics": METRICS_NAME, "labels": LABELS_NAME, "audit": AUDIT_NAME},
     }
     manifest_path = out_dir / MANIFEST_NAME
     _write_json(manifest_path, manifest)
+
+    def finish(status: str, error: str | None = None) -> None:
+        manifest.update(status=status, error=error, finished_at=_utc_now())
+        _write_json(manifest_path, manifest)
 
     try:
         # looked up in the module at call time, so callers can wrap it
@@ -228,15 +223,9 @@ def cmd_run(args) -> int:
             for entry in rm.stages
         ))
     except Exception as exc:
-        manifest["status"] = "failed"
-        manifest["error"] = str(exc)
-        manifest["finished_at"] = _utc_now()
-        _write_json(manifest_path, manifest)
+        finish("failed", str(exc))
         raise
-
-    manifest["status"] = "completed"
-    manifest["finished_at"] = _utc_now()
-    _write_json(manifest_path, manifest)
+    finish("completed")
 
     for rm in report.rounds:
         recall = (

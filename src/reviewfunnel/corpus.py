@@ -72,6 +72,42 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
+def _int64(values, what: str) -> np.ndarray:
+    """``values`` as int64, never truncated or wrapped: TypeError for floats or bools,
+    OverflowError for uint64 values from 2**63."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be integers, got {values.dtype}")
+    if values.dtype.kind == "u" and values.max(initial=0) >= 2**63:
+        raise OverflowError(f"{what} must be below 2**63, got {values.max()}")
+    return values.astype(np.int64, copy=False)
+
+
+def _nonnegative(pos) -> np.ndarray:
+    """``_int64`` positions; IndexError for a negative one, which numpy would read from the end."""
+    pos = _int64(pos, "positions")
+    if np.any(pos < 0):
+        raise IndexError(f"position {pos[np.argmax(pos < 0)]} is negative")
+    return pos
+
+
+def _index(ids, what: str) -> np.ndarray:
+    """``_int64`` ids of a position index; ValueError unless strictly ascending."""
+    ids = _int64(ids, f"{what} ids")
+    if np.any(ids[1:] <= ids[:-1]):
+        raise ValueError(f"{what} ids must be strictly ascending")
+    return ids
+
+
+def _truth(values) -> np.ndarray:
+    """An int8 truth column: 1, 0 or -1 (unknown), bools accepted; TypeError for floats."""
+    values = np.asarray(values)
+    truth = values if values.dtype == bool else _int64(values, "truth")
+    if truth.size and not -1 <= truth.min() <= truth.max() <= 1:
+        raise ValueError(f"truth must be -1, 0 or 1, got {truth.min()} to {truth.max()}")
+    return truth.astype(np.int8, copy=False)
+
+
 class ConfigError(ValueError):
     """Invalid configuration value; message names the offending field."""
 
@@ -276,10 +312,11 @@ class Corpus:
     truth: np.ndarray
 
     def __post_init__(self):
-        cols = {
-            name: np.asarray(getattr(self, name), dtype)
-            for name, dtype in _COLUMN_DTYPES.items()
-        }
+        # hashes keep their exact cast, as numpy infers float64 for [2**63, 1]
+        cols = {"ids": _int64(self.ids, "ids"), "embeddings": np.asarray(self.embeddings, float),
+                "accounts": _int64(self.accounts, "accounts"),
+                "impressions": _int64(self.impressions, "impressions"),
+                "hashes": np.asarray(self.hashes, np.uint64), "truth": _truth(self.truth)}
         ids = cols["ids"]
         if np.any(ids[1:] <= ids[:-1]):
             order = np.argsort(ids, kind="stable")
@@ -587,8 +624,8 @@ _DROPPED_KEY = "created_round"
 _LABEL_KEYS = frozenset(_LABEL_FIELDS)
 # The columns of each row's line number and scalar fields, in the order of
 # the lists ``_load_corpus`` collects them in.
-_ROW_DTYPES = {"lines": np.int64, "ids": np.int64, "hashes": np.uint64, "truth": np.int8,
-               "accounts": np.int64, "impressions": np.int64}
+_ROW_DTYPES = {"lines": np.int64, **{name: _COLUMN_DTYPES[name] for name in (
+    "ids", "hashes", "truth", "accounts", "impressions")}}
 
 
 def _normalized_row(row, line: int) -> np.ndarray:
@@ -738,14 +775,7 @@ def save_labels(records: Iterable[LabelRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(_LABEL_STORE_HEADER, separators=(",", ":")) + "\n")
         for rec in records:
-            doc = {
-                "item_id": rec.item_id,
-                "label": rec.label,
-                "provenance": rec.provenance,
-                "source_item_id": rec.source_item_id,
-                "round": rec.round,
-                "distance_to_source": rec.distance_to_source,
-            }
+            doc = {name: getattr(rec, name) for name in _LABEL_FIELDS}
             fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
@@ -775,18 +805,15 @@ def _load_labels(path, fast) -> list[LabelRecord]:
             if distance is not None and (type(distance) not in (int, float)
                                          or not 0.0 <= distance <= 2.0):
                 raise FormatError("field distance_to_source must be a number in [0, 2]", line_no)
-            source = doc["source_item_id"]
-            if source is not None:
-                source = _require_int(doc, "source_item_id", line_no)
+            if doc["source_item_id"] is not None:
+                _require_int(doc, "source_item_id", line_no)
+            _require_int(doc, "round", line_no)
+            if distance is not None:
+                doc["distance_to_source"] = float(distance)
+            if not isinstance(doc["provenance"], str):
+                doc["provenance"] = ""
             try:
-                records.append(LabelRecord(
-                    item_id=item_id,
-                    label=doc["label"],
-                    provenance=doc["provenance"] if isinstance(doc["provenance"], str) else "",
-                    round=_require_int(doc, "round", line_no),
-                    source_item_id=source,
-                    distance_to_source=float(distance) if distance is not None else None,
-                ))
+                records.append(LabelRecord(**doc))
             except ValueError as exc:
                 raise FormatError(str(exc), line_no) from exc
     return records

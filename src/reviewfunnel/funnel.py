@@ -33,7 +33,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .simgraph import SimilarityGraph, _nonnegative
+from .corpus import _index, _nonnegative
+from .simgraph import SimilarityGraph
 
 def position_array(pos: Iterable[int]) -> np.ndarray:
     """The distinct positions of any iterable, ascending int64; IndexError if negative,
@@ -70,7 +71,7 @@ class CoveragePlan:
 
 
 class Reach:
-    """What the labels so far reach in one hop, as arrays over ``index``.
+    """What the labels so far reach in one hop, as arrays over the ascending ``index``.
 
     ``content`` holds the neighbourhoods of the expanded ``sources``.
     ``nearest`` holds each position's first reviewed neighbour within
@@ -79,7 +80,7 @@ class Reach:
     """
 
     def __init__(self, index: np.ndarray):
-        self.index = np.asarray(index, dtype=np.int64)
+        self.index = _index(index, "reach")
         n = len(self.index)
         self.sources, self.content, self.reviewed = (np.zeros(n, dtype=bool) for _ in range(3))
         self.nearest = np.full(n, -1, dtype=np.int64)

@@ -32,7 +32,8 @@ from .corpus import (
     PROVENANCES,
     embedding_fingerprint,
 )
-from .simgraph import SimilarityGraph, _nonnegative, positions
+from .corpus import _index, _int64, _nonnegative, _truth
+from .simgraph import SimilarityGraph, positions
 
 
 class AlreadyLabeledError(RuntimeError):
@@ -103,10 +104,8 @@ class SimulatedOracle(Oracle):
         self.tpr = tpr
         self.tnr = tnr
         self.rng_seed = rng_seed
-        self._ids = np.asarray(ids, dtype=np.int64)
-        self._truth = np.asarray(truth, dtype=np.int8)
-        if np.any(np.diff(self._ids) <= 0):
-            raise ValueError("oracle ids must be strictly ascending")
+        self._ids = _index(ids, "oracle")
+        self._truth = _truth(truth)
         if self._truth.shape != self._ids.shape:
             raise ValueError(f"truth has {len(self._truth)} rows for {len(self._ids)} ids")
 
@@ -250,7 +249,7 @@ class LabelBatch:
     def of(cls, pos, label, provenance, round_no, source=None, distance=None):
         """A batch whose provenance and round may each be one value for every row."""
         n = len(pos)
-        return cls(np.asarray(pos, dtype=np.int64), np.asarray(label, dtype=bool),
+        return cls(_int64(pos, "positions"), np.asarray(label, dtype=bool),
                    np.full(n, provenance, dtype=np.int8), np.full(n, round_no, dtype=np.int64),
                    np.full(n, -1, dtype=np.int64) if source is None else source,
                    np.full(n, np.nan) if distance is None else distance)
@@ -295,9 +294,7 @@ class KnownStore:
     """
 
     def __init__(self, ids, accounts=None, hashes=None):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        if np.any(np.diff(self.ids) <= 0):
-            raise ValueError("store ids must be strictly ascending")
+        self.ids = _index(ids, "store")
         self.accounts, self.account_codes = _codes(accounts, len(self.ids))
         self._hashes, self._hash_codes = _codes(hashes, len(self.ids))
         n = len(self.ids)

@@ -48,7 +48,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, _blocks, _scaled
+from .corpus import Corpus, _blocks, _int64, _nonnegative, _scaled
 
 MODE_EXACT = "exact"
 MODE_BLOCKED = "blocked"
@@ -85,22 +85,6 @@ _CSR_CHUNK = 1 << 14
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # einsum is bit-stable across batch shapes, unlike BLAS matmul
     return np.einsum("ij,ij->i", a, b)
-
-
-def _int64(values, what: str) -> np.ndarray:
-    """``values`` as int64; TypeError for floats or bools, which a cast would truncate."""
-    values = np.asarray(values)
-    if values.size and values.dtype.kind not in "iu":
-        raise TypeError(f"{what} must be integers, got {values.dtype}")
-    return values.astype(np.int64, copy=False)
-
-
-def _nonnegative(pos) -> np.ndarray:
-    """``_int64`` positions; IndexError for a negative one, which numpy would read from the end."""
-    pos = _int64(pos, "positions")
-    if np.any(pos < 0):
-        raise IndexError(f"position {pos[np.argmax(pos < 0)]} is negative")
-    return pos
 
 
 def positions(index: np.ndarray, item_ids) -> np.ndarray:

@@ -182,6 +182,20 @@ class TestRun:
             manifest = json.loads(after["manifest.json"])
             assert manifest["status"] == "failed" and "disk full" in manifest["error"]
 
+    def test_interrupted_run_stays_running(self, tmp_path, corpus_file, monkeypatch):
+        # only a run that finished or failed is stamped; an interrupt is neither
+        def interrupt(corpus, config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_pipeline_detailed", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self.run_once(tmp_path, corpus_file)
+        out = tmp_path / "run"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["status"], manifest["finished_at"], manifest["error"]) == (
+            "running", None, None)
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
     def test_failed_baseline_write_keeps_previous_metrics(self, tmp_path, corpus_file,
                                                           monkeypatch):
         out = tmp_path / "base"

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import reviewfunnel.corpus as corpus_module
 from reviewfunnel.cli import main
+from reviewfunnel.funnel import Reach
+from reviewfunnel.labeling import KnownStore, LabelBatch, SimulatedOracle
 from reviewfunnel.simgraph import build_graph
 from reviewfunnel.corpus import (
     ConfigError,
@@ -566,6 +568,74 @@ class TestCorpus:
         assert make().content_hash == digest
 
 
+def two_rows(**columns):
+    """A two-row Corpus, with any of its columns replaced."""
+    return Corpus(**{"ids": [1, 2], "embeddings": np.eye(2), "accounts": [0, 1],
+                     "impressions": [3, 4], "hashes": [5, 6], "truth": [1, 0], **columns})
+
+
+# Each takes the ids or positions of two rows; a cast to int64 would truncate
+# floats and read bools as 0 and 1.
+INDEXED = {
+    "Corpus.ids": lambda ids: two_rows(ids=ids),
+    "Corpus.accounts": lambda ids: two_rows(accounts=ids),
+    "Corpus.impressions": lambda ids: two_rows(impressions=ids),
+    "Corpus.of": lambda ids: Corpus.of([Item(i, np.eye(2)[k], 0, 1, 7) for k, i in enumerate(ids)]),
+    "KnownStore": KnownStore,
+    "SimulatedOracle": lambda ids: SimulatedOracle(1.0, 1.0, 0, ids, [1, 0]),
+    "Reach": Reach,
+    "LabelBatch.of": lambda pos: LabelBatch.of(pos, [True, False], 1, 1),
+}
+
+
+@pytest.mark.parametrize("values", [[0.5, 1.7], np.array([0.0, 1.0]), [False, True]],
+                         ids=["floats", "float-array", "bools"])
+@pytest.mark.parametrize("make", INDEXED.values(), ids=INDEXED.keys())
+def test_constructors_refuse_non_integer_ids_and_positions(make, values):
+    with pytest.raises(TypeError, match="must be integers"):
+        make(values)
+
+
+def test_uint64_from_2_63_is_refused_not_wrapped():
+    top = np.array([2**63 - 1], np.uint64)
+    assert corpus_module._int64(top, "x").tolist() == [2**63 - 1]
+    with pytest.raises(OverflowError, match="x must be below 2"):
+        corpus_module._int64(np.array([2**63], np.uint64), "x")
+    with pytest.raises(OverflowError, match="ids must be below 2"):
+        Corpus([2**63], np.ones((1, 2)), [0], [1], [5], [1])
+
+
+@pytest.mark.parametrize("what, make", [
+    ("store", KnownStore),
+    ("oracle", lambda ids: SimulatedOracle(1.0, 1.0, 0, ids, [1, 0])),
+    ("reach", Reach),
+], ids=["store", "oracle", "reach"])
+def test_index_ids_must_ascend(what, make):
+    with pytest.raises(ValueError, match=f"{what} ids must be strictly ascending"):
+        make([2, 2])
+
+
+@pytest.mark.parametrize("truth, error", [
+    ([5, 0], ValueError), ([1, -2], ValueError), ([1, 0.7], TypeError),
+    (np.array([1.0, 0.0]), TypeError),
+], ids=["five", "minus-two", "float", "float-array"])
+@pytest.mark.parametrize("make", [
+    lambda truth: two_rows(truth=truth),
+    lambda truth: SimulatedOracle(1.0, 1.0, 0, [1, 2], truth),
+], ids=["Corpus", "SimulatedOracle"])
+def test_truth_holds_only_minus_one_zero_and_one(make, truth, error):
+    # a truth of 5 would be reviewed as positive yet never counted as one
+    with pytest.raises(error, match="truth must be"):
+        make(truth)
+
+
+def test_truth_accepts_bools_and_unknowns():
+    assert two_rows(truth=[True, False]).truth.tolist() == [1, 0]
+    assert two_rows(truth=[-1, True]).truth.tolist() == [-1, 1]
+    oracle = SimulatedOracle(1.0, 1.0, 0, [1, 2], np.array([False, True]))
+    assert oracle.label_batch([(1, None), (2, None)]) == [False, True]
+
+
 def test_line_order_changes_nothing(tmp_path):
     gen = tmp_path / "gen.json"
     gen.write_text(json.dumps({
@@ -900,8 +970,10 @@ def test_label_store_reads_alike_without_orjson(tmp_path, field, value):
     ("distance_to_source", "Infinity", "field distance_to_source must be a number in [0, 2]"),
     ("distance_to_source", "-7.5", "field distance_to_source must be a number in [0, 2]"),
     ("distance_to_source", "2.5", "field distance_to_source must be a number in [0, 2]"),
+    ("round", "-1", "field round must be >= 0"),
+    ("round", "true", "field round must be an integer"),
 ], ids=["source-negative", "source-2**63", "distance-bool", "distance-nan", "distance-inf",
-        "distance-negative", "distance-above-2"])
+        "distance-negative", "distance-above-2", "round-negative", "round-bool"])
 def test_label_store_refuses_out_of_range_fields(tmp_path, orjson, field, value, reason):
     # NaN and Infinity reach the range check only through json's re-decode
     if orjson:

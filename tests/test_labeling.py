@@ -42,7 +42,7 @@ class TestSimulatedOracle:
 
     def test_error_rates_binomial(self):
         # 1,000 planted positives at tpr=0.9: expect 900 +/- 30 (binomial 3 sigma)
-        oracle = SimulatedOracle(0.9, 0.9, 7, np.arange(1000), np.ones(1000))
+        oracle = SimulatedOracle(0.9, 0.9, 7, np.arange(1000), np.ones(1000, dtype=np.int8))
         verdicts = oracle.label_batch([(i, None) for i in range(1000)])
         positives = sum(verdicts)
         assert abs(positives - 900) <= 30
