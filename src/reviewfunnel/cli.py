@@ -213,6 +213,9 @@ def cmd_run(args) -> int:
         _write_json(manifest_path, manifest)
 
     try:
+        # the manifest that described an earlier run's outputs is gone, so they go too
+        for name in manifest["outputs"].values():
+            (out_dir / name).unlink(missing_ok=True)
         # looked up in the module at call time, so callers can wrap it
         report, state = run_pipeline_detailed(corpus, config)
         _write_text(out_dir / METRICS_NAME, report.to_json() + "\n")

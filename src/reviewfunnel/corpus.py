@@ -7,14 +7,10 @@ item, a fraction of near-duplicate members hugging the seed, and looser
 members spread around it. Ground truth is the corpus's ``truth`` column;
 funnel stages never read it, only the oracle and the metrics evaluator do.
 
-The JSON Lines loader decodes a file in one pass in this process. Its rows
-are written a block at a time into columns sized from a count of the file's
-line ends, so the whole file is never held, and a file in id order is never
-copied. Each line is decoded by orjson where it is installed (the
-``fast`` extra) and by the standard ``json`` module otherwise; a file that
-fails a check is decoded again by ``json`` alone, so every corpus and every
-error message is the same with or without orjson. The writer uses orjson
-too, for the rows it encodes byte for byte as ``json`` does.
+The JSON Lines loader decodes a file in one pass in this process, each line
+by orjson. Its rows are written a block at a time into columns sized from a
+count of the file's line ends, so the whole file is never held, and a file in
+id order is never copied.
 """
 
 from __future__ import annotations
@@ -81,6 +77,21 @@ def _int64(values, what: str) -> np.ndarray:
     if values.dtype.kind == "u" and values.max(initial=0) >= 2**63:
         raise OverflowError(f"{what} must be below 2**63, got {values.max()}")
     return values.astype(np.int64, copy=False)
+
+
+def _uint64(values, what: str) -> np.ndarray:
+    """``values`` as uint64, exactly: TypeError for floats or bools, OverflowError for
+    negative values. A list is checked by value, as numpy infers float64 for [2**63, 1]."""
+    if isinstance(values, np.ndarray):
+        if values.size and values.dtype.kind not in "iu":
+            raise TypeError(f"{what} must be integers, got {values.dtype}")
+        if values.min(initial=0) < 0:
+            raise OverflowError(f"{what} must be non-negative, got {values.min()}")
+        return values.astype(np.uint64, copy=False)
+    values = list(values)
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values):
+        raise TypeError(f"{what} must be integers")
+    return np.array(list(map(int, values)), dtype=np.uint64)
 
 
 def _nonnegative(pos) -> np.ndarray:
@@ -312,11 +323,10 @@ class Corpus:
     truth: np.ndarray
 
     def __post_init__(self):
-        # hashes keep their exact cast, as numpy infers float64 for [2**63, 1]
         cols = {"ids": _int64(self.ids, "ids"), "embeddings": np.asarray(self.embeddings, float),
                 "accounts": _int64(self.accounts, "accounts"),
                 "impressions": _int64(self.impressions, "impressions"),
-                "hashes": np.asarray(self.hashes, np.uint64), "truth": _truth(self.truth)}
+                "hashes": _uint64(self.hashes, "hashes"), "truth": _truth(self.truth)}
         ids = cols["ids"]
         if np.any(ids[1:] <= ids[:-1]):
             order = np.argsort(ids, kind="stable")
@@ -452,46 +462,37 @@ def generate_corpus_detailed(
     return corpus, _TruthById(corpus.truth), clusters
 
 
-def _embedding_rows(embeddings: np.ndarray) -> Iterator[tuple[np.ndarray, bool]]:
-    """Each row, C-contiguous as orjson needs, and whether orjson writes it as json does.
-
-    Both write the shortest digits that read back to each float, and the same
-    notation for zero and magnitudes in [1e-4, 1e16); beyond those, json writes
-    1e-05, 1e+16 and NaN where orjson writes 0.00001, 1e16 and null. Rows are
-    taken ``_BLOCK_ROWS`` at a time, so at most one block is copied.
-    """
-    for rows in _blocks(len(embeddings)):
-        block = np.ascontiguousarray(embeddings[rows])
-        size = np.abs(block)
-        alike = ((block == 0) | (size >= 1e-4) & (size < 1e16)).all(axis=1)
-        yield from zip(block, alike.tolist())
-
-
 def save_corpus(corpus: Iterable[Item], path) -> None:
     """Write a corpus as JSON Lines, one object per item in ascending id order.
 
-    orjson, where it is installed, encodes the rows it writes byte for byte
-    as ``json`` does (``_embedding_rows``), so the file never depends on it.
+    Each row's floats are written by orjson, in the shortest digits that read
+    back to them. A row that is not finite, or is zero, would not load: the
+    first such item raises ValueError before the file is created.
     """
+    import orjson
+
     corpus = Corpus.of(corpus)
-    orjson = _orjson()
+    for block in _blocks(len(corpus)):
+        emb = corpus.embeddings[block]
+        bad = ~np.isfinite(emb).all(axis=1) | ~emb.any(axis=1)
+        if bad.any():
+            raise ValueError(f"item_id {corpus.ids[block][bad.argmax()]}: "
+                             "embedding must be finite and non-zero")
     rows = zip(
         corpus.ids.tolist(),
-        _embedding_rows(corpus.embeddings),
         corpus.accounts.tolist(),
         corpus.impressions.tolist(),
         map(str, corpus.hashes.tolist()),
         [None if truth < 0 else bool(truth) for truth in corpus.truth.tolist()],
     )
+    option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
     with open(path, "wb") as fh:
-        for item_id, (embedding, alike), *rest in rows:
-            doc = dict(zip(_ITEM_FIELDS, (item_id, embedding, *rest)))
-            if orjson and alike:
-                fh.write(orjson.dumps(
-                    doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
-            else:
-                doc["embedding"] = embedding.tolist()
-                fh.write(json.dumps(doc, separators=(",", ":")).encode() + b"\n")
+        for block in _blocks(len(corpus)):
+            # orjson writes C-contiguous rows only; at most one block is copied
+            for embedding, (item_id, *rest) in zip(
+                    np.ascontiguousarray(corpus.embeddings[block]), rows):
+                doc = dict(zip(_ITEM_FIELDS, (item_id, embedding, *rest)))
+                fh.write(orjson.dumps(doc, option=option))
 
 
 def _require_int(doc: dict, key: str, line: int, minimum: int = 0) -> int:
@@ -555,51 +556,25 @@ def _line_count(path) -> int:
     return count
 
 
-def _json_value(line, line_no: int, fast):
-    """The JSON value on a line (bytes or str), or None if the line is blank.
+def _values(fh) -> Iterator[tuple[int, object]]:
+    """(line number, JSON value) of each line of the binary file ``fh`` that is not blank.
 
-    ``fast`` (``orjson.loads``, or None) decodes first; a line it rejects is
-    decoded by ``json``, whose error is raised.
+    orjson refuses NaN and Infinity (not JSON under RFC 8259), numbers beyond
+    float64 and lone surrogates, and reads an integer from 2**64, or below
+    -2**63, as a float.
     """
-    if fast is not None:
+    from orjson import JSONDecodeError, loads
+
+    for line_no, line in _lines(fh):
         try:
-            return fast(line)
-        except ValueError:
-            pass
-    if isinstance(line, bytes):
-        line = _utf8(line, line_no)
-    if line.isspace():
-        return None
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON ({exc.msg})", line_no) from exc
-
-
-def _orjson():
-    """The orjson module where it is installed (the ``fast`` extra), else None."""
-    try:
-        import orjson
-    except ImportError:
-        return None
-    return orjson
-
-
-def _decoded(load, path):
-    """``load(path, fast)``, with ``fast`` orjson's decoder where it is installed.
-
-    A file that fails a check is then decoded again by ``json`` alone, whose
-    verdict and message stand: orjson rejects lines that json accepts (NaN,
-    ``1e400``, lone surrogates) and reads integers beyond 64 bits as floats.
-    A file that passes every check gives the same values either way.
-    """
-    orjson = _orjson()
-    if orjson is None:
-        return load(path, None)
-    try:
-        return load(path, orjson.loads)
-    except FormatError:
-        return load(path, None)
+            value = loads(line)
+        except JSONDecodeError as exc:
+            if isinstance(line, bytes):
+                line = _utf8(line, line_no)
+            if line.isspace():
+                continue
+            raise FormatError(f"invalid JSON ({exc.msg} at column {exc.colno})", line_no) from exc
+        yield line_no, value
 
 
 def _check_fields(doc, fields: frozenset, line: int) -> None:
@@ -623,7 +598,7 @@ _ITEM_KEYS = frozenset(_ITEM_FIELDS)
 _DROPPED_KEY = "created_round"
 _LABEL_KEYS = frozenset(_LABEL_FIELDS)
 # The columns of each row's line number and scalar fields, in the order of
-# the lists ``_load_corpus`` collects them in.
+# the lists ``load_corpus`` collects them in.
 _ROW_DTYPES = {"lines": np.int64, **{name: _COLUMN_DTYPES[name] for name in (
     "ids", "hashes", "truth", "accounts", "impressions")}}
 
@@ -683,12 +658,15 @@ def _first_duplicate(ids: np.ndarray, lines: np.ndarray) -> FormatError | None:
     return _duplicate(int(ranked[k]), int(lines[order[k]]), int(lines[first]))
 
 
-def _load_corpus(path, fast) -> Corpus:
-    """The checked corpus of a JSON Lines file, or the fault on its lowest line.
+def load_corpus(path) -> Corpus:
+    """Load a JSON Lines corpus, re-normalizing embeddings on ingestion.
 
-    Rows are written a block at a time into columns sized by ``_line_count``.
-    The duplicate-id check runs over the ids read, so a repeated id wins over
-    a fault on a later line, or on its own line.
+    Rows are sorted by id, so neither the file's formatting nor its line
+    order changes the corpus or its content hash. The file is decoded in one
+    pass, its rows written a block at a time into columns sized by
+    ``_line_count``; a bad file raises the fault on its lowest line. The
+    duplicate-id check runs over the ids read, so a repeated id wins over a
+    fault on a later line, or on its own line.
     """
     n = _line_count(path)
     cols = {name: np.empty(n, dtype) for name, dtype in _ROW_DTYPES.items()}
@@ -711,10 +689,7 @@ def _load_corpus(path, fast) -> Corpus:
 
     with open(path, "rb") as fh:
         try:
-            for line_no, line in _lines(fh):
-                doc = _json_value(line, line_no, fast)
-                if doc is None:
-                    continue
+            for line_no, doc in _values(fh):
                 if isinstance(doc, dict) and _DROPPED_KEY in doc:
                     _require_int(doc, _DROPPED_KEY, line_no)
                     del doc[_DROPPED_KEY]
@@ -760,16 +735,6 @@ def _load_corpus(path, fast) -> Corpus:
     return Corpus(*(cols[name][:done] for name in _COLUMN_DTYPES))
 
 
-def load_corpus(path) -> Corpus:
-    """Load a JSON Lines corpus, re-normalizing embeddings on ingestion.
-
-    Rows are sorted by id, so neither the file's formatting nor its line
-    order changes the corpus or its content hash. The file is decoded in one
-    pass, by orjson where it is installed (see the module docstring).
-    """
-    return _decoded(_load_corpus, path)
-
-
 def save_labels(records: Iterable[LabelRecord], path) -> None:
     """Write a label store as JSON Lines with a leading header line."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -779,20 +744,18 @@ def save_labels(records: Iterable[LabelRecord], path) -> None:
             fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def _load_labels(path, fast) -> list[LabelRecord]:
+def load_labels(path) -> list[LabelRecord]:
+    """Load a label store; order-preserving inverse of save_labels."""
     records: list[LabelRecord] = []
     seen: dict[int, int] = {}
     with open(path, "rb") as fh:
-        lines = _lines(fh)
-        _, header = next(lines, (1, None))
-        if header is None:
+        values = _values(fh)
+        first = next(values, None)
+        if first is None:
             raise FormatError("missing label store header", 1)
-        if _json_value(header, 1, fast) != _LABEL_STORE_HEADER:
+        if first != (1, _LABEL_STORE_HEADER):
             raise FormatError("unrecognized label store header", 1)
-        for line_no, line in lines:
-            doc = _json_value(line, line_no, fast)
-            if doc is None:
-                continue
+        for line_no, doc in values:
             _check_fields(doc, _LABEL_KEYS, line_no)
             item_id = _require_int(doc, "item_id", line_no)
             if item_id in seen:
@@ -801,7 +764,7 @@ def _load_labels(path, fast) -> list[LabelRecord]:
             if not isinstance(doc["label"], bool):
                 raise FormatError("field label must be a boolean", line_no)
             distance = doc["distance_to_source"]
-            # a bool is no number, and NaN fails the range
+            # a bool is no number
             if distance is not None and (type(distance) not in (int, float)
                                          or not 0.0 <= distance <= 2.0):
                 raise FormatError("field distance_to_source must be a number in [0, 2]", line_no)
@@ -817,8 +780,3 @@ def _load_labels(path, fast) -> list[LabelRecord]:
             except ValueError as exc:
                 raise FormatError(str(exc), line_no) from exc
     return records
-
-
-def load_labels(path) -> list[LabelRecord]:
-    """Load a label store; order-preserving inverse of save_labels."""
-    return _decoded(_load_labels, path)

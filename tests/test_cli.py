@@ -176,11 +176,38 @@ class TestRun:
         code = main(["run", "--corpus", str(corpus_file), "--config", config, "--out", str(out)])
         assert code == 3
         after = self.snapshot(out)
-        assert sorted(after) == sorted(before)  # no temp file left behind
-        assert after[victim] == before[victim]
-        if victim != "manifest.json":
-            manifest = json.loads(after["manifest.json"])
-            assert manifest["status"] == "failed" and "disk full" in manifest["error"]
+        if victim == "manifest.json":
+            # the manifest that describes the earlier outputs still stands
+            assert after == before
+            return
+        manifest = json.loads(after.pop("manifest.json"))
+        assert manifest["status"] == "failed" and "disk full" in manifest["error"]
+        # no temp file, no victim, and no output of the earlier run
+        assert sorted(after) == {"metrics.json": [], "labels.jsonl": ["metrics.json"]}[victim]
+        for name, data in after.items():
+            assert json.loads(data)["corpus_hash"] == manifest["corpus"]["content_hash"]
+
+    def test_failed_run_leaves_no_earlier_outputs(self, tmp_path, corpus_file):
+        # a run of another corpus fails in the directory of a completed run
+        code, out = self.run_once(tmp_path, corpus_file)
+        assert code == 0
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(json.dumps(dict(json.loads(line), ground_truth=None)) + "\n"
+                               for line in corpus_file.read_text().splitlines()))
+        config = str(tmp_path / "run.config.json")
+        assert main(["run", "--corpus", str(raw), "--config", config, "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["corpus"]["content_hash"] == load_corpus(raw).content_hash
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
+    def test_failed_delete_is_recorded(self, tmp_path, corpus_file):
+        # an earlier output that cannot be deleted fails the run, not leaves it running
+        (tmp_path / "run" / "metrics.json").mkdir(parents=True)
+        code, out = self.run_once(tmp_path, corpus_file)
+        assert code == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and "metrics.json" in manifest["error"]
 
     def test_interrupted_run_stays_running(self, tmp_path, corpus_file, monkeypatch):
         # only a run that finished or failed is stamped; an interrupt is neither
