@@ -19,10 +19,10 @@ rounds (the feedback loop) join the sources and so widen it. A round gathers
 the neighbours of only the positives that are new since the last; sources
 only grow, so the mask equals a one-hop expansion of all of them. A round's
 candidates are the union of the content, actor and score channels' position
-masks; no stage reads which channel nominated a candidate. Every stage reads
-the graph through one batched gather; only the greedy choices of dedup and
-sampling stay sequential, in ascending order, so the funnel is deterministic
-and replayable.
+masks; no stage reads which channel nominated a candidate. A stage that reads
+the graph does so through one batched gather; only the greedy choices of dedup
+and sampling stay sequential, in ascending order, so the funnel is
+deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -71,19 +71,15 @@ class CoveragePlan:
 
 
 class Reach:
-    """What the labels so far reach in one hop, as arrays over the ascending ``index``.
+    """What the positives so far reach in one hop, as masks over the ascending ``index``.
 
     ``content`` holds the neighbourhoods of the expanded ``sources``.
-    ``nearest`` holds each position's first reviewed neighbour within
-    theta_dup (-1 if none) among the ``reviewed`` positions absorbed so far.
     Nothing is ever taken out.
     """
 
     def __init__(self, index: np.ndarray):
         self.index = _index(index, "reach")
-        n = len(self.index)
-        self.sources, self.content, self.reviewed = (np.zeros(n, dtype=bool) for _ in range(3))
-        self.nearest = np.full(n, -1, dtype=np.int64)
+        self.sources, self.content = (np.zeros(len(self.index), dtype=bool) for _ in range(2))
 
 
 def expand_content(
@@ -121,36 +117,18 @@ def expand_actor(store, min_positives: int, min_rate: float) -> np.ndarray:
     return np.flatnonzero(flagged[store.account_codes] & (store.labels < 0))
 
 
-def dedup_cross_round(
-    candidates: Iterable[int], store, graph: SimilarityGraph, theta_dup: float, reach: Reach
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop candidates already reviewed in substance in an earlier round.
+def dedup_cross_round(candidates: Iterable[int], store) -> tuple[np.ndarray, np.ndarray]:
+    """Drop candidates whose exact hash matches an item reviewed in an earlier round.
 
-    A candidate is removed when its exact hash matches a reviewed item (the
-    lowest) or it lies within theta_dup of one (the nearest, lowest first).
-    Removed candidates come back as (m, 2) routes of [candidate, matched],
-    ascending by candidate, so the propagation stage can copy the matched
-    item's label instead of silently discarding them. ``reach`` first
-    absorbs the items reviewed since its last call: only the rows they touch
-    are searched again.
+    Each comes back routed to the lowest such item, as (m, 2) routes of
+    [candidate, matched] ascending by candidate, so propagation can copy the
+    matched item's label: an exact hash need not follow embedding distance.
+    Near-duplicates need no route: the round that reviewed an item labelled
+    every unlabelled neighbour within theta_prop, and ``PipelineConfig.validate``
+    enforces theta_dup <= theta_prop.
     """
-    graph.require_index(store.ids)
-    graph.require_index(reach.index)
-    fresh = np.flatnonzero(store.reviewed & ~reach.reviewed)
-    reach.reviewed[fresh] = True
-    touched = np.zeros(len(reach.index), dtype=bool)
-    touched[graph.gather(fresh, theta_dup)[1]] = True
-    touched = np.flatnonzero(touched)
-    row, nbr, _ = graph.gather(touched, theta_dup)
-    hit = reach.reviewed[nbr]
-    row, nbr = row[hit], nbr[hit]
-    # rows keep (distance, id) order, so a row's first reviewed entry is its match
-    first = np.flatnonzero(np.diff(row, prepend=-1))
-    reach.nearest[touched[row[first]]] = nbr[first]
-
     pos = position_array(candidates)
     match = store.hash_match(pos)
-    match = np.where(match >= 0, match, reach.nearest[pos])
     routed = match >= 0
     return pos[~routed], np.stack([pos[routed], match[routed]], axis=1)
 

@@ -202,20 +202,24 @@ class HttpOracle(Oracle):
         return [verdicts[item_id] for item_id, _ in batch]
 
     def _post_with_retry(self, requests, payload: dict) -> dict:
+        """One POST's answer, retrying transport faults, 5xx, 408 and 429; other 4xx fail."""
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             try:
                 response = requests.post(
                     self.endpoint, json=payload, timeout=self.timeout
                 )
-                if response.status_code >= 500:
-                    raise RuntimeError(f"server error {response.status_code}")
-                response.raise_for_status()
-                return response.json()
+                status = response.status_code
+                if status < 400:
+                    return response.json()
             except Exception as exc:  # noqa: BLE001 - retry on any transport fault
                 last_error = exc
-                if attempt < self.max_retries:
-                    time.sleep(self.backoff_base * (2**attempt))
+            else:
+                if status < 500 and status not in (408, 429):
+                    raise RuntimeError(f"remote labeler refused the request: status {status}")
+                last_error = RuntimeError(f"status {status}")
+            if attempt < self.max_retries:
+                time.sleep(self.backoff_base * (2**attempt))
         raise RuntimeError(f"remote labeler failed after retries: {last_error}")
 
     @staticmethod
@@ -338,8 +342,17 @@ class KnownStore:
         return pos
 
     def write(self, batch: LabelBatch) -> None:
-        """Append a batch in order; if one of its positions is already labelled, none is."""
+        """Append a batch in order, or none of it if a position is already labelled, its
+        columns differ in length, a provenance is no code of ``PROVENANCES`` or a
+        source is neither a position nor -1."""
         pos = self.require_unlabeled(batch.pos)
+        if any(len(column) != len(pos) for column in batch.columns()):
+            raise ValueError("label batch columns differ in length")
+        if not np.all((batch.provenance >= 0) & (batch.provenance < len(PROVENANCES))):
+            raise ValueError(f"label batch provenance codes must index {PROVENANCES}")
+        source = _int64(batch.source, "label batch sources")
+        if not np.all((source >= -1) & (source < len(self.ids))):
+            raise ValueError("label batch sources must be store positions or -1")
         end = self._size + len(pos)
         for column, values in zip(self._log.columns(), batch.columns()):
             column[self._size : end] = values

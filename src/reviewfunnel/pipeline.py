@@ -71,6 +71,11 @@ class ScoreParams:
     flip_rate: float = 0.05
     seed: int = 0
 
+    def validate(self) -> None:
+        for name in ("tau", "flip_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"score.{name} must be in [0, 1]")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -117,11 +122,6 @@ class PipelineConfig:
             raise ConfigError("actor.min_positives must be >= 1")
         if not 0.0 < self.actor.min_rate <= 1.0:
             raise ConfigError("actor.min_rate must be in (0, 1]")
-        if self.score is not None:
-            if not 0.0 <= self.score.tau <= 1.0:
-                raise ConfigError("score.tau must be in [0, 1]")
-            if not 0.0 <= self.score.flip_rate <= 1.0:
-                raise ConfigError("score.flip_rate must be in [0, 1]")
         if self.bootstrap_seeds < 0:
             raise ConfigError("bootstrap_seeds must be >= 0")
         if self.graph_mode not in GRAPH_MODES:
@@ -135,6 +135,7 @@ class PipelineConfig:
         seeds = {"rng_seed": self.rng_seed, "graph_seed": self.graph_seed,
                  "oracle.seed": self.oracle.seed}
         if self.score is not None:
+            self.score.validate()
             seeds["score.seed"] = self.score.seed
         for name, seed in seeds.items():
             if seed < 0:
@@ -222,6 +223,7 @@ def simulate_model_scores(truth: np.ndarray, params: ScoreParams) -> np.ndarray:
     ``flip_rate`` and beta-jittered into [0, 1], a controllably weak signal.
     Scores are in row order, NaN where truth is unknown (-1).
     """
+    params.validate()
     rng = np.random.default_rng(params.seed)
     scores = np.full(len(truth), np.nan)
     for row in np.flatnonzero(truth >= 0).tolist():
@@ -301,7 +303,7 @@ def run_round(state: PipelineState, config: PipelineConfig, round_no: int) -> Ro
         audit("select", 0, len(candidates))
 
         current_stage = "dedup_cross_round"
-        kept, routed = dedup_cross_round(candidates, store, graph, config.theta_dup, reach)
+        kept, routed = dedup_cross_round(candidates, store)
         audit("dedup_cross_round", len(candidates), len(kept), dup=len(routed))
 
         current_stage = "filter_eligible"

@@ -311,7 +311,13 @@ MANIFEST = {"schema_version": 2, "kind": "run_manifest"}
 
 
 def exits_2_before_writing(tmp_path, corpus_file, command, doc):
-    config = write_json(tmp_path / "config.json", doc)
+    """``doc`` is the config as an object, as raw text, or None for no file."""
+    config = tmp_path / "config.json"
+    if isinstance(doc, str):
+        config.write_text(doc)
+    elif doc is not None:
+        write_json(config, doc)
+    config = str(config)
     out = tmp_path / "out"
     command, *args = {
         "generate": ["generate"],
@@ -364,6 +370,8 @@ def exits_2_before_writing(tmp_path, corpus_file, command, doc):
                  id="baseline-float-as-bool"),
     pytest.param("generate", dict(GEN_CONFIG, n_clusters=2.5), "n_clusters",
                  id="generator-int-as-float"),
+    pytest.param("generate", {k: v for k, v in GEN_CONFIG.items() if k != "n_clusters"},
+                 "n_clusters", id="generator-missing-n_clusters"),
 ])
 def test_malformed_config_exits_2_before_writing(tmp_path, corpus_file, capsys, command, doc,
                                                  key):
@@ -377,6 +385,10 @@ def test_malformed_config_exits_2_before_writing(tmp_path, corpus_file, capsys, 
     pytest.param("run", dict(RUN_CONFIG, graph_seed=-3), "graph_seed", id="graph_seed"),
     pytest.param("run", dict(RUN_CONFIG, oracle={"seed": -2}), "oracle.seed", id="oracle-seed"),
     pytest.param("run", dict(RUN_CONFIG, score={"seed": -1}), "score.seed", id="score-seed"),
+    pytest.param("run", dict(RUN_CONFIG, score={"tau": 5.0}), "score.tau", id="score-tau"),
+    pytest.param("run", dict(RUN_CONFIG, kind="generator"), "kind", id="wrong-kind"),
+    pytest.param("run", dict(RUN_CONFIG, oracle=[1]), "oracle", id="oracle-list"),
+    pytest.param("run", dict(RUN_CONFIG, score=5), "score", id="score-int-object"),
     pytest.param("run", dict(MANIFEST, config=dict(RUN_CONFIG, rng_seed=-1)), "rng_seed",
                  id="replay-rng_seed"),
     pytest.param("baseline", dict(RUN_CONFIG, oracle={"seed": -2}), "oracle.seed",
@@ -409,6 +421,18 @@ def test_out_of_range_value_exits_2_before_writing(tmp_path, corpus_file, capsys
                                                    field):
     exits_2_before_writing(tmp_path, corpus_file, command, doc)
     assert f"config error: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    pytest.param("run", None, "cannot read {config}", id="unreadable"),
+    pytest.param("generate", "{", "{config} is not valid JSON", id="invalid-json"),
+    pytest.param("baseline", "[1]", "{config} must contain a JSON object", id="not-an-object"),
+    pytest.param("replay", RUN_CONFIG, "--corpus is required", id="run-without-corpus"),
+])
+def test_unusable_input_exits_2_before_writing(tmp_path, corpus_file, capsys, command, doc,
+                                               message):
+    exits_2_before_writing(tmp_path, corpus_file, command, doc)
+    assert message.format(config=tmp_path / "config.json") in capsys.readouterr().err
 
 
 def recorded_manifest(tmp_path, corpus_file) -> dict:

@@ -86,8 +86,6 @@ def test_stages_refuse_a_graph_over_other_ids(rng):
     same = store_with(items, LabelBatch.of([0], [True], ORACLE, 1))
     for call in (
         lambda: expand_content(graph, Reach(store.ids), [10], 0.25),
-        lambda: dedup_cross_round([11], store, graph, 0.05, Reach(store.ids)),
-        lambda: dedup_cross_round([1], same, graph, 0.05, Reach(store.ids)),
         lambda: propagate_labels(LabelBatch.of([2], [True], ORACLE, 1), graph, 0.1, store, 1),
     ):
         with pytest.raises(ValueError, match="other ids"):
@@ -131,35 +129,22 @@ class TestExpandActor:
 class TestDedupCrossRound:
     def test_empty_store_is_noop(self, rng):
         items, (group,) = blob_corpus(rng, [4])
-        graph = build_graph(items, 0.25)
-        store = store_with(items)
-        kept, routed = dedup_cross_round(group, store, graph, 0.05, Reach(store.ids))
+        kept, routed = dedup_cross_round(group, store_with(items))
         assert kept.tolist() == group and routed.tolist() == []
 
     def test_hash_match_removed_and_routed(self, rng):
         base = rng.standard_normal(8)
         items = make_items([base, base, base * 3.0 + 10.0])
-        graph = build_graph(items, 0.25)
         assert items[0].exact_hash == items[1].exact_hash
         store = store_with(items, LabelBatch.of([0], [True], ORACLE, 1))
-        kept, routed = dedup_cross_round([1, 2], store, graph, 0.05, Reach(store.ids))
+        kept, routed = dedup_cross_round([1, 2], store)
         assert routed.tolist() == [[1, 0]]
         assert kept.tolist() == [2]
 
-    def test_near_reviewed_removed(self, rng):
-        items, (group,) = blob_corpus(rng, [3], sigma=0.002)
-        graph = build_graph(items, 0.25)
-        d = cosine_distance(items[0].embedding, items[1].embedding)
-        assert d <= 0.05  # derived: actually within the dedup radius
-        store = store_with(items, LabelBatch.of([0], [True], ORACLE, 1))
-        kept, routed = dedup_cross_round([1], store, graph, 0.05, Reach(store.ids))
-        assert kept.tolist() == [] and routed.tolist() == [[1, 0]]
-
     def test_distant_candidate_kept(self, rng):
         items, groups = blob_corpus(rng, [2, 2])
-        graph = build_graph(items, 0.25)
         store = store_with(items, LabelBatch.of([groups[0][0]], [True], ORACLE, 1))
-        kept, routed = dedup_cross_round(groups[1], store, graph, 0.05, Reach(store.ids))
+        kept, routed = dedup_cross_round(groups[1], store)
         assert kept.tolist() == groups[1] and routed.tolist() == []
 
 

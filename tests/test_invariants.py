@@ -114,3 +114,17 @@ def test_replay_is_append_only(params, replay_rounds):
     _, replay = run_pipeline_detailed(
         run.corpus, dataclasses.replace(run.config, rounds=replay_rounds))
     assert replay.store.records() == run.stores[replay_rounds - 1]
+
+
+@invariant
+@given(campaigns)
+def test_no_unlabelled_item_within_theta_prop_of_a_review(params):
+    # cross-round dedup routes no near-duplicate of a reviewed item: with
+    # theta_dup <= theta_prop, this leaves every one of them labelled
+    run = campaign(**params)
+    graph, theta = run.state.graph, run.config.theta_prop
+    for records in run.stores:
+        labelled = positions(graph.ids, [r.item_id for r in records])
+        reviewed = positions(
+            graph.ids, [r.item_id for r in records if r.provenance == PROVENANCE_ORACLE])
+        assert np.isin(graph.gather(reviewed, theta)[1], labelled).all()

@@ -173,6 +173,23 @@ class TestKnownStore:
             store.write(LabelBatch.of([item_id], [True], ORACLE, 1))
         assert [r.item_id for r in store.records()] == [5, 3, 9]
 
+    @pytest.mark.parametrize("batch, error, match", [
+        # numpy would broadcast the one label over both positions
+        (LabelBatch.of([0, 1], [True], ORACLE, 1), ValueError, "differ in length"),
+        (LabelBatch.of([2], [True], 7, 1), ValueError, "provenance"),
+        (LabelBatch.of([2], [True], PROPAGATED, 1, np.array([9]), np.array([0.1])),
+         ValueError, "sources"),
+        # the int64 column would store it as position 1
+        (LabelBatch.of([2], [True], PROPAGATED, 1, [1.7], np.array([0.1])), TypeError,
+         "sources"),
+    ], ids=["short-label", "provenance-7", "source-9", "source-float"])
+    def test_malformed_batch_refused_whole(self, batch, error, match):
+        # each would otherwise fail only in records(), or never
+        store = KnownStore(range(4))
+        with pytest.raises(error, match=match):
+            store.write(batch)
+        assert len(store) == 0 and store.labels.tolist() == [-1] * 4
+
 
 class TestOracleLabel:
     def test_empty_plan(self):
@@ -497,8 +514,8 @@ class TestHttpOracle:
 
 
 class _Reply:
-    def __init__(self, doc):
-        self.status_code, self._doc = 200, doc
+    def __init__(self, doc, status=200):
+        self.status_code, self._doc = status, doc
 
     def raise_for_status(self):
         pass
@@ -564,6 +581,23 @@ class TestHttpOracleVerdicts:
         with pytest.raises(RuntimeError, match=r'remote labeler .*\{"verdicts": \[\{"item_id"'):
             oracle.label_batch([(1, None), (2, None)])
         assert len(posts) == 1
+
+    @pytest.mark.parametrize("status, posts_made", [
+        (400, 1), (401, 1), (404, 1), (422, 1), (408, 4), (429, 4), (500, 4), (503, 4),
+    ])
+    def test_client_error_fails_without_retry(self, monkeypatch, status, posts_made):
+        # a paid labeler must not be sent a request it refused as malformed
+        posts = []
+
+        def post(url, json, timeout):
+            posts.append(json)
+            return _Reply({}, status)
+
+        monkeypatch.setattr(requests, "post", post)
+        oracle = HttpOracle("http://127.0.0.1:9/label", max_retries=3, backoff_base=0.0)
+        with pytest.raises(RuntimeError, match=f"status {status}"):
+            oracle.label_batch([(1, None)])
+        assert len(posts) == posts_made
 
     def test_json_booleans_accepted(self, monkeypatch):
         answering(monkeypatch, lambda asked: [{"item_id": 1, "label": False}, 2])

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 from types import SimpleNamespace
 
@@ -451,17 +452,17 @@ def pinned_corpus():
     [
         (
             {},
-            "9c7a451812a86cde6a01538c0e4dc759f9d7a23ce23ab001bba6ef1862e3eea5",
+            "a4ab2a3662640d9fad9f9054178f665e0be33d9f354633810d716954c8c26623",
             "e15952200a8a7ac8f325ba75f5ededc7f2233ac664221acc687ab0e5324ca36e",
         ),
         (
             {"impression_weighted_sampling": True},
-            "30b9f426ee338e65aa7e70a474b4eb7f8b072159516a93381fdbb61178368473",
+            "bd5a89a36807d6f80c375dd87d434c3ef1ea160dc6e56bbedb56779846d3c037",
             "85496ead0dad03c0ae651a775a61cff571e02b5ffaf73d998aa861b4afd9d9be",
         ),
         (
             {"score": ScoreParams()},
-            "8630a312e6993dd5e9cbfc35a873d90948ab886b2e7cdd1961b6cf36758be406",
+            "43d9d9f266dcc707bfa0a7f4d29109b462c06cfd6e5a8896a88c6a0a49480d87",
             "5b07fe6c596209d1f548ce2aec35d0b8f0da43e1617018ef3091d0fb6f355555",
         ),
     ],
@@ -469,9 +470,10 @@ def pinned_corpus():
 )
 def test_run_outputs_are_pinned(pinned_corpus, overrides, report_digest, labels_digest):
     # labels digests recorded before the funnel stages moved to batched
-    # neighbour gathers, report digests re-recorded when the corpus hash came
-    # to cover embeddings (only corpus_hash moved); a stage change that moves
-    # any candidate, review or label fails here
+    # neighbour gathers; report digests re-recorded when cross-round dedup
+    # stopped matching near-duplicates, which propagation had already
+    # labelled (only the dedup and filter audit counts moved); a stage change
+    # that moves any candidate, review or label fails here
     report, state = run_pipeline_detailed(pinned_corpus, PipelineConfig(**overrides))
     labels = json.dumps([dataclasses.astuple(r) for r in state.store.records()])
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == report_digest
@@ -649,3 +651,16 @@ class TestScoreBaseline:
             run_score_baseline(
                 items, 11, simulated(items), ScoreParams()
             )
+
+    @pytest.mark.parametrize("params, field", [
+        (ScoreParams(tau=5.0), "score.tau"),
+        (ScoreParams(tau=math.nan), "score.tau"),
+        (ScoreParams(flip_rate=3.0), "score.flip_rate"),
+    ], ids=["tau-5", "tau-nan", "flip_rate-3"])
+    def test_params_outside_the_config_rule_refused(self, params, field):
+        # each ran before: 0 reviews for either tau, every label flipped at 3.0
+        items = self.make_corpus(10, 2)
+        with pytest.raises(ConfigError, match=f"^{field} must be in"):
+            run_score_baseline(items, 5, simulated(items), params)
+        with pytest.raises(ConfigError, match=f"^{field} must be in"):
+            simulate_model_scores(items.truth, params)

@@ -213,6 +213,21 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="theta"):
             build_graph([], 2.5)
 
+    @pytest.mark.parametrize("mode, options, first_row, match", [
+        ("psychic", {}, [1.0, 1.0], "unknown graph mode"),
+        ("blocked", {"bands": 0}, [1.0, 1.0], "bands must be >= 1"),
+        ("blocked", {"band_bits": 0}, [1.0, 1.0], r"band_bits in \[1, 62\]"),
+        ("blocked", {"band_bits": 63}, [1.0, 1.0], r"band_bits in \[1, 62\]"),
+        ("exact", {}, [0.0, 0.0], "zero embedding"),
+        ("blocked", {}, [0.0, 0.0], "zero embedding"),
+    ], ids=["mode", "bands-0", "band_bits-0", "band_bits-63", "zero-row-exact",
+            "zero-row-blocked"])
+    def test_bad_arguments_refused(self, mode, options, first_row, match):
+        items = make_items([[1.0, 1.0], [1.0, 0.0]])
+        items[0] = dataclasses.replace(items[0], embedding=np.array(first_row))
+        with pytest.raises(ValueError, match=match):
+            build_graph(items, 0.1, mode, **options)
+
     def test_exact_equals_brute_force(self, rng):
         for trial in range(3):
             n = [60, 200, 500][trial]

@@ -9,6 +9,7 @@ id filter and sort it replaced, and the lazy coverage greedy against the
 eager one it replaced.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -87,7 +88,7 @@ def ref_expand_actor(items, known, min_positives, min_rate):
             if item.account_id in flagged and item.item_id not in known}
 
 
-def ref_dedup_cross_round(candidates, known, graph, theta_dup, items_index):
+def ref_dedup_cross_round(candidates, known, items_index):
     reviewed = {i for i, r in known.items() if r.provenance == "oracle"}
     if not reviewed:
         return set(candidates), {}
@@ -96,9 +97,6 @@ def ref_dedup_cross_round(candidates, known, graph, theta_dup, items_index):
         by_hash.setdefault(items_index[rid].exact_hash, rid)
     for candidate in sorted(set(candidates)):
         match = by_hash.get(items_index[candidate].exact_hash)
-        if match is None:
-            match = next((n for n in nbr_ids(graph, candidate, theta_dup) if n in reviewed),
-                         None)
         if match is None:
             kept.add(candidate)
         else:
@@ -304,21 +302,26 @@ def test_expand_actor(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dedup_cross_round(seed):
-    _, items, graph, store, candidates = scenario(seed)
+    _, items, _, store, candidates = scenario(seed)
+    # generated hashes are all distinct; coarse ones make exact-hash copies
+    # that lie anywhere in embedding space
+    items = dataclasses.replace(items, hashes=items.hashes % 64)
     index = {it.item_id: it for it in items}
-    want = ref_dedup_cross_round(candidates, known_of(store), graph, THETA_DUP, index)
-    kept, routed = dedup_cross_round(candidates, store, graph, THETA_DUP, Reach(store.ids))
+    written = store.written()
+    store = new_store(items)
+    store.write(written)
+    want = ref_dedup_cross_round(candidates, known_of(store), index)
+    kept, routed = dedup_cross_round(candidates, store)
     assert (set(kept.tolist()), dict(routed.tolist())) == want
     assert len(routed), "the scenario should route some candidates"
     assert np.all(np.diff(routed[:, 0]) > 0)
-    # one reach over a store that grows: it absorbs only the new reviews
-    grown, reach = new_store(items), Reach(store.ids)
-    written = store.written()
+    # a store that grows: each call matches the reviews written so far
+    grown = new_store(items)
     for part in (slice(0, len(written) // 2), slice(len(written) // 2, len(written))):
         grown.write(written.rows(part))
-        kept, routed = dedup_cross_round(candidates, grown, graph, THETA_DUP, reach)
+        kept, routed = dedup_cross_round(candidates, grown)
         assert (set(kept.tolist()), dict(routed.tolist())) == ref_dedup_cross_round(
-            candidates, known_of(grown), graph, THETA_DUP, index)
+            candidates, known_of(grown), index)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -433,7 +436,7 @@ def ref_campaign(items, truth, graph, config, bootstrap):
         candidates = (ref_expand_content(graph, seeds, config.theta_sim) | scored
                       | ref_expand_actor(items, known, config.actor.min_positives,
                                          config.actor.min_rate))
-        kept, routed = ref_dedup_cross_round(candidates, known, graph, config.theta_dup, index)
+        kept, routed = ref_dedup_cross_round(candidates, known, index)
         labeled = {c for c in kept if c in known}
         inactive = {c for c in kept - labeled if index[c].impressions == 0}
         eligible = kept - labeled - inactive
