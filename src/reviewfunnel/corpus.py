@@ -110,12 +110,12 @@ def _index(ids, what: str) -> np.ndarray:
     return ids
 
 
-def _truth(values) -> np.ndarray:
-    """An int8 truth column: 1, 0 or -1 (unknown), bools accepted; TypeError for floats."""
+def _truth(values, what: str = "truth", lowest: int = -1) -> np.ndarray:
+    """An int8 column of ``lowest`` (-1, unknown, or 0) to 1; bools accepted, TypeError for floats."""
     values = np.asarray(values)
-    truth = values if values.dtype == bool else _int64(values, "truth")
-    if truth.size and not -1 <= truth.min() <= truth.max() <= 1:
-        raise ValueError(f"truth must be -1, 0 or 1, got {truth.min()} to {truth.max()}")
+    truth = values if values.dtype == bool else _int64(values, what)
+    if truth.size and not lowest <= truth.min() <= truth.max() <= 1:
+        raise ValueError(f"{what} must be {lowest} to 1, got {truth.min()} to {truth.max()}")
     return truth.astype(np.int8, copy=False)
 
 
@@ -222,10 +222,8 @@ class GeneratorConfig:
             raise ConfigError("embedding_dim must be >= 2")
         if not 0 < self.noise_sigma < math.inf:
             raise ConfigError("noise_sigma must be finite and > 0")
-        if not 0 <= self.dup_sigma:
-            raise ConfigError("dup_sigma must be >= 0")
-        if self.dup_sigma >= self.noise_sigma:
-            raise ConfigError("dup_sigma must be < noise_sigma")
+        if not 0 <= self.dup_sigma < self.noise_sigma:
+            raise ConfigError("dup_sigma must be >= 0 and < noise_sigma")
         if self.n_accounts < 1:
             raise ConfigError("n_accounts must be >= 1")
         if self.rng_seed < 0:
@@ -289,12 +287,19 @@ def embedding_fingerprint(embedding: np.ndarray) -> int:
 
 
 def _fingerprints(rows: np.ndarray) -> np.ndarray:
-    """Each row's fingerprint, as a little-endian uint64 of its blake2b digest."""
-    out = np.empty(len(rows), dtype=np.uint64)
+    """Each row's fingerprint: the blake2b digest of its values quantised to
+    ``_HASH_QUANTUM`` as little-endian int64, read as a little-endian uint64."""
+    out, empty = np.empty(len(rows), dtype=np.uint64), hashlib.blake2b(digest_size=8)
+    width = rows.shape[1]
     for block in _blocks(len(rows)):
-        digests = b"".join(hashlib.blake2b(q.tobytes(), digest_size=8).digest()
-                           for q in np.round(rows[block] / _HASH_QUANTUM).astype(np.int64))
-        out[block] = np.frombuffer(digests, dtype="<u8")
+        data = memoryview(np.round(rows[block] / _HASH_QUANTUM).astype("<i8").ravel())
+        digests = []
+        for k in range(len(out[block])):
+            h = empty.copy()  # cheaper than a new state for each row
+            h.update(data[k * width : (k + 1) * width])
+            digests.append(h.digest())
+        out[block] = np.frombuffer(b"".join(digests), dtype="<u8")
+        del data  # before the next block's is made
     return out
 
 
@@ -417,48 +422,51 @@ def generate_corpus_detailed(
     positive fraction tracks the configured rate. Item ids count up from 0.
     """
     cfg.validate()
-    if cfg.n_clusters == 0:
-        return Corpus.of([]), {}, []
-
     rng = np.random.default_rng(cfg.rng_seed)
     d = cfg.embedding_dim
-    if cfg.cluster_size_mean == 1:
-        sizes = np.ones(cfg.n_clusters, dtype=np.int64)
-    else:
-        sizes = 1 + rng.poisson(cfg.cluster_size_mean - 1, size=cfg.n_clusters)
+    sizes = 1 + rng.poisson(cfg.cluster_size_mean - 1, size=cfg.n_clusters)  # Poisson(0) draws nothing
     n_positive = int(round(cfg.positive_cluster_rate * cfg.n_clusters))
-    positive_clusters = set(rng.permutation(cfg.n_clusters)[:n_positive].tolist())
-    # Positive items concentrate on a shrinking account pool as skew -> 1.
+    positive = np.isin(np.arange(cfg.n_clusters), rng.permutation(cfg.n_clusters)[:n_positive])
     positive_pool = max(1, int(round((1.0 - cfg.account_skew) * cfg.n_accounts)))
 
-    n = int(sizes.sum())
-    emb, truth = np.empty((n, d)), np.empty(n, dtype=np.int8)
-    accounts, impressions = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    clusters: list[ClusterInfo] = []
-    next_id = 0
-    for cluster_idx, size in enumerate(sizes.tolist()):
-        rows = slice(next_id, next_id + size)
-        center = rng.standard_normal(d)
-        dup_flags = rng.random(size - 1) < cfg.dup_fraction
-        noise = rng.standard_normal((size - 1, d))
-        positive = cluster_idx in positive_clusters
-        accounts[rows] = rng.integers(0, positive_pool if positive else cfg.n_accounts, size=size)
-        impressions[rows] = rng.geometric(1.0 / _IMPRESSION_MEAN, size=size)
-        impressions[rows][rng.random(size) < cfg.inactive_rate] = 0
-        truth[rows] = positive
+    n, starts = int(sizes.sum()), np.cumsum(sizes) - sizes
+    emb, accounts, impressions = np.empty((n, d)), np.empty(n, np.int64), np.empty(n, np.int64)
+    # the loop only draws: a seed row gets its centre and keeps a dup draw of
+    # 1.0, which no dup_fraction exceeds; a member row gets its noise
+    dup_draws, inactive_draws = np.ones(n), np.empty(n)
+    for start, size, pos in zip(starts.tolist(), sizes.tolist(), positive.tolist()):
+        end = start + size
+        rng.standard_normal(out=emb[start])
+        rng.random(out=dup_draws[start + 1 : end])
+        rng.standard_normal(out=emb[start + 1 : end])
+        accounts[start:end] = rng.integers(0, positive_pool if pos else cfg.n_accounts, size=size)
+        impressions[start:end] = rng.geometric(1.0 / _IMPRESSION_MEAN, size=size)
+        rng.random(out=inactive_draws[start:end])
+    impressions[inactive_draws < cfg.inactive_rate] = 0
+    dup = dup_draws < cfg.dup_fraction
 
-        sigma = np.where(dup_flags, cfg.dup_sigma, cfg.noise_sigma)
-        block = emb[rows]
-        block[0] = center
-        if size > 1:
-            block[1:] = center[None, :] + sigma[:, None] * noise
-        block /= np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
+    # in chunks of whole clusters, cut at the clusters of rows 0, _BLOCK_ROWS, ...: a row
+    # becomes noise * sigma + centre (a seed row 0 * centre + centre), then unit-norm
+    seed_rows = np.repeat(starts, sizes)
+    sigma = np.where(dup, cfg.dup_sigma, cfg.noise_sigma) * (seed_rows != np.arange(n))
+    cuts = sorted({*seed_rows[::_BLOCK_ROWS].tolist(), n})
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows, centres = emb[lo:hi], emb[seed_rows[lo:hi]]
+        rows *= sigma[lo:hi, None]
+        rows += centres
+        rows /= np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+        del centres  # before the next block's are gathered
+    del dup_draws, inactive_draws, seed_rows, sigma
 
-        members = range(next_id + 1, next_id + size)
-        dups = tuple(i for i, dup in zip(members, dup_flags.tolist()) if dup)
-        clusters.append(ClusterInfo(next_id, tuple(members), dups, positive))
-        next_id += size
-    corpus = Corpus(np.arange(n), emb, accounts, impressions, _fingerprints(emb), truth)
+    dup_ids = np.flatnonzero(dup)
+    cuts, dup_ids = np.searchsorted(dup_ids, np.append(starts, n)).tolist(), dup_ids.tolist()
+    clusters = [
+        ClusterInfo(start, tuple(range(start + 1, start + size)), tuple(dup_ids[lo:hi]), pos)
+        for start, size, lo, hi, pos in zip(
+            starts.tolist(), sizes.tolist(), cuts, cuts[1:], positive.tolist())
+    ]
+    corpus = Corpus(np.arange(n), emb, accounts, impressions, _fingerprints(emb),
+                    np.repeat(positive.astype(np.int8), sizes))
     return corpus, _TruthById(corpus.truth), clusters
 
 

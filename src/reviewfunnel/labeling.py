@@ -253,8 +253,8 @@ class LabelBatch:
     def of(cls, pos, label, provenance, round_no, source=None, distance=None):
         """A batch whose provenance and round may each be one value for every row."""
         n = len(pos)
-        return cls(_int64(pos, "positions"), np.asarray(label, dtype=bool),
-                   np.full(n, provenance, dtype=np.int8), np.full(n, round_no, dtype=np.int64),
+        return cls(_int64(pos, "positions"), _truth(label, "labels", lowest=0).astype(bool),
+                   np.full(n, provenance, dtype=np.int8), np.full(n, _int64(round_no, "rounds")),
                    np.full(n, -1, dtype=np.int64) if source is None else source,
                    np.full(n, np.nan) if distance is None else distance)
 
@@ -343,13 +343,15 @@ class KnownStore:
 
     def write(self, batch: LabelBatch) -> None:
         """Append a batch in order, or none of it if a position is already labelled, its
-        columns differ in length, a provenance is no code of ``PROVENANCES`` or a
-        source is neither a position nor -1."""
+        columns differ in length, a provenance is no code of ``PROVENANCES``, a round
+        is negative or a source is neither a position nor -1."""
         pos = self.require_unlabeled(batch.pos)
         if any(len(column) != len(pos) for column in batch.columns()):
             raise ValueError("label batch columns differ in length")
         if not np.all((batch.provenance >= 0) & (batch.provenance < len(PROVENANCES))):
             raise ValueError(f"label batch provenance codes must index {PROVENANCES}")
+        if np.any(_int64(batch.round, "label batch rounds") < 0):
+            raise ValueError("label batch rounds must be non-negative")
         source = _int64(batch.source, "label batch sources")
         if not np.all((source >= -1) & (source < len(self.ids))):
             raise ValueError("label batch sources must be store positions or -1")

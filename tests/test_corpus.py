@@ -96,8 +96,35 @@ class TestGenerator:
                              noise_sigma=0.3, dup_sigma=0.02, rng_seed=12), 9044,
              "3d8d9d9007a4a4d5492098e801ee23d47777d0f6d2f1d4284875a5c5e5afb073",
              "740f1f3d79ca0e0fabec68896d68a00d"),
+            # the corners of the generator's draws, each over more than two blocks
+            (GeneratorConfig(n_clusters=9001, cluster_size_mean=1, embedding_dim=16, rng_seed=13),
+             9001, "aadc534f25fa17154632b91d08c24f58ec35f1c31b2d2d1a538ab6b9eca2a1cf",
+             "600189e2248490bc719aaec52dcdb45b"),
+            (GeneratorConfig(n_clusters=1, cluster_size_mean=9000, embedding_dim=16, rng_seed=14),
+             9103, "87a475d18b5038316d806184a76358b3fe249f0f1a0c53db6ce8eec24615433b",
+             "6d79d1b95b75e6a203e08febb1c3198e"),
+            (GeneratorConfig(n_clusters=3, cluster_size_mean=5000, embedding_dim=16, rng_seed=15),
+             15022, "b0d9818308a57c813b7cd2020fa6e66b25907d1055d9938fead1107b04f3328e",
+             "58bfa0098945131fc9bb35f4e9a44699"),
+            (GeneratorConfig(n_clusters=900, dup_fraction=0.0, embedding_dim=16, rng_seed=16),
+             9006, "541e0dd90b8c4c09286c95b78159cccd4f717f18ab7c46c96b0ed3c205021638",
+             "e1e7dba8f1a262a052968b3d7254088d"),
+            (GeneratorConfig(n_clusters=900, dup_fraction=1.0, embedding_dim=16, rng_seed=17),
+             8880, "780f6ce6e8ebc5a9cfaa0a91e6e5550819288189e21c1a5bb004f59ee257cb4f",
+             "ba437bace47ae9230815a1d58af92841"),
+            (GeneratorConfig(n_clusters=900, inactive_rate=0.0, embedding_dim=16, rng_seed=18),
+             9042, "7a3d5709994129e8eb644ef60d0027821e8403e3c0854faa52e8418f969cc4f3",
+             "93a2c04111e98ce452390ef715eff164"),
+            (GeneratorConfig(n_clusters=900, inactive_rate=1.0, embedding_dim=16, rng_seed=19),
+             8854, "70e5e851721951d07e07ee66839c0c148ae71af1af8fedea1cb67639beda3fb8",
+             "a17e01b46fc414b6bf8eb3f31d255564"),
+            (GeneratorConfig(n_clusters=900, positive_cluster_rate=1.0, account_skew=1.0,
+                             embedding_dim=16, rng_seed=20), 9016,
+             "2b918f3b4d4c2c6dbbf83c27b2568b637716d6d56b3996b293d0cec841122ba4",
+             "27b300118003cc42ce7cb5a8968fd5ba"),
         ],
-        ids=["64-d", "16-d"],
+        ids=["64-d", "16-d", "size-1", "one-cluster", "cluster-over-a-block", "dup-0", "dup-1",
+             "inactive-0", "inactive-1", "all-positive-one-account"],
     )
     def test_generated_bytes_are_pinned(self, cfg, rows, digest, content):
         # every column's bytes and the planted clusters, over more than two
@@ -114,6 +141,15 @@ class TestGenerator:
         assert h.hexdigest() == digest
         assert corpus.content_hash == content
         assert truth == truth_by_id(corpus)
+
+    def test_generated_file_bytes_are_pinned(self, tmp_path, capsys):
+        # the bytes `reviewfunnel generate` writes for the small config in README
+        out = tmp_path / "corpus.jsonl"
+        config = Path(__file__).resolve().parent.parent / "configs" / "small_generator.json"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+        assert "generated 2022 items in 200 clusters" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "64b91c2125aa67fdd01612d62d3af70479d4e7d97d83ea21aed5ff261323f874")
 
     def test_unit_norms(self):
         items, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=10, rng_seed=2))
@@ -396,6 +432,30 @@ class TestRecordInvariants:
         assert embedding_fingerprint(a) == embedding_fingerprint(b)
         c = a + 1e-4
         assert embedding_fingerprint(a) != embedding_fingerprint(c)
+
+
+def _reference_fingerprint(row) -> int:
+    digest = hashlib.blake2b(np.round(row / 1e-6).astype("<i8").tobytes(), digest_size=8)
+    return int.from_bytes(digest.digest(), "little")
+
+
+@pytest.mark.parametrize("block_rows", [4, None], ids=["blocks-of-4", "one-block"])
+def test_fingerprints_equal_a_per_row_reference(block_rows):
+    rng = np.random.default_rng(4)
+    # values on the rounding ties of the 1e-6 grid, their negations, and -0.0
+    ties = (rng.integers(-10**6, 10**6, size=(11, 8)) + 0.5) * 1e-6
+    rows = np.concatenate([ties, -ties, rng.standard_normal((5, 8))])
+    rows[0], rows[1] = -0.0, 0.0
+    rows[2, ::2], rows[3, ::2], rows[4, 1::3] = 0.5e-6, -0.5e-6, 1.5e-6
+    rows[5, :4] = -0.0
+    assert len(rows) % 4  # a partial last block
+    expected = [_reference_fingerprint(row) for row in rows]
+    with mock.patch.object(corpus_module, "_BLOCK_ROWS", block_rows or corpus_module._BLOCK_ROWS):
+        assert corpus_module._fingerprints(rows).tolist() == expected
+        assert corpus_module._fingerprints(np.asfortranarray(rows)).tolist() == expected
+    assert [embedding_fingerprint(row) for row in rows] == expected
+    assert expected[0] == expected[1]  # -0.0 quantises to 0
+    assert embedding_fingerprint(rows.T[0]) == _reference_fingerprint(rows.T[0])  # a strided row
 
 
 def _record(**changes):

@@ -247,6 +247,30 @@ class TestOracleLabel:
         assert oracle.cost_so_far == 0.0 and len(store) == 0
         assert oracle_label([], oracle, store, 1).pos.tolist() == []
 
+    def test_batch_refuses_rounds_and_labels_a_cast_would_change(self):
+        # a cast to int64 would store round 1.5 as 1; one to bool label 0.5 as True
+        for bad in (1.5, np.float64(2.0), True):
+            with pytest.raises(TypeError, match="rounds must be integers"):
+                LabelBatch.of([0], [True], ORACLE, bad)
+        for bad, error in (([0.5], TypeError), (np.array([1.0]), TypeError), ([2], ValueError),
+                           ([-1], ValueError)):
+            with pytest.raises(error, match="labels must be"):
+                LabelBatch.of([0], bad, ORACLE, 1)
+        batch = LabelBatch.of([0, 1], np.array([1, 0], dtype=np.int8), ORACLE, np.int64(2))
+        assert batch.label.tolist() == [True, False] and batch.round.tolist() == [2, 2]
+
+    def test_negative_round_rejects_the_whole_batch(self):
+        store = KnownStore(range(3))
+        with pytest.raises(ValueError, match="rounds must be non-negative"):
+            store.write(LabelBatch.of([0, 1], [True, False], ORACLE, -7))
+        batch = LabelBatch.of([0, 1], [True, False], ORACLE, 1)
+        batch.round[1] = -1  # one bad row of a batch built by hand
+        with pytest.raises(ValueError, match="rounds must be non-negative"):
+            store.write(batch)
+        assert len(store) == 0 and store.labels.tolist() == store.rounds.tolist() == [-1] * 3
+        store.write(LabelBatch.of([2], [True], ORACLE, 0))
+        assert store.records() == [oracle_rec(2, round_no=0)]
+
     def test_oracle_receives_embedding_rows(self):
         class Recording(SimulatedOracle):
             def _judge(self, batch):
