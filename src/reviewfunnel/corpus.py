@@ -61,6 +61,9 @@ _IMPRESSION_MEAN = 20.0
 # Every pass over a corpus's rows takes them this many at a time, so a run
 # holds its columns and one block's temporaries, never a copy of a column.
 _BLOCK_ROWS = 4096
+# The loader holds its decoded lines, about 3 KB of Python objects a 64-d
+# row, this many at a time before it writes them into its columns.
+_DECODE_ROWS = 512
 
 
 def _blocks(n: int) -> Iterator[slice]:
@@ -474,33 +477,33 @@ def save_corpus(corpus: Iterable[Item], path) -> None:
     """Write a corpus as JSON Lines, one object per item in ascending id order.
 
     Each row's floats are written by orjson, in the shortest digits that read
-    back to them. A row that is not finite, or is zero, would not load: the
-    first such item raises ValueError before the file is created.
+    back to them. A row that would not load (an embedding that is not finite
+    or is zero, or a negative item_id, account_id or impressions) raises
+    ValueError for the first such item before the file is created. Only one
+    block of rows is held as Python objects at a time.
     """
     import orjson
 
     corpus = Corpus.of(corpus)
+    ints = {"item_id": corpus.ids, "account_id": corpus.accounts, "impressions": corpus.impressions}
+    reasons = ["embedding must be finite and non-zero", *(f"{f} must be >= 0" for f in ints)]
     for block in _blocks(len(corpus)):
         emb = corpus.embeddings[block]
-        bad = ~np.isfinite(emb).all(axis=1) | ~emb.any(axis=1)
-        if bad.any():
-            raise ValueError(f"item_id {corpus.ids[block][bad.argmax()]}: "
-                             "embedding must be finite and non-zero")
-    rows = zip(
-        corpus.ids.tolist(),
-        corpus.accounts.tolist(),
-        corpus.impressions.tolist(),
-        map(str, corpus.hashes.tolist()),
-        [None if truth < 0 else bool(truth) for truth in corpus.truth.tolist()],
-    )
+        bad = np.column_stack([~np.isfinite(emb).all(axis=1) | ~emb.any(axis=1),
+                               *(col[block] < 0 for col in ints.values())])
+        if bad.any():  # the lowest bad row, and its first fault
+            row, fault = divmod(int(bad.argmax()), len(reasons))
+            raise ValueError(f"item_id {corpus.ids[block][row]}: {reasons[fault]}")
     option = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
     with open(path, "wb") as fh:
         for block in _blocks(len(corpus)):
             # orjson writes C-contiguous rows only; at most one block is copied
-            for embedding, (item_id, *rest) in zip(
-                    np.ascontiguousarray(corpus.embeddings[block]), rows):
-                doc = dict(zip(_ITEM_FIELDS, (item_id, embedding, *rest)))
-                fh.write(orjson.dumps(doc, option=option))
+            for row in zip(corpus.ids[block].tolist(),
+                           np.ascontiguousarray(corpus.embeddings[block]),
+                           corpus.accounts[block].tolist(), corpus.impressions[block].tolist(),
+                           map(str, corpus.hashes[block].tolist()),
+                           [None if t < 0 else bool(t) for t in corpus.truth[block].tolist()]):
+                fh.write(orjson.dumps(dict(zip(_ITEM_FIELDS, row)), option=option))
 
 
 def _require_int(doc: dict, key: str, line: int, minimum: int = 0) -> int:
@@ -656,6 +659,8 @@ def _embedding_block(rows: list, lines: list[int]) -> np.ndarray:
 
 def _first_duplicate(ids: np.ndarray, lines: np.ndarray) -> FormatError | None:
     """The error of the lowest line repeating an earlier line's id, if any."""
+    if not np.any(ids[1:] <= ids[:-1]):  # ascending, as every saved file is
+        return None
     order = np.argsort(ids, kind="stable")
     ranked = ids[order]
     repeats = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
@@ -671,7 +676,7 @@ def load_corpus(path) -> Corpus:
 
     Rows are sorted by id, so neither the file's formatting nor its line
     order changes the corpus or its content hash. The file is decoded in one
-    pass, its rows written a block at a time into columns sized by
+    pass, its rows written ``_DECODE_ROWS`` at a time into columns sized by
     ``_line_count``; a bad file raises the fault on its lowest line. The
     duplicate-id check runs over the ids read, so a repeated id wins over a
     fault on a later line, or on its own line.
@@ -722,7 +727,7 @@ def load_corpus(path) -> Corpus:
                 truth.append(-1 if ground_truth is None else ground_truth)
                 accounts.append(_require_int(doc, "account_id", line_no))
                 impressions.append(_require_int(doc, "impressions", line_no))
-                if len(rows) == _BLOCK_ROWS:
+                if len(rows) == _DECODE_ROWS:
                     flush()
             flush()
         except FormatError as exc:

@@ -778,8 +778,8 @@ SRC = str(Path(corpus_module.__file__).resolve().parent.parent)
 
 
 def block_load(path, rows=1 << 30):
-    """load_corpus in blocks of ``rows`` rows."""
-    with mock.patch.object(corpus_module, "_BLOCK_ROWS", rows):
+    """load_corpus decoding ``rows`` rows between flushes into its columns."""
+    with mock.patch.object(corpus_module, "_DECODE_ROWS", rows):
         return load_corpus(path)
 
 
@@ -1076,16 +1076,17 @@ def test_load_holds_one_block_beyond_its_columns(tmp_path):
     corpus, _, _ = generate_corpus_detailed(GeneratorConfig(n_clusters=800, rng_seed=3))
     path = tmp_path / "c.jsonl"
     save_corpus(corpus, path)
-    rows = 256
     line_bytes = path.stat().st_size / len(corpus)
-    loaded, peak, _ = traced(block_load, path, rows)
-    assert_same_corpus(loaded, corpus)
-    columns = sum(getattr(loaded, field.name).nbytes for field in dataclasses.fields(Corpus))
-    # a block's decoded lines: their text, dicts, lists and floats, and its matrix
-    block = rows * 4 * line_bytes
-    assert peak < columns + block, (peak, columns, block)
-    # reading the whole file, or a second copy of the embeddings, would not fit
-    assert path.stat().st_size > block and loaded.embeddings.nbytes > block
+    assert len(corpus) > corpus_module._BLOCK_ROWS
+    for rows in (256, corpus_module._DECODE_ROWS):  # the second as the loader ships
+        loaded, peak, _ = traced(block_load, path, rows)
+        assert_same_corpus(loaded, corpus)
+        columns = sum(getattr(loaded, field.name).nbytes for field in dataclasses.fields(Corpus))
+        # a block's decoded lines: their text, dicts, lists and floats, and its matrix
+        block = rows * 4 * line_bytes
+        assert peak < columns + block, (rows, peak, columns, block)
+        # reading the whole file, or a second copy of the embeddings, would not fit
+        assert path.stat().st_size > block and loaded.embeddings.nbytes > block
 
 
 @pytest.fixture(scope="module")
@@ -1106,6 +1107,17 @@ def test_generate_holds_one_block_beyond_its_columns(five_blocks):
     # what it returns (the columns, the truth map and the clusters) and one
     # block's quantised rows and fingerprints
     assert peak < held + 3 * block, (peak, held, block)
+
+
+def test_save_holds_one_block_whatever_the_corpus_size(tmp_path, five_blocks):
+    # a block's scalars as Python objects and its contiguous rows; lists of
+    # every row's scalars would grow fivefold from one block to five
+    one = five_blocks[:corpus_module._BLOCK_ROWS]
+    assert len(five_blocks) > 4 * len(one)
+    _, peak_one, _ = traced(save_corpus, one, tmp_path / "one.jsonl")
+    _, peak_five, _ = traced(save_corpus, five_blocks, tmp_path / "five.jsonl")
+    assert peak_five < 1.25 * peak_one, (peak_five, peak_one)
+    assert load_corpus(tmp_path / "five.jsonl").content_hash == five_blocks.content_hash
 
 
 def test_content_hash_holds_one_block(five_blocks):
@@ -1210,17 +1222,33 @@ def test_saved_rows_load_back_bit_for_bit(tmp_path_factory, emb, fortran, block_
     assert_same_corpus(load_corpus(path), unit)
 
 
-@pytest.mark.parametrize("row", [[math.nan, 1.0], [math.inf, 1.0], [0.0, -0.0]],
-                         ids=["nan", "inf", "zero"])
+_NOT_A_ROW = "embedding must be finite and non-zero"
+
+
+@pytest.mark.parametrize("column, value, reason", [
+    ("embeddings", [math.nan, 1.0], _NOT_A_ROW),
+    ("embeddings", [math.inf, 1.0], _NOT_A_ROW),
+    ("embeddings", [0.0, -0.0], _NOT_A_ROW),
+    # added to the ids 10, 20 and 30, so the bad ones sort first, in their order
+    ("ids", -100, "item_id must be >= 0"),
+    ("accounts", -1, "account_id must be >= 0"),
+    ("impressions", -2**63, "impressions must be >= 0"),
+], ids=["nan", "inf", "zero", "negative-id", "negative-account", "negative-impressions"])
 @pytest.mark.parametrize("first_bad", [0, 1, 2])
-def test_save_refuses_rows_that_would_not_load(tmp_path, row, first_bad):
+def test_save_refuses_rows_that_would_not_load(tmp_path, column, value, reason, first_bad):
     # rows are checked in blocks of 2 before the file is created; every row
     # from the first bad one on is bad
-    emb = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
-    emb[first_bad:] = row
-    corpus = Corpus([10, 20, 30], emb, [0] * 3, [1] * 3, [5] * 3, [1] * 3)
+    cols = {"ids": np.array([10, 20, 30]),
+            "embeddings": np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]),
+            "accounts": np.zeros(3, np.int64), "impressions": np.ones(3, np.int64),
+            "hashes": [5] * 3, "truth": [1] * 3}
+    if column == "ids":
+        cols["ids"][first_bad:] += value
+    else:
+        cols[column][first_bad:] = value
+    item_id = 10 * (first_bad + 1) + (value if column == "ids" else 0)
     path = tmp_path / "c.jsonl"
     with mock.patch.object(corpus_module, "_BLOCK_ROWS", 2), pytest.raises(
-            ValueError, match=f"^item_id {10 * (first_bad + 1)}: embedding must be finite"):
-        save_corpus(corpus, path)
+            ValueError, match=f"^item_id {item_id}: {reason}$"):
+        save_corpus(Corpus(**cols), path)
     assert not path.exists()
